@@ -43,7 +43,7 @@ from .graded import (
     algebras_equivalent,
     quadratic_hull,
 )
-from .lie import HallBasisEntry, hall_basis, relation_rank_free_class2, witt_rank
+from .lie import HallBasisEntry, hall_basis, witt_rank
 from .milnor import (
     FieldDescriptor,
     SymbolAlgebra,
@@ -69,7 +69,6 @@ from .qcentral import (
     ClassTwoGroup,
     FiniteGroupTable,
     SeriesParams,
-    collect,
     evaluate_word,
     induced_quotient_map,
     is_isomorphic,

@@ -23,7 +23,7 @@ import sys
 from .cohom import GroupCohomology, cohomology_record, pairings_equivalent
 from .errors import QcwError
 from .graded import algebra_from_cohomology, algebra_from_milnor
-from .milnor import galois_model, milnor_pairing_gram, parse_field, symbol_algebra
+from .milnor import galois_model, parse_field, symbol_algebra
 from .presentations import parse_file
 from .qcentral import (
     SeriesParams,
@@ -94,7 +94,6 @@ def cmd_quotient(args) -> int:
         "group": args.group,
         "level": args.level,
         "q": args.q,
-        "seed": args.seed,
         "result": rec,
     }
     _emit(report, args.output)
@@ -111,7 +110,6 @@ def cmd_cohomology(args) -> int:
         "file": args.file,
         "group": args.group,
         "q": args.q,
-        "seed": args.seed,
         "order": table.order,
         "h1": cohomology_record(ctx.h1_space()),
         "h2": cohomology_record(ctx.h2_space()),
@@ -130,9 +128,8 @@ def cmd_milnor(args) -> int:
         "command": "milnor",
         "field": desc.label(),
         "q": args.q,
-        "seed": args.seed,
         "symbols": S.to_record(),
-        "pairing": milnor_pairing_gram(desc).to_record(),
+        "pairing": S.pairing().to_record(),
     }
     _emit(report, args.output)
     return EXIT_OK
@@ -160,7 +157,6 @@ def cmd_compare(args) -> int:
         "command": "compare",
         "field": desc.label(),
         "q": args.q,
-        "seed": args.seed,
         "verdict": CONSISTENT if consistent else INCONSISTENT,
         "milnor": {
             "dim1": milnor_side.dim1,
@@ -221,7 +217,7 @@ def cmd_check(args) -> int:
         pres = _load_group(args.file, args.group)
         which = args.criterion
         if which in ("all", "third-series"):
-            verdicts.append(relators_in_third_series(pres, params))
+            verdicts.append(relators_in_third_series(pres, params, args.order_bound))
         if which in ("all", "principle"):
             if args.against:
                 other = _load_group(args.file, args.against)
@@ -252,7 +248,6 @@ def cmd_check(args) -> int:
     report = {
         "command": "check",
         "q": args.q,
-        "seed": args.seed,
         "verdicts": [v.to_record() for v in verdicts],
     }
     _emit(report, args.output)
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order-bound", type=int, default=512)
         p.add_argument("--h2-bound", type=int, default=64)
         p.add_argument("--output", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("quotient", help="compute G^[level, q] of a presented group")
     p.add_argument("file")

@@ -7,14 +7,17 @@ is built into the indexing), the cocycle identity
 
     f(g, h) + f(gh, k) = f(h, k) + f(g, hk)
 
-is imposed for all non-identity triples, and coboundaries are spanned by
+is the cocycle condition, and coboundaries are spanned by
 (d u)(g, h) = u(g) - u(gh) + u(h) over normalized 1-cochains u.
 
-The (|G|-1)^3 cocycle equations are extremely redundant; they are streamed
-through a row-space accumulator in a fixed pseudorandom order and the run
-stops once the accumulated kernel verifiably satisfies *every* equation
-(the verification is vectorized and cheap), so the shortcut never affects
-correctness, only time.
+Writing (df)(g, h, k) = f(h, k) - f(gh, k) + f(g, hk) - f(g, h), a
+normalized f is a cocycle iff df(g, h, s) = 0 for all g, h and every s in
+a generating set S.  Indeed ddf = 0 at (g, h, k', s) reads
+df(g, h, k's) = df(g, h, k') once df(., ., s) = 0, and df(g, h, 1) = 0 by
+normalization; every element of a finite group is a positive word in S, so
+df = 0 by induction on the word length of k.  Only these |S| (|G|-1)^2
+equations, s running over the table's listed generators, are solved; the
+kernel is then checked against the full cocycle identity as a safety net.
 
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
@@ -41,7 +44,7 @@ from .qcentral import FiniteGroupTable
 from .zqlinalg import QuotientModule, RowSpace, kernel_with_orders, prime_power, solve_mod
 
 DEFAULT_H2_BOUND = 64
-_EQUATION_SHUFFLE_SEED = 0x5EED
+_EQUATION_CHUNK = 1024
 
 __all__ = [
     "CohomologySpace",
@@ -227,29 +230,22 @@ class GroupCohomology:
     # -- degree 2 -------------------------------------------------------------
 
     def _equation_batches(self):
-        """Cocycle equation rows, batched, in a fixed pseudorandom order."""
+        """Rows of df(g, h, s) = 0, s a listed generator, in fixed-size chunks."""
         t, q = self.t, self.q
-        n = t.order
-        total = (n - 1) ** 3
-        rng = np.random.default_rng(_EQUATION_SHUFFLE_SEED)
-        order = rng.permutation(total)
-        size = 512
-        start = 0
-        while start < total:
-            chunk = order[start : start + size]
-            start += size
-            size = min(size * 2, 8192)
-            gi, rest = np.divmod(chunk, (n - 1) * (n - 1))
-            hi, ki = np.divmod(rest, n - 1)
-            g, h, k = self.elems[gi], self.elems[hi], self.elems[ki]
-            rows = np.zeros((len(chunk), self.width), dtype=np.int64)
-            idx = np.arange(len(chunk))
-            pos = self.pos
-            w = n - 1
+        w = t.order - 1
+        gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
+        total = len(gens) * w * w
+        for start in range(0, total, _EQUATION_CHUNK):
+            eq = np.arange(start, min(start + _EQUATION_CHUNK, total))
+            si, rest = np.divmod(eq, w * w)
+            gi, hi = np.divmod(rest, w)
+            g, h, k = self.elems[gi], self.elems[hi], gens[si]
+            rows = np.zeros((len(eq), self.width), dtype=np.int64)
+            idx = np.arange(len(eq))
 
             def put(a, b, sign):
                 alive = (a != t.identity) & (b != t.identity)
-                np.add.at(rows, (idx[alive], pos[a[alive]] * w + pos[b[alive]]), sign)
+                np.add.at(rows, (idx[alive], self.pos[a[alive]] * w + self.pos[b[alive]]), sign)
 
             put(g, h, 1)
             put(t.mult[g, h], k, 1)
@@ -263,30 +259,19 @@ class GroupCohomology:
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
         """Independent generators (vector, order) of the cocycle module Z^2."""
         if self._z2 is None:
-            n = self.t.order
-            if n > self.h2_bound:
+            t = self.t
+            if t.order > self.h2_bound:
                 raise SizeLimitError(
-                    f"group order {n} exceeds the degree-2 bound {self.h2_bound}"
+                    f"group order {t.order} exceeds the degree-2 bound {self.h2_bound}"
                 )
-            if n == 1:
-                self._z2 = []
-                return self._z2
+            if not t.generates(t.generators):
+                raise QcwError("listed generators do not generate the table")
             rs = RowSpace(self.width, self.q)
-            quiet = 0
-            solved = None
             for rows in self._equation_batches():
-                grew = rs.add_rows(rows)
-                quiet = quiet + 1 if grew == 0 else 0
-                if quiet >= 2:
-                    candidate = self._kernel_of_rowspace(rs)
-                    if self._verify_kernel(v for v, _ in candidate):
-                        solved = candidate
-                        break
-                    quiet = 0
-            if solved is None:
-                solved = self._kernel_of_rowspace(rs)
-                if not self._verify_kernel(v for v, _ in solved):
-                    raise QcwError("internal error: cocycle solver produced a non-cocycle")
+                rs.add_rows(rows)
+            solved = self._kernel_of_rowspace(rs)
+            if not self._verify_kernel(v for v, _ in solved):
+                raise QcwError("internal error: cocycle solver produced a non-cocycle")
             self._z2 = solved
         return self._z2
 
@@ -305,8 +290,7 @@ class GroupCohomology:
                     continue
                 v = np.zeros(self.width, dtype=np.int64)
                 v[j] = 1
-                for r_idx, c in enumerate(piv_cols):
-                    v[c] = (-rows[r_idx, j]) % self.q
+                v[piv_cols] = (-rows[:, j]) % self.q
                 out.append((v, self.q))
             return out
         return kernel_with_orders(rs.rows_matrix(), self.q)

@@ -74,9 +74,7 @@ def algebra_from_cohomology(G: FiniteGroupTable, q: int) -> GradedAlgebra2:
 
 def algebra_from_milnor(S: SymbolAlgebra) -> GradedAlgebra2:
     """k1, k2 and the symbol map as a graded algebra."""
-    from .milnor import milnor_pairing_gram
-
-    tensor = milnor_pairing_gram(S.field)
+    tensor = S.pairing()
     return GradedAlgebra2(
         q=S.q, dim1=tensor.m, target_orders=tensor.target_orders, mult=tensor.values
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["HallBasisEntry", "witt_rank", "hall_basis", "relation_rank_free_class2"]
+__all__ = ["HallBasisEntry", "witt_rank", "hall_basis"]
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,3 @@ def hall_basis(n: int, w: int) -> list[HallBasisEntry]:
         ]
     assert len(entries) == witt_rank(n, w)
     return entries
-
-
-def relation_rank_free_class2(n: int, p: int) -> int:
-    """F_p-rank of R/R^p[R, S] for R = [S, [S, S]] in the free group of rank n.
-
-    The prime does not enter the count (the relation module is free over F_p
-    of rank equal to the weight-3 Witt number); it is kept in the signature
-    because the statement is about pro-p presentations.
-    """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return witt_rank(n, 3)

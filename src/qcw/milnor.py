@@ -36,7 +36,7 @@ from .cohom import PairingTensor
 from .errors import QcwError, UnsupportedFieldError
 from .presentations import Presentation, Word
 from .qcentral import SeriesParams
-from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_power
+from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power
 
 __all__ = [
     "FieldDescriptor",
@@ -115,25 +115,13 @@ def _is_irreducible(modpoly, ell: int) -> bool:
     x = tuple(([0, 1] + [0] * (k - 2))[:k]) if k > 1 else (0,)
     if _poly_pow_x(ell**k, ell, modpoly) != x:
         return False
-    for r in sorted(_prime_factors(k)):
+    for r in sorted(prime_factors(k)):
         xe = list(_poly_pow_x(ell ** (k // r), ell, modpoly))
         xe[1] = (xe[1] - 1) % ell  # subtract x
         g = _poly_gcd(modpoly, xe, ell)
         if len(g) != 1:
             return False
     return True
-
-
-def _prime_factors(n: int) -> set[int]:
-    out, k = set(), 2
-    while k * k <= n:
-        while n % k == 0:
-            out.add(k)
-            n //= k
-        k += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 class SmallField:
@@ -165,7 +153,7 @@ class SmallField:
             one = tuple([1] + [0] * (k - 1))
         self.one = one
         # generator: least element of multiplicative order s - 1
-        factors = _prime_factors(s - 1)
+        factors = prime_factors(s - 1)
         gen = None
         for cand in elems:
             if all(self._pow_raw(cand, (s - 1) // r, mul, one) != one for r in factors):
@@ -306,6 +294,18 @@ class SymbolAlgebra:
             out[t] %= o
         return out
 
+    def pairing(self) -> PairingTensor:
+        """The k1 x k1 -> k2 symbol tensor in the k1 basis."""
+        m = len(self.k1_basis)
+        if m > 4:
+            raise QcwError("k1 rank above the pairing bound")
+        eye = np.eye(m, dtype=np.int64)
+        vals = np.zeros((m, m, len(self.k2_invariants)), dtype=np.int64)
+        for i in range(m):
+            for j in range(m):
+                vals[i, j] = self.symbol(eye[i], eye[j])
+        return PairingTensor(q=self.q, m=m, target_orders=tuple(self.k2_invariants), values=vals)
+
     def to_record(self) -> dict:
         return {
             "field": self.field.label(),
@@ -372,7 +372,7 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
 
 
 def _least_primitive_root(ell: int) -> int:
-    factors = _prime_factors(ell - 1)
+    factors = prime_factors(ell - 1)
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // r, ell) != 1 for r in factors):
             return g
@@ -517,18 +517,7 @@ def k2(desc: FieldDescriptor) -> list[int]:
 
 def milnor_pairing_gram(desc: FieldDescriptor) -> PairingTensor:
     """The k1 x k1 -> k2 symbol tensor in the chosen bases."""
-    S = symbol_algebra(desc)
-    m = len(S.k1_basis)
-    if m > 4:
-        raise QcwError("k1 rank above the pairing bound")
-    t = len(S.k2_invariants)
-    vals = np.zeros((m, m, t), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            e_i = np.eye(m, dtype=np.int64)[i]
-            e_j = np.eye(m, dtype=np.int64)[j]
-            vals[i, j] = S.symbol(e_i, e_j)
-    return PairingTensor(q=S.q, m=m, target_orders=tuple(S.k2_invariants), values=vals)
+    return symbol_algebra(desc).pairing()
 
 
 def galois_model(desc: FieldDescriptor, params: SeriesParams | None = None) -> Presentation:

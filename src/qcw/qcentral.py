@@ -33,7 +33,6 @@ those commutators are central), which is how ``third_quotient`` saturates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from .presentations import Presentation, Word
-from .zqlinalg import cokernel_invariants, is_prime, prime_power
+from .zqlinalg import cokernel_invariants, is_prime, prime_factors, prime_power
 
 DEFAULT_ORDER_BOUND = 512
 
@@ -52,7 +51,6 @@ __all__ = [
     "FiniteGroupTable",
     "QuotientMap",
     "universal_class2",
-    "collect",
     "evaluate_word",
     "third_quotient",
     "second_quotient",
@@ -192,13 +190,7 @@ class ClassTwoGroup:
             k += 1
         return k
 
-    # -- enumeration ---------------------------------------------------------
-
-    def enumerate_full(self):
-        """All elements of E(n, q), lexicographic in (a, c)."""
-        for a in itertools.product(range(self.q2), repeat=self.n):
-            for c in itertools.product(range(self.q), repeat=len(self.pairs)):
-                yield ClassTwoElement(a=a, c=c)
+    # -- the kernel N --------------------------------------------------------
 
     def kernel_set(self) -> frozenset:
         """N as a frozenset of (a, c) tuples."""
@@ -232,11 +224,6 @@ def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_OR
     if order > order_bound:
         raise SizeLimitError(f"|E({n},{q})| = {order} exceeds the order bound {order_bound}")
     return ClassTwoGroup(params=params, n=n, kernel_basis=())
-
-
-def collect(u: ClassTwoElement, v: ClassTwoElement, group: ClassTwoGroup) -> ClassTwoElement:
-    """Normal form of u * v in the given class-2 group."""
-    return group.mul(u, v)
 
 
 def evaluate_word(w: Word, images: list[ClassTwoElement], group: ClassTwoGroup) -> ClassTwoElement:
@@ -432,7 +419,7 @@ def _abelian_invariants_of_table(t: FiniteGroupTable) -> list[int]:
     out: list[int] = []
     primes = set()
     for o in orders:
-        primes |= _prime_factors(o)
+        primes |= prime_factors(o)
     for p in sorted(primes):
         # N_k = #{x : x^(p^k) = 1}; s_k = log_p(N_k / N_{k-1}) counts factors
         # of exponent >= k; the multiset of exponents is its conjugate.
@@ -450,18 +437,6 @@ def _abelian_invariants_of_table(t: FiniteGroupTable) -> list[int]:
             copies = s[k - 1] - (s[k] if k < len(s) else 0)
             out.extend([p**k] * copies)
     return sorted(out)
-
-
-def _prime_factors(n: int) -> set[int]:
-    out, k = set(), 2
-    while k * k <= n:
-        while n % k == 0:
-            out.add(k)
-            n //= k
-        k += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def trivial_table() -> FiniteGroupTable:
@@ -516,15 +491,26 @@ def validate_table(t: FiniteGroupTable) -> None:
 # coset tables for class-two quotients
 
 
-def _encode_batch(A: np.ndarray, C: np.ndarray, q: int, n: int, npairs: int) -> np.ndarray:
+def _encode_batch(A: np.ndarray, C: np.ndarray, q: int) -> np.ndarray:
     """Dense mixed-radix index of elements: a digits base q^2, c digits base q."""
-    q2 = q * q
     out = np.zeros(A.shape[:-1], dtype=np.int64)
-    for i in range(n):
-        out = out * q2 + A[..., i]
-    for k in range(npairs):
+    for i in range(A.shape[-1]):
+        out = out * (q * q) + A[..., i]
+    for k in range(C.shape[-1]):
         out = out * q + C[..., k]
     return out
+
+
+def _decode_batch(codes: np.ndarray, q: int, n: int, npairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``_encode_batch``: the (a, c) digit arrays of dense codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    A = np.zeros(codes.shape + (n,), dtype=np.int64)
+    C = np.zeros(codes.shape + (npairs,), dtype=np.int64)
+    for k in reversed(range(npairs)):
+        codes, C[..., k] = np.divmod(codes, q)
+    for i in reversed(range(n)):
+        codes, A[..., i] = np.divmod(codes, q * q)
+    return A, C
 
 
 def _collect_batch(A1, C1, A2, C2, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -536,6 +522,40 @@ def _collect_batch(A1, C1, A2, C2, q: int, pairs) -> tuple[np.ndarray, np.ndarra
     return A, C
 
 
+def _coset_table(g: ClassTwoGroup, order_bound: int) -> tuple[FiniteGroupTable, np.ndarray, np.ndarray]:
+    """The table of ``to_table`` together with its coset arrays.
+
+    ``reps[i]`` is the dense code of the representative of table element i;
+    ``coset_of[code]`` is the table element of every dense code of E(n, q).
+    """
+    if g.order > order_bound:
+        raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
+    q, n, pairs = g.q, g.n, g.pairs
+    npairs = len(pairs)
+    # dense codes enumerate E(n, q) lexicographically in (a, c)
+    A, C = _decode_batch(np.arange(g.full_order), q, n, npairs)
+    kernel = sorted(g.kernel_set())
+    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), n)
+    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), npairs)
+    # coset representative = element with minimal dense code in its coset
+    rep_code = np.full(g.full_order, np.iinfo(np.int64).max, dtype=np.int64)
+    for t in range(len(kernel)):
+        PA, PC = _collect_batch(A, C, KA[t][None, :], KC[t][None, :], q, pairs)
+        rep_code = np.minimum(rep_code, _encode_batch(PA, PC, q))
+    reps, coset_of = np.unique(rep_code, return_inverse=True)
+    RA, RC = _decode_batch(reps, q, n, npairs)
+    PA, PC = _collect_batch(RA[:, None, :], RC[:, None, :], RA[None, :, :], RC[None, :, :], q, pairs)
+    mult = coset_of[_encode_batch(PA, PC, q)]
+    gen_codes = _encode_batch(np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64), q)
+    table = FiniteGroupTable(
+        order=len(reps),
+        mult=mult,
+        identity=int(coset_of[0]),
+        generators=tuple(int(x) for x in coset_of[gen_codes]),
+    )
+    return table, reps, coset_of
+
+
 def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroupTable:
     """Coset multiplication table of E(n, q)/N with canonical minimal reps.
 
@@ -543,54 +563,7 @@ def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> Finite
     x_i.  Representatives are the lexicographically least (a, c) tuples, so
     tables are deterministic.
     """
-    if g.order > order_bound:
-        raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
-    q, n, pairs = g.q, g.n, g.pairs
-    npairs = len(pairs)
-    full = list(g.enumerate_full())
-    A = np.array([e.a for e in full], dtype=np.int64).reshape(len(full), n)
-    C = np.array([e.c for e in full], dtype=np.int64).reshape(len(full), npairs)
-    kernel = sorted(g.kernel_set())
-    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), n)
-    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), npairs)
-    # coset representative = element with minimal dense code in its coset;
-    # the enumeration order equals the dense code, so codes index `full`
-    codes = _encode_batch(A, C, q, n, npairs)
-    assert (codes == np.arange(len(full))).all()
-    rep_code = np.full(len(full), np.iinfo(np.int64).max, dtype=np.int64)
-    for t in range(len(kernel)):
-        PA, PC = _collect_batch(A, C, KA[t][None, :], KC[t][None, :], q, pairs)
-        rep_code = np.minimum(rep_code, _encode_batch(PA, PC, q, n, npairs))
-    reps = np.unique(rep_code)
-    coset_of_code = {int(c): i for i, c in enumerate(reps)}
-    coset_of = np.array([coset_of_code[int(rep_code[int(c)])] for c in codes], dtype=np.int64)
-    # decode representative elements
-    def decode(code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        c = [0] * npairs
-        for k in reversed(range(npairs)):
-            code, c[k] = divmod(code, q)
-        a = [0] * n
-        for i in reversed(range(n)):
-            code, a[i] = divmod(code, q * q)
-        return tuple(a), tuple(c)
-
-    m = len(reps)
-    RA = np.zeros((m, n), dtype=np.int64)
-    RC = np.zeros((m, npairs), dtype=np.int64)
-    for i, code in enumerate(reps):
-        a, c = decode(int(code))
-        RA[i], RC[i] = a, c
-    PA, PC = _collect_batch(RA[:, None, :], RC[:, None, :], RA[None, :, :], RC[None, :, :], q, pairs)
-    mult = coset_of[_encode_batch(PA, PC, q, n, npairs)]
-    gen_indices = []
-    for i in range(n):
-        gen = g.generator(i)
-        code = _encode_batch(
-            np.array(gen.a, dtype=np.int64), np.array(gen.c, dtype=np.int64), q, n, npairs
-        )
-        gen_indices.append(int(coset_of[int(code)]))
-    identity = int(coset_of[0])
-    return FiniteGroupTable(order=m, mult=mult, identity=identity, generators=tuple(gen_indices))
+    return _coset_table(g, order_bound)[0]
 
 
 @dataclass
@@ -812,23 +785,20 @@ def induced_quotient_map(
             raise NotAHomomorphismError(
                 "not a homomorphism at level 3: a relator image survives in the target quotient"
             )
-    ts = to_table(qs, order_bound)
-    tt = to_table(qt, order_bound)
-    # rebuild coset identification for both tables
-    smap = _coset_code_map(qs)
-    tmap = _coset_code_map(qt)
-    mapping = np.zeros(ts.order, dtype=np.int64)
-    for code, sidx in smap["rep_of_coset"].items():
-        a, c = smap["decode"](code)
-        elem = ClassTwoElement(a=a, c=c)
-        # phi(prod x_i^{a_i} prod u_ij^{c_ij}) via the normal form
+    ts, reps, _ = _coset_table(qs, order_bound)
+    tt, _, target_coset_of = _coset_table(qt, order_bound)
+    # phi(prod x_i^{a_i} prod u_ij^{c_ij}) via the normal form, per source coset
+    powers = image_elems + [Et.commutator(image_elems[j], image_elems[i]) for i, j in qs.pairs]
+    RA, RC = _decode_batch(reps, qs.q, qs.n, len(qs.pairs))
+    images = []
+    for exps in np.hstack([RA, RC]):
         img = Et.identity()
-        for i in range(qs.n):
-            img = Et.mul(img, Et.power(image_elems[i], elem.a[i]))
-        for k, (i, j) in enumerate(qs.pairs):
-            u = Et.commutator(image_elems[j], image_elems[i])
-            img = Et.mul(img, Et.power(u, elem.c[k]))
-        mapping[sidx] = tmap["coset_of_elem"](img)
+        for base, k in zip(powers, exps):
+            img = Et.mul(img, Et.power(base, int(k)))
+        images.append(img)
+    IA = np.array([e.a for e in images], dtype=np.int64).reshape(len(images), Et.n)
+    IC = np.array([e.c for e in images], dtype=np.int64).reshape(len(images), len(Et.pairs))
+    mapping = target_coset_of[_encode_batch(IA, IC, Et.q)]
     # sanity: must be a homomorphism of tables
     if not (mapping[ts.mult] == tt.mult[np.ix_(mapping, mapping)]).all():
         raise QcwError("internal error: induced map is not multiplicative")
@@ -839,46 +809,6 @@ def induced_quotient_map(
         source=ts, target=tt, mapping=mapping, is_isomorphism=inj and surj,
         is_injective=inj, is_surjective=surj,
     )
-
-
-def _coset_code_map(g: ClassTwoGroup):
-    """Helpers tying ClassTwoGroup cosets to to_table indices (same convention)."""
-    q, n, pairs = g.q, g.n, g.pairs
-    npairs = len(pairs)
-
-    def encode(elem: ClassTwoElement) -> int:
-        code = 0
-        for i in range(n):
-            code = code * (q * q) + elem.a[i]
-        for k in range(npairs):
-            code = code * q + elem.c[k]
-        return code
-
-    def decode(code: int):
-        c = [0] * npairs
-        for k in reversed(range(npairs)):
-            code, c[k] = divmod(code, q)
-        a = [0] * n
-        for i in reversed(range(n)):
-            code, a[i] = divmod(code, q * q)
-        return tuple(a), tuple(c)
-
-    kernel = [ClassTwoElement(*k) for k in sorted(g.kernel_set())]
-
-    def coset_code(elem: ClassTwoElement) -> int:
-        return min(encode(g.mul(elem, k)) for k in kernel)
-
-    reps = sorted({coset_code(e) for e in g.enumerate_full()})
-    rep_to_idx = {code: i for i, code in enumerate(reps)}
-
-    def coset_of_elem(elem: ClassTwoElement) -> int:
-        return rep_to_idx[coset_code(elem)]
-
-    return {
-        "rep_of_coset": {code: i for i, code in enumerate(reps)},
-        "decode": decode,
-        "coset_of_elem": coset_of_elem,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,11 @@ def principle_check(
     return Verdict(criterion="principle", verdict=AT_MOST_ONE, witness=witness)
 
 
-def relators_in_third_series(pres: Presentation, params: SeriesParams) -> Verdict:
+def relators_in_third_series(
+    pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND
+) -> Verdict:
     """S/R is not realizable when 1 != R <= S^(3,q) (R normal, S free)."""
-    E = universal_class2(pres.rank, params)
+    E = universal_class2(pres.rank, params, order_bound)
     images = E.generators()
     in_third = [evaluate_word(r, images, E).is_identity() for r in pres.relators]
     nontrivial = [not is_trivial_in_free(r) for r in pres.relators]

@@ -35,6 +35,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> set[int]:
+    out, k = set(), 2
+    while k * k <= n:
+        while n % k == 0:
+            out.add(k)
+            n //= k
+        k += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q = p^d, p prime; raise ValueError otherwise."""
     if q < 2:

@@ -17,7 +17,7 @@ import numpy as np
 from qcw.cli import main
 from qcw.cohom import GroupCohomology, TableHom
 from qcw.graded import GradedAlgebra2, algebras_equivalent, quadratic_hull
-from qcw.lie import relation_rank_free_class2
+from qcw.lie import witt_rank
 from qcw.milnor import FieldDescriptor, symbol_algebra
 from qcw.presentations import Word, free_presentation, parse_presentation
 from qcw.qcentral import (
@@ -154,7 +154,7 @@ def test_criterion_5_class2_example():
         assert iso
         verify_witness(t_free, t_pres, witness)
         # (c) relation ranks 0 vs 2 drive the principle
-        assert relation_rank_free_class2(2, 2) == 2
+        assert witt_rank(2, 3) == 2
         verdict = principle_check(free2, pres, 2)
         assert verdict.verdict == AT_MOST_ONE
         assert verdict.witness["invariant"] == "dim_h2"

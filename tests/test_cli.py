@@ -117,6 +117,14 @@ def test_check_class2_both_routes():
     assert verdicts["principle"] == "at-most-one-realizable"
 
 
+def test_check_third_series_order_bound():
+    argv = ("check", "--file", DATA, "--group", "class2", "--criterion", "third-series", "--q", "5")
+    assert run_cli(*argv)[0] == 1  # |E(2, 5)| = 3125 is over the default bound
+    code, rep = run_json(*argv, "--order-bound", "4096")
+    assert code == 0
+    assert rep["verdicts"][0]["verdict"] == "not-realizable"
+
+
 def test_check_free_alone_not_applicable():
     code, rep = run_json("check", "--file", DATA, "--group", "free2", "--q", "2")
     assert code == 2

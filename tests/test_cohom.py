@@ -24,9 +24,10 @@ from qcw.cohom import (
     pairings_equivalent,
     PairingTensor,
 )
-from qcw.errors import NotAHomomorphismError, SizeLimitError
+from qcw.errors import NotAHomomorphismError, QcwError, SizeLimitError
 from qcw.presentations import Word, free_presentation, parse_presentation
 from qcw.qcentral import (
+    FiniteGroupTable,
     SeriesParams,
     abelian_table,
     cyclic_table,
@@ -35,6 +36,8 @@ from qcw.qcentral import (
     to_table,
     universal_class2,
 )
+from qcw.realizability import semidirect_power_table
+from qcw.zqlinalg import kernel_with_orders, solve_mod_many
 
 P2 = SeriesParams(p=2, d=1)
 DEMUSHKIN3 = "group D { generators: s,t; relators: s t s^-1 t^-3; }"
@@ -460,3 +463,56 @@ def test_pairings_equivalent_closed_under_transforms():
             newvals = np.einsum("st,xyt->xys", Q, newvals) % q
             T2 = PairingTensor(q=q, m=m, target_orders=(q,) * t, values=newvals)
             assert pairings_equivalent(T, T2)
+
+
+# -- Z^2 from the generator equations against the full cocycle system ----------
+
+
+def full_cocycle_matrix(t, q):
+    """All (|G|-1)^3 rows of f(g,h) + f(gh,k) - f(h,k) - f(g,hk) = 0."""
+    n = t.order
+    elems = np.array([x for x in range(n) if x != t.identity])
+    pos = np.full(n, -1)
+    pos[elems] = np.arange(n - 1)
+    g, h, k = (a.reshape(-1) for a in np.meshgrid(elems, elems, elems, indexing="ij"))
+    rows = np.zeros((len(g), (n - 1) ** 2), dtype=np.int64)
+    idx = np.arange(len(g))
+    for a, b, sign in ((g, h, 1), (t.mult[g, h], k, 1), (h, k, -1), (g, t.mult[h, k], -1)):
+        alive = (a != t.identity) & (b != t.identity)
+        np.add.at(rows, (idx[alive], pos[a[alive]] * (n - 1) + pos[b[alive]]), sign)
+    return rows % q
+
+
+def spans_inside(vectors, generators, q):
+    """Is every vector a Z/q-combination of the generators?"""
+    A = np.array(generators, dtype=np.int64).T
+    return all(x is not None for x in solve_mod_many(A, np.array(vectors).T, q))
+
+
+SMALL_TABLES = {
+    "cyclic8": lambda: cyclic_table(8),
+    "klein4": lambda: abelian_table([2, 2]),
+    "d4": lambda: semidirect_power_table(cyclic_table(2), 2, [(1, 0)]),
+    "q8": None,  # the quaternion_table fixture
+    "demushkin3_q2": lambda: to_table(third_quotient(parse_presentation(DEMUSHKIN3), P2)),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_z2_generator_equations_match_full_system(name, q, request):
+    build = SMALL_TABLES[name]
+    t = build() if build else request.getfixturevalue("quaternion_table")
+    solved = GroupCohomology(t, q).z2_generators()
+    full = kernel_with_orders(full_cocycle_matrix(t, q), q)
+    assert sorted(o for _, o in solved) == sorted(o for _, o in full)
+    assert spans_inside([v for v, _ in solved], [v for v, _ in full], q)
+    assert spans_inside([v for v, _ in full], [v for v, _ in solved], q)
+
+
+def test_z2_rejects_non_generating_generators():
+    klein = abelian_table([2, 2])
+    for gens in [klein.generators[:1], ()]:
+        t = FiniteGroupTable(order=4, mult=klein.mult, identity=klein.identity, generators=gens)
+        with pytest.raises(QcwError, match="do not generate"):
+            GroupCohomology(t, 2).z2_generators()

@@ -1,6 +1,6 @@
 import pytest
 
-from qcw.lie import hall_basis, relation_rank_free_class2, witt_rank
+from qcw.lie import hall_basis, witt_rank
 
 
 def test_witt_rank_small_values():
@@ -35,9 +35,9 @@ def test_hall_basis_rejects_weight_four():
 
 
 def test_relation_rank_free_class2():
-    assert relation_rank_free_class2(1, 2) == 0
-    assert relation_rank_free_class2(2, 2) == 2
-    assert relation_rank_free_class2(3, 5) == 8
+    assert witt_rank(1, 3) == 0
+    assert witt_rank(2, 3) == 2
+    assert witt_rank(3, 3) == 8
 
 
 def test_total_rank_monotone():

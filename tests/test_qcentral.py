@@ -9,7 +9,6 @@ from qcw.qcentral import (
     ClassTwoElement,
     SeriesParams,
     abelian_table,
-    collect,
     cyclic_table,
     direct_product_table,
     evaluate_word,
@@ -87,10 +86,10 @@ def test_collect_identity_inverse_and_commutator():
     E = universal_class2(2, P2)
     e = E.identity()
     x, y = E.generator(0), E.generator(1)
-    assert collect(e, y, E) == y
-    xy = collect(x, y, E)
-    assert collect(xy, E.inverse(xy), E) == e
-    yx = collect(y, x, E)
+    assert E.mul(e, y) == y
+    xy = E.mul(x, y)
+    assert E.mul(xy, E.inverse(xy)) == e
+    yx = E.mul(y, x)
     assert xy.a == yx.a
     assert xy.c != yx.c
     diff = [(cu - cv) % E.q for cu, cv in zip(yx.c, xy.c)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcw.errors import QcwError
+from qcw.errors import QcwError, SizeLimitError
 from qcw.presentations import (
     Word,
     commutator,
@@ -164,6 +164,15 @@ def test_relators_in_third_series_cases():
         parse_presentation("group A { generators: x; relators: x x^-1; }"), P2
     )
     assert v.verdict == NOT_APPLICABLE  # trivial relator: R = 1
+
+
+def test_relators_in_third_series_honours_the_order_bound():
+    # |E(2, 5)| = 3125: over the default bound, fine under a raised one
+    pres = parse_presentation(CLASS2_TEXT)
+    p5 = SeriesParams(p=5, d=1)
+    with pytest.raises(SizeLimitError):
+        relators_in_third_series(pres, p5)
+    assert relators_in_third_series(pres, p5, order_bound=4096).verdict == NOT_REALIZABLE
 
 
 def test_corollary_consistent_with_principle():
