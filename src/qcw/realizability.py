@@ -415,48 +415,55 @@ def permutation_closure(perms: list[tuple[int, ...]], m: int) -> list[tuple[int,
     return sorted(seen)
 
 
+def _composition_table(P: list[tuple[int, ...]]) -> np.ndarray:
+    """comp[i, j] = index in P of the permutation r -> P[i][P[j][r]].
+
+    Raises ValueError unless P lists distinct permutations closed under
+    composition.
+    """
+    perms = np.array(P, dtype=np.int64).reshape(len(P), -1)
+    composed = perms[:, perms].reshape(-1, perms.shape[1])  # row i*|P|+j is P[i] o P[j]
+    rows, inv = np.unique(np.vstack([perms, composed]), axis=0, return_inverse=True)
+    if len(rows) != len(P):
+        raise ValueError("permutation list has repeats or is not closed under composition")
+    inv = inv.reshape(-1)
+    where = np.empty(len(P), dtype=np.int64)
+    where[inv[: len(P)]] = np.arange(len(P))
+    return where[inv[len(P) :]].reshape(len(P), len(P))
+
+
 def semidirect_power_table(
     base: FiniteGroupTable, m: int, perms: list[tuple[int, ...]]
 ) -> FiniteGroupTable:
     """(base)^m x| P for the permutation group P generated by ``perms``.
 
     Convention: (k, s)(k', s') = (k * s.k', s s') where (s.k')_i = k'_{s(i)}.
+    Element (k, P[si]) has index kcode * |P| + si, where kcode is the
+    little-endian base-|base| code of the tuple k.
     """
     P = permutation_closure(perms, m)
     pidx = {s: i for i, s in enumerate(P)}
-    nb = base.order
-    ktuples = []
-    for code in range(nb**m):
-        k, cc = [], code
-        for _ in range(m):
-            cc, digit = divmod(cc, nb)
-            k.append(digit)
-        ktuples.append(tuple(k))
-    index = {}
-    flat = []
-    for k in ktuples:
-        for si in range(len(P)):
-            index[(k, si)] = len(flat)
-            flat.append((k, si))
-    total = len(flat)
-    mult = np.zeros((total, total), dtype=np.int64)
-    for i, (k, si) in enumerate(flat):
-        s = P[si]
-        for j, (k2, ti) in enumerate(flat):
-            acted = tuple(k2[s[r]] for r in range(m))
-            prod_k = tuple(int(base.mult[a, b]) for a, b in zip(k, acted))
-            t = P[ti]
-            prod_s = tuple(s[t[r]] for r in range(m))
-            mult[i, j] = index[(prod_k, pidx[prod_s])]
-    identity = index[(tuple([base.identity] * m), pidx[tuple(range(m))])]
-    gens = []
-    for g in base.generators:
-        k = [base.identity] * m
-        k[0] = int(g)
-        gens.append(index[(tuple(k), pidx[tuple(range(m))])])
-    for perm in perms:
-        gens.append(index[(tuple([base.identity] * m), pidx[tuple(perm)])])
-    return FiniteGroupTable(order=total, mult=mult, identity=identity, generators=tuple(gens))
+    nb, npm = base.order, len(P)
+    weights = nb ** np.arange(m, dtype=np.int64)
+    digits = (np.arange(nb**m, dtype=np.int64)[:, None] // weights) % nb  # digits[kcode, r] = k_r
+    # kprod[a, b]: code of the componentwise product of the tuples coded a and b
+    kprod = sum(base.mult[np.ix_(digits[:, r], digits[:, r])] * weights[r] for r in range(m))
+    # acted[si, kcode]: code of P[si].k, whose entry r is k_{P[si](r)}
+    acted = (digits[:, np.array(P, dtype=np.int64).reshape(npm, m)] @ weights).T
+    comp = _composition_table(P)
+    # (a, P[si]) (b, P[ti]) = (kprod[a, acted[si, b]], P[comp[si, ti]]), axes (a, si, b, ti)
+    mult = kprod[:, acted][:, :, :, None] * npm + comp[None, :, None, :]
+    total = nb**m * npm
+    ident = pidx[tuple(range(m))]
+    ecode = base.identity * int(weights.sum())  # code of (e, ..., e)
+    gens = [(ecode + (int(g) - base.identity)) * npm + ident for g in base.generators]
+    gens += [ecode * npm + pidx[tuple(perm)] for perm in perms]
+    return FiniteGroupTable(
+        order=total,
+        mult=mult.reshape(total, total),
+        identity=ecode * npm + ident,
+        generators=tuple(gens),
+    )
 
 
 def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verdict:
@@ -527,13 +534,9 @@ def permutation_group_table(P: list[tuple[int, ...]], gens: list[tuple[int, ...]
     """Multiplication table of a closed permutation list (s t)(r) = s[t[r]]."""
     pidx = {s: i for i, s in enumerate(P)}
     m = len(P[0]) if P else 0
-    mult = np.zeros((len(P), len(P)), dtype=np.int64)
-    for i, s in enumerate(P):
-        for j, t in enumerate(P):
-            mult[i, j] = pidx[tuple(s[t[r]] for r in range(m))]
     return FiniteGroupTable(
         order=len(P),
-        mult=mult,
+        mult=_composition_table(P),
         identity=pidx[tuple(range(m))],
         generators=tuple(pidx[g] for g in gens),
     )

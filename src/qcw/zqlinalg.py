@@ -118,8 +118,50 @@ class Diagonalization:
     carry: np.ndarray | None = None
 
 
+def _first_min_valuation(block: np.ndarray, p: int, d: int) -> tuple[int, int, int] | None:
+    """(row, col, e) of the first entry of least p-valuation e in row-major order.
+
+    Level e holds the nonzero entries of valuation <= e, those not divisible
+    by p^(e+1); the first nonempty level is the least valuation.  Each level
+    is scanned in row chunks of doubling size, so a hit near the top reads
+    few rows and a miss reads the block once.  None when the block is zero.
+    """
+    for e in range(d):
+        start, size = 0, 8
+        while start < block.shape[0]:
+            chunk = block[start : start + size]
+            hit = chunk != 0 if e == d - 1 else chunk % p ** (e + 1) != 0
+            rows = hit.any(axis=1)
+            if rows.any():
+                i = int(rows.argmax())
+                return start + i, int(hit[i].argmax()), e
+            start += size
+            size *= 2
+    return None
+
+
 def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=None) -> Diagonalization:
-    """Diagonalize A over Z/q by row+column ops with valuation pivoting."""
+    """Diagonalize A over Z/q by row+column ops with valuation pivoting.
+
+    Step r takes as pivot the first entry, in row-major order, of least
+    p-valuation e in the block A[r:, r:], moves it to (r, r) and scales it to
+    p^e.  Every entry of the block has valuation >= e, so row ops clear
+    column r below the pivot and column ops clear row r to its right.
+
+    Column-r invariant: once the row ops of step r are done, column r of A is
+    p^e * e_r, because rows above r are already diagonal and rows below were
+    just cleared.  On A the column ops therefore only set A[r, r+1:] to zero,
+    which is done directly; V and Vinv get them in full.
+
+    Cost per pivot, besides a row and a column swap: the pivot search reads
+    the block's rows down to the first candidate, once per valuation level
+    tried (one level for prime q, at most d); the row ops touch only the rows
+    with a nonzero entry in column r and, in A, only the columns >= r where
+    row r is nonzero (U and carry get the same rows); the V update touches
+    only the at most r + 1 rows where V[:, r] != 0 and the columns with a
+    nonzero multiplier, and Vinv[r] sums only the rows with a nonzero
+    multiplier.
+    """
     p, d = prime_power(q)
     A = np.array(A, dtype=np.int64) % q
     if A.ndim == 1:
@@ -135,30 +177,11 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
         if carry.shape[0] != m:
             raise ValueError("carry must have one row per matrix row")
     exps: list[int] = []
-    r = 0
-    while r < min(m, n):
-        block = A[r:, r:]
-        if not block.any():
+    for r in range(min(m, n)):
+        pivot = _first_min_valuation(A[r:, r:], p, d)
+        if pivot is None:
             break
-        # entry of minimal valuation in the remaining block
-        if d == 1:
-            nzr, nzc = np.nonzero(block)
-            bi, bj = int(nzr[0]), int(nzc[0])
-            e = 0
-        else:
-            nz = block != 0
-            vals = np.full(block.shape, d, dtype=np.int64)
-            rem = block.copy()
-            e = 0
-            mask = nz.copy()
-            while mask.any() and e < d:
-                vals[mask & (rem % p != 0)] = e
-                mask &= rem % p == 0
-                rem = rem // p
-                e += 1
-            flat = np.argmin(np.where(nz, vals, d + 1))
-            bi, bj = divmod(int(flat), block.shape[1])
-            e = int(vals[bi, bj])
+        bi, bj, e = pivot
         i, j = r + bi, r + bj
         if i != r:
             A[[r, i]] = A[[i, r]]
@@ -171,32 +194,36 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
             V[:, [r, j]] = V[:, [j, r]]
             if Vinv is not None:
                 Vinv[[r, j]] = Vinv[[j, r]]
+        # A[r:, :r] is zero, so row r and the row ops need only columns >= r
         uinv = unit_inverse(A[r, r], p, d)
-        A[r] = (A[r] * uinv) % q
+        A[r, r:] = (A[r, r:] * uinv) % q
         if U is not None:
             U[r] = (U[r] * uinv) % q
         if carry is not None:
             carry[r] = (carry[r] * uinv) % q
         pe = p**e
         # clear the pivot column by row ops
-        col = A[r + 1 :, r]
-        if col.any():
-            mult = col // pe
-            A[r + 1 :] = (A[r + 1 :] - np.outer(mult, A[r])) % q
+        below = r + 1 + np.flatnonzero(A[r + 1 :, r])
+        if below.size:
+            mult = A[below, r] // pe
+            cols = r + np.flatnonzero(A[r, r:])
+            cell = np.ix_(below, cols)
+            A[cell] = (A[cell] - np.outer(mult, A[r, cols])) % q
             if U is not None:
-                U[r + 1 :] = (U[r + 1 :] - np.outer(mult, U[r])) % q
+                U[below] = (U[below] - np.outer(mult, U[r])) % q
             if carry is not None:
-                carry[r + 1 :] = (carry[r + 1 :] - np.outer(mult, carry[r])) % q
-        # clear the pivot row by column ops
-        row = A[r, r + 1 :]
-        if row.any():
-            mult = row // pe
-            A[:, r + 1 :] = (A[:, r + 1 :] - np.outer(A[:, r], mult)) % q
-            V[:, r + 1 :] = (V[:, r + 1 :] - np.outer(V[:, r], mult)) % q
+                carry[below] = (carry[below] - np.outer(mult, carry[r])) % q
+        # clear the pivot row: directly on A (column-r invariant), by column ops on V, Vinv
+        right = r + 1 + np.flatnonzero(A[r, r + 1 :])
+        if right.size:
+            mult = A[r, right] // pe
+            A[r, right] = 0
+            rows = np.flatnonzero(V[:, r])
+            cell = np.ix_(rows, right)
+            V[cell] = (V[cell] - np.outer(V[rows, r], mult)) % q
             if Vinv is not None:
-                Vinv[r] = (Vinv[r] + mult @ Vinv[r + 1 :]) % q
+                Vinv[r] = (Vinv[r] + mult @ Vinv[right]) % q
         exps.append(e)
-        r += 1
     return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, U=U, D=A, carry=carry)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qcw.errors import QcwError, SizeLimitError
@@ -12,9 +13,11 @@ from qcw.presentations import (
     parse_presentation,
 )
 from qcw.qcentral import (
+    FiniteGroupTable,
     SeriesParams,
     evaluate_word,
     is_isomorphic,
+    second_quotient,
     series_step_oracle,
     third_quotient,
     to_table,
@@ -30,6 +33,8 @@ from qcw.realizability import (
     WreathSpec,
     dim_h1_mod_p,
     h1_vs_cd_check,
+    permutation_closure,
+    permutation_group_table,
     principle_check,
     relators_in_third_series,
     semidirect_power_table,
@@ -298,6 +303,146 @@ def test_semidirect_table_is_a_group():
     assert not W.is_abelian()  # dihedral of order 8
     step = series_step_oracle(W, set(range(W.order)), P2)
     assert W.order // len(step) == 4  # (Z/2)^2 mod-2 abelianization
+
+
+def reference_semidirect_power_table(base, m, perms, rows=None):
+    """The former double loop behind ``semidirect_power_table``.
+
+    Returns (order, identity, generators, mult) where mult holds only the
+    table rows listed in ``rows``, in that order (all rows when None).
+    """
+    P = permutation_closure(perms, m)
+    pidx = {s: i for i, s in enumerate(P)}
+    nb = base.order
+    ktuples = []
+    for code in range(nb**m):
+        k, cc = [], code
+        for _ in range(m):
+            cc, digit = divmod(cc, nb)
+            k.append(digit)
+        ktuples.append(tuple(k))
+    index = {}
+    flat = []
+    for k in ktuples:
+        for si in range(len(P)):
+            index[(k, si)] = len(flat)
+            flat.append((k, si))
+    total = len(flat)
+    rows = range(total) if rows is None else rows
+    mult = np.zeros((len(rows), total), dtype=np.int64)
+    for out, i in enumerate(rows):
+        k, si = flat[i]
+        s = P[si]
+        for j, (k2, ti) in enumerate(flat):
+            acted = tuple(k2[s[r]] for r in range(m))
+            prod_k = tuple(int(base.mult[a, b]) for a, b in zip(k, acted))
+            t = P[ti]
+            prod_s = tuple(s[t[r]] for r in range(m))
+            mult[out, j] = index[(prod_k, pidx[prod_s])]
+    identity = index[(tuple([base.identity] * m), pidx[tuple(range(m))])]
+    gens = []
+    for g in base.generators:
+        k = [base.identity] * m
+        k[0] = int(g)
+        gens.append(index[(tuple(k), pidx[tuple(range(m))])])
+    for perm in perms:
+        gens.append(index[(tuple([base.identity] * m), pidx[tuple(perm)])])
+    return total, identity, tuple(gens), mult
+
+
+def reference_permutation_group_table(P, gens):
+    """The former double loop behind ``permutation_group_table``."""
+    pidx = {s: i for i, s in enumerate(P)}
+    m = len(P[0]) if P else 0
+    mult = np.zeros((len(P), len(P)), dtype=np.int64)
+    for i, s in enumerate(P):
+        for j, t in enumerate(P):
+            mult[i, j] = pidx[tuple(s[t[r]] for r in range(m))]
+    return FiniteGroupTable(
+        order=len(P),
+        mult=mult,
+        identity=pidx[tuple(range(m))],
+        generators=tuple(pidx[g] for g in gens),
+    )
+
+
+def cyclic_action(m):
+    return [tuple((r + 1) % m for r in range(m))]
+
+
+def s3_action(m):
+    # S3 on the first three copies, the others fixed
+    rest = tuple(range(3, m))
+    return [(1, 0, 2) + rest, (0, 2, 1) + rest]
+
+
+# p = 3 with m = 4 is left out: its table has 9^4 * 4 = 26244 elements
+# (5.5 GB of int64)
+SEMIDIRECT_CASES = [
+    (2, 2, cyclic_action(2)),
+    (2, 3, cyclic_action(3)),
+    (2, 4, cyclic_action(4)),
+    (2, 3, s3_action(3)),
+    (2, 4, s3_action(4)),
+    (3, 2, cyclic_action(2)),
+    (3, 3, cyclic_action(3)),
+    (3, 3, s3_action(3)),
+]
+
+
+def assert_semidirect_matches_reference(base, m, perms):
+    W = semidirect_power_table(base, m, perms)
+    # the loop oracle costs |W| steps per row: compare every row of the small
+    # tables and a random sample of rows of the large ones
+    rows = list(range(W.order))
+    if W.order > 400:
+        rng = random.Random(W.order)
+        rows = sorted(set(rng.sample(rows, 40)) | {0, W.identity, W.order - 1})
+    order, identity, generators, mult = reference_semidirect_power_table(base, m, perms, rows)
+    assert (W.order, W.identity, W.generators) == (order, identity, generators)
+    assert W.mult.dtype == mult.dtype and W.mult.shape == (order, order)
+    assert (W.mult[rows] == mult).all()
+
+
+@pytest.mark.parametrize("p,m,perms", SEMIDIRECT_CASES)
+def test_semidirect_table_matches_reference(p, m, perms):
+    base = second_quotient(free_presentation(2), SeriesParams(p=p, d=1))  # K^[2] of free2
+    assert_semidirect_matches_reference(base, m, perms)
+
+
+@pytest.mark.parametrize("m,perms", [(2, cyclic_action(2)), (3, s3_action(3))])
+def test_semidirect_table_matches_reference_on_relabelled_q8(quaternion_table, m, perms):
+    # a nonabelian base whose identity is not element 0
+    q8 = quaternion_table
+    relabel = q8.order - 1 - np.arange(q8.order)  # an involution of the labels
+    base = FiniteGroupTable(
+        order=q8.order,
+        mult=relabel[q8.mult][np.ix_(relabel, relabel)],
+        identity=int(relabel[q8.identity]),
+        generators=tuple(int(relabel[g]) for g in q8.generators),
+    )
+    assert_semidirect_matches_reference(base, m, perms)
+
+
+@pytest.mark.parametrize(
+    "m,perms",
+    [(m, perms) for _, m, perms in SEMIDIRECT_CASES] + [(4, [(1, 0, 2, 3), (1, 2, 3, 0)])],
+)
+def test_permutation_group_table_matches_reference(m, perms):
+    P = permutation_closure(perms, m)
+    got = permutation_group_table(P, perms)
+    want = reference_permutation_group_table(P, perms)
+    assert (got.order, got.identity, got.generators) == (want.order, want.identity, want.generators)
+    assert got.mult.dtype == want.mult.dtype and (got.mult == want.mult).all()
+    # the table must not depend on P being sorted
+    backwards = P[::-1]
+    got, want = permutation_group_table(backwards, perms), reference_permutation_group_table(backwards, perms)
+    assert (got.mult == want.mult).all()
+
+
+def test_permutation_group_table_rejects_unclosed_list():
+    with pytest.raises(ValueError):
+        permutation_group_table([(0, 1, 2), (1, 2, 0)], [])
 
 
 def test_dim_h1_mod_p():

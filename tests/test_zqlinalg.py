@@ -1,7 +1,9 @@
 """Brute-force cross-checks of the Z/q linear algebra kernel.
 
 Every structural claim (kernel size, independence of generators, quotient
-invariants) is compared against exhaustive enumeration on small instances.
+invariants) is compared against exhaustive enumeration on small instances,
+and ``diagonalize`` is pinned field for field to its former dense
+implementation, kept here as ``reference_diagonalize``.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from qcw.zqlinalg import (
+    Diagonalization,
     QuotientModule,
     RowSpace,
     cokernel_invariants,
@@ -18,6 +21,7 @@ from qcw.zqlinalg import (
     kernel_with_orders,
     prime_power,
     solve_mod,
+    unit_inverse,
     valuation,
 )
 
@@ -38,6 +42,92 @@ def span_enumerate(rows, q):
     return seen
 
 
+def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=None) -> Diagonalization:
+    """Dense per-pivot diagonalization: every pivot updates whole matrices.
+
+    This is the former body of ``diagonalize``, kept as the oracle that the
+    sparse-update version must match field for field.
+    """
+    p, d = prime_power(q)
+    A = np.array(A, dtype=np.int64) % q
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
+    m, n = A.shape
+    V = np.eye(n, dtype=np.int64)
+    Vinv = np.eye(n, dtype=np.int64) if want_Vinv else None
+    U = np.eye(m, dtype=np.int64) if want_U else None
+    if carry is not None:
+        carry = np.array(carry, dtype=np.int64) % q
+        if carry.ndim == 1:
+            carry = carry.reshape(-1, 1)
+        if carry.shape[0] != m:
+            raise ValueError("carry must have one row per matrix row")
+    exps: list[int] = []
+    r = 0
+    while r < min(m, n):
+        block = A[r:, r:]
+        if not block.any():
+            break
+        # entry of minimal valuation in the remaining block
+        if d == 1:
+            nzr, nzc = np.nonzero(block)
+            bi, bj = int(nzr[0]), int(nzc[0])
+            e = 0
+        else:
+            nz = block != 0
+            vals = np.full(block.shape, d, dtype=np.int64)
+            rem = block.copy()
+            e = 0
+            mask = nz.copy()
+            while mask.any() and e < d:
+                vals[mask & (rem % p != 0)] = e
+                mask &= rem % p == 0
+                rem = rem // p
+                e += 1
+            flat = np.argmin(np.where(nz, vals, d + 1))
+            bi, bj = divmod(int(flat), block.shape[1])
+            e = int(vals[bi, bj])
+        i, j = r + bi, r + bj
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+            if U is not None:
+                U[[r, i]] = U[[i, r]]
+            if carry is not None:
+                carry[[r, i]] = carry[[i, r]]
+        if j != r:
+            A[:, [r, j]] = A[:, [j, r]]
+            V[:, [r, j]] = V[:, [j, r]]
+            if Vinv is not None:
+                Vinv[[r, j]] = Vinv[[j, r]]
+        uinv = unit_inverse(A[r, r], p, d)
+        A[r] = (A[r] * uinv) % q
+        if U is not None:
+            U[r] = (U[r] * uinv) % q
+        if carry is not None:
+            carry[r] = (carry[r] * uinv) % q
+        pe = p**e
+        # clear the pivot column by row ops
+        col = A[r + 1 :, r]
+        if col.any():
+            mult = col // pe
+            A[r + 1 :] = (A[r + 1 :] - np.outer(mult, A[r])) % q
+            if U is not None:
+                U[r + 1 :] = (U[r + 1 :] - np.outer(mult, U[r])) % q
+            if carry is not None:
+                carry[r + 1 :] = (carry[r + 1 :] - np.outer(mult, carry[r])) % q
+        # clear the pivot row by column ops
+        row = A[r, r + 1 :]
+        if row.any():
+            mult = row // pe
+            A[:, r + 1 :] = (A[:, r + 1 :] - np.outer(A[:, r], mult)) % q
+            V[:, r + 1 :] = (V[:, r + 1 :] - np.outer(V[:, r], mult)) % q
+            if Vinv is not None:
+                Vinv[r] = (Vinv[r] + mult @ Vinv[r + 1 :]) % q
+        exps.append(e)
+        r += 1
+    return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, U=U, D=A, carry=carry)
+
+
 def test_prime_power():
     assert prime_power(2) == (2, 1)
     assert prime_power(9) == (3, 2)
@@ -55,20 +145,80 @@ def test_valuation():
     assert valuation(5, 2, 3) == 0
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 8])
+def random_matrix(rng, shape, q, density=1.0):
+    """Entries uniform in Z/q, each kept with the given probability."""
+    m, n = shape
+    return np.array(
+        [[rng.randrange(q) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)],
+        dtype=np.int64,
+    )
+
+
+def diagonalize_cases(q, rng):
+    """Small, tall, wide, sparse, low-rank and non-unit matrices over Z/q."""
+    p, d = prime_power(q)
+    cases = [random_matrix(rng, (rng.randint(1, 4), rng.randint(1, 4)), q) for _ in range(12)]
+    cases += [
+        random_matrix(rng, (120, 10), q),
+        random_matrix(rng, (10, 120), q),
+        random_matrix(rng, (40, 30), q, density=0.05),
+        random_matrix(rng, (30, 40), q, density=0.02),
+        (random_matrix(rng, (30, 4), q) @ random_matrix(rng, (4, 25), q)) % q,
+        np.zeros((5, 7), dtype=np.int64),
+        # column-major input, and a first candidate far down the rows
+        random_matrix(rng, (12, 60), q).T,
+        np.vstack([np.zeros((60, 6), dtype=np.int64), random_matrix(rng, (40, 6), q, density=0.1)]),
+    ]
+    # no unit entries: every entry is p times something, plus mixed valuations
+    cases += [(p * random_matrix(rng, (110, 12), q)) % q, (p * random_matrix(rng, (12, 110), q)) % q]
+    cases.append(
+        np.array(
+            [[p ** rng.randrange(d + 1) * rng.randrange(1, q) % q for _ in range(20)] for _ in range(25)],
+            dtype=np.int64,
+        )
+    )
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
 def test_diagonalize_reconstructs(q):
     rng = random.Random(q)
-    for _ in range(20):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(m)])
-        dg = diagonalize(A, q, want_U=True, want_Vinv=True)
+    for A in diagonalize_cases(q, rng):
+        m, n = A.shape
+        B = random_matrix(rng, (m, 3), q)
+        dg = diagonalize(A, q, want_U=True, want_Vinv=True, carry=B)
         p, d = dg.p, dg.d
         D = (dg.U @ A @ dg.V) % q
         expected = np.zeros_like(D)
         for i, e in enumerate(dg.exps):
             expected[i, i] = p**e % q
         assert (D == expected).all()
+        assert (dg.D == expected).all()
         assert ((dg.V @ dg.Vinv) % q == np.eye(n, dtype=int)).all()
+        assert (dg.carry == (dg.U @ B) % q).all()
+        assert dg.exps == sorted(dg.exps), "pivot valuations must be non-decreasing"
+        assert all(0 <= e < d for e in dg.exps)
+
+
+def assert_same_diagonalization(got: Diagonalization, want: Diagonalization) -> None:
+    assert (got.q, got.p, got.d, got.exps) == (want.q, want.p, want.d, want.exps)
+    for field in ("V", "Vinv", "U", "D", "carry"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert (a == b).all(), field
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
+def test_diagonalize_matches_reference(q):
+    rng = random.Random(1000 + q)
+    for A in diagonalize_cases(q, rng):
+        B = random_matrix(rng, (A.shape[0], 2), q)
+        for want_U, want_Vinv, carry in itertools.product([False, True], [False, True], [None, B]):
+            got = diagonalize(A, q, want_Vinv=want_Vinv, want_U=want_U, carry=carry)
+            want = reference_diagonalize(A, q, want_Vinv=want_Vinv, want_U=want_U, carry=carry)
+            assert_same_diagonalization(got, want)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
