@@ -207,15 +207,18 @@ class GroupCohomology:
     def coboundary_rows(self) -> np.ndarray:
         """Rows spanning B^2: d(u_x) for the point-mass 1-cochains u_x."""
         if self._b2 is None:
-            t, q, n = self.t, self.q, self.t.order
-            rows = np.zeros((n - 1, self.width), dtype=np.int64)
-            for k, x in enumerate(self.elems):
-                F = np.zeros((n, n), dtype=np.int64)
-                F[x, :] += 1
-                F[:, x] += 1
-                F[t.mult == x] -= 1
-                rows[k] = self.flat_of_matrix(F)
-            self._b2 = rows % q
+            t, w = self.t, self.t.order - 1
+            # column (g, h) gets +1 in row g, +1 in row h and -1 in row gh (none if gh = 1);
+            # the columns of one update are distinct, so plain fancy-index updates suffice
+            g, h = (a.reshape(-1) for a in np.meshgrid(self.elems, self.elems, indexing="ij"))
+            col = np.arange(self.width)
+            rows = np.zeros((w, self.width), dtype=np.int64)
+            rows[self.pos[g], col] += 1
+            rows[self.pos[h], col] += 1
+            gh = t.mult[g, h]
+            alive = gh != t.identity
+            rows[self.pos[gh[alive]], col[alive]] -= 1
+            self._b2 = rows % self.q
         return self._b2
 
     def coboundary_of(self, u: np.ndarray) -> np.ndarray:
@@ -269,31 +272,11 @@ class GroupCohomology:
             rs = RowSpace(self.width, self.q)
             for rows in self._equation_batches():
                 rs.add_rows(rows)
-            solved = self._kernel_of_rowspace(rs)
+            solved = rs.kernel()
             if not self._verify_kernel(v for v, _ in solved):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
             self._z2 = solved
         return self._z2
-
-    def _kernel_of_rowspace(self, rs: RowSpace) -> list[tuple[np.ndarray, int]]:
-        if rs.nrows == 0:
-            eye = np.eye(self.width, dtype=np.int64)
-            return [(eye[i], self.q) for i in range(self.width)]
-        if all(e == 0 for e in rs._exps):
-            # unit-pivot RREF: read the kernel off the free columns
-            piv_cols = list(rs._cols)
-            piv_set = set(piv_cols)
-            rows = rs.rows_matrix()
-            out = []
-            for j in range(self.width):
-                if j in piv_set:
-                    continue
-                v = np.zeros(self.width, dtype=np.int64)
-                v[j] = 1
-                v[piv_cols] = (-rows[:, j]) % self.q
-                out.append((v, self.q))
-            return out
-        return kernel_with_orders(rs.rows_matrix(), self.q)
 
     def h2_module(self) -> QuotientModule:
         if self._h2_module is None:

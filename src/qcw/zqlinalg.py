@@ -11,8 +11,11 @@ p-valuation.  Everything here reduces to that one idea:
   consequences, phrased so that callers get cyclic orders alongside vectors
   (for prime q all orders are q and everything collapses to F_p linear
   algebra).
-* ``RowSpace`` accumulates the row space of a stream of vectors; it is the
-  workhorse for the large, highly redundant 2-cocycle systems.
+* ``RowSpace`` accumulates the row module of a stream of vectors in Howell
+  form, the canonical echelon form over Z/p^d (for prime q the reduced row
+  echelon form), built by one left-to-right column sweep with
+  least-valuation pivots; it is the workhorse for the large, highly
+  redundant 2-cocycle systems.
 
 All vectors are numpy int64 arrays with entries in [0, q).
 """
@@ -368,116 +371,136 @@ class QuotientModule:
         return solve_mod(self.rels.T, v, self.q) is not None
 
 
-class RowSpace:
-    """Accumulates the row space of streamed vectors over Z/q.
+def _howell_sweep(M: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Howell form (rows, pivot columns, pivot exponents) of the rows of M.
 
-    Unit pivots are kept in reduced row echelon form so that incoming blocks
-    can be reduced with one matrix product; the (rare, q non-prime only)
-    p-power pivot rows are applied per row.  ``residual`` tells whether a
-    vector lies in the accumulated span.
+    One sweep over the columns; M holds entries in [0, p^d) and is
+    overwritten, and the returned rows are a view of its top.  At column c
+    the pivot is the first candidate (a row not yet a pivot) whose entry at
+    c has least p-valuation e; it is scaled to p^e and swapped up to just
+    below the earlier pivots.  Every other row with a nonzero entry x at c
+    loses (x // p^e) times the pivot row: a candidate's x has valuation
+    >= e, so it is cleared, and a pivot row above keeps x mod p^e.  For
+    e > 0 the tail p^(d-e) * pivot row, which is zero at c, joins the
+    candidates.
+    """
+    q = p**d
+    n, w = M.shape
+    k = 0  # M[:k] are the pivot rows so far, in column order; M[k:n] the candidates
+    cols: list[int] = []
+    exps: list[int] = []
+    for c in range(w):
+        nz = np.flatnonzero(M[:n, c])
+        cand = nz[np.searchsorted(nz, k) :]
+        if cand.size == 0:
+            continue
+        x = M[cand, c]
+        e, pe = 0, 1
+        hit = x % p != 0
+        while not hit.any():
+            e, pe = e + 1, pe * p
+            hit = x % (pe * p) != 0
+        r = int(cand[hit.argmax()])
+        if r != k:
+            M[[k, r]] = M[[r, k]]
+            nz = np.where(nz == r, k, np.where(nz == k, r, nz))
+        # the updates below touch only the pivot row's support (it is zero left of c)
+        pc = np.flatnonzero(M[k])
+        u = pow(int(M[k, c]) // pe, -1, q)
+        if u != 1:
+            M[k, pc] = M[k, pc] * u % q
+        rest = nz[nz != k]
+        if rest.size:
+            cell = np.ix_(rest, pc)
+            M[cell] = (M[cell] - np.outer(M[rest, c] // pe, M[k, pc])) % q
+        cols.append(c)
+        exps.append(e)
+        if e:
+            tail = M[k] * p ** (d - e) % q
+            if tail.any():
+                if n == len(M):
+                    M = np.concatenate([M, np.zeros((max(16, n // 4), w), dtype=np.int64)])
+                M[n] = tail
+                n += 1
+        k += 1
+    return M[:k], np.array(cols, dtype=np.int64), np.array(exps, dtype=np.int64)
+
+
+class RowSpace:
+    """The submodule of (Z/q)^width spanned by streamed rows, in Howell form.
+
+    Echelon invariant (Howell, "Spans in the module (Z_m)^s", 1986;
+    Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+    1998): the rows are one int64 matrix; row i is zero left of its pivot
+    column ``_cols[i]``, the pivot columns increase strictly, and the pivot
+    entry is p^``_exps[i]``; every other row's entry in a pivot column lies
+    in [0, p^e) for that pivot's e, so it is 0 above a unit pivot; and
+    p^(d-e) * row i lies in the span of the rows below it.  This form is
+    unique for the module, so the rows do not depend on the order or the
+    chunking in which vectors arrive.  For prime q, and whenever every pivot
+    is a unit, it is the reduced row echelon form.
+
+    ``add_rows`` re-sweeps the stacked [rows; block] column by column
+    (``_howell_sweep``).  A column costs one read over the stacked rows; a
+    pivot updates only the rows with a nonzero entry in its column, and
+    only on the columns where the pivot row is nonzero.
     """
 
     def __init__(self, width: int, q: int):
         self.q = q
         self.p, self.d = prime_power(q)
         self.width = width
-        self._rows: list[np.ndarray] = []
-        self._cols: list[int] = []
-        self._exps: list[int] = []
-        self._by_col: dict[int, int] = {}
+        self._rows = np.zeros((0, width), dtype=np.int64)
+        self._cols = np.zeros(0, dtype=np.int64)
+        self._exps = np.zeros(0, dtype=np.int64)
 
     @property
     def nrows(self) -> int:
         return len(self._rows)
 
     def rows_matrix(self) -> np.ndarray:
-        return _as_matrix(self._rows, self.width, self.q)
+        return self._rows.copy()
 
-    def _reduce_one(self, v: np.ndarray) -> np.ndarray:
-        v = v % self.q
-        for idx in sorted(range(len(self._rows)), key=lambda k: self._cols[k]):
-            c, e = self._cols[idx], self._exps[idx]
-            x = int(v[c])
-            if x == 0:
-                continue
-            if x % self.p**e == 0:
-                v = (v - (x // self.p**e) * self._rows[idx]) % self.q
-        return v
-
-    def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Reduce a stack of rows against the current unit pivots (fast path)."""
-        block = block % self.q
-        unit = [i for i in range(len(self._rows)) if self._exps[i] == 0]
-        if unit and block.size:
-            cols = [self._cols[i] for i in unit]
-            piv = np.stack([self._rows[i] for i in unit]).astype(np.float64)
-            coeff = block[:, cols].astype(np.float64)
-            block = (block - (coeff @ piv).astype(np.int64)) % self.q
-        return block
+    def add_rows(self, block) -> int:
+        """Insert a block of rows; returns the number of new pivots."""
+        block = _as_matrix(block, self.width, self.q)
+        block = block[block.any(axis=1)]
+        if not len(block):
+            return 0
+        before = self.nrows
+        stacked = np.vstack([self._rows, block])
+        self._rows, self._cols, self._exps = _howell_sweep(stacked, self.p, self.d)
+        return self.nrows - before
 
     def add_row(self, v) -> bool:
         """Insert one vector; returns True if the row space grew."""
-        v = np.asarray(v, dtype=np.int64) % self.q
-        while True:
-            v = self._reduce_one(v)
-            nz = np.flatnonzero(v)
-            if nz.size == 0:
-                return False
-            c = int(nz[0])
-            e = valuation(int(v[c]), self.p, self.d)
-            v = (v * unit_inverse(int(v[c]), self.p, self.d)) % self.q
-            old = self._by_col.get(c)
-            if old is None:
-                self._insert(v, c, e)
-                self._push_tail(v, e)
-                return True
-            # incoming has strictly smaller valuation at c (else reduced);
-            # swap roles and push the old pivot row back through
-            displaced = self._rows[old]
-            self._rows[old] = v
-            self._exps[old] = e
-            self._rereduce_above(old)
-            self._push_tail(v, e)
-            v = displaced
-
-    def _insert(self, v: np.ndarray, c: int, e: int) -> None:
-        self._rows.append(v)
-        self._cols.append(c)
-        self._exps.append(e)
-        self._by_col[c] = len(self._rows) - 1
-        self._rereduce_above(len(self._rows) - 1)
-
-    def _push_tail(self, v: np.ndarray, e: int) -> None:
-        # p^(d-e) * v annihilates the pivot entry and exposes a new leading
-        # column; the module element must be represented by its own row
-        if e > 0:
-            self.add_row((self.p ** (self.d - e) * v) % self.q)
-
-    def _rereduce_above(self, idx: int) -> None:
-        # keep earlier rows clear at this pivot column where divisibility allows
-        c, e = self._cols[idx], self._exps[idx]
-        pe = self.p**e
-        row = self._rows[idx]
-        for k in range(len(self._rows)):
-            if k == idx:
-                continue
-            x = int(self._rows[k][c])
-            if x and x % pe == 0:
-                self._rows[k] = (self._rows[k] - (x // pe) * row) % self.q
-
-    def add_rows(self, block) -> int:
-        """Insert a block of rows; returns how many grew the space."""
-        block = _as_matrix(block, self.width, self.q)
-        block = self.reduce_block(block)
-        grew = 0
-        nonzero = np.flatnonzero(block.any(axis=1))
-        for i in nonzero:
-            if self.add_row(block[i]):
-                grew += 1
+        grew = not self.contains(v)
+        self.add_rows(np.asarray(v).reshape(1, -1))
         return grew
 
     def residual(self, v) -> np.ndarray:
-        return self._reduce_one(np.asarray(v, dtype=np.int64) % self.q)
+        """v reduced by the rows in pivot order; zero exactly when v is in the span.
+
+        Each pivot leaves v's entry in its column in [0, p^e), and later rows
+        are zero there, so a nonzero remainder survives to the end.
+        """
+        v = np.asarray(v, dtype=np.int64) % self.q
+        for row, c, e in zip(self._rows, self._cols, self._exps):
+            x = int(v[c]) // self.p**e
+            if x:
+                v = (v - x * row) % self.q
+        return v
 
     def contains(self, v) -> bool:
         return not self.residual(v).any()
+
+    def kernel(self) -> list[tuple[np.ndarray, int]]:
+        """Independent generators (vector, order) of {x : row . x = 0 for every row}."""
+        if self._exps.any():
+            return kernel_with_orders(self._rows, self.q)
+        # unit pivots: the rows are the RREF, so each free column gives one generator
+        free = np.setdiff1d(np.arange(self.width), self._cols)
+        K = np.zeros((len(free), self.width), dtype=np.int64)
+        K[np.arange(len(free)), free] = 1
+        K[:, self._cols] = -self._rows[:, free].T % self.q
+        return [(v, self.q) for v in K]

@@ -38,6 +38,7 @@ from qcw.qcentral import (
 )
 from qcw.realizability import semidirect_power_table
 from qcw.zqlinalg import kernel_with_orders, solve_mod_many
+from test_zqlinalg import ReferenceRowSpace
 
 P2 = SeriesParams(p=2, d=1)
 DEMUSHKIN3 = "group D { generators: s,t; relators: s t s^-1 t^-3; }"
@@ -516,3 +517,96 @@ def test_z2_rejects_non_generating_generators():
         t = FiniteGroupTable(order=4, mult=klein.mult, identity=klein.identity, generators=gens)
         with pytest.raises(QcwError, match="do not generate"):
             GroupCohomology(t, 2).z2_generators()
+
+
+# -- Z^2 and B^2 pinned to their former implementations -----------------------
+
+
+def reference_kernel_of_rowspace(rs, width, q):
+    """The former ``GroupCohomology._kernel_of_rowspace``."""
+    if rs.nrows == 0:
+        eye = np.eye(width, dtype=np.int64)
+        return [(eye[i], q) for i in range(width)]
+    if all(e == 0 for e in rs._exps):
+        # unit-pivot RREF: read the kernel off the free columns
+        piv_cols = list(rs._cols)
+        piv_set = set(piv_cols)
+        rows = rs.rows_matrix()
+        out = []
+        for j in range(width):
+            if j in piv_set:
+                continue
+            v = np.zeros(width, dtype=np.int64)
+            v[j] = 1
+            v[piv_cols] = (-rows[:, j]) % q
+            out.append((v, q))
+        return out
+    return kernel_with_orders(rs.rows_matrix(), q)
+
+
+def reference_coboundary_rows(ctx):
+    """The former ``GroupCohomology.coboundary_rows``: one |G| x |G| matrix per element."""
+    t, q, n = ctx.t, ctx.q, ctx.t.order
+    rows = np.zeros((n - 1, ctx.width), dtype=np.int64)
+    for k, x in enumerate(ctx.elems):
+        F = np.zeros((n, n), dtype=np.int64)
+        F[x, :] += 1
+        F[:, x] += 1
+        F[t.mult == x] -= 1
+        rows[k] = ctx.flat_of_matrix(F)
+    return rows % q
+
+
+def relabelled(t):
+    """t with its labels reversed, so that the identity moves."""
+    perm = t.order - 1 - np.arange(t.order)
+    return FiniteGroupTable(
+        order=t.order,
+        mult=perm[t.mult][np.ix_(perm, perm)],
+        identity=int(perm[t.identity]),
+        generators=tuple(int(perm[g]) for g in t.generators),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,q",
+    [(name, q) for name in ("cyclic8", "d4", "q8", "demushkin3_q2") for q in (2, 3, 5)]
+    + [("free1_q5", 5)],
+)
+def test_z2_generators_match_reference_rowspace(name, q, request):
+    if name == "free1_q5":
+        t = to_table(third_quotient(free_presentation(1), SeriesParams(p=5, d=1)))
+    else:
+        build = SMALL_TABLES[name]
+        t = build() if build else request.getfixturevalue("quaternion_table")
+    ctx = GroupCohomology(t, q)
+    ref = ReferenceRowSpace(ctx.width, q)
+    for rows in ctx._equation_batches():
+        ref.add_rows(rows)
+    want = reference_kernel_of_rowspace(ref, ctx.width, q)
+    got = ctx.z2_generators()
+    assert [o for _, o in got] == [o for _, o in want]
+    assert all(v.dtype == w.dtype and (v == w).all() for (v, _), (w, _) in zip(got, want))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "name", sorted(SMALL_TABLES) + ["q8_relabelled", "c3_wr_c2_relabelled", "c3_cubed"]
+)
+def test_coboundary_rows_match_reference(name, q, quaternion_table):
+    extra = {
+        "q8_relabelled": lambda: relabelled(quaternion_table),
+        "c3_wr_c2_relabelled": lambda: relabelled(
+            semidirect_power_table(cyclic_table(3), 2, [(1, 0)])
+        ),
+        "c3_cubed": lambda: abelian_table([3, 3, 3]),
+    }
+    if name in extra:
+        t = extra[name]()
+    else:
+        build = SMALL_TABLES[name]
+        t = build() if build else quaternion_table
+    ctx = GroupCohomology(t, q)
+    got, want = ctx.coboundary_rows(), reference_coboundary_rows(ctx)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()

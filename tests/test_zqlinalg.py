@@ -3,10 +3,13 @@
 Every structural claim (kernel size, independence of generators, quotient
 invariants) is compared against exhaustive enumeration on small instances,
 and ``diagonalize`` is pinned field for field to its former dense
-implementation, kept here as ``reference_diagonalize``.
+implementation, kept here as ``reference_diagonalize``.  ``RowSpace`` is
+pinned to its former implementation, ``ReferenceRowSpace``, wherever every
+pivot is a unit, and its Howell form is checked to be canonical.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -16,6 +19,7 @@ from qcw.zqlinalg import (
     Diagonalization,
     QuotientModule,
     RowSpace,
+    _as_matrix,
     cokernel_invariants,
     diagonalize,
     kernel_with_orders,
@@ -334,11 +338,131 @@ def test_cokernel_invariants_examples():
     assert sorted(cokernel_invariants([[1, 0], [0, 2]], 2, 4)) == [2]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+class ReferenceRowSpace:
+    """Accumulates the row space of streamed vectors over Z/q.
+
+    This is the former ``RowSpace``, kept as the oracle that the
+    column-sweep version must match wherever every pivot is a unit.
+
+    Unit pivots are kept in reduced row echelon form so that incoming blocks
+    can be reduced with one matrix product; the (rare, q non-prime only)
+    p-power pivot rows are applied per row.  ``residual`` tells whether a
+    vector lies in the accumulated span.
+    """
+
+    def __init__(self, width: int, q: int):
+        self.q = q
+        self.p, self.d = prime_power(q)
+        self.width = width
+        self._rows: list[np.ndarray] = []
+        self._cols: list[int] = []
+        self._exps: list[int] = []
+        self._by_col: dict[int, int] = {}
+
+    @property
+    def nrows(self) -> int:
+        return len(self._rows)
+
+    def rows_matrix(self) -> np.ndarray:
+        return _as_matrix(self._rows, self.width, self.q)
+
+    def _reduce_one(self, v: np.ndarray) -> np.ndarray:
+        v = v % self.q
+        for idx in sorted(range(len(self._rows)), key=lambda k: self._cols[k]):
+            c, e = self._cols[idx], self._exps[idx]
+            x = int(v[c])
+            if x == 0:
+                continue
+            if x % self.p**e == 0:
+                v = (v - (x // self.p**e) * self._rows[idx]) % self.q
+        return v
+
+    def reduce_block(self, block: np.ndarray) -> np.ndarray:
+        """Reduce a stack of rows against the current unit pivots (fast path)."""
+        block = block % self.q
+        unit = [i for i in range(len(self._rows)) if self._exps[i] == 0]
+        if unit and block.size:
+            cols = [self._cols[i] for i in unit]
+            piv = np.stack([self._rows[i] for i in unit]).astype(np.float64)
+            coeff = block[:, cols].astype(np.float64)
+            block = (block - (coeff @ piv).astype(np.int64)) % self.q
+        return block
+
+    def add_row(self, v) -> bool:
+        """Insert one vector; returns True if the row space grew."""
+        v = np.asarray(v, dtype=np.int64) % self.q
+        while True:
+            v = self._reduce_one(v)
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                return False
+            c = int(nz[0])
+            e = valuation(int(v[c]), self.p, self.d)
+            v = (v * unit_inverse(int(v[c]), self.p, self.d)) % self.q
+            old = self._by_col.get(c)
+            if old is None:
+                self._insert(v, c, e)
+                self._push_tail(v, e)
+                return True
+            # incoming has strictly smaller valuation at c (else reduced);
+            # swap roles and push the old pivot row back through
+            displaced = self._rows[old]
+            self._rows[old] = v
+            self._exps[old] = e
+            self._rereduce_above(old)
+            self._push_tail(v, e)
+            v = displaced
+
+    def _insert(self, v: np.ndarray, c: int, e: int) -> None:
+        self._rows.append(v)
+        self._cols.append(c)
+        self._exps.append(e)
+        self._by_col[c] = len(self._rows) - 1
+        self._rereduce_above(len(self._rows) - 1)
+
+    def _push_tail(self, v: np.ndarray, e: int) -> None:
+        # p^(d-e) * v annihilates the pivot entry and exposes a new leading
+        # column; the module element must be represented by its own row
+        if e > 0:
+            self.add_row((self.p ** (self.d - e) * v) % self.q)
+
+    def _rereduce_above(self, idx: int) -> None:
+        # keep earlier rows clear at this pivot column where divisibility allows
+        c, e = self._cols[idx], self._exps[idx]
+        pe = self.p**e
+        row = self._rows[idx]
+        for k in range(len(self._rows)):
+            if k == idx:
+                continue
+            x = int(self._rows[k][c])
+            if x and x % pe == 0:
+                self._rows[k] = (self._rows[k] - (x // pe) * row) % self.q
+
+    def add_rows(self, block) -> int:
+        """Insert a block of rows; returns how many grew the space."""
+        block = _as_matrix(block, self.width, self.q)
+        block = self.reduce_block(block)
+        grew = 0
+        nonzero = np.flatnonzero(block.any(axis=1))
+        for i in nonzero:
+            if self.add_row(block[i]):
+                grew += 1
+        return grew
+
+    def residual(self, v) -> np.ndarray:
+        return self._reduce_one(np.asarray(v, dtype=np.int64) % self.q)
+
+    def contains(self, v) -> bool:
+        return not self.residual(v).any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_rowspace_membership(q):
     rng = random.Random(99 + q)
     for _ in range(10):
         w = rng.randint(2, 5)
+        while q**w > 5000:  # keep the enumeration of (Z/q)^w small
+            w -= 1
         rows = [[rng.randrange(q) for _ in range(w)] for _ in range(rng.randint(1, 4))]
         rs = RowSpace(w, q)
         rs.add_rows(np.array(rows))
@@ -358,3 +482,121 @@ def test_rowspace_block_equals_single():
     rs2.add_rows(rows)
     for v in (rows[::3] * 3 + rows[1::3][: len(rows[::3])]) % q:
         assert rs1.contains(v) == rs2.contains(v)
+
+
+def sparse_block(rng, rows, w, q, density):
+    """rows x w over Z/q; each entry is nonzero with probability density."""
+    return rng.integers(1, q, size=(rows, w)) * (rng.random((rows, w)) < density)
+
+
+def unit_pivot_block(rng, rows, w, q):
+    """Rows spanning a free module with unit pivots, shuffled among combinations."""
+    p, _ = prime_power(q)
+    k = int(rng.integers(1, min(rows, w) + 1))
+    R = sparse_block(rng, k, w, q, 0.4)
+    for i, c in enumerate(sorted(rng.choice(w, size=k, replace=False))):
+        R[i, :c] = 0
+        R[i, c] = p * int(rng.integers(0, q // p)) + int(rng.integers(1, p))
+    combos = (sparse_block(rng, rows - k, k, q, 0.5) @ R) % q
+    return np.vstack([R, combos])[rng.permutation(rows)]
+
+
+def random_chunks(rng, block):
+    """The rows of block in random order, cut into random consecutive chunks."""
+    block = block[rng.permutation(len(block))]
+    ncuts = int(rng.integers(0, len(block)))
+    cuts = sorted(rng.choice(np.arange(1, len(block)), size=ncuts, replace=False)) if ncuts else []
+    return np.split(block, cuts)
+
+
+def assert_matches_reference(block_chunks, w, q):
+    rs, ref = RowSpace(w, q), ReferenceRowSpace(w, q)
+    for chunk in block_chunks:
+        rs.add_rows(chunk)
+        ref.add_rows(chunk)
+    assert ref._exps == [0] * len(ref._exps)
+    order = np.argsort(ref._cols)
+    assert list(rs._cols) == [ref._cols[i] for i in order]
+    assert list(rs._exps) == [0] * len(order)
+    assert rs.rows_matrix().shape == (len(order), w)
+    assert (rs.rows_matrix() == ref.rows_matrix()[order]).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_rowspace_matches_reference_at_prime_q(q):
+    rng = np.random.default_rng(q)
+    for _ in range(40):
+        rows, w = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+        block = sparse_block(rng, rows, w, q, float(rng.choice([0.1, 0.3, 0.7])))
+        assert_matches_reference(random_chunks(rng, block), w, q)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_rowspace_matches_reference_on_unit_pivot_blocks(q):
+    rng = np.random.default_rng(q)
+    for _ in range(40):
+        rows, w = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+        assert_matches_reference(random_chunks(rng, unit_pivot_block(rng, rows, w, q)), w, q)
+
+
+def assert_howell_form(rs):
+    """Echelon rows with pivots p^e, entries above a pivot reduced, and the Howell property."""
+    p, d, q = rs.p, rs.d, rs.q
+    R = rs.rows_matrix()
+    assert (np.diff(rs._cols) > 0).all()
+    for i, (c, e) in enumerate(zip(rs._cols, rs._exps)):
+        assert not R[i, :c].any() and R[i, c] == p**e and e < d
+        assert (R[:i, c] < p**e).all() and not R[i + 1 :, c].any()
+        below = RowSpace(rs.width, q)
+        below.add_rows(R[i + 1 :])
+        assert below.contains(R[i] * p ** (d - e) % q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
+def test_rowspace_is_canonical_under_order_and_chunking(q):
+    p, d = prime_power(q)
+    rng = np.random.default_rng(1000 + q)
+    for trial in range(30):
+        rows, w = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        block = sparse_block(rng, rows, w, q, float(rng.choice([0.2, 0.5, 0.9])))
+        if trial % 2:  # p-scaled rows and entries give non-unit pivots and tails
+            block = block * p ** rng.integers(0, d + 1, size=(rows, 1)) % q
+            block = block * p ** rng.integers(0, d, size=(rows, w)) % q
+        first = RowSpace(w, q)
+        first.add_rows(block)
+        assert_howell_form(first)
+        for v in block:
+            assert first.contains(v)
+        if q**w <= 4096:
+            size = math.prod(p ** (d - int(e)) for e in first._exps)
+            assert size == len(span_enumerate(block, q))
+        for _ in range(20):
+            rs = RowSpace(w, q)
+            for chunk in random_chunks(rng, block):
+                rs.add_rows(chunk)
+            assert list(rs._cols) == list(first._cols)
+            assert list(rs._exps) == list(first._exps)
+            assert (rs.rows_matrix() == first.rows_matrix()).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_rowspace_kernel(q):
+    rng = np.random.default_rng(2000 + q)
+    p, d = prime_power(q)
+    for trial in range(20):
+        rows, w = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        block = sparse_block(rng, rows, w, q, 0.5)
+        if trial % 2:
+            block = block * p ** rng.integers(0, d + 1, size=(rows, 1)) % q
+        rs = RowSpace(w, q)
+        rs.add_rows(block)
+        gens = rs.kernel()
+        want = kernel_with_orders(block, q)
+        assert sorted(o for _, o in gens) == sorted(o for _, o in want)
+        for v, o in gens:
+            assert not (block @ v % q).any()
+            assert not (o * v % q).any()
+        A = np.array([v for v, _ in gens], dtype=np.int64).reshape(-1, w).T
+        for v, _ in want:
+            assert solve_mod(A, v, q) is not None
+    assert [o for _, o in RowSpace(3, q).kernel()] == [q] * 3
