@@ -182,14 +182,6 @@ class ClassTwoGroup:
     def commutator(self, u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
         return self.mul(self.inverse(self.mul(v, u)), self.mul(u, v))
 
-    def element_order(self, u: ClassTwoElement) -> int:
-        self._check(u)
-        k, w = 1, u
-        while not w.is_identity():
-            w = self.mul(w, u)
-            k += 1
-        return k
-
     # -- the kernel N --------------------------------------------------------
 
     def kernel_set(self) -> frozenset:
@@ -522,6 +514,24 @@ def _collect_batch(A1, C1, A2, C2, q: int, pairs) -> tuple[np.ndarray, np.ndarra
     return A, C
 
 
+def _power_batch(A, C, k: int, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (a, c)^k by the closed form (k a, k c + C(k, 2) corr(a, a))."""
+    binom = k * (k - 1) // 2 % q
+    PA = (k * A) % (q * q)
+    PC = (k * C) % q
+    for t, (i, j) in enumerate(pairs):
+        PC[..., t] = (PC[..., t] + binom * (A[..., j] % q) * (A[..., i] % q)) % q
+    return PA, PC
+
+
+def _kernel_codes(g: ClassTwoGroup) -> np.ndarray:
+    """Dense codes of N, ascending (the order of the sorted (a, c) tuples)."""
+    kernel = sorted(g.kernel_set())
+    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), g.n)
+    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), len(g.pairs))
+    return _encode_batch(KA, KC, g.q)
+
+
 def _coset_table(g: ClassTwoGroup, order_bound: int) -> tuple[FiniteGroupTable, np.ndarray, np.ndarray]:
     """The table of ``to_table`` together with its coset arrays.
 
@@ -534,12 +544,10 @@ def _coset_table(g: ClassTwoGroup, order_bound: int) -> tuple[FiniteGroupTable, 
     npairs = len(pairs)
     # dense codes enumerate E(n, q) lexicographically in (a, c)
     A, C = _decode_batch(np.arange(g.full_order), q, n, npairs)
-    kernel = sorted(g.kernel_set())
-    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), n)
-    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), npairs)
+    KA, KC = _decode_batch(_kernel_codes(g), q, n, npairs)
     # coset representative = element with minimal dense code in its coset
     rep_code = np.full(g.full_order, np.iinfo(np.int64).max, dtype=np.int64)
-    for t in range(len(kernel)):
+    for t in range(len(KA)):
         PA, PC = _collect_batch(A, C, KA[t][None, :], KC[t][None, :], q, pairs)
         rep_code = np.minimum(rep_code, _encode_batch(PA, PC, q))
     reps, coset_of = np.unique(rep_code, return_inverse=True)
@@ -819,13 +827,56 @@ def _element_record(e: ClassTwoElement) -> dict:
     return {"a": list(e.a), "c": list(e.c)}
 
 
+def _quotient_exponent(g: ClassTwoGroup) -> int:
+    """Least p^e with g^(p^e) in N for every g in E: the exponent of E/N.
+
+    Powers all of E at once and keeps, after each step, only the elements
+    whose power is still outside N.  Generator orders alone would not do:
+    at p = 2, <x, y | x^2, y^2> gives D4, of exponent 4.
+    """
+    q, n, pairs = g.q, g.n, g.pairs
+    kernel = _kernel_codes(g)
+    A, C = _decode_batch(np.arange(g.full_order), q, n, len(pairs))
+    exponent = 1
+    while True:
+        codes = _encode_batch(A, C, q)
+        pos = np.minimum(np.searchsorted(kernel, codes), len(kernel) - 1)
+        outside = kernel[pos] != codes
+        if not outside.any():
+            return exponent
+        A, C = _power_batch(A[outside], C[outside], g.params.p, q, pairs)
+        exponent *= g.params.p
+
+
 def group_record(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> dict:
-    t = to_table(g, order_bound=order_bound)
+    """Order, exponent, class and abelian invariants of G = E(n, q)/N.
+
+    All four come from the normal form in O(|E|) vector work, with no
+    multiplication table:
+
+    - abelian invariants: E/[E, E] = (Z/q^2)^n and multiplication adds
+      a-parts, so G/[G, G] is the cokernel over Z/q^2 of the a-parts of
+      ``kernel_basis``;
+    - class: 0 for the trivial group, 1 when every u_ij = [x_j, x_i] lies in
+      N, else 2 (E has class <= 2);
+    - exponent: the least p^e with g^(p^e) in N for every g in E, from the
+      closed power formula applied to every element of E.
+    """
+    if g.full_order > order_bound:
+        raise SizeLimitError(f"|E({g.n},{g.q})| = {g.full_order} exceeds the order bound {order_bound}")
+    order = g.order
+    npairs = len(g.pairs)
+    u = [
+        ClassTwoElement(a=(0,) * g.n, c=tuple(int(s == t) for s in range(npairs)))
+        for t in range(npairs)
+    ]
+    cls = 0 if order == 1 else 1 if all(map(g.contains_in_kernel, u)) else 2
+    invariants = cokernel_invariants([list(k.a) for k in g.kernel_basis], g.n, g.q2)
     return {
-        "order": t.order,
-        "exponent": t.exponent(),
-        "class": t.nilpotency_class(),
-        "abelian_invariants": t.abelian_invariants(),
+        "order": order,
+        "exponent": _quotient_exponent(g),
+        "class": cls,
+        "abelian_invariants": sorted(invariants),
         "generators": [_element_record(x) for x in g.generators()],
         "kernel_basis": [_element_record(x) for x in g.kernel_basis],
     }

@@ -44,6 +44,16 @@ def test_quotient_demushkin():
     assert rep["result"]["order"] == 16
 
 
+def test_quotient_free3_q3_needs_no_table():
+    # |E(3, 3)| = 19683; a 19683 x 19683 coset table would not fit in memory
+    code, rep = run_json("quotient", DATA, "free3", "--q", "3", "--order-bound", "20000")
+    assert code == 0
+    assert rep["result"]["order"] == 19683
+    assert rep["result"]["class"] == 2
+    assert rep["result"]["exponent"] == 9
+    assert rep["result"]["abelian_invariants"] == [9, 9, 9]
+
+
 def test_quotient_level_two():
     code, rep = run_json("quotient", DATA, "free2", "--level", "2", "--q", "2")
     assert code == 0
@@ -205,11 +215,7 @@ def test_golden_outputs(name, argv):
     # keep golden files free of absolute paths
     out = out.replace(DATA, "data/groups.grp")
     path = os.path.join(GOLDEN, f"{name}.json")
-    if not os.path.exists(path):  # pragma: no cover - first generation
-        os.makedirs(GOLDEN, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        pytest.skip(f"golden file {name} generated")
+    assert os.path.exists(path), f"golden file {name}.json is missing"
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == out
 

@@ -1,10 +1,13 @@
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcw.errors import NotAHomomorphismError, SizeLimitError
-from qcw.presentations import Word, free_presentation, parse_presentation
+from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     ClassTwoElement,
     SeriesParams,
@@ -309,6 +312,86 @@ def test_group_record_fields():
     assert rec["order"] == 16
     assert rec["class"] == 2
     assert len(rec["kernel_basis"]) == 1
+
+
+GROUPS = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
+ORACLE_QS = (2, 3, 4, 5, 8, 9)
+ORACLE_BOUND = 4096
+
+
+def _universal_order(n: int, q: int) -> int:
+    return q ** (2 * n + n * (n - 1) // 2)
+
+
+def _invariants(rec: dict) -> tuple:
+    return rec["order"], rec["exponent"], rec["class"], rec["abelian_invariants"]
+
+
+def _both_invariants(pres: Presentation, q: int) -> tuple[tuple, tuple]:
+    """(order, exponent, class, abelian invariants) from the normal form and
+    from the coset table of the same quotient."""
+    g = third_quotient(pres, SeriesParams.from_q(q), ORACLE_BOUND)
+    t = to_table(g, ORACLE_BOUND)
+    table = t.order, t.exponent(), t.nilpotency_class(), t.abelian_invariants()
+    return _invariants(group_record(g, ORACLE_BOUND)), table
+
+
+with open(GROUPS, encoding="utf-8") as _fh:
+    DATA_GROUPS = {pres.name: pres for pres in parse_file(_fh.read())}
+
+
+@pytest.mark.parametrize(
+    "name,q",
+    [
+        (name, q)
+        for name, pres in DATA_GROUPS.items()
+        for q in ORACLE_QS
+        if _universal_order(pres.rank, q) <= ORACLE_BOUND
+    ],
+)
+def test_group_record_matches_table_on_data_groups(name, q):
+    normal_form, table = _both_invariants(DATA_GROUPS[name], q)
+    assert normal_form == table
+
+
+@st.composite
+def _presentations(draw):
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([q for q in ORACLE_QS if _universal_order(n, q) <= ORACLE_BOUND]))
+    letter = st.tuples(st.integers(0, n - 1), st.integers(-4, 4).filter(bool))
+    word = st.lists(letter, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
+    relators = draw(st.lists(word, max_size=3))
+    return Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=tuple(relators)), q
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_presentations())
+def test_group_record_matches_table_on_random_presentations(case):
+    normal_form, table = _both_invariants(*case)
+    assert normal_form == table
+
+
+@pytest.mark.parametrize(
+    "text,q,expected",
+    [
+        # D4: both generators have order 2, yet the exponent is 4
+        ("group d4 { generators: x,y; relators: x^2, y^2; }", 2, (8, 4, 2, [2, 2])),
+        ("group a { generators: x,y; relators: [x,y]; }", 3, (81, 9, 1, [9, 9])),
+        ("group t { generators: x; relators: x; }", 2, (1, 1, 0, [])),
+        ("group i { generators: x; relators: x^2; }", 4, (2, 2, 1, [2])),
+        (DEMUSHKIN3, 4, (64, 16, 2, [2, 16])),
+    ],
+)
+def test_group_record_edge_cases(text, q, expected):
+    g = third_quotient(parse_presentation(text), SeriesParams.from_q(q), ORACLE_BOUND)
+    assert _invariants(group_record(g, ORACLE_BOUND)) == expected
+
+
+def test_group_record_bounds_the_order_of_e():
+    # the work is O(|E|), so the bound applies to |E(3, 3)| = 19683
+    g = third_quotient(free_presentation(3), P3, order_bound=20000)
+    with pytest.raises(SizeLimitError):
+        group_record(g, order_bound=4096)
 
 
 def test_abelian_invariants_examples():
