@@ -29,18 +29,28 @@ G^[3] of a presented group is E(n, q) / N, where N is the normal closure of
 the relator images.  In a class-2 group the normal closure of a set R is
 generated by R together with the commutators [r, x_i] (one round suffices:
 those commutators are central), which is how ``third_quotient`` saturates.
+
+N is never enumerated.  A normal N is determined by its a-parts, a
+submodule of (Z/q^2)^n, and by its central part N ∩ Z over Z/q, where
+Z = {(0, c)}; ``ClassTwoGroup`` keeps the Howell form of each
+(``zqlinalg._howell_sweep``).  Reducing an element by the first (through
+elements of N that lift its rows) and then by the second gives the least
+(a, c) of its coset.  Each pivot p^e makes its digit range over [0, p^e)
+and every other digit over [0, q^2) (a) or [0, q) (c), so the reduced
+forms number E/N densely in mixed radix, in the order of the least (a, c).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from .presentations import Presentation, Word
-from .zqlinalg import cokernel_invariants, is_prime, prime_factors, prime_power
+from .zqlinalg import _howell_sweep, cokernel_invariants, is_prime, prime_factors, prime_power
 
 DEFAULT_ORDER_BOUND = 512
 
@@ -110,8 +120,9 @@ class ClassTwoGroup:
     """E(n, q) / N for a subgroup N generated by ``kernel_basis``.
 
     kernel_basis must be closed under commutation with the generators up to
-    subgroup closure (then N is normal, since E has class 2).  E itself must
-    fit the order bound, so both N and the quotient stay enumerable.
+    subgroup closure (then N is normal, since E has class 2).  The reduced
+    form (``radices``, ``reduce``) describes the normal closure of
+    kernel_basis, which is that N whenever the promise holds.
     """
 
     def __init__(self, params: SeriesParams, n: int, kernel_basis: tuple[ClassTwoElement, ...] = ()):
@@ -135,7 +146,12 @@ class ClassTwoGroup:
 
     @property
     def order(self) -> int:
-        return self.full_order // len(self.kernel_set())
+        return math.prod(self.radices)
+
+    @property
+    def radices(self) -> tuple[int, ...]:
+        """Digit ranges of the reduced forms: n a-digits, then one c-digit per pair."""
+        return self._form.radices
 
     def identity(self) -> ClassTwoElement:
         return ClassTwoElement(a=(0,) * self.n, c=(0,) * len(self.pairs))
@@ -184,8 +200,39 @@ class ClassTwoGroup:
 
     # -- the kernel N --------------------------------------------------------
 
+    @cached_property
+    def _form(self) -> "_KernelForm":
+        return _KernelForm.build(self)
+
+    def reduce(self, A: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise least (a, c) of the cosets uN, for u = (A, C) in E(n, q).
+
+        The a-rows first, in pivot order: right-multiplying by
+        lift^(-floor(a_j / p^e)) leaves a_j in [0, p^e) and keeps the coset.
+        Then the central rows do the same to the c-digits.
+        """
+        q, pairs = self.q, self.pairs
+        for j, pe, LA, LC in self._form.lifts:
+            PA, PC = _power_batch(LA, LC, -(A[..., j] // pe), q, pairs)
+            A, C = _collect_batch(A, C, PA, PC, q, pairs)
+        for row, j, pe in self._form.central:
+            C = (C - (C[..., j] // pe)[..., None] * row) % q
+        return A, C
+
+    def encode(self, A: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Element indices of G = E/N: the codes of the reduced forms."""
+        return _encode_batch(*self.reduce(A, C), self.radices)
+
+    def elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (a, c) digit arrays of the reduced forms, in element order."""
+        return _decode_batch(np.arange(self.order), self.radices, self.n)
+
     def kernel_set(self) -> frozenset:
-        """N as a frozenset of (a, c) tuples."""
+        """N as a frozenset of (a, c) tuples, by a BFS of |N| x 2|basis| ``mul`` calls.
+
+        Nothing in qcw calls it.  It is the tests' oracle for the reduced
+        form, and ``bench/tracer.py`` counts |N| with it.
+        """
         if self._kernel_set is None:
             ident = ((0,) * self.n, (0,) * len(self.pairs))
             seen = {ident}
@@ -204,7 +251,54 @@ class ClassTwoGroup:
 
     def contains_in_kernel(self, u: ClassTwoElement) -> bool:
         self._check(u)
-        return (u.a, u.c) in self.kernel_set()
+        A, C = self.reduce(np.array(u.a, dtype=np.int64), np.array(u.c, dtype=np.int64))
+        return not A.any() and not C.any()
+
+
+@dataclass(frozen=True)
+class _KernelForm:
+    """N as two Howell forms: lifts of its a-rows, and the rows of N ∩ Z.
+
+    ``lifts`` holds (column, p^e, a-part, c-part) of an element of N for each
+    pivot row of the a-parts of N over Z/q^2; ``central`` holds (row, column,
+    p^e) for each pivot row of the c-parts of N ∩ Z over Z/q.
+    """
+
+    lifts: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    central: tuple[tuple[np.ndarray, int, int], ...]
+    radices: tuple[int, ...]
+
+    @classmethod
+    def build(cls, g: ClassTwoGroup) -> "_KernelForm":
+        p, d, q, n, pairs = g.params.p, g.params.d, g.q, g.n, g.pairs
+        r = len(g.kernel_basis)
+        GA = np.array([k.a for k in g.kernel_basis], dtype=np.int64).reshape(r, n)
+        GC = np.array([k.c for k in g.kernel_basis], dtype=np.int64).reshape(r, len(pairs))
+        # Howell form of [a-parts | I_r] over Z/q^2.  A row [v | U] has
+        # prod_s g_s^(U_s) in N with a-part v; a row with v = 0 (a syzygy)
+        # gives a central element of N, and these span every central
+        # product of the g_s up to the commutators [g_s, g_t].
+        rows, cols, exps = _howell_sweep(np.hstack([GA, np.eye(r, dtype=np.int64)]), p, 2 * d)
+        LA, LC = _product_batch(GA, GC, rows[:, n:], q, pairs)
+        on_a = cols < n
+        # N ∩ Z over Z/q: the syzygy products and the commutators [g, x_i],
+        # which also span every [g_s, g_t] and close N under conjugation
+        comm = [g.commutator(k, x).c for k in g.kernel_basis for x in g.generators()]
+        central = np.vstack([LC[~on_a], np.array(comm, dtype=np.int64).reshape(len(comm), len(pairs))])
+        crows, ccols, cexps = _howell_sweep(central, p, d)
+        radices = [q * q] * n + [q] * len(pairs)
+        for j, e in zip(cols[on_a], exps[on_a]):
+            radices[j] = p ** int(e)
+        for j, e in zip(ccols, cexps):
+            radices[n + j] = p ** int(e)
+        return cls(
+            lifts=tuple(
+                (int(j), p ** int(e), a, c)
+                for j, e, a, c in zip(cols[on_a], exps[on_a], LA[on_a], LC[on_a])
+            ),
+            central=tuple((row, int(j), p ** int(e)) for row, j, e in zip(crows, ccols, cexps)),
+            radices=tuple(radices),
+        )
 
 
 def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> ClassTwoGroup:
@@ -249,7 +343,11 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
     images = E.generators()
     seeds = [evaluate_word(r, images, E) for r in pres.relators]
     saturated = _saturate_with_commutators(E, seeds)
-    # prune to a small deterministic generating list
+    # prune to a small deterministic generating list.  The reduced form of a
+    # trial describes the normal closure of its basis, and that is the
+    # subgroup it generates: the saturated elements with a = 0 (the central
+    # ones, the commutators [r, x_i] among them) sort before any with a != 0,
+    # so each [r, x_i] of an r already kept lies in the trial.
     pruned: list[ClassTwoElement] = []
     for g in sorted(saturated, key=lambda e: (e.a, e.c)):
         trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
@@ -483,26 +581,23 @@ def validate_table(t: FiniteGroupTable) -> None:
 # coset tables for class-two quotients
 
 
-def _encode_batch(A: np.ndarray, C: np.ndarray, q: int) -> np.ndarray:
-    """Dense mixed-radix index of elements: a digits base q^2, c digits base q."""
+def _encode_batch(A: np.ndarray, C: np.ndarray, radices) -> np.ndarray:
+    """Dense mixed-radix index of elements: a digits, then c digits, in ``radices``."""
     out = np.zeros(A.shape[:-1], dtype=np.int64)
-    for i in range(A.shape[-1]):
-        out = out * (q * q) + A[..., i]
-    for k in range(C.shape[-1]):
-        out = out * q + C[..., k]
+    for digit, radix in zip(np.moveaxis(A, -1, 0), radices):
+        out = out * radix + digit
+    for digit, radix in zip(np.moveaxis(C, -1, 0), radices[A.shape[-1]:]):
+        out = out * radix + digit
     return out
 
 
-def _decode_batch(codes: np.ndarray, q: int, n: int, npairs: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode_batch(codes: np.ndarray, radices, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``_encode_batch``: the (a, c) digit arrays of dense codes."""
     codes = np.asarray(codes, dtype=np.int64)
-    A = np.zeros(codes.shape + (n,), dtype=np.int64)
-    C = np.zeros(codes.shape + (npairs,), dtype=np.int64)
-    for k in reversed(range(npairs)):
-        codes, C[..., k] = np.divmod(codes, q)
-    for i in reversed(range(n)):
-        codes, A[..., i] = np.divmod(codes, q * q)
-    return A, C
+    digits = np.zeros(codes.shape + (len(radices),), dtype=np.int64)
+    for k in reversed(range(len(radices))):
+        codes, digits[..., k] = np.divmod(codes, radices[k])
+    return digits[..., :n], digits[..., n:]
 
 
 def _collect_batch(A1, C1, A2, C2, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -514,54 +609,27 @@ def _collect_batch(A1, C1, A2, C2, q: int, pairs) -> tuple[np.ndarray, np.ndarra
     return A, C
 
 
-def _power_batch(A, C, k: int, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (a, c)^k by the closed form (k a, k c + C(k, 2) corr(a, a))."""
+def _power_batch(A, C, k, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (a, c)^k by the closed form (k a, k c + C(k, 2) corr(a, a)).
+
+    k is an integer or an array of them that broadcasts against the rows.
+    """
+    k = np.asarray(k, dtype=np.int64)
     binom = k * (k - 1) // 2 % q
-    PA = (k * A) % (q * q)
-    PC = (k * C) % q
+    PA = (k[..., None] * A) % (q * q)
+    PC = (k[..., None] * C) % q
     for t, (i, j) in enumerate(pairs):
         PC[..., t] = (PC[..., t] + binom * (A[..., j] % q) * (A[..., i] % q)) % q
     return PA, PC
 
 
-def _kernel_codes(g: ClassTwoGroup) -> np.ndarray:
-    """Dense codes of N, ascending (the order of the sorted (a, c) tuples)."""
-    kernel = sorted(g.kernel_set())
-    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), g.n)
-    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), len(g.pairs))
-    return _encode_batch(KA, KC, g.q)
-
-
-def _coset_table(g: ClassTwoGroup, order_bound: int) -> tuple[FiniteGroupTable, np.ndarray, np.ndarray]:
-    """The table of ``to_table`` together with its coset arrays.
-
-    ``reps[i]`` is the dense code of the representative of table element i;
-    ``coset_of[code]`` is the table element of every dense code of E(n, q).
-    """
-    if g.order > order_bound:
-        raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
-    q, n, pairs = g.q, g.n, g.pairs
-    npairs = len(pairs)
-    # dense codes enumerate E(n, q) lexicographically in (a, c)
-    A, C = _decode_batch(np.arange(g.full_order), q, n, npairs)
-    KA, KC = _decode_batch(_kernel_codes(g), q, n, npairs)
-    # coset representative = element with minimal dense code in its coset
-    rep_code = np.full(g.full_order, np.iinfo(np.int64).max, dtype=np.int64)
-    for t in range(len(KA)):
-        PA, PC = _collect_batch(A, C, KA[t][None, :], KC[t][None, :], q, pairs)
-        rep_code = np.minimum(rep_code, _encode_batch(PA, PC, q))
-    reps, coset_of = np.unique(rep_code, return_inverse=True)
-    RA, RC = _decode_batch(reps, q, n, npairs)
-    PA, PC = _collect_batch(RA[:, None, :], RC[:, None, :], RA[None, :, :], RC[None, :, :], q, pairs)
-    mult = coset_of[_encode_batch(PA, PC, q)]
-    gen_codes = _encode_batch(np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64), q)
-    table = FiniteGroupTable(
-        order=len(reps),
-        mult=mult,
-        identity=int(coset_of[0]),
-        generators=tuple(int(x) for x in coset_of[gen_codes]),
-    )
-    return table, reps, coset_of
+def _product_batch(BA, BC, U, q: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise prod_s base_s^(U[:, s]) for bases (BA[s], BC[s])."""
+    A = np.zeros((len(U), BA.shape[-1]), dtype=np.int64)
+    C = np.zeros((len(U), BC.shape[-1]), dtype=np.int64)
+    for s in range(len(BA)):
+        A, C = _collect_batch(A, C, *_power_batch(BA[s], BC[s], U[:, s], q, pairs), q, pairs)
+    return A, C
 
 
 def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroupTable:
@@ -569,9 +637,18 @@ def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> Finite
 
     Element 0 is the identity coset; generator entries are the cosets of the
     x_i.  Representatives are the lexicographically least (a, c) tuples, so
-    tables are deterministic.
+    tables are deterministic.  The |G|^2 products of the reduced forms are
+    collected and reduced; neither N nor E is enumerated.
     """
-    return _coset_table(g, order_bound)[0]
+    if g.order > order_bound:
+        raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
+    n, npairs = g.n, len(g.pairs)
+    RA, RC = g.elements()
+    mult = g.encode(*_collect_batch(RA[:, None], RC[:, None], RA[None], RC[None], g.q, g.pairs))
+    gens = g.encode(np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64))
+    return FiniteGroupTable(
+        order=g.order, mult=mult, identity=0, generators=tuple(int(x) for x in gens)
+    )
 
 
 @dataclass
@@ -793,20 +870,13 @@ def induced_quotient_map(
             raise NotAHomomorphismError(
                 "not a homomorphism at level 3: a relator image survives in the target quotient"
             )
-    ts, reps, _ = _coset_table(qs, order_bound)
-    tt, _, target_coset_of = _coset_table(qt, order_bound)
-    # phi(prod x_i^{a_i} prod u_ij^{c_ij}) via the normal form, per source coset
-    powers = image_elems + [Et.commutator(image_elems[j], image_elems[i]) for i, j in qs.pairs]
-    RA, RC = _decode_batch(reps, qs.q, qs.n, len(qs.pairs))
-    images = []
-    for exps in np.hstack([RA, RC]):
-        img = Et.identity()
-        for base, k in zip(powers, exps):
-            img = Et.mul(img, Et.power(base, int(k)))
-        images.append(img)
-    IA = np.array([e.a for e in images], dtype=np.int64).reshape(len(images), Et.n)
-    IC = np.array([e.c for e in images], dtype=np.int64).reshape(len(images), len(Et.pairs))
-    mapping = target_coset_of[_encode_batch(IA, IC, Et.q)]
+    ts, tt = to_table(qs, order_bound), to_table(qt, order_bound)
+    # phi(prod x_i^{a_i} prod u_ij^{c_ij}) via the normal form, per source element
+    bases = image_elems + [Et.commutator(image_elems[j], image_elems[i]) for i, j in qs.pairs]
+    BA = np.array([e.a for e in bases], dtype=np.int64).reshape(len(bases), Et.n)
+    BC = np.array([e.c for e in bases], dtype=np.int64).reshape(len(bases), len(Et.pairs))
+    IA, IC = _product_batch(BA, BC, np.hstack(qs.elements()), Et.q, Et.pairs)
+    mapping = qt.encode(IA, IC)
     # sanity: must be a homomorphism of tables
     if not (mapping[ts.mult] == tt.mult[np.ix_(mapping, mapping)]).all():
         raise QcwError("internal error: induced map is not multiplicative")
@@ -830,47 +900,42 @@ def _element_record(e: ClassTwoElement) -> dict:
 def _quotient_exponent(g: ClassTwoGroup) -> int:
     """Least p^e with g^(p^e) in N for every g in E: the exponent of E/N.
 
-    Powers all of E at once and keeps, after each step, only the elements
-    whose power is still outside N.  Generator orders alone would not do:
-    at p = 2, <x, y | x^2, y^2> gives D4, of exponent 4.
+    Powers the |G| reduced forms at once and keeps, after each step, only
+    the elements whose power is still outside N.  Generator orders alone
+    would not do: at p = 2, <x, y | x^2, y^2> gives D4, of exponent 4.
     """
-    q, n, pairs = g.q, g.n, g.pairs
-    kernel = _kernel_codes(g)
-    A, C = _decode_batch(np.arange(g.full_order), q, n, len(pairs))
+    A, C = g.elements()
     exponent = 1
     while True:
-        codes = _encode_batch(A, C, q)
-        pos = np.minimum(np.searchsorted(kernel, codes), len(kernel) - 1)
-        outside = kernel[pos] != codes
+        RA, RC = g.reduce(A, C)
+        outside = RA.any(axis=-1) | RC.any(axis=-1)
         if not outside.any():
             return exponent
-        A, C = _power_batch(A[outside], C[outside], g.params.p, q, pairs)
+        A, C = _power_batch(RA[outside], RC[outside], g.params.p, g.q, g.pairs)
         exponent *= g.params.p
 
 
 def group_record(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> dict:
     """Order, exponent, class and abelian invariants of G = E(n, q)/N.
 
-    All four come from the normal form in O(|E|) vector work, with no
+    All four come from the reduced form of ``ClassTwoGroup``, with no
     multiplication table:
 
+    - order: the product of the radices;
     - abelian invariants: E/[E, E] = (Z/q^2)^n and multiplication adds
       a-parts, so G/[G, G] is the cokernel over Z/q^2 of the a-parts of
       ``kernel_basis``;
-    - class: 0 for the trivial group, 1 when every u_ij = [x_j, x_i] lies in
-      N, else 2 (E has class <= 2);
-    - exponent: the least p^e with g^(p^e) in N for every g in E, from the
-      closed power formula applied to every element of E.
+    - class: 0 for the trivial group, 1 when N contains Z = [E, E] (every
+      c-radix is 1), else 2 (E has class <= 2);
+    - exponent: the least p^e with g^(p^e) in N for every g in G, from the
+      closed power formula applied to the |G| reduced forms.
+
+    The bound still applies to |E(n, q)|, as in ``third_quotient``.
     """
     if g.full_order > order_bound:
         raise SizeLimitError(f"|E({g.n},{g.q})| = {g.full_order} exceeds the order bound {order_bound}")
     order = g.order
-    npairs = len(g.pairs)
-    u = [
-        ClassTwoElement(a=(0,) * g.n, c=tuple(int(s == t) for s in range(npairs)))
-        for t in range(npairs)
-    ]
-    cls = 0 if order == 1 else 1 if all(map(g.contains_in_kernel, u)) else 2
+    cls = 0 if order == 1 else 1 if all(r == 1 for r in g.radices[g.n:]) else 2
     invariants = cokernel_invariants([list(k.a) for k in g.kernel_basis], g.n, g.q2)
     return {
         "order": order,

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from qcw.cli import main
+from qcw.qcentral import ClassTwoGroup
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -81,6 +82,18 @@ def test_cohomology_trivial():
     assert rep["h1"]["dimension"] == 0
     assert rep["h2"]["dimension"] == 0
     assert rep["decomposable_h2"]["dimension"] == 0
+
+
+def test_commands_never_enumerate_the_kernel(monkeypatch):
+    # N is described by two Howell forms; kernel_set is only a test oracle
+    def refuse(self):
+        raise AssertionError("kernel_set was called")
+
+    monkeypatch.setattr(ClassTwoGroup, "kernel_set", refuse)
+    assert run_cli("cohomology", DATA, "demushkin3", "--q", "2")[0] == 0
+    assert run_cli("compare", "Qp:7", "--q", "3")[0] == 0
+    argv = ("check", "--file", DATA, "--group", "class2", "--against-free", "--q", "2")
+    assert run_cli(*argv)[0] == 0
 
 
 def test_milnor_commands():

@@ -10,7 +10,12 @@ from qcw.errors import NotAHomomorphismError, SizeLimitError
 from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     ClassTwoElement,
+    ClassTwoGroup,
+    FiniteGroupTable,
     SeriesParams,
+    _collect_batch,
+    _power_batch,
+    _quotient_exponent,
     abelian_table,
     cyclic_table,
     direct_product_table,
@@ -358,7 +363,10 @@ def test_group_record_matches_table_on_data_groups(name, q):
 def _presentations(draw):
     n = draw(st.integers(1, 3))
     q = draw(st.sampled_from([q for q in ORACLE_QS if _universal_order(n, q) <= ORACLE_BOUND]))
-    letter = st.tuples(st.integers(0, n - 1), st.integers(-4, 4).filter(bool))
+    p = SeriesParams.from_q(q).p
+    # +-p and +-q give the non-unit Howell pivots at q = 4, 8 and 9
+    exponent = st.integers(-4, 4).filter(bool) | st.sampled_from([p, -p, q, -q])
+    letter = st.tuples(st.integers(0, n - 1), exponent)
     word = st.lists(letter, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
     relators = draw(st.lists(word, max_size=3))
     return Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=tuple(relators)), q
@@ -392,6 +400,202 @@ def test_group_record_bounds_the_order_of_e():
     g = third_quotient(free_presentation(3), P3, order_bound=20000)
     with pytest.raises(SizeLimitError):
         group_record(g, order_bound=4096)
+
+
+# ---------------------------------------------------------------------------
+# the reduced form against the former enumeration of N
+#
+# reference_kernel_codes, reference_coset_table and reference_quotient_exponent
+# are the former _kernel_codes, _coset_table and _quotient_exponent, verbatim:
+# they take N from kernel_set(), the BFS over the subgroup generated by
+# kernel_basis, and number E with the former single-modulus encoders.
+
+
+def reference_encode_batch(A: np.ndarray, C: np.ndarray, q: int) -> np.ndarray:
+    """Dense mixed-radix index of elements: a digits base q^2, c digits base q."""
+    out = np.zeros(A.shape[:-1], dtype=np.int64)
+    for i in range(A.shape[-1]):
+        out = out * (q * q) + A[..., i]
+    for k in range(C.shape[-1]):
+        out = out * q + C[..., k]
+    return out
+
+
+def reference_decode_batch(codes: np.ndarray, q: int, n: int, npairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``reference_encode_batch``: the (a, c) digit arrays of dense codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    A = np.zeros(codes.shape + (n,), dtype=np.int64)
+    C = np.zeros(codes.shape + (npairs,), dtype=np.int64)
+    for k in reversed(range(npairs)):
+        codes, C[..., k] = np.divmod(codes, q)
+    for i in reversed(range(n)):
+        codes, A[..., i] = np.divmod(codes, q * q)
+    return A, C
+
+
+def reference_kernel_codes(g: ClassTwoGroup) -> np.ndarray:
+    """Dense codes of N, ascending (the order of the sorted (a, c) tuples)."""
+    kernel = sorted(g.kernel_set())
+    KA = np.array([k[0] for k in kernel], dtype=np.int64).reshape(len(kernel), g.n)
+    KC = np.array([k[1] for k in kernel], dtype=np.int64).reshape(len(kernel), len(g.pairs))
+    return reference_encode_batch(KA, KC, g.q)
+
+
+def reference_coset_table(g: ClassTwoGroup, order_bound: int) -> tuple[FiniteGroupTable, np.ndarray, np.ndarray]:
+    """The table of ``to_table`` together with its coset arrays.
+
+    ``reps[i]`` is the dense code of the representative of table element i;
+    ``coset_of[code]`` is the table element of every dense code of E(n, q).
+    """
+    q, n, pairs = g.q, g.n, g.pairs
+    npairs = len(pairs)
+    # dense codes enumerate E(n, q) lexicographically in (a, c)
+    A, C = reference_decode_batch(np.arange(g.full_order), q, n, npairs)
+    KA, KC = reference_decode_batch(reference_kernel_codes(g), q, n, npairs)
+    # coset representative = element with minimal dense code in its coset
+    rep_code = np.full(g.full_order, np.iinfo(np.int64).max, dtype=np.int64)
+    for t in range(len(KA)):
+        PA, PC = _collect_batch(A, C, KA[t][None, :], KC[t][None, :], q, pairs)
+        rep_code = np.minimum(rep_code, reference_encode_batch(PA, PC, q))
+    reps, coset_of = np.unique(rep_code, return_inverse=True)
+    RA, RC = reference_decode_batch(reps, q, n, npairs)
+    PA, PC = _collect_batch(RA[:, None, :], RC[:, None, :], RA[None, :, :], RC[None, :, :], q, pairs)
+    mult = coset_of[reference_encode_batch(PA, PC, q)]
+    gen_codes = reference_encode_batch(np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64), q)
+    table = FiniteGroupTable(
+        order=len(reps),
+        mult=mult,
+        identity=int(coset_of[0]),
+        generators=tuple(int(x) for x in coset_of[gen_codes]),
+    )
+    return table, reps, coset_of
+
+
+def reference_quotient_exponent(g: ClassTwoGroup) -> int:
+    """Least p^e with g^(p^e) in N for every g in E: the exponent of E/N."""
+    q, n, pairs = g.q, g.n, g.pairs
+    kernel = reference_kernel_codes(g)
+    A, C = reference_decode_batch(np.arange(g.full_order), q, n, len(pairs))
+    exponent = 1
+    while True:
+        codes = reference_encode_batch(A, C, q)
+        pos = np.minimum(np.searchsorted(kernel, codes), len(kernel) - 1)
+        outside = kernel[pos] != codes
+        if not outside.any():
+            return exponent
+        A, C = _power_batch(A[outside], C[outside], g.params.p, q, pairs)
+        exponent *= g.params.p
+
+
+def reference_induced_mapping(images, source, target, params, order_bound=512) -> np.ndarray:
+    """The former ``induced_quotient_map`` mapping, through the reference tables."""
+    qs = third_quotient(source, params, order_bound)
+    qt = third_quotient(target, params, order_bound)
+    Et = universal_class2(target.rank, params, order_bound)
+    image_elems = [evaluate_word(w, Et.generators(), Et) for w in images]
+    _, reps, _ = reference_coset_table(qs, order_bound)
+    _, _, target_coset_of = reference_coset_table(qt, order_bound)
+    powers = image_elems + [Et.commutator(image_elems[j], image_elems[i]) for i, j in qs.pairs]
+    RA, RC = reference_decode_batch(reps, qs.q, qs.n, len(qs.pairs))
+    images = []
+    for exps in np.hstack([RA, RC]):
+        img = Et.identity()
+        for base, k in zip(powers, exps):
+            img = Et.mul(img, Et.power(base, int(k)))
+        images.append(img)
+    IA = np.array([e.a for e in images], dtype=np.int64).reshape(len(images), Et.n)
+    IC = np.array([e.c for e in images], dtype=np.int64).reshape(len(images), len(Et.pairs))
+    return target_coset_of[reference_encode_batch(IA, IC, Et.q)]
+
+
+def _assert_matches_reference(g: ClassTwoGroup) -> None:
+    kernel = g.kernel_set()
+    assert g.order == g.full_order // len(kernel)
+    # membership for every x in E: reduces to 0 exactly when x is in N
+    A, C = reference_decode_batch(np.arange(g.full_order), g.q, g.n, len(g.pairs))
+    RA, RC = g.reduce(A, C)
+    reduces_to_zero = ~(RA.any(axis=-1) | RC.any(axis=-1))
+    assert (reduces_to_zero == np.isin(np.arange(g.full_order), reference_kernel_codes(g))).all()
+    sample = np.flatnonzero(reduces_to_zero)[:8].tolist() + np.flatnonzero(~reduces_to_zero)[:8].tolist()
+    for x in sample:
+        u = ClassTwoElement(a=tuple(map(int, A[x])), c=tuple(map(int, C[x])))
+        assert g.contains_in_kernel(u) == ((u.a, u.c) in kernel)
+    assert _quotient_exponent(g) == reference_quotient_exponent(g)
+    t, reference = to_table(g, ORACLE_BOUND), reference_coset_table(g, ORACLE_BOUND)[0]
+    assert (t.order, t.identity, t.generators) == (reference.order, reference.identity, reference.generators)
+    assert np.array_equal(t.mult, reference.mult)
+
+
+@pytest.mark.parametrize(
+    "name,q",
+    [
+        (name, q)
+        for name, pres in DATA_GROUPS.items()
+        for q in ORACLE_QS
+        if _universal_order(pres.rank, q) <= ORACLE_BOUND
+    ],
+)
+def test_reduced_form_matches_reference_on_data_groups(name, q):
+    _assert_matches_reference(third_quotient(DATA_GROUPS[name], SeriesParams.from_q(q), ORACLE_BOUND))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_presentations())
+def test_reduced_form_matches_reference_on_random_presentations(case):
+    pres, q = case
+    _assert_matches_reference(third_quotient(pres, SeriesParams.from_q(q), ORACLE_BOUND))
+
+
+INDUCED_MAP_CASES = [
+    ([Word(((0, 1),)), Word(((1, 1),))], free_presentation(2), free_presentation(2), P2),
+    ([Word(((0, 1),)), Word(())], free_presentation(2), free_presentation(1), P2),
+    ([Word(((0, 1), (1, 1))), Word(((1, 1),))], free_presentation(2), free_presentation(2), P2),
+    # into quotients with a kernel, and a non-unit pivot at q = 4
+    ([Word(((0, 1),)), Word(((1, 1),))], free_presentation(2), parse_presentation(DEMUSHKIN3), P2),
+    (
+        [Word(((0, 1),)), Word(((0, 1), (1, -1)))],
+        free_presentation(2),
+        parse_presentation("group A { generators: x,y; relators: x^2, [x,y]^2; }"),
+        P4,
+    ),
+]
+
+
+@pytest.mark.parametrize("images,source,target,params", INDUCED_MAP_CASES)
+def test_induced_map_matches_reference(images, source, target, params):
+    res = induced_quotient_map(images, source, target, params, order_bound=1024)
+    reference = reference_induced_mapping(images, source, target, params, order_bound=1024)
+    assert np.array_equal(res.mapping, reference)
+
+
+def test_nothing_enumerates_the_kernel(monkeypatch):
+    # N is described by its two Howell forms; kernel_set is only an oracle
+    def refuse(self):
+        raise AssertionError("kernel_set was called")
+
+    monkeypatch.setattr(ClassTwoGroup, "kernel_set", refuse)
+    g = third_quotient(parse_presentation(DEMUSHKIN3), P4, ORACLE_BOUND)
+    assert group_record(g, ORACLE_BOUND)["order"] == 64
+    assert to_table(g).order == 64
+    free2 = free_presentation(2)
+    assert induced_quotient_map([Word(((0, 1),)), Word(((1, 1),))], free2, free2, P2).is_isomorphism
+    # <x, y | x, y> at q = 8: |E| = |N| = 32768 and G is trivial
+    q8 = SeriesParams.from_q(8)
+    trivial = third_quotient(parse_presentation("group T { generators: x,y; relators: x, y; }"), q8, 40000)
+    assert trivial.full_order == 32768
+    t = to_table(trivial, 40000)
+    assert (t.order, t.identity, t.generators) == (1, 0, (0, 0))
+    assert np.array_equal(t.mult, [[0]])
+
+
+def test_reduced_form_describes_the_normal_closure():
+    # x and y generate E, yet the basis omits [x, y]: the commutator rows put
+    # it back, as the subgroup closure does
+    E = universal_class2(2, P2)
+    g = ClassTwoGroup(P2, 2, kernel_basis=(E.generator(0), E.generator(1)))
+    assert len(g.kernel_set()) == g.full_order
+    assert g.order == 1
+    assert g.contains_in_kernel(E.commutator(E.generator(1), E.generator(0)))
 
 
 def test_abelian_invariants_examples():
