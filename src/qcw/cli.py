@@ -28,8 +28,7 @@ from .presentations import parse_file
 from .qcentral import (
     SeriesParams,
     group_record,
-    second_quotient,
-    table_record,
+    second_quotient_record,
     third_quotient,
     to_table,
 )
@@ -87,7 +86,7 @@ def cmd_quotient(args) -> int:
     if args.level == 3:
         rec = group_record(third_quotient(pres, params, args.order_bound), args.order_bound)
     else:
-        rec = table_record(second_quotient(pres, params, args.order_bound))
+        rec = second_quotient_record(pres, params, args.order_bound)
     report = {
         "command": "quotient",
         "file": args.file,

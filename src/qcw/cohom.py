@@ -15,9 +15,32 @@ normalized f is a cocycle iff df(g, h, s) = 0 for all g, h and every s in
 a generating set S.  Indeed ddf = 0 at (g, h, k', s) reads
 df(g, h, k's) = df(g, h, k') once df(., ., s) = 0, and df(g, h, 1) = 0 by
 normalization; every element of a finite group is a positive word in S, so
-df = 0 by induction on the word length of k.  Only these |S| (|G|-1)^2
-equations, s running over the table's listed generators, are solved; the
-kernel is then checked against the full cocycle identity as a safety net.
+df = 0 by induction on the word length of k.
+
+These |S| (|G|-1)^2 equations, s running over the table's listed
+generators, are not solved as they stand: a normalized cocycle is fixed by
+its |S| (|G|-1) values f(x, s) (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 7).  Take a BFS spanning tree of the right
+Cayley graph on S.  On a tree edge k = k's the equation df(g, k', s) = 0
+reads f(g, k) = f(g, k') + f(gk', s) - f(k', s), so walking the tree writes
+every f(g, k) as a linear form in the f(x, s).  Every cocycle satisfies
+these forms; conversely a cochain built from them satisfies the tree
+equations and is normalized, so it is a cocycle exactly when the remaining
+(non-tree) equations hold.  Those are solved in |S| (|G|-1) unknowns, and
+the solutions are extended along the tree; the extension is injective, so
+the result is Z^2.  The kernel is then checked against the full cocycle
+identity as a safety net.
+
+The basis returned is the one a solve of the full generator system would
+give where it is canonical.  When every pivot of that system is a unit, its
+reduced row echelon form R has free columns j, and the kernel vector of
+column j is 1 at j, 0 at the other free columns and 0 right of j.  Those
+vectors are therefore the reduced echelon form of Z^2 with its columns
+reversed (pivots at the last nonzero positions), and they are read off
+from it.  The pivots of Z^2 in that form are all units exactly when those
+of R are, since each module is the annihilator of the other.  Otherwise the
+extended kernel generators are returned with their orders: the same
+module and orders, other representatives.
 
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
@@ -232,47 +255,109 @@ class GroupCohomology:
 
     # -- degree 2 -------------------------------------------------------------
 
-    def _equation_batches(self):
-        """Rows of df(g, h, s) = 0, s a listed generator, in fixed-size chunks."""
-        t, q = self.t, self.q
-        w = t.order - 1
+    def _spanning_tree(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """The listed generators and a BFS spanning tree of the right Cayley graph.
+
+        Returns the generators (deduplicated, identity dropped) and the tree
+        edges (k', i, k) with k = k' * gens[i], in BFS order from the identity.
+        """
+        t = self.t
         gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
-        total = len(gens) * w * w
-        for start in range(0, total, _EQUATION_CHUNK):
-            eq = np.arange(start, min(start + _EQUATION_CHUNK, total))
-            si, rest = np.divmod(eq, w * w)
-            gi, hi = np.divmod(rest, w)
-            g, h, k = self.elems[gi], self.elems[hi], gens[si]
-            rows = np.zeros((len(eq), self.width), dtype=np.int64)
-            idx = np.arange(len(eq))
+        seen = np.zeros(t.order, dtype=bool)
+        seen[t.identity] = True
+        queue, edges = [t.identity], []
+        for parent in queue:
+            for i, s in enumerate(gens):
+                k = int(t.mult[parent, s])
+                if not seen[k]:
+                    seen[k] = True
+                    queue.append(k)
+                    edges.append((parent, i, k))
+        if len(queue) < t.order:
+            raise QcwError("listed generators do not generate the table")
+        return gens, edges
 
-            def put(a, b, sign):
-                alive = (a != t.identity) & (b != t.identity)
-                np.add.at(rows, (idx[alive], self.pos[a[alive]] * w + self.pos[b[alive]]), sign)
+    def _along_tree(self, values: np.ndarray, gens: np.ndarray, edges) -> np.ndarray:
+        """Extend generator values f(x, s) to all f(g, k) by the tree equations.
 
-            put(g, h, 1)
-            put(t.mult[g, h], k, 1)
-            put(h, k, -1)
-            put(g, t.mult[h, k], -1)
-            yield rows % q
+        ``values`` is (|G|-1) x |S| x m: m cochains given on (x, s), x != 1.
+        Along a tree edge k = k' s, df(g, k', s) = 0 reads
+        f(g, k) = f(g, k') + f(gk', s) - f(k', s).  Returns the |G| x |G| x m
+        values with f(1, .) = f(., 1) = 0.
+        """
+        t, n = self.t, self.t.order
+        on_gens = np.zeros((n, len(gens), values.shape[-1]), dtype=np.int64)
+        on_gens[self.elems] = values
+        F = np.zeros((n, n, values.shape[-1]), dtype=np.int64)
+        for parent, i, k in edges:
+            F[:, k] = F[:, parent] + on_gens[t.mult[:, parent], i] - on_gens[parent, i]
+        return F % self.q
+
+    def _non_tree_equations(self, forms: np.ndarray, gens: np.ndarray, edges):
+        """Rows of df(g, h, s) = 0 for the pairs (h, s) off the tree, in chunks.
+
+        ``forms[a, b]`` is f(a, b) as a linear form in the generator values.
+        The tree equations, among them every df(g, 1, s), hold by
+        construction, so these are all that remain of the generator system.
+        """
+        t, q = self.t, self.q
+        off_tree = np.ones((t.order, len(gens)), dtype=bool)
+        for parent, i, _ in edges:
+            off_tree[parent, i] = False
+        h, i = np.nonzero(off_tree)
+        s = gens[i]
+        g = self.elems[None, :]
+        step = max(1, _EQUATION_CHUNK // max(1, len(self.elems)))
+        for start in range(0, len(h), step):
+            hh, ss = h[start : start + step, None], s[start : start + step, None]
+            rows = (
+                forms[hh, ss]
+                - forms[t.mult[g, hh], ss]
+                + forms[g, t.mult[hh, ss]]
+                - forms[g, hh]
+            )
+            yield rows.reshape(-1, forms.shape[-1]) % q
 
     def _verify_kernel(self, vectors) -> bool:
         return all(self.is_cocycle_matrix(self.matrix_of_flat(v)) for v in vectors)
 
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
-        """Independent generators (vector, order) of the cocycle module Z^2."""
+        """Independent generators (vector, order) of the cocycle module Z^2.
+
+        Solved on the |S|(|G|-1) generator values f(x, s) (see the module
+        docstring); the solutions are extended along the spanning tree and,
+        when every pivot is a unit, brought to the free-column form of the
+        full generator system.
+        """
         if self._z2 is None:
-            t = self.t
+            t, q = self.t, self.q
             if t.order > self.h2_bound:
                 raise SizeLimitError(
                     f"group order {t.order} exceeds the degree-2 bound {self.h2_bound}"
                 )
-            if not t.generates(t.generators):
-                raise QcwError("listed generators do not generate the table")
-            rs = RowSpace(self.width, self.q)
-            for rows in self._equation_batches():
+            gens, edges = self._spanning_tree()
+            w, ns = len(self.elems), len(gens)
+            unknowns = w * ns
+            unit_values = np.eye(unknowns, dtype=np.int64).reshape(w, ns, unknowns)
+            forms = self._along_tree(unit_values, gens, edges)
+            rs = RowSpace(unknowns, q)
+            for rows in self._non_tree_equations(forms, gens, edges):
                 rs.add_rows(rows)
-            solved = rs.kernel()
+            kernel = rs.kernel()
+            solved = []
+            if kernel:
+                values = np.array([v for v, _ in kernel], dtype=np.int64).T.reshape(w, ns, -1)
+                F = self._along_tree(values, gens, edges)
+                cocycles = F[np.ix_(self.elems, self.elems)].reshape(self.width, -1).T
+                canon = RowSpace(self.width, q)
+                canon.add_rows(cocycles[:, ::-1])
+                if canon.unit_pivots:
+                    # with columns reversed, the reduced echelon form of Z^2 is the
+                    # free-column kernel basis of the full system (module docstring)
+                    rows = np.ascontiguousarray(canon.rows_matrix()[::-1, ::-1])
+                    solved = [(v, q) for v in rows]
+                else:
+                    solved = [(v, o) for v, (_, o) in zip(cocycles, kernel)]
             if not self._verify_kernel(v for v, _ in solved):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
             self._z2 = solved

@@ -64,6 +64,7 @@ __all__ = [
     "evaluate_word",
     "third_quotient",
     "second_quotient",
+    "second_quotient_record",
     "to_table",
     "series_step_oracle",
     "is_isomorphic",
@@ -356,14 +357,8 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
     return ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
 
 
-def second_quotient(pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> "FiniteGroupTable":
-    """G^[2, q] = G / G^q [G, G], as an explicit abelian group table.
-
-    This is the cokernel of the relator exponent matrix over Z/q.  For prime
-    q it is elementary abelian (Z/q)^r with r = n - rank of the matrix; for
-    q = p^d, d > 1, relators such as x^p leave smaller cyclic factors and
-    the honest cyclic decomposition is built instead.
-    """
+def _second_quotient_invariants(pres: Presentation, params: SeriesParams, order_bound: int) -> list[int]:
+    """Cyclic orders of G^[2, q], the cokernel of the relator exponent matrix over Z/q."""
     q = params.q
     rows = []
     for w in pres.relators:
@@ -375,7 +370,39 @@ def second_quotient(pres: Presentation, params: SeriesParams, order_bound: int =
     order = math.prod(invariants) if invariants else 1
     if order > order_bound:
         raise SizeLimitError(f"second quotient order {order} exceeds bound {order_bound}")
-    return abelian_table(invariants)
+    return invariants
+
+
+def second_quotient(pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> "FiniteGroupTable":
+    """G^[2, q] = G / G^q [G, G], as an explicit abelian group table.
+
+    This is the cokernel of the relator exponent matrix over Z/q.  For prime
+    q it is elementary abelian (Z/q)^r with r = n - rank of the matrix; for
+    q = p^d, d > 1, relators such as x^p leave smaller cyclic factors and
+    the honest cyclic decomposition is built instead.
+    """
+    return abelian_table(_second_quotient_invariants(pres, params, order_bound))
+
+
+def second_quotient_record(
+    pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND
+) -> dict:
+    """``table_record(second_quotient(...))``, read off the cyclic orders without a table.
+
+    The orders are powers of one prime, so the exponent is the largest; the
+    generators are the indices that ``abelian_table`` gives its cyclic
+    factors.
+    """
+    invariants = _second_quotient_invariants(pres, params, order_bound)
+    order = math.prod(invariants)
+    return {
+        "order": order,
+        "exponent": max(invariants, default=1),
+        "class": 0 if order == 1 else 1,
+        "abelian_invariants": sorted(invariants),
+        "generators": [math.prod(invariants[k + 1 :]) for k in range(len(invariants))],
+        "kernel_basis": [],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -345,9 +345,12 @@ class QuotientModule:
         vectors = _as_matrix(vectors, self.width, self.q)
         t = len(self.orders)
         if t == 0:
-            for v in vectors:
-                if not self.contains_in_rels(v):
-                    raise ValueError("vector not in the module")
+            if self.rels.shape[0] == 0:
+                inside = not vectors.any()
+            else:
+                inside = all(x is not None for x in solve_mod_many(self.rels.T, vectors.T, self.q))
+            if not inside:
+                raise ValueError("vector not in the module")
             return np.zeros((len(vectors), 0), dtype=np.int64)
         A = np.vstack([self.basis, self.rels]).T
         sols = solve_mod_many(A, vectors.T, self.q)
@@ -461,6 +464,11 @@ class RowSpace:
     def rows_matrix(self) -> np.ndarray:
         return self._rows.copy()
 
+    @property
+    def unit_pivots(self) -> bool:
+        """Is every pivot a unit (so that the rows are the reduced row echelon form)?"""
+        return not self._exps.any()
+
     def add_rows(self, block) -> int:
         """Insert a block of rows; returns the number of new pivots."""
         block = _as_matrix(block, self.width, self.q)
@@ -496,7 +504,7 @@ class RowSpace:
 
     def kernel(self) -> list[tuple[np.ndarray, int]]:
         """Independent generators (vector, order) of {x : row . x = 0 for every row}."""
-        if self._exps.any():
+        if not self.unit_pivots:
             return kernel_with_orders(self._rows, self.q)
         # unit pivots: the rows are the RREF, so each free column gives one generator
         free = np.setdiff1d(np.arange(self.width), self._cols)

@@ -34,10 +34,11 @@ from qcw.qcentral import (
     induced_quotient_map,
     third_quotient,
     to_table,
+    trivial_table,
     universal_class2,
 )
 from qcw.realizability import semidirect_power_table
-from qcw.zqlinalg import kernel_with_orders, solve_mod_many
+from qcw.zqlinalg import RowSpace, kernel_with_orders, solve_mod_many
 from test_zqlinalg import ReferenceRowSpace
 
 P2 = SeriesParams(p=2, d=1)
@@ -568,25 +569,157 @@ def relabelled(t):
     )
 
 
-@pytest.mark.parametrize(
-    "name,q",
-    [(name, q) for name in ("cyclic8", "d4", "q8", "demushkin3_q2") for q in (2, 3, 5)]
-    + [("free1_q5", 5)],
-)
-def test_z2_generators_match_reference_rowspace(name, q, request):
-    if name == "free1_q5":
-        t = to_table(third_quotient(free_presentation(1), SeriesParams(p=5, d=1)))
+def reference_equation_batches(ctx, chunk=1024):
+    """The former ``GroupCohomology._equation_batches``.
+
+    Rows of df(g, h, s) = 0 over all g, h != 1 and every listed generator s
+    (deduplicated, identity dropped), (|G|-1)^2 wide, in fixed-size chunks.
+    """
+    t, q = ctx.t, ctx.q
+    w = t.order - 1
+    gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
+    total = len(gens) * w * w
+    for start in range(0, total, chunk):
+        eq = np.arange(start, min(start + chunk, total))
+        si, rest = np.divmod(eq, w * w)
+        gi, hi = np.divmod(rest, w)
+        g, h, k = ctx.elems[gi], ctx.elems[hi], gens[si]
+        rows = np.zeros((len(eq), ctx.width), dtype=np.int64)
+        idx = np.arange(len(eq))
+
+        def put(a, b, sign):
+            alive = (a != t.identity) & (b != t.identity)
+            np.add.at(rows, (idx[alive], ctx.pos[a[alive]] * w + ctx.pos[b[alive]]), sign)
+
+        put(g, h, 1)
+        put(t.mult[g, h], k, 1)
+        put(h, k, -1)
+        put(g, t.mult[h, k], -1)
+        yield rows % q
+
+
+def reference_z2_generators(ctx):
+    """The former ``z2_generators``: Howell form of the whole generator system, then its kernel."""
+    rs = RowSpace(ctx.width, ctx.q)
+    for rows in reference_equation_batches(ctx):
+        rs.add_rows(rows)
+    return rs.unit_pivots, rs.kernel()
+
+
+def assert_z2_matches_reference(t, q):
+    """Bit-identical to the former solver under unit pivots, else the same module.
+
+    Returns whether every pivot was a unit.
+    """
+    ctx = GroupCohomology(t, q)
+    unit, want = reference_z2_generators(ctx)
+    got = ctx.z2_generators()
+    if unit:
+        assert [o for _, o in got] == [o for _, o in want]
+        assert all(v.dtype == w.dtype and (v == w).all() for (v, _), (w, _) in zip(got, want))
     else:
-        build = SMALL_TABLES[name]
-        t = build() if build else request.getfixturevalue("quaternion_table")
+        assert sorted(o for _, o in got) == sorted(o for _, o in want)
+        assert spans_inside([v for v, _ in got], [v for v, _ in want], q)
+        assert spans_inside([v for v, _ in want], [v for v, _ in got], q)
+    return unit
+
+
+def z2_case_table(name, request):
+    extra = {
+        "free1_q5": lambda: to_table(third_quotient(free_presentation(1), SeriesParams(p=5, d=1))),
+        "c4xc2": lambda: abelian_table([4, 2]),
+        "c2cubed": lambda: abelian_table([2, 2, 2]),
+        "demushkin3_q4": lambda: to_table(
+            third_quotient(parse_presentation(DEMUSHKIN3), SeriesParams(p=2, d=2), 1024), 1024
+        ),
+    }
+    if name in extra:
+        return extra[name]()
+    build = SMALL_TABLES[name]
+    return build() if build else request.getfixturevalue("quaternion_table")
+
+
+# every pivot of the full generator system is a unit: prime q, q prime to
+# the group order, and cyclic8 at q = 4, 8
+UNIT_CASES = (
+    [(name, q) for name in ("cyclic8", "d4", "q8", "demushkin3_q2", "klein4") for q in (2, 3, 5)]
+    + [("free1_q5", 5), ("cyclic8", 4), ("cyclic8", 8)]
+    + [(name, 9) for name in sorted(SMALL_TABLES)]
+)
+NON_UNIT_CASES = [
+    (name, q) for name in ("klein4", "d4", "demushkin3_q2", "c4xc2", "c2cubed") for q in (4, 8)
+] + [("demushkin3_q4", 4)]
+
+
+@pytest.mark.parametrize("name,q", UNIT_CASES)
+def test_z2_generators_match_reference_rowspace(name, q, request):
+    t = z2_case_table(name, request)
     ctx = GroupCohomology(t, q)
     ref = ReferenceRowSpace(ctx.width, q)
-    for rows in ctx._equation_batches():
+    for rows in reference_equation_batches(ctx):
         ref.add_rows(rows)
+    assert all(e == 0 for e in ref._exps)
     want = reference_kernel_of_rowspace(ref, ctx.width, q)
     got = ctx.z2_generators()
     assert [o for _, o in got] == [o for _, o in want]
     assert all(v.dtype == w.dtype and (v == w).all() for (v, _), (w, _) in zip(got, want))
+
+
+@pytest.mark.parametrize("name,q", NON_UNIT_CASES)
+def test_z2_generators_span_reference_module_without_unit_pivots(name, q, request):
+    assert not assert_z2_matches_reference(z2_case_table(name, request), q)
+
+
+def test_z2_trivial_group():
+    t = trivial_table()
+    for q in (2, 4):
+        ctx = GroupCohomology(t, q)
+        assert ctx.width == 0
+        assert ctx.z2_generators() == []
+        assert ctx.h2_space().invariants == []
+        assert_z2_matches_reference(t, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("name", ["d4", "q8", "demushkin3_q2"])
+def test_z2_repeated_generators_and_identity(name, q, request):
+    t = z2_case_table(name, request)
+    gens = tuple(t.generators)
+    noisy = FiniteGroupTable(
+        order=t.order, mult=t.mult, identity=t.identity,
+        generators=(t.identity,) + gens + gens[::-1],
+    )
+    got = GroupCohomology(noisy, q).z2_generators()
+    want = GroupCohomology(t, q).z2_generators()
+    assert [o for _, o in got] == [o for _, o in want]
+    assert all((v == w).all() for (v, _), (w, _) in zip(got, want))
+    assert assert_z2_matches_reference(noisy, q) == (q != 4)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+@pytest.mark.parametrize("name", ["cyclic8", "d4", "q8", "demushkin3_q2"])
+def test_z2_identity_not_first(name, q, request):
+    t = relabelled(z2_case_table(name, request))
+    assert t.identity != 0
+    assert_z2_matches_reference(t, q)
+
+
+def test_z2_stays_on_the_generator_values(monkeypatch):
+    # the cocycle RowSpace is |S|(|G|-1) wide, not (|G|-1)^2
+    t = to_table(third_quotient(free_presentation(2), P2))
+    widths = []
+    original = RowSpace.add_rows
+
+    def spy(self, block):
+        widths.append(self.width)
+        return original(self, block)
+
+    monkeypatch.setattr(RowSpace, "add_rows", spy)
+    ctx = GroupCohomology(t, 2)
+    ctx.z2_generators()
+    assert widths[0] == 2 * (t.order - 1)
+    assert widths[-1] == ctx.width  # the one read-off sweep of Z^2 itself
+    assert widths.count(ctx.width) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

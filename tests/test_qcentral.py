@@ -25,11 +25,13 @@ from qcw.qcentral import (
     is_isomorphic,
     quotient_table,
     second_quotient,
+    second_quotient_record,
     series_step_oracle,
     third_quotient,
     to_table,
     trivial_table,
     universal_class2,
+    table_record,
     validate_table,
 )
 
@@ -357,6 +359,19 @@ with open(GROUPS, encoding="utf-8") as _fh:
 def test_group_record_matches_table_on_data_groups(name, q):
     normal_form, table = _both_invariants(DATA_GROUPS[name], q)
     assert normal_form == table
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+@pytest.mark.parametrize("name", sorted(DATA_GROUPS))
+def test_second_quotient_record_matches_table(name, q):
+    pres, params = DATA_GROUPS[name], SeriesParams.from_q(q)
+    try:
+        want = table_record(second_quotient(pres, params))
+    except SizeLimitError as err:
+        with pytest.raises(SizeLimitError, match=str(err)):
+            second_quotient_record(pres, params)
+        return
+    assert second_quotient_record(pres, params) == want
 
 
 @st.composite

@@ -327,6 +327,25 @@ def test_quotient_module_invariants(q):
             assert module.contains_in_rels((v - recon) % q)
 
 
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_coords_of_a_zero_module_check_every_vector(q):
+    # gens inside the relations: rank 0, and coords_batch only checks membership
+    rels = [[1, 0, 0], [0, 2, 0]]
+    module = QuotientModule([[3, 2, 0]], rels, 3, q)
+    assert module.rank == 0
+    inside = [[1, 0, 0], [0, 2, 0], [0, 0, 0], [2, 4, 0]]
+    assert module.coords_batch(inside).shape == (4, 0)
+    for outside in ([0, 0, 1], [0, 1, 0] if q % 2 == 0 else [0, 0, 2]):
+        with pytest.raises(ValueError, match="not in the module"):
+            module.coords_batch(inside + [outside])
+        with pytest.raises(ValueError, match="not in the module"):
+            module.coords(outside)
+    empty = QuotientModule([], [], 2, q)
+    assert empty.coords_batch([[0, 0], [q, 0]]).shape == (2, 0)
+    with pytest.raises(ValueError, match="not in the module"):
+        empty.coords_batch([[0, 0], [0, 1]])
+
+
 def test_cokernel_invariants_examples():
     # (Z/4)^1 / <2> = Z/2
     assert sorted(cokernel_invariants([[2]], 1, 4)) == [2]
