@@ -28,8 +28,9 @@ these forms; conversely a cochain built from them satisfies the tree
 equations and is normalized, so it is a cocycle exactly when the remaining
 (non-tree) equations hold.  Those are solved in |S| (|G|-1) unknowns, and
 the solutions are extended along the tree; the extension is injective, so
-the result is Z^2.  The kernel is then checked against the full cocycle
-identity as a safety net.
+the result is Z^2.  As a safety net the basis returned is checked on all
+of df(g, h, s) = 0, tree equations included, which by the lemma above is
+the full cocycle identity.
 
 The basis returned is the one a solve of the full generator system would
 give where it is canonical.  When every pivot of that system is a unit, its
@@ -68,6 +69,7 @@ from .zqlinalg import QuotientModule, RowSpace, kernel_with_orders, prime_power,
 
 DEFAULT_H2_BOUND = 64
 _EQUATION_CHUNK = 1024
+_VERIFY_CELLS = 1 << 22
 
 __all__ = [
     "CohomologySpace",
@@ -318,8 +320,38 @@ class GroupCohomology:
             )
             yield rows.reshape(-1, forms.shape[-1]) % q
 
-    def _verify_kernel(self, vectors) -> bool:
-        return all(self.is_cocycle_matrix(self.matrix_of_flat(v)) for v in vectors)
+    def _verify_kernel(self, vectors: list[np.ndarray], gens: np.ndarray) -> bool:
+        """Is every flat cochain a cocycle?  Checks df(g, h, s) = 0 for all g, h
+        and every s in ``gens``.
+
+        By the lemma in the module docstring this is the full cocycle
+        identity, since ``gens`` generate the table.  All cochains are checked
+        at once, in blocks of g that keep every temporary within the size of
+        the stacked cochains.
+        """
+        if not vectors:
+            return True
+        t, q, w = self.t, self.q, len(self.elems)
+        values = np.zeros((self.width + 1, len(vectors)), dtype=np.int64)
+        for i, v in enumerate(vectors):
+            values[: self.width, i] = v
+        # flat index of (a, b); a or b = 1 points at the zero row of `values`
+        idx = np.full((t.order, t.order), self.width, dtype=np.int64)
+        idx[np.ix_(self.elems, self.elems)] = np.arange(self.width).reshape(w, w)
+        h = self.elems[None, :]
+        step = max(1, _VERIFY_CELLS // (w * len(vectors)))
+        for s in gens:
+            for start in range(0, w, step):
+                g = self.elems[start : start + step, None]
+                df = (
+                    values[idx[h, s]]
+                    - values[idx[t.mult[g, h], s]]
+                    + values[idx[g, t.mult[h, s]]]
+                    - values[idx[g, h]]
+                )
+                if (df % q).any():
+                    return False
+        return True
 
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
         """Independent generators (vector, order) of the cocycle module Z^2.
@@ -358,7 +390,7 @@ class GroupCohomology:
                     solved = [(v, q) for v in rows]
                 else:
                     solved = [(v, o) for v, (_, o) in zip(cocycles, kernel)]
-            if not self._verify_kernel(v for v, _ in solved):
+            if not self._verify_kernel([v for v, _ in solved], gens):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
             self._z2 = solved
         return self._z2
@@ -417,18 +449,14 @@ class GroupCohomology:
         return solve_mod(b2.T, self.flat_of_matrix(cocycle_matrix), self.q) is not None
 
     def pairing(self) -> PairingTensor:
-        """Cup tensor of the H^1 basis in decomposable-H^2 coordinates."""
-        basis = self.h1_space().basis
+        """Cup tensor of the H^1 basis in decomposable-H^2 coordinates.
+
+        The cup products are the generators of ``dec_module``, in the order
+        (i, j) -> i m + j, so their coordinates are already known.
+        """
+        m = self.h1_space().dimension
         mod = self.dec_module()
-        m = len(basis)
-        if m == 0:
-            return PairingTensor(
-                q=self.q, m=0, target_orders=tuple(mod.orders),
-                values=np.zeros((0, 0, mod.rank), dtype=np.int64),
-            )
-        flats = self.cup_flats()
-        coords = mod.coords_batch(np.array(flats, dtype=np.int64))
-        vals = coords.reshape(m, m, mod.rank)
+        vals = mod.generator_coords.reshape(m, m, mod.rank)
         return PairingTensor(q=self.q, m=m, target_orders=tuple(mod.orders), values=vals)
 
 
@@ -537,23 +565,8 @@ def _is_module_iso(matrix: np.ndarray, src_orders, tgt_orders, q: int) -> bool:
     """Does the matrix (columns = images of target gens) hit all of the source?"""
     if sorted(src_orders) != sorted(tgt_orders):
         return False
-    if not src_orders:
-        return True
     # surjective onto a finite module of the same order == bijective
-    size = math.prod(src_orders)
-    span = {tuple([0] * len(src_orders))}
-    frontier = [np.zeros(len(src_orders), dtype=np.int64)]
-    cols = [matrix[:, j] for j in range(matrix.shape[1])]
-    while frontier:
-        v = frontier.pop()
-        for c in cols:
-            wv = v + c
-            wv = np.array([x % o for x, o in zip(wv, src_orders)], dtype=np.int64)
-            key = tuple(int(x) for x in wv)
-            if key not in span:
-                span.add(key)
-                frontier.append(wv)
-    return len(span) == size
+    return math.prod(_span_invariants(matrix.T, src_orders, q)) == math.prod(src_orders)
 
 
 def pairing_gram(G: FiniteGroupTable, q: int) -> PairingTensor:
@@ -607,21 +620,13 @@ def _module_automorphisms(orders: tuple[int, ...], q: int, cap: int) -> list[np.
         total *= len(ch)
         if total > cap:
             raise SizeLimitError("target automorphism search space over bound")
-    elements = list(itertools.product(*[range(o) for o in orders]))
+    size = math.prod(orders)
     out = []
     for combo in itertools.product(*choices):
         Q = np.array(combo, dtype=np.int64).reshape(t, t)
-        images = set()
-        ok = True
-        for e in elements:
-            img = tuple(
-                int((Q[i] @ np.array(e)) % orders[i]) for i in range(t)
-            )
-            if img in images:
-                ok = False
-                break
-            images.add(img)
-        if ok:
+        # column j is the image of generator j; the endomorphism of a finite
+        # module is bijective exactly when it is onto
+        if math.prod(_span_invariants(Q.T, orders, q)) == size:
             out.append(Q)
     return out
 
@@ -636,13 +641,22 @@ def _canonical_target(tensor: PairingTensor) -> PairingTensor:
     )
 
 
-def _value_span_invariants(T: PairingTensor) -> list[int]:
-    t = T.target_dim
+def _span_invariants(vectors, orders, q: int) -> list[int]:
+    """Sorted cyclic orders of the span of the rows inside the sum of the Z/o_i.
+
+    Scaling coordinate i by q / o_i embeds Z/o_i in Z/q, so the span is
+    measured as a submodule of (Z/q)^t.
+    """
+    t = len(orders)
     if t == 0:
         return []
-    scale = np.array([T.q // o for o in T.target_orders], dtype=np.int64)
-    rows = (T.values.reshape(T.m * T.m, t) * scale) % T.q
-    return sorted(QuotientModule(rows, [], t, T.q).orders)
+    scale = np.array([q // o for o in orders], dtype=np.int64)
+    rows = (np.asarray(vectors, dtype=np.int64).reshape(-1, t) * scale) % q
+    return sorted(QuotientModule(rows, [], t, q).orders)
+
+
+def _value_span_invariants(T: PairingTensor) -> list[int]:
+    return _span_invariants(T.values.reshape(T.m * T.m, T.target_dim), T.target_orders, T.q)
 
 
 def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 2_000_000) -> bool:

@@ -350,9 +350,7 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     module = QuotientModule(np.eye(len(gens), dtype=np.int64), rows, len(gens), q)
     invariants = module.orders
     # the order of {g, g} in the quotient presents k2 on the single k1 pair
-    e11 = np.zeros(len(gens), dtype=np.int64)
-    e11[gidx[(1, 1)]] = 1
-    coords = module.coords(e11)
+    coords = module.generator_coords[gidx[(1, 1)]]
     order_of_g_g = 1
     for c, o in zip(coords, module.orders):
         if c:

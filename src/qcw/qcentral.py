@@ -357,8 +357,13 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
     return ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
 
 
-def _second_quotient_invariants(pres: Presentation, params: SeriesParams, order_bound: int) -> list[int]:
-    """Cyclic orders of G^[2, q], the cokernel of the relator exponent matrix over Z/q."""
+def _second_quotient_invariants(
+    pres: Presentation, params: SeriesParams, order_bound: int | None
+) -> list[int]:
+    """Cyclic orders of G^[2, q], the cokernel of the relator exponent matrix over Z/q.
+
+    Raises SizeLimitError when the order exceeds ``order_bound`` (None: no bound).
+    """
     q = params.q
     rows = []
     for w in pres.relators:
@@ -368,7 +373,7 @@ def _second_quotient_invariants(pres: Presentation, params: SeriesParams, order_
         rows.append(row)
     invariants = cokernel_invariants(rows, pres.rank, q)
     order = math.prod(invariants) if invariants else 1
-    if order > order_bound:
+    if order_bound is not None and order > order_bound:
         raise SizeLimitError(f"second quotient order {order} exceeds bound {order_bound}")
     return invariants
 

@@ -14,7 +14,13 @@ throughout.  Implemented criteria:
   cd(G) = m cd(K) + cd(L), so enough copies trip the dimension test.
 
 cd values are never computed from scratch: they are user-supplied or
-produced by the recorded formulas, with provenance attached.
+produced by the recorded formulas, with provenance attached.  dim H^2 is
+counted on two families only: free presentations, and presentations of
+S / [S, [S, S]], recognised from the relators' weight-3 Lie values, which
+are read off the truncated Magnus expansion (``magnus_terms``).  dim H^1
+is the number of cyclic factors of G^[2, p], found with no table; the
+wreath construction builds its table-level stand-in only when its order,
+p^(m dim H^1(K)) |P|, is within the sanity bound.
 
 Verdict records are {criterion, verdict, witness} with verdict one of
 "not-realizable", "at-most-one-realizable", "criterion-not-applicable",
@@ -29,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QcwError
-from .lie import witt_rank
+from .lie import hall_basis, witt_rank
 from .presentations import Presentation, Word, is_trivial_in_free
 from .qcentral import (
     DEFAULT_ORDER_BOUND,
     FiniteGroupTable,
     SeriesParams,
-    abelian_table,
+    _second_quotient_invariants,
     evaluate_word,
     is_isomorphic,
     second_quotient,
@@ -44,7 +50,7 @@ from .qcentral import (
     to_table,
     universal_class2,
 )
-from .zqlinalg import QuotientModule
+from .zqlinalg import QuotientModule, solve_mod
 
 __all__ = [
     "CdDescriptor",
@@ -55,6 +61,7 @@ __all__ = [
     "h1_vs_cd_check",
     "wreath_construct",
     "dim_h1_mod_p",
+    "magnus_terms",
     "weight3_lie_vector",
     "semidirect_power_table",
 ]
@@ -105,140 +112,114 @@ class Verdict:
 
 
 def dim_h1_mod_p(pres: Presentation, p: int) -> int:
-    """dim_{F_p} H^1 of the presented pro-p group (mod-p abelianization rank)."""
-    t = second_quotient(pres, SeriesParams(p=p, d=1), order_bound=1 << 30)
-    return round(math.log(t.order, p)) if t.order > 1 else 0
+    """dim_{F_p} H^1 of the presented pro-p group (mod-p abelianization rank).
+
+    This is the number of cyclic factors of G^[2, p], all of order p.
+    """
+    return len(_second_quotient_invariants(pres, SeriesParams(p=p, d=1), order_bound=None))
 
 
 # ---------------------------------------------------------------------------
-# weight-3 Lie values via class-3 collection
+# weight-3 Lie values via the truncated Magnus expansion
 #
-# Free nilpotent-of-class-3 normal form: x_1^{a_1}...x_n^{a_n} *
-# prod_{i<j} u_ij^{c_ij} * prod w^d with u_ij = [x_j, x_i] and w ranging
-# over the Hall weight-3 commutators [[x_j, x_i], x_k] (i<j, k>=i), which
-# are central.  Appending one letter x_g on the right costs, mod weight 4:
-#
-#   * u_ij^{c_ij} x_g = x_g u_ij^{c_ij} [[x_j, x_i], x_g]^{c_ij}
-#   * x_i^{a} x_g = x_g x_i^{a} u_gi^{a} [[x_i, x_g], x_i]^{a(a-1)/2}
-#     for i > g, and the fresh u_gi^{a} then passes x_k^{a_k} (k > i),
-#     costing [[x_i, x_g], x_k]^{a a_k}.
-#
-# Inverse letters are handled by inverting the forward step: y = z x_g^-1
-# is the unique y with y x_g = z.
+# x_i -> 1 + X_i embeds the free group in the units of the power series
+# ring Z<<X_1, ..., X_n>>, and w lies in gamma_k exactly when its terms of
+# degree 1 .. k-1 vanish (Magnus, Karrass and Solitar, *Combinatorial Group
+# Theory*, 5.5-5.7).  For w in gamma_3 the degree-3 term is the image of w
+# in gamma_3/gamma_4, a Lie element: [[x_j, x_i], x_k] has degree-3 term
+# [[X_j, X_i], X_k], since [a, b] - 1 = a^-1 b^-1 (ab - ba).  The degree-2
+# term of any w is its class-2 image: d2[j, i] is the exponent c_ij of
+# u_ij = [x_j, x_i] (i < j), and d1 the generator exponents a.
 
 
-class _Class3Collector:
-    def __init__(self, n: int):
-        self.n = n
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
-        self.triples = [
-            ((j, i), k)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(i, n)
-        ]
-        self.tri_index = {t: k for k, t in enumerate(self.triples)}
-        self.a = np.zeros(n, dtype=object)
-        self.c = np.zeros(len(self.pairs), dtype=object)
-        self.d = np.zeros(len(self.triples), dtype=object)
+def magnus_terms(w: Word, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of degree 1, 2 and 3 of the Magnus expansion of a word, over Z.
 
-    def hall3(self, J: int, I: int, K: int) -> np.ndarray:
-        """[[x_J, x_I], x_K] over the Hall weight-3 basis (integer vector)."""
-        vec = np.zeros(len(self.triples), dtype=object)
-        if I == J:
-            return vec
-        sign = 1
-        if I > J:
-            I, J = J, I
-            sign = -1
-        if K >= I:
-            vec[self.tri_index[((J, I), K)]] += sign
-            return vec
-        # K < I: Jacobi  [[a,b],c] = [[a,c],b] - [[b,c],a]
-        return sign * (self.hall3(J, K, I) - self.hall3(I, K, J))
+    Returns object arrays of Python integers d1 (n), d2 (n x n) and
+    d3 (n x n x n) with w = 1 + d1[i] X_i + d2[i, j] X_i X_j
+    + d3[i, j, k] X_i X_j X_k + (degree >= 4), summed over the indices.  A
+    run x_g^e is the factor (1 + X_g)^e = 1 + e X_g + C(e, 2) X_g^2
+    + C(e, 3) X_g^3 for every integer e, and right multiplication by it
+    only adds to entries whose last index is g.
+    """
+    d1 = np.zeros(n, dtype=object)
+    d2 = np.zeros((n, n), dtype=object)
+    d3 = np.zeros((n, n, n), dtype=object)
+    for g, e in w.letters:
+        g, e = int(g), int(e)
+        b2, b3 = e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6
+        d3[:, :, g] += e * d2
+        d3[:, g, g] += b2 * d1
+        d3[g, g, g] += b3
+        d2[:, g] += e * d1
+        d2[g, g] += b2
+        d1[g] += e
+    return d1, d2, d3
 
-    def _forward_dc(self, a, g: int):
-        """Weight-2 cost of multiplying a state with x-part ``a`` by x_g."""
-        dc = np.zeros(len(self.pairs), dtype=object)
-        for i in range(g + 1, self.n):
-            if a[i]:
-                dc[self.pair_index[(g, i)]] += a[i]
-        return dc
 
-    def _forward_dd(self, a, c, g: int):
-        """Weight-3 cost of multiplying the state (a, c, .) by x_g."""
-        dd = np.zeros(len(self.triples), dtype=object)
-        for idx, (i, j) in enumerate(self.pairs):
-            if c[idx]:
-                dd += c[idx] * self.hall3(j, i, g)
-        for i in range(g + 1, self.n):
-            ai = a[i]
-            if not ai:
-                continue
-            dd += (ai * (ai - 1) // 2) * self.hall3(i, g, i)
-            for k in range(i + 1, self.n):
-                if a[k]:
-                    dd += ai * a[k] * self.hall3(i, g, k)
-        return dd
+def _hall_matrix(n: int) -> np.ndarray:
+    """Flattened degree-3 Magnus terms of the Hall basis, one column each.
 
-    def mul_gen(self, g: int, sign: int):
-        if sign == 1:
-            dd = self._forward_dd(self.a, self.c, g)
-            self.c = self.c + self._forward_dc(self.a, g)
-            self.d = self.d + dd
-            self.a[g] += 1
-        else:
-            # solve y * x_g = current for y
-            a_y = self.a.copy()
-            a_y[g] -= 1
-            c_y = self.c - self._forward_dc(a_y, g)
-            self.c = c_y
-            self.d = self.d - self._forward_dd(a_y, c_y, g)
-            self.a = a_y
+    [[X_j, X_i], X_k] = X_j X_i X_k - X_i X_j X_k - X_k X_j X_i + X_k X_i X_j.
+    """
+    basis = hall_basis(n, 3)
+    H = np.zeros((n, n, n, len(basis)), dtype=np.int64)
+    for col, entry in enumerate(basis):
+        (j, i), k = entry.tree
+        H[j, i, k, col] += 1
+        H[i, j, k, col] -= 1
+        H[k, j, i, col] -= 1
+        H[k, i, j, col] += 1
+    return H.reshape(n**3, len(basis))
 
-    def feed_word(self, w: Word):
-        for g, e in w.letters:
-            s = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                self.mul_gen(g, s)
+
+def _weight3_term(w: Word, n: int, p: int) -> np.ndarray | None:
+    """The degree-3 Magnus term mod p, flattened, or None if w is not in gamma_3."""
+    d1, d2, d3 = magnus_terms(w, n)
+    if any(d1) or any(d2.flat):
+        return None
+    return (d3.reshape(-1) % p).astype(np.int64)
 
 
 def weight3_lie_vector(w: Word, n: int, p: int) -> np.ndarray | None:
     """Weight-3 Lie value mod p of a word, or None if not in gamma_3.
 
-    The word lies in gamma_3 of the free group iff its class-3 normal form
-    has trivial weight-1 and weight-2 parts; its image in
-    gamma_3/gamma_4 (x) F_p is then the weight-3 coordinate vector over the
-    Hall basis.
+    The image of w in gamma_3/gamma_4 (x) F_p, as coordinates over the Hall
+    basis ``hall_basis(n, 3)``: the solution of one linear system whose
+    columns are the Hall commutators' degree-3 Magnus terms.  The solution
+    is unique because the free Lie ring embeds in the tensor algebra also
+    mod p.
     """
-    col = _Class3Collector(n)
-    col.feed_word(w)
-    if any(int(x) for x in col.a) or any(int(x) for x in col.c):
+    term = _weight3_term(w, n, p)
+    if term is None:
         return None
-    return np.array([int(x) % p for x in col.d], dtype=np.int64)
+    coords = solve_mod(_hall_matrix(n), term, p)
+    if coords is None:
+        raise QcwError("internal error: degree-3 Magnus term is not a Lie element")
+    return coords
 
 
 def _free_class2_family_rank(pres: Presentation, p: int) -> int | None:
     """witt_rank(n, 3) when the relators normally generate [S, [S, S]].
 
     Recognition: every relator lies in gamma_3 and the weight-3 Lie values
-    span the full weight-3 component mod p.  Returns None otherwise (H^2 is
-    then not counted for this presentation).
+    span the full weight-3 component mod p.  The Lie embedding is injective
+    mod p, so the span is measured on the degree-3 Magnus terms directly.
+    Returns None otherwise (H^2 is then not counted for this presentation).
     """
     n = pres.rank
     if not pres.relators:
         return None
-    vectors = []
+    terms = []
     for r in pres.relators:
-        vec = weight3_lie_vector(r, n, p)
-        if vec is None:
+        term = _weight3_term(r, n, p)
+        if term is None:
             return None
-        vectors.append(vec)
+        terms.append(term)
     target = witt_rank(n, 3)
     if target == 0:
         return None
-    span = QuotientModule(vectors, [], len(vectors[0]), p)
+    span = QuotientModule(terms, [], n**3, p)
     return target if span.rank == target else None
 
 
@@ -471,9 +452,9 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
 
     Reports dim H^1(G) = dim H^1(K) + dim H^1(L) (from second quotients),
     cd(G) = m cd(K) + cd(L) (formula, provenance recorded), the least copy
-    count that trips the test, an explicit elementary abelian model of
-    G^[2] of order p^(dim H^1), and, when the stand-in fits the bound, an
-    independent table-level dim H^1 computed on (K^[2])^m x| P.
+    count that trips the test, the order p^(dim H^1) of G^[2] (elementary
+    abelian), and, when the stand-in fits the bound, an independent
+    table-level dim H^1 computed on (K^[2])^m x| P.
     """
     if not spec.is_transitive():
         raise QcwError("action images do not generate a transitive subgroup")
@@ -493,7 +474,6 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
             threshold = mm
             break
     inner = h1_vs_cd_check(h, cd_g, p, torsion_free)
-    model = abelian_table([p] * h)
     witness = {
         "dim_h1": h,
         "dim_h1_parts": [h_k, h_l],
@@ -501,15 +481,15 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
         "threshold_copies": threshold,
         "copies": m,
         "torsion_free": torsion_free,
-        "second_quotient_model_order": model.order,
+        "second_quotient_model_order": p**h,
         "dimension_test": inner.witness,
     }
-    k2table = second_quotient(spec.k_pres, SeriesParams(p=p, d=1))
     perms = [tuple(a) for a in spec.action]
-    P = permutation_closure(perms, m)
-    if k2table.order**m * len(P) <= sanity_bound:
+    base_order = p ** (h_k * m)  # |K^[2]|^m, known before any table is built
+    P = permutation_closure(perms, m) if base_order <= sanity_bound else None
+    if P is not None and base_order * len(P) <= sanity_bound:
         params = SeriesParams(p=p, d=1)
-        W = semidirect_power_table(k2table, m, perms)
+        W = semidirect_power_table(second_quotient(spec.k_pres, params), m, perms)
         step = series_step_oracle(W, set(range(W.order)), params)
         dim_w = round(math.log(W.order // len(step), p))
         ptable = permutation_group_table(P, perms)

@@ -301,8 +301,10 @@ def cokernel_invariants(rels, width: int, q: int) -> list[int]:
 class QuotientModule:
     """The subquotient (span(gens) + span(rels)) / span(rels) of (Z/q)^width.
 
-    Exposes independent cyclic generators (``basis`` rows with ``orders``) and
-    coordinates of arbitrary ambient vectors in that basis.
+    Exposes independent cyclic generators (``basis`` rows with ``orders``),
+    the coordinates of the given generators in that basis
+    (``generator_coords``, one row each) and coordinates of arbitrary
+    ambient vectors in it.
     """
 
     def __init__(self, gens, rels, width: int, q: int):
@@ -316,6 +318,7 @@ class QuotientModule:
         if s == 0:
             self.orders: list[int] = []
             self.basis = np.zeros((0, width), dtype=np.int64)
+            self.generator_coords = np.zeros((0, 0), dtype=np.int64)
             return
         # relation coefficients on the given generators
         stacked = np.vstack([gens, rels]).T  # width x (s + r)
@@ -323,17 +326,13 @@ class QuotientModule:
         P = _as_matrix(lam, s, q)
         dg = diagonalize(P, q, want_Vinv=True)
         newgens = (dg.Vinv @ gens) % q  # row i generates the i-th cyclic summand
-        orders, rows = [], []
-        for i, e in enumerate(dg.exps):
-            if e == 0:
-                continue
-            orders.append(self.p**e)
-            rows.append(newgens[i])
-        for j in range(len(dg.exps), s):
-            orders.append(q)
-            rows.append(newgens[j])
-        self.orders = orders
-        self.basis = _as_matrix(rows, width, q)
+        # the relations on newgens are the rows of D = U P V, so summand i has
+        # order p^exps[i] (dropped when that is 1) and the free ones order q
+        kept = [i for i, e in enumerate(dg.exps) if e > 0] + list(range(len(dg.exps), s))
+        self.orders = [self.p ** dg.exps[i] if i < len(dg.exps) else q for i in kept]
+        self.basis = _as_matrix(newgens[kept], width, q)
+        # gens = V newgens: row k of V holds generator k's coordinates
+        self.generator_coords = dg.V[:, kept] % np.array(self.orders, dtype=np.int64)
 
     @property
     def rank(self) -> int:

@@ -166,6 +166,27 @@ def test_check_wreath():
     assert v["witness"]["cd"]["value"] == 3
 
 
+def test_check_wreath_rank10_base_skips_the_table_check(tmp_path):
+    # K^[2] of a free group of rank 10 has order 1024, over the default order
+    # bound, and the stand-in (K^[2])^12 x| C12 is far over the sanity bound:
+    # no table is built, and the witness has no "sanity" entry
+    groups = tmp_path / "free10.grp"
+    groups.write_text(
+        "group free10 { generators: a,b,c,d,e,f,g,h,i,j; relators: ; }\n"
+        "group free1 { generators: x; relators: ; }\n"
+    )
+    code, rep = run_json(
+        "check", "--file", str(groups), "--wreath-k", "free10", "--wreath-l", "free1",
+        "--wreath-copies", "12", "--q", "2",
+    )
+    assert code == 0
+    w = rep["verdicts"][0]["witness"]
+    assert rep["verdicts"][0]["verdict"] == "not-realizable"
+    assert w["dim_h1"] == 11 and w["cd"]["value"] == 13 and w["threshold_copies"] == 11
+    assert w["second_quotient_model_order"] == 2048
+    assert "sanity" not in w
+
+
 def test_check_wreath_single_copy():
     code, rep = run_json(
         "check", "--file", DATA, "--wreath-k", "free1", "--wreath-l", "free1",

@@ -6,13 +6,18 @@ enumerated from all 1-cochains, and |H^2| = |Z^2| / |B^2| is compared with
 the solver's invariants.  The solver never feeds the oracle.
 """
 
+import itertools
 import math
+import os
+import random
 
 import numpy as np
 import pytest
 
 from qcw.cohom import (
     GroupCohomology,
+    _is_module_iso,
+    _module_automorphisms,
     TableHom,
     cup,
     decomposable_h2,
@@ -25,7 +30,8 @@ from qcw.cohom import (
     PairingTensor,
 )
 from qcw.errors import NotAHomomorphismError, QcwError, SizeLimitError
-from qcw.presentations import Word, free_presentation, parse_presentation
+from qcw.milnor import galois_model, parse_field
+from qcw.presentations import Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     FiniteGroupTable,
     SeriesParams,
@@ -743,3 +749,227 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
     got, want = ctx.coboundary_rows(), reference_coboundary_rows(ctx)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+# -- the cup tensor read off the dec module's generators -------------------------
+
+
+GROUPS_GRP = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
+
+
+def pairing_cases():
+    """(label, q, table): groups.grp at six q with |G| <= 128, field models, small groups."""
+    cases = []
+    groups = parse_file(open(GROUPS_GRP).read())
+    for q in (2, 3, 4, 5, 8, 9):
+        for pres in groups:
+            try:
+                t = to_table(third_quotient(pres, SeriesParams.from_q(q), 4096), 128)
+            except SizeLimitError:
+                continue
+            cases.append((f"{pres.name}_q{q}", q, t))
+    for field, q in [("Fq:5", 2), ("Fq:7", 3), ("Qp:3", 2), ("Qp:5", 2), ("Qp:7", 3), ("R", 2)]:
+        params = SeriesParams.from_q(q)
+        t = to_table(third_quotient(galois_model(parse_field(field, params)), params, 4096), 128)
+        cases.append((f"{field}_q{q}", q, t))
+    small = {
+        "d4": semidirect_power_table(cyclic_table(2), 2, [(1, 0)]),
+        "c2cubed": abelian_table([2, 2, 2]),
+        "c4xc2": abelian_table([4, 2]),
+        "c3_wr_c2": semidirect_power_table(cyclic_table(3), 2, [(1, 0)]),
+    }
+    for name, t in small.items():
+        for q in (2, 3, 4, 8):
+            cases.append((f"{name}_q{q}", q, t))
+    return cases
+
+
+def reference_pairing_values(ctx):
+    """The former ``pairing``: a second solve for the coordinates of every cup product."""
+    m = ctx.h1_space().dimension
+    mod = ctx.dec_module()
+    if m == 0:
+        return np.zeros((0, 0, mod.rank), dtype=np.int64)
+    return mod.coords_batch(np.array(ctx.cup_flats(), dtype=np.int64)).reshape(m, m, mod.rank)
+
+
+def test_pairing_matches_coordinate_solve():
+    cases = pairing_cases()
+    assert len(cases) >= 45
+    nonzero = 0
+    for label, q, t in cases:
+        ctx = GroupCohomology(t, q)
+        got, want = ctx.pairing().values, reference_pairing_values(ctx)
+        assert got.dtype == want.dtype and got.shape == want.shape, label
+        assert (got == want).all(), label
+        nonzero += bool(want.any())
+    assert nonzero >= 10
+
+
+def test_pairing_runs_no_diagonalization_after_dec_module(monkeypatch):
+    import qcw.zqlinalg
+
+    ctx = GroupCohomology(abelian_table([2, 2, 2]), 2)
+    assert ctx.dec_module().rank == 6
+    calls = []
+    real = qcw.zqlinalg.diagonalize
+    monkeypatch.setattr(
+        qcw.zqlinalg, "diagonalize", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    tensor = ctx.pairing()
+    assert calls == []
+    assert tensor.values.shape == (3, 3, 6) and tensor.values.any()
+
+
+# -- the cocycle safety net ------------------------------------------------------
+
+
+def reference_verify_kernel(ctx, vectors):
+    """The former ``_verify_kernel``: the full |G|^3 identity, one cochain at a time."""
+    return all(ctx.is_cocycle_matrix(ctx.matrix_of_flat(v)) for v in vectors)
+
+
+@pytest.mark.parametrize("name,q", [("d4", 2), ("q8", 4), ("demushkin3_q2", 3), ("cyclic8", 8), ("klein4", 9)])
+def test_verify_kernel_agrees_with_the_full_identity(name, q, request):
+    t = z2_case_table(name, request)
+    ctx = GroupCohomology(t, q)
+    vectors = [v for v, _ in ctx.z2_generators()]
+    gens, _ = ctx._spanning_tree()
+    assert ctx._verify_kernel(vectors, gens) and reference_verify_kernel(ctx, vectors)
+    rng = random.Random(len(vectors) * q)
+    for _ in range(20):
+        k, j = rng.randrange(len(vectors)), rng.randrange(ctx.width)
+        bad = [v.copy() for v in vectors]
+        bad[k][j] = (bad[k][j] + rng.randrange(1, q)) % q
+        assert not reference_verify_kernel(ctx, bad[k : k + 1])
+        assert not ctx._verify_kernel(bad, gens)
+
+
+@pytest.mark.parametrize("name,q", [("klein4", 2), ("d4", 2), ("q8", 4), ("demushkin3_q2", 3)])
+def test_verify_kernel_checks_every_generator(name, q, request):
+    # cochains with df(g, h, s) = 0 for the first generator s only
+    t = z2_case_table(name, request)
+    ctx = GroupCohomology(t, q)
+    gens, _ = ctx._spanning_tree()
+    w = t.order - 1
+    on_first = full_cocycle_matrix(t, q).reshape(w, w, w, -1)[:, :, ctx.pos[gens[0]]]
+    partial = [v for v, _ in kernel_with_orders(on_first.reshape(w * w, -1), q)]
+    bad = [v for v in partial if not reference_verify_kernel(ctx, [v])]
+    assert bad
+    assert ctx._verify_kernel(bad, gens[:1])
+    assert not any(ctx._verify_kernel([v], gens) for v in bad)
+
+
+@pytest.mark.parametrize("name", ["d4", "demushkin3_q2", "q8"])
+def test_corrupted_kernel_raises(name, request, monkeypatch):
+    t = z2_case_table(name, request)
+    real = RowSpace.kernel
+
+    def corrupted(self):
+        kernel = real(self)
+        v, o = kernel[0]
+        v = v.copy()
+        v[-1] = (v[-1] + 1) % self.q
+        return [(v, o)] + kernel[1:]
+
+    monkeypatch.setattr(RowSpace, "kernel", corrupted)
+    with pytest.raises(QcwError, match="non-cocycle"):
+        GroupCohomology(t, 2).z2_generators()
+
+
+# -- bijectivity from span invariants --------------------------------------------
+
+
+def reference_is_module_iso(matrix: np.ndarray, src_orders, tgt_orders, q: int) -> bool:
+    """The former breadth-first ``_is_module_iso``: enumerates the span."""
+    if sorted(src_orders) != sorted(tgt_orders):
+        return False
+    if not src_orders:
+        return True
+    # surjective onto a finite module of the same order == bijective
+    size = math.prod(src_orders)
+    span = {tuple([0] * len(src_orders))}
+    frontier = [np.zeros(len(src_orders), dtype=np.int64)]
+    cols = [matrix[:, j] for j in range(matrix.shape[1])]
+    while frontier:
+        v = frontier.pop()
+        for c in cols:
+            wv = v + c
+            wv = np.array([x % o for x, o in zip(wv, src_orders)], dtype=np.int64)
+            key = tuple(int(x) for x in wv)
+            if key not in span:
+                span.add(key)
+                frontier.append(wv)
+    return len(span) == size
+
+
+def reference_module_automorphisms(orders: tuple[int, ...], q: int, cap: int) -> list[np.ndarray]:
+    """The former ``_module_automorphisms``: tests each candidate on every element."""
+    t = len(orders)
+    if t == 0:
+        return [np.zeros((0, 0), dtype=np.int64)]
+    choices = []
+    for i in range(t):
+        for j in range(t):
+            g = math.gcd(orders[i], orders[j])
+            step = orders[i] // g
+            choices.append([k * step for k in range(g)])
+    total = 1
+    for ch in choices:
+        total *= len(ch)
+        if total > cap:
+            raise SizeLimitError("target automorphism search space over bound")
+    elements = list(itertools.product(*[range(o) for o in orders]))
+    out = []
+    for combo in itertools.product(*choices):
+        Q = np.array(combo, dtype=np.int64).reshape(t, t)
+        images = set()
+        ok = True
+        for e in elements:
+            img = tuple(
+                int((Q[i] @ np.array(e)) % orders[i]) for i in range(t)
+            )
+            if img in images:
+                ok = False
+                break
+            images.add(img)
+        if ok:
+            out.append(Q)
+    return out
+
+
+MIXED_ORDERS = [
+    (4, (2, 4)),
+    (8, (2, 8, 4)),
+    (8, (8, 8)),
+    (9, (3, 9)),
+    (9, (9, 3, 3)),
+    (27, (27, 3)),
+    (5, (5, 5)),
+]
+
+
+@pytest.mark.parametrize("q,orders", MIXED_ORDERS)
+def test_is_module_iso_matches_enumeration(q, orders):
+    rng = random.Random(q * 100 + len(orders))
+    hits = 0
+    for _ in range(150):
+        cols = rng.choice([len(orders), len(orders), len(orders) + 1, max(0, len(orders) - 1)])
+        M = np.array(
+            [[rng.randrange(o) for _ in range(cols)] for o in orders], dtype=np.int64
+        ).reshape(len(orders), cols)
+        if rng.random() < 0.3:
+            M = M + rng.choice(orders) * rng.randrange(3)  # unreduced entries
+        tgt = list(orders) if rng.random() < 0.9 else list(orders[::-1]) + [q]
+        want = reference_is_module_iso(M, list(orders), tgt, q)
+        assert _is_module_iso(M, list(orders), tgt, q) == want
+        hits += want
+    assert hits > 0
+
+
+@pytest.mark.parametrize("q,orders", [(4, (2, 4)), (4, (4, 2)), (8, (2, 8)), (9, (3, 9)), (3, (3, 3)), (4, (4,))])
+def test_module_automorphisms_match_enumeration(q, orders):
+    got = _module_automorphisms(orders, q, 10**6)
+    want = reference_module_automorphisms(orders, q, 10**6)
+    assert len(got) == len(want) > 0
+    assert all((a == b).all() for a, b in zip(got, want))

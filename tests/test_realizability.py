@@ -11,6 +11,7 @@ from qcw.presentations import (
     free_presentation,
     inverse,
     parse_presentation,
+    power,
 )
 from qcw.qcentral import (
     FiniteGroupTable,
@@ -33,6 +34,7 @@ from qcw.realizability import (
     WreathSpec,
     dim_h1_mod_p,
     h1_vs_cd_check,
+    magnus_terms,
     permutation_closure,
     permutation_group_table,
     principle_check,
@@ -41,6 +43,7 @@ from qcw.realizability import (
     weight3_lie_vector,
     wreath_construct,
 )
+from qcw.zqlinalg import QuotientModule
 
 P2 = SeriesParams(p=2, d=1)
 CLASS2_TEXT = "group G { generators: x,y; relators: [x,[x,y]], [y,[x,y]]; }"
@@ -106,18 +109,19 @@ def test_weight3_conjugation_invariance():
 
 
 def test_weight3_consistent_with_class2_collection():
+    # the degree <= 2 Magnus terms are the class-2 normal form: d1 = a mod q^2
+    # and d2[j, i] = c_ij mod q for i < j
     rng = random.Random(17)
-    from qcw.realizability import _Class3Collector
-
-    for params in (P2, SeriesParams(p=3, d=1)):
-        E = universal_class2(2, params)
-        for _ in range(30):
-            w = random_word(rng, 2)
-            col = _Class3Collector(2)
-            col.feed_word(w)
-            img = evaluate_word(w, E.generators(), E)
-            assert tuple(int(v) % E.q2 for v in col.a) == img.a
-            assert tuple(int(v) % E.q for v in col.c) == img.c
+    for q in (2, 3, 4, 5, 8, 9):
+        params = SeriesParams.from_q(q)
+        for n in (1, 2, 3):
+            E = universal_class2(n, params, order_bound=q ** (3 * n * n))  # never enumerated
+            for _ in range(60):
+                w = random_nested_word(rng, n, q)
+                d1, d2, _ = magnus_terms(w, n)
+                img = evaluate_word(w, E.generators(), E)
+                assert tuple(int(v) % E.q2 for v in d1) == img.a
+                assert tuple(int(d2[j, i]) % E.q for i, j in E.pairs) == img.c
 
 
 # -- principle -----------------------------------------------------------------
@@ -451,10 +455,218 @@ def test_dim_h1_mod_p():
     assert dim_h1_mod_p(parse_presentation("group A { generators: x; relators: x; }"), 2) == 0
 
 
+def test_dim_h1_mod_p_builds_no_table(monkeypatch):
+    import qcw.qcentral
+
+    def no_table(invariants):
+        raise AssertionError("abelian_table called")
+
+    monkeypatch.setattr(qcw.qcentral, "abelian_table", no_table)
+    assert dim_h1_mod_p(free_presentation(40), 2) == 40  # 2^40: far over any table bound
+    assert dim_h1_mod_p(parse_presentation(CLASS2_TEXT), 3) == 2
+    assert dim_h1_mod_p(parse_presentation("group A { generators: x,y; relators: x^3 y; }"), 3) == 1
+    spec = swap_spec(2, [(1, 0)])
+    spec.k_pres = free_presentation(10)  # the stand-in is over the sanity bound
+    w = wreath_construct(spec, 2).witness
+    assert w["second_quotient_model_order"] == 2**11 and "sanity" not in w
+
+
 def test_collector_triples_are_hall_basis():
     from qcw.lie import hall_basis
-    from qcw.realizability import _Class3Collector
 
     for n in range(1, 5):
         col = _Class3Collector(n)
         assert col.triples == [e.tree for e in hall_basis(n, 3)]
+
+
+# -- the former class-3 collector, kept as the oracle for magnus_terms --------
+#
+# Free nilpotent-of-class-3 normal form: x_1^{a_1}...x_n^{a_n} *
+# prod_{i<j} u_ij^{c_ij} * prod w^d with u_ij = [x_j, x_i] and w ranging
+# over the Hall weight-3 commutators [[x_j, x_i], x_k] (i<j, k>=i), which
+# are central.  Appending one letter x_g on the right costs, mod weight 4:
+#
+#   * u_ij^{c_ij} x_g = x_g u_ij^{c_ij} [[x_j, x_i], x_g]^{c_ij}
+#   * x_i^{a} x_g = x_g x_i^{a} u_gi^{a} [[x_i, x_g], x_i]^{a(a-1)/2}
+#     for i > g, and the fresh u_gi^{a} then passes x_k^{a_k} (k > i),
+#     costing [[x_i, x_g], x_k]^{a a_k}.
+#
+# Inverse letters are handled by inverting the forward step: y = z x_g^-1
+# is the unique y with y x_g = z.
+
+
+class _Class3Collector:
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
+        self.triples = [
+            ((j, i), k)
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(i, n)
+        ]
+        self.tri_index = {t: k for k, t in enumerate(self.triples)}
+        self.a = np.zeros(n, dtype=object)
+        self.c = np.zeros(len(self.pairs), dtype=object)
+        self.d = np.zeros(len(self.triples), dtype=object)
+
+    def hall3(self, J: int, I: int, K: int) -> np.ndarray:
+        """[[x_J, x_I], x_K] over the Hall weight-3 basis (integer vector)."""
+        vec = np.zeros(len(self.triples), dtype=object)
+        if I == J:
+            return vec
+        sign = 1
+        if I > J:
+            I, J = J, I
+            sign = -1
+        if K >= I:
+            vec[self.tri_index[((J, I), K)]] += sign
+            return vec
+        # K < I: Jacobi  [[a,b],c] = [[a,c],b] - [[b,c],a]
+        return sign * (self.hall3(J, K, I) - self.hall3(I, K, J))
+
+    def _forward_dc(self, a, g: int):
+        """Weight-2 cost of multiplying a state with x-part ``a`` by x_g."""
+        dc = np.zeros(len(self.pairs), dtype=object)
+        for i in range(g + 1, self.n):
+            if a[i]:
+                dc[self.pair_index[(g, i)]] += a[i]
+        return dc
+
+    def _forward_dd(self, a, c, g: int):
+        """Weight-3 cost of multiplying the state (a, c, .) by x_g."""
+        dd = np.zeros(len(self.triples), dtype=object)
+        for idx, (i, j) in enumerate(self.pairs):
+            if c[idx]:
+                dd += c[idx] * self.hall3(j, i, g)
+        for i in range(g + 1, self.n):
+            ai = a[i]
+            if not ai:
+                continue
+            dd += (ai * (ai - 1) // 2) * self.hall3(i, g, i)
+            for k in range(i + 1, self.n):
+                if a[k]:
+                    dd += ai * a[k] * self.hall3(i, g, k)
+        return dd
+
+    def mul_gen(self, g: int, sign: int):
+        if sign == 1:
+            dd = self._forward_dd(self.a, self.c, g)
+            self.c = self.c + self._forward_dc(self.a, g)
+            self.d = self.d + dd
+            self.a[g] += 1
+        else:
+            # solve y * x_g = current for y
+            a_y = self.a.copy()
+            a_y[g] -= 1
+            c_y = self.c - self._forward_dc(a_y, g)
+            self.c = c_y
+            self.d = self.d - self._forward_dd(a_y, c_y, g)
+            self.a = a_y
+
+    def feed_word(self, w: Word):
+        for g, e in w.letters:
+            s = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                self.mul_gen(g, s)
+
+
+def reference_weight3_lie_vector(w: Word, n: int, p: int) -> np.ndarray | None:
+    """Weight-3 Lie value mod p of a word, or None if not in gamma_3.
+
+    The word lies in gamma_3 of the free group iff its class-3 normal form
+    has trivial weight-1 and weight-2 parts; its image in
+    gamma_3/gamma_4 (x) F_p is then the weight-3 coordinate vector over the
+    Hall basis.
+    """
+    col = _Class3Collector(n)
+    col.feed_word(w)
+    if any(int(x) for x in col.a) or any(int(x) for x in col.c):
+        return None
+    return np.array([int(x) % p for x in col.d], dtype=np.int64)
+
+
+def random_nested_word(rng, n, q, depth=2):
+    """A run, a product, a power or a (nested) commutator of random words.
+
+    Exponents are drawn from +-1, +-2, +-q and +-(q^2 + 1).
+    """
+    exps = [1, 2, q, q * q + 1]
+    kind = rng.randrange(4) if depth else 0
+    if kind == 0:
+        return Word(((rng.randrange(n), rng.choice(exps) * rng.choice([-1, 1])),))
+    a = random_nested_word(rng, n, q, depth - 1)
+    if kind == 1:
+        return concat(a, random_nested_word(rng, n, q, depth - 1))
+    if kind == 2:
+        return power(a, rng.choice([-2, -1, 2]))
+    return commutator(a, random_nested_word(rng, n, q, depth - 1))
+
+
+def random_gamma3_word(rng, n, q):
+    """A product of (conjugated) commutators [[a, b], c] of random words,
+    sometimes times a random word (which usually leaves gamma_3).
+
+    a, b and c are mostly short products of runs, whose images in the
+    abelianization are rarely zero mod p, so most Lie values are nonzero.
+    """
+
+    def factor():
+        if rng.random() < 0.2:
+            return random_nested_word(rng, n, q, 1)
+        return concat(*(random_nested_word(rng, n, q, 0) for _ in range(rng.randint(1, 3))))
+
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        c = commutator(commutator(factor(), factor()), factor())
+        if rng.random() < 0.3:
+            g = random_nested_word(rng, n, q, 0)
+            c = concat(inverse(g), c, g)
+        parts.append(c)
+    if rng.random() < 0.25:
+        parts.append(random_nested_word(rng, n, q, 1))
+    return concat(*parts)
+
+
+def test_weight3_matches_the_class3_collector():
+    rng = random.Random(2024)
+    checked = inside = nonzero = 0
+    while checked < 2000:
+        n, p = rng.choice([1, 2, 3, 3, 4, 4]), rng.choice([2, 3, 5])
+        w = random_gamma3_word(rng, n, p) if rng.random() < 0.8 else random_nested_word(rng, n, p)
+        if len(w) > 200:  # the collector takes one step per letter
+            continue
+        want = reference_weight3_lie_vector(w, n, p)
+        got = weight3_lie_vector(w, n, p)
+        if want is None:
+            assert got is None, w
+        else:
+            assert got is not None and got.dtype == want.dtype and (got == want).all(), w
+            inside += 1
+            nonzero += bool(want.any())
+        checked += 1
+    assert inside > 1000 and nonzero > 300
+
+
+def test_weight3_is_exact_for_huge_exponents():
+    # [[x^N, y], z] = N [[x, y], z] in gamma_3/gamma_4; C(N, 3) overflows int64
+    N = 10**9 + 7
+    a, b, c = x(0), x(1), x(2)
+    for p in (2, 3, 5, 7):
+        big = weight3_lie_vector(commutator(commutator(Word(((0, N),)), b), c), 3, p)
+        unit = weight3_lie_vector(commutator(commutator(a, b), c), 3, p)
+        assert big is not None and unit is not None and unit.any()
+        assert (big == (N * unit) % p).all()
+    d1, d2, d3 = magnus_terms(Word(((0, -N),)), 1)
+    assert (d1[0], d2[0, 0], d3[0, 0, 0]) == (-N, N * (N + 1) // 2, -N * (N + 1) * (N + 2) // 6)
+
+
+def test_hall_matrix_is_injective_mod_p():
+    from qcw.lie import witt_rank
+    from qcw.realizability import _hall_matrix
+
+    for n in range(1, 6):
+        for p in (2, 3, 5):
+            H = _hall_matrix(n)
+            assert QuotientModule(H.T, [], n**3, p).rank == witt_rank(n, 3)

@@ -327,6 +327,23 @@ def test_quotient_module_invariants(q):
             assert module.contains_in_rels((v - recon) % q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
+def test_generator_coords_match_coords_batch(q):
+    rng = random.Random(31 * q)
+    for _ in range(40):
+        w = rng.randint(1, 5)
+        gens = random_matrix(rng, (rng.randint(0, 6), w), q, density=rng.choice([0.4, 1.0]))
+        rels = random_matrix(rng, (rng.randint(0, 3), w), q)
+        gens, rels = gens.reshape(-1, w), rels.reshape(-1, w)
+        if rng.random() < 0.3 and len(rels) and len(gens):
+            gens[0] = (rng.randrange(q) * rels[0]) % q  # a generator inside the relations
+        module = QuotientModule(gens, rels, w, q)
+        got = module.generator_coords
+        assert got.dtype == np.int64 and got.shape == (len(gens), module.rank)
+        if len(gens):
+            assert (got == module.coords_batch(gens)).all()
+
+
 @pytest.mark.parametrize("q", [2, 4, 9])
 def test_coords_of_a_zero_module_check_every_vector(q):
     # gens inside the relations: rank 0, and coords_batch only checks membership
