@@ -43,6 +43,15 @@ of R are, since each module is the annihilator of the other.  Otherwise the
 extended kernel generators are returned with their orders: the same
 module and orders, other representatives.
 
+After the solve, degree 2 stays on the |S| (|G|-1) generator values:
+``restrict`` reads f(x, s) off a cochain, ``extend`` walks the tree back,
+and no other code converts.  Restriction is injective on Z^2 (a cocycle is
+fixed by these values), and B^2 and the cup products lie in Z^2, so
+H^2 = Z^2 / B^2 and its decomposable part are the same modules on
+restricted vectors; the basis cochains reported are their extensions.  Bar
+width is left only in the canonical read-off above, its safety net and
+those basis cochains.
+
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
 (the length of the cyclic-invariant list), which coincides with the F_p
@@ -173,6 +182,7 @@ class GroupCohomology:
         self.pos = pos
         self.width = (n - 1) * (n - 1)
         self._h1: CohomologySpace | None = None
+        self._tree: tuple[np.ndarray, list[tuple[int, int, int]]] | None = None
         self._b2: np.ndarray | None = None
         self._z2: list[tuple[np.ndarray, int]] | None = None
         self._h2_module: QuotientModule | None = None
@@ -209,51 +219,48 @@ class GroupCohomology:
             self._h1 = CohomologySpace(degree=1, modulus=q, invariants=invariants, basis=basis)
         return self._h1
 
-    # -- normalized 2-cochain plumbing ---------------------------------------
+    # -- the generator-value coordinates ---------------------------------------
 
-    def flat_of_matrix(self, F: np.ndarray) -> np.ndarray:
-        return F[np.ix_(self.elems, self.elems)].reshape(self.width) % self.q
+    def restrict(self, F) -> np.ndarray:
+        """The generator values f(g, s), g != 1, of 2-cochains, g-major.
 
-    def matrix_of_flat(self, v: np.ndarray) -> np.ndarray:
-        n = self.t.order
-        F = np.zeros((n, n), dtype=np.int64)
-        F[np.ix_(self.elems, self.elems)] = np.asarray(v, dtype=np.int64).reshape(
-            n - 1, n - 1
-        ) % self.q
-        return F
+        ``F`` is a |G| x |G| cochain or flat (|G|-1)^2 bar vectors as
+        ``z2_generators`` returns them, either stacked on leading axes.
+        """
+        gens, _ = self._spanning_tree()
+        F = np.asarray(F, dtype=np.int64)
+        w = len(self.elems)
+        if F.shape[-1] == self.width:  # flat: row g, column h, both != 1
+            F = F.reshape(F.shape[:-1] + (w, w))[..., self.pos[gens]]
+        else:
+            F = F[..., self.elems[:, None], gens]
+        return F.reshape(F.shape[:-2] + (w * len(gens),)) % self.q
 
-    def is_cocycle_matrix(self, F: np.ndarray) -> bool:
-        m, q = self.t.mult, self.q
-        n = self.t.order
-        lhs = F[:, :, None] + F[m, :]  # F[g, h] + F[gh, k]
-        rhs = F[None, :, :] + F[np.arange(n)[:, None, None], m[None, :, :]]
-        return bool(((lhs - rhs) % q == 0).all())
+    def extend(self, vectors) -> np.ndarray:
+        """The |G| x |G| cochains that take the generator values in the rows
+        of ``vectors`` and satisfy the tree equations; on a cocycle F,
+        ``extend(restrict(F)) == F``."""
+        gens, edges = self._spanning_tree()
+        values = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), len(self.elems), len(gens))
+        return np.moveaxis(self._along_tree(np.moveaxis(values, 0, -1), gens, edges), -1, 0)
 
     def coboundary_rows(self) -> np.ndarray:
-        """Rows spanning B^2: d(u_x) for the point-mass 1-cochains u_x."""
+        """Rows spanning B^2: d(u_x)(g, s) = u_x(g) + u_x(s) - u_x(gs) for the
+        point-mass 1-cochains u_x, on the generator values."""
         if self._b2 is None:
-            t, w = self.t, self.t.order - 1
-            # column (g, h) gets +1 in row g, +1 in row h and -1 in row gh (none if gh = 1);
+            gens, _ = self._spanning_tree()
+            g, s = (a.reshape(-1) for a in np.meshgrid(self.elems, gens, indexing="ij"))
+            col = np.arange(len(g))
+            # column (g, s) gets +1 in row g, +1 in row s and -1 in row gs (none if gs = 1);
             # the columns of one update are distinct, so plain fancy-index updates suffice
-            g, h = (a.reshape(-1) for a in np.meshgrid(self.elems, self.elems, indexing="ij"))
-            col = np.arange(self.width)
-            rows = np.zeros((w, self.width), dtype=np.int64)
+            rows = np.zeros((len(self.elems), len(g)), dtype=np.int64)
             rows[self.pos[g], col] += 1
-            rows[self.pos[h], col] += 1
-            gh = t.mult[g, h]
-            alive = gh != t.identity
-            rows[self.pos[gh[alive]], col[alive]] -= 1
+            rows[self.pos[s], col] += 1
+            gs = self.t.mult[g, s]
+            alive = gs != self.t.identity
+            rows[self.pos[gs[alive]], col[alive]] -= 1
             self._b2 = rows % self.q
         return self._b2
-
-    def coboundary_of(self, u: np.ndarray) -> np.ndarray:
-        """(d u)(g, h) = u(g) - u(gh) + u(h), as a full matrix."""
-        t = self.t
-        F = u[:, None] + u[None, :] - u[t.mult]
-        F = F % self.q
-        F[t.identity, :] = 0
-        F[:, t.identity] = 0
-        return F
 
     # -- degree 2 -------------------------------------------------------------
 
@@ -263,6 +270,8 @@ class GroupCohomology:
         Returns the generators (deduplicated, identity dropped) and the tree
         edges (k', i, k) with k = k' * gens[i], in BFS order from the identity.
         """
+        if self._tree is not None:
+            return self._tree
         t = self.t
         gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
         seen = np.zeros(t.order, dtype=bool)
@@ -277,7 +286,8 @@ class GroupCohomology:
                     edges.append((parent, i, k))
         if len(queue) < t.order:
             raise QcwError("listed generators do not generate the table")
-        return gens, edges
+        self._tree = gens, edges
+        return self._tree
 
     def _along_tree(self, values: np.ndarray, gens: np.ndarray, edges) -> np.ndarray:
         """Extend generator values f(x, s) to all f(g, k) by the tree equations.
@@ -378,9 +388,8 @@ class GroupCohomology:
             kernel = rs.kernel()
             solved = []
             if kernel:
-                values = np.array([v for v, _ in kernel], dtype=np.int64).T.reshape(w, ns, -1)
-                F = self._along_tree(values, gens, edges)
-                cocycles = F[np.ix_(self.elems, self.elems)].reshape(self.width, -1).T
+                F = self.extend([v for v, _ in kernel])
+                cocycles = F[:, self.elems[:, None], self.elems].reshape(len(kernel), self.width)
                 canon = RowSpace(self.width, q)
                 canon.add_rows(cocycles[:, ::-1])
                 if canon.unit_pivots:
@@ -397,13 +406,16 @@ class GroupCohomology:
 
     def h2_module(self) -> QuotientModule:
         if self._h2_module is None:
-            gens = [v for v, _ in self.z2_generators()]
-            self._h2_module = QuotientModule(gens, self.coboundary_rows(), self.width, self.q)
+            z2 = [self.restrict(v) for v, _ in self.z2_generators()]
+            b2 = self.coboundary_rows()
+            self._h2_module = QuotientModule(z2, b2, b2.shape[1], self.q)
         return self._h2_module
 
     def h2_space(self) -> CohomologySpace:
-        mod = self.h2_module()
-        basis = [self.matrix_of_flat(row) for row in mod.basis]
+        return self._space(self.h2_module())
+
+    def _space(self, mod: QuotientModule) -> CohomologySpace:
+        basis = list(self.extend(mod.basis))
         return CohomologySpace(degree=2, modulus=self.q, invariants=list(mod.orders), basis=basis)
 
     # -- cup products and the decomposable part -------------------------------
@@ -416,13 +428,10 @@ class GroupCohomology:
         return F
 
     def cup_flats(self) -> list[np.ndarray]:
-        """Flattened cup products of all ordered pairs from the H^1 basis."""
+        """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis."""
         basis = self.h1_space().basis
-        return [
-            self.flat_of_matrix(self.cup_matrix(a, b))
-            for a in basis
-            for b in basis
-        ]
+        gens, _ = self._spanning_tree()
+        return [np.outer(a[self.elems], b[gens]).reshape(-1) % self.q for a in basis for b in basis]
 
     def dec_module(self) -> QuotientModule:
         """Span of cup products of H^1 classes, modulo coboundaries.
@@ -431,22 +440,23 @@ class GroupCohomology:
         degree-2 bound.
         """
         if self._dec_module is None:
-            self._dec_module = QuotientModule(
-                self.cup_flats(), self.coboundary_rows(), self.width, self.q
-            )
+            b2 = self.coboundary_rows()
+            self._dec_module = QuotientModule(self.cup_flats(), b2, b2.shape[1], self.q)
         return self._dec_module
 
     def dec_space(self) -> CohomologySpace:
-        mod = self.dec_module()
-        basis = [self.matrix_of_flat(row) for row in mod.basis]
-        return CohomologySpace(degree=2, modulus=self.q, invariants=list(mod.orders), basis=basis)
+        return self._space(self.dec_module())
 
-    def class_coords(self, cocycle_matrix: np.ndarray, module: QuotientModule) -> np.ndarray:
-        return module.coords(self.flat_of_matrix(cocycle_matrix))
-
-    def is_coboundary(self, cocycle_matrix: np.ndarray) -> bool:
-        b2 = self.coboundary_rows()
-        return solve_mod(b2.T, self.flat_of_matrix(cocycle_matrix), self.q) is not None
+    def is_coboundary(self, cochain: np.ndarray) -> bool:
+        """Is the cochain, off the identity, a coboundary?  A coboundary is a
+        cocycle, so it is the extension of its generator values, and those
+        lie in the span of ``coboundary_rows``; conversely both imply it."""
+        F = np.asarray(cochain, dtype=np.int64) % self.q
+        values = self.restrict(F)
+        inner = np.ix_(self.elems, self.elems)
+        if (self.extend(values[None])[0][inner] != F[inner]).any():
+            return False
+        return solve_mod(self.coboundary_rows().T, values, self.q) is not None
 
     def pairing(self) -> PairingTensor:
         """Cup tensor of the H^1 basis in decomposable-H^2 coordinates.
@@ -491,14 +501,8 @@ class DecomposableH2:
 def decomposable_h2(G: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> DecomposableH2:
     """The decomposable subspace of H^2 and its inclusion matrix into H^2."""
     ctx = GroupCohomology(G, q, h2_bound=h2_bound)
-    dec = ctx.dec_space()
-    h2mod = ctx.h2_module()
-    if dec.basis:
-        cols = h2mod.coords_batch(np.array([ctx.flat_of_matrix(b) for b in dec.basis]))
-        inclusion = cols.T
-    else:
-        inclusion = np.zeros((h2mod.rank, 0), dtype=np.int64)
-    return DecomposableH2(space=dec, inclusion=inclusion)
+    inclusion = ctx.h2_module().coords_batch(ctx.dec_module().basis).T
+    return DecomposableH2(space=ctx.dec_space(), inclusion=inclusion)
 
 
 def inflation(pi: TableHom, cls: np.ndarray) -> np.ndarray:
@@ -519,12 +523,6 @@ class InducedMaps:
     dec_matrix: np.ndarray
     h1_bijective: bool
     dec_bijective: bool
-
-
-def _pullback_coords(
-    src_ctx: GroupCohomology, vectors: list[np.ndarray], module: QuotientModule
-) -> list[np.ndarray]:
-    return [module.coords(src_ctx.flat_of_matrix(v)) for v in vectors]
 
 
 def induced_h_maps(pi: TableHom, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> InducedMaps:
@@ -551,10 +549,8 @@ def induced_h_maps(pi: TableHom, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> In
     src_dec = src.dec_module()
     tgt_dec = tgt.dec_space()
     if tgt_dec.basis:
-        pulled = [
-            src.flat_of_matrix(b[np.ix_(pi.mapping, pi.mapping)]) for b in tgt_dec.basis
-        ]
-        m2 = src_dec.coords_batch(np.array(pulled)).T
+        pulled = src.restrict(np.array([b[np.ix_(pi.mapping, pi.mapping)] for b in tgt_dec.basis]))
+        m2 = src_dec.coords_batch(pulled).T
     else:
         m2 = np.zeros((src_dec.rank, 0), dtype=np.int64)
     dec_bij = _is_module_iso(m2, list(src_dec.orders), list(tgt_dec.invariants), q)

@@ -203,6 +203,16 @@ def test_check_dimension_test_direct():
     assert rep["verdicts"][0]["verdict"] == "not-realizable"
 
 
+def test_compare_qp11_q5_order625():
+    # |G| = 625: a bar-width B^2 would be 624 x 389376 int64 (1.81 GiB); on the
+    # generator values it is 624 x 1248
+    code, rep = run_json("compare", "Qp:11", "--q", "5", "--order-bound", "4000")
+    assert code == 0
+    assert rep["verdict"] == "COMPARISON-CONSISTENT"
+    assert rep["cohomology"]["quotient_order"] == 625
+    assert rep["cohomology"]["dec_invariants"] == [5]
+
+
 def test_error_exit_codes():
     code, _ = run_cli("quotient", DATA, "nosuchgroup")
     assert code == 1

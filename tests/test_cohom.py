@@ -44,7 +44,7 @@ from qcw.qcentral import (
     universal_class2,
 )
 from qcw.realizability import semidirect_power_table
-from qcw.zqlinalg import RowSpace, kernel_with_orders, solve_mod_many
+from qcw.zqlinalg import QuotientModule, RowSpace, kernel_with_orders, solve_mod_many
 from test_zqlinalg import ReferenceRowSpace
 
 P2 = SeriesParams(p=2, d=1)
@@ -109,7 +109,7 @@ def test_h2_against_brute_force(table, q, expected_invariants):
     assert math.prod(space.invariants) == brute_h2_order(table, q)
     ctx = GroupCohomology(table, q)
     for b in space.basis:
-        assert ctx.is_cocycle_matrix(b)
+        assert is_cocycle_matrix(ctx, b)
 
 
 def test_h2_dimensions_cyclic_family():
@@ -316,7 +316,7 @@ def test_h2_basis_all_cocycles_demushkin():
     ctx = GroupCohomology(t, 2)
     space = ctx.h2_space()
     for b in space.basis:
-        assert ctx.is_cocycle_matrix(b)
+        assert is_cocycle_matrix(ctx, b)
     dec = ctx.dec_module()
     assert dec.rank <= space.dimension
 
@@ -551,8 +551,29 @@ def reference_kernel_of_rowspace(rs, width, q):
     return kernel_with_orders(rs.rows_matrix(), q)
 
 
+def is_cocycle_matrix(ctx, F):
+    """The former ``GroupCohomology.is_cocycle_matrix``: the full |G|^3 cocycle identity."""
+    m, q, n = ctx.t.mult, ctx.q, ctx.t.order
+    lhs = F[:, :, None] + F[m, :]  # F[g, h] + F[gh, k]
+    rhs = F[None, :, :] + F[np.arange(n)[:, None, None], m[None, :, :]]
+    return bool(((lhs - rhs) % q == 0).all())
+
+
+def flat_of_matrix(ctx, F):
+    """The former ``GroupCohomology.flat_of_matrix``: the (|G|-1)^2 bar values of F."""
+    return F[np.ix_(ctx.elems, ctx.elems)].reshape(ctx.width) % ctx.q
+
+
+def matrix_of_flat(ctx, v):
+    """The former ``GroupCohomology.matrix_of_flat``: the |G| x |G| cochain of bar values v."""
+    n = ctx.t.order
+    F = np.zeros((n, n), dtype=np.int64)
+    F[np.ix_(ctx.elems, ctx.elems)] = np.asarray(v, dtype=np.int64).reshape(n - 1, n - 1) % ctx.q
+    return F
+
+
 def reference_coboundary_rows(ctx):
-    """The former ``GroupCohomology.coboundary_rows``: one |G| x |G| matrix per element."""
+    """The former bar-width ``GroupCohomology.coboundary_rows``: one |G| x |G| matrix per element."""
     t, q, n = ctx.t, ctx.q, ctx.t.order
     rows = np.zeros((n - 1, ctx.width), dtype=np.int64)
     for k, x in enumerate(ctx.elems):
@@ -560,8 +581,15 @@ def reference_coboundary_rows(ctx):
         F[x, :] += 1
         F[:, x] += 1
         F[t.mult == x] -= 1
-        rows[k] = ctx.flat_of_matrix(F)
+        rows[k] = flat_of_matrix(ctx, F)
     return rows % q
+
+
+def generator_columns(ctx):
+    """Bar columns (g, s), g-major, of the listed generators s (deduplicated, identity dropped)."""
+    t, w = ctx.t, ctx.t.order - 1
+    gens = [s for s in dict.fromkeys(t.generators) if s != t.identity]
+    return np.array([ctx.pos[g] * w + ctx.pos[s] for g in ctx.elems for s in gens], dtype=np.int64)
 
 
 def relabelled(t):
@@ -746,9 +774,122 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
         build = SMALL_TABLES[name]
         t = build() if build else quaternion_table
     ctx = GroupCohomology(t, q)
-    got, want = ctx.coboundary_rows(), reference_coboundary_rows(ctx)
+    got = ctx.coboundary_rows()
+    want = reference_coboundary_rows(ctx)[:, generator_columns(ctx)]
+    assert got.shape == (t.order - 1, len(set(t.generators) - {t.identity}) * (t.order - 1))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+def test_quotients_stay_on_the_generator_values(monkeypatch):
+    # every QuotientModule behind H^2, the decomposable part, the pairing and
+    # the inclusion is |S|(|G|-1) wide, not (|G|-1)^2
+    import qcw.cohom
+
+    t = to_table(third_quotient(free_presentation(2), P2))
+    widths = []
+    real = qcw.cohom.QuotientModule
+
+    def spy(gens, rels, width, q):
+        widths.append(width)
+        return real(gens, rels, width, q)
+
+    monkeypatch.setattr(qcw.cohom, "QuotientModule", spy)
+    decomposable_h2(t, 2)
+    GroupCohomology(t, 2).pairing()
+    assert widths == [2 * (t.order - 1)] * 3
+
+
+def small_table(name, request):
+    if name.endswith("_relabelled"):
+        return relabelled(small_table(name[: -len("_relabelled")], request))
+    build = SMALL_TABLES[name]
+    return build() if build else request.getfixturevalue("quaternion_table")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES) + ["q8_relabelled", "d4_relabelled"])
+def test_quotients_match_the_bar_width_oracle(name, q, request):
+    # H^2, decomposable H^2, the cup tensor and the inclusion, each also built
+    # as a full-width QuotientModule on bar cochains from the reference B^2
+    t = small_table(name, request)
+    ctx = GroupCohomology(t, q)
+    b2 = reference_coboundary_rows(ctx)
+    ref_h2 = QuotientModule([v for v, _ in ctx.z2_generators()], b2, ctx.width, q)
+    basis = ctx.h1_space().basis
+    cups = [flat_of_matrix(ctx, ctx.cup_matrix(a, b)) for a in basis for b in basis]
+    ref_dec = QuotientModule(cups, b2, ctx.width, q)
+    h2mod, dec = ctx.h2_module(), ctx.dec_module()
+    assert h2mod.orders == ref_h2.orders and dec.orders == ref_dec.orders
+    for mod, ref, space in [(h2mod, ref_h2, ctx.h2_space()), (dec, ref_dec, ctx.dec_space())]:
+        assert len(space.basis) == len(ref.basis)
+        assert all((F == matrix_of_flat(ctx, v)).all() for F, v in zip(space.basis, ref.basis))
+    m = len(basis)
+    want = ref_dec.generator_coords.reshape(m, m, ref_dec.rank)
+    got = ctx.pairing()
+    assert got.values.shape == want.shape and (got.values == want).all()
+    assert got.target_orders == tuple(ref_dec.orders)
+    inclusion = decomposable_h2(t, q).inclusion
+    if ref_dec.rank:
+        want = ref_h2.coords_batch(ref_dec.basis).T
+    else:
+        want = np.zeros((ref_h2.rank, 0), dtype=np.int64)
+    assert inclusion.shape == want.shape and (inclusion == want).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_is_coboundary_matches_the_bar_width_solve(name, q, request):
+    t = small_table(name, request)
+    ctx = GroupCohomology(t, q)
+    b2 = reference_coboundary_rows(ctx)
+    rng = np.random.default_rng(t.order * q)
+    basis = ctx.h1_space().basis
+    hits = 0
+    for trial in range(24):
+        u = rng.integers(0, q, t.order)
+        u[t.identity] = 0
+        F = (u[:, None] + u[None, :] - u[t.mult]) % q
+        if trial % 3 == 1 and basis:
+            F = F + ctx.cup_matrix(basis[trial % len(basis)], basis[-1])
+        elif trial % 3 == 2:
+            F[rng.integers(1, t.order), rng.integers(1, t.order)] += rng.integers(1, q)
+        F[t.identity, :] = F[:, t.identity] = 0
+        want = solve_mod_many(b2.T, flat_of_matrix(ctx, F), q)[0] is not None
+        assert ctx.is_coboundary(F) == want
+        hits += want
+    assert 0 < hits < 24
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("name", ["cyclic8", "q8", "demushkin3_q2"])
+def test_is_coboundary_rejects_a_non_cocycle_with_coboundary_generator_values(name, q, request):
+    t = small_table(name, request)
+    ctx = GroupCohomology(t, q)
+    u = np.arange(t.order, dtype=np.int64) % q
+    du = (u[:, None] + u[None, :] - u[t.mult]) % q
+    du[t.identity, :] = du[:, t.identity] = 0
+    assert ctx.is_coboundary(du)
+    # change d(u) at one (g, h) with h neither 1 nor a listed generator
+    off = [h for h in ctx.elems if h not in set(t.generators)]
+    F = du.copy()
+    F[ctx.elems[-1], off[-1]] = (F[ctx.elems[-1], off[-1]] + 1) % q
+    assert (ctx.restrict(F) == ctx.restrict(du)).all()
+    assert solve_mod_many(ctx.coboundary_rows().T, ctx.restrict(F), q)[0] is not None
+    assert not is_cocycle_matrix(ctx, F)
+    assert not ctx.is_coboundary(F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES) + ["q8_relabelled", "d4_relabelled"])
+def test_extend_inverts_restrict_on_cocycles(name, q, request):
+    t = small_table(name, request)
+    ctx = GroupCohomology(t, q)
+    cocycles = np.array([matrix_of_flat(ctx, v) for v, _ in ctx.z2_generators()])
+    flats = np.array([v for v, _ in ctx.z2_generators()])
+    assert (ctx.restrict(flats) == ctx.restrict(cocycles)).all()
+    assert (ctx.restrict(flats) == flats[:, generator_columns(ctx)]).all()
+    assert (ctx.extend(ctx.restrict(cocycles)) == cocycles).all()
 
 
 # -- the cup tensor read off the dec module's generators -------------------------
@@ -826,7 +967,7 @@ def test_pairing_runs_no_diagonalization_after_dec_module(monkeypatch):
 
 def reference_verify_kernel(ctx, vectors):
     """The former ``_verify_kernel``: the full |G|^3 identity, one cochain at a time."""
-    return all(ctx.is_cocycle_matrix(ctx.matrix_of_flat(v)) for v in vectors)
+    return all(is_cocycle_matrix(ctx, matrix_of_flat(ctx, v)) for v in vectors)
 
 
 @pytest.mark.parametrize("name,q", [("d4", 2), ("q8", 4), ("demushkin3_q2", 3), ("cyclic8", 8), ("klein4", 9)])
