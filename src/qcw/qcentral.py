@@ -38,6 +38,20 @@ elements of N that lift its rows) and then by the second gives the least
 (a, c) of its coset.  Each pivot p^e makes its digit range over [0, p^e)
 and every other digit over [0, q^2) (a) or [0, q) (c), so the reduced
 forms number E/N densely in mixed radix, in the order of the least (a, c).
+
+Tables are built and searched from the listed generators, on two lemmas.
+
+* Rows.  If k = x_i k', then row k of the table is row k' read through
+  left[i] = x_i * (.), since (x_i k') j = x_i (k' j).  ``to_table`` collects
+  only the n |G| products x_i g and fills the rows along BFS layers of left
+  multiplication by the generators, which reach every element of a finite
+  group.
+* Series steps.  For H normal in G = <X>, H^q [H, G] is the normal closure
+  of {h^q, [h, x] : h in H, x in X}: modulo that closure every h commutes
+  with every x, so h is central, and h^q = 1.  Likewise [G, G] is the normal
+  closure of the [x, y] and [H, G] that of the [h, x].  A subgroup K is
+  normal when K^x lies in K for each x in X, because K^x has the order of K
+  and X generates G as a monoid.  ``_closure_mask`` computes these closures.
 """
 
 from __future__ import annotations
@@ -427,6 +441,20 @@ class FiniteGroupTable:
         self.mult = np.asarray(self.mult, dtype=np.int64)
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._generated = False
+
+    def listed_generators(self) -> np.ndarray:
+        """The listed generators as an index array, checked once to generate the table.
+
+        The closures of ``_closure_mask`` conjugate by these only, which
+        needs them to generate.
+        """
+        gens = np.array(self.generators, dtype=np.int64)
+        if not self._generated:
+            if _closure_mask(self, gens).sum() != self.order:
+                raise QcwError("listed generators do not generate the table")
+            self._generated = True
+        return gens
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
@@ -472,45 +500,36 @@ class FiniteGroupTable:
 
     def closure(self, elements) -> set[int]:
         """Subgroup generated by the given element indices."""
-        gens = {int(e) for e in elements}
-        gens |= {int(self.inverses()[e]) for e in gens}
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = int(self.mult[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return _mask_set(_closure_mask(self, _index_array(elements)))
 
     def commutator_of(self, g: int, h: int) -> int:
         inv = self.inverses()
         return int(self.mult[self.mult[self.mult[inv[g], inv[h]], g], h])
 
-    def _commutators_block(self, left: np.ndarray) -> np.ndarray:
-        """Matrix of [g, h] = g^-1 h^-1 g h over g in ``left``, h in G."""
+    def commutators(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """[g, h] = g^-1 h^-1 g h over g in ``left`` (rows), h in ``right`` (columns)."""
         inv = self.inverses()
-        everyone = np.arange(self.order)
-        s1 = self.mult[np.ix_(inv[left], inv)]          # g^-1 h^-1
-        s2 = self.mult[s1, left[:, None]]               # ... * g
-        return self.mult[s2, everyone[None, :]]         # ... * h
+        left, right = left[:, None], right[None, :]
+        return self.mult[self.mult[self.mult[inv[left], inv[right]], left], right]
+
+    def _derived_mask(self) -> np.ndarray:
+        gens = self.listed_generators()
+        return _closure_mask(self, self.commutators(gens, gens).ravel(), gens)
 
     def derived_subgroup(self) -> set[int]:
-        comms = self._commutators_block(np.arange(self.order))
-        return self.closure(np.unique(comms))
+        return _mask_set(self._derived_mask())
 
     def nilpotency_class(self) -> int:
         if self.order == 1:
             return 0
-        layer = self.derived_subgroup()
+        gens = self.listed_generators()
+        layer = self._derived_mask()
         cls = 1
-        while layer != {self.identity}:
+        while layer.sum() > 1:
             cls += 1
-            block = self._commutators_block(np.array(sorted(layer), dtype=np.int64))
-            newlayer = self.closure(np.unique(block))
-            if newlayer == layer:
+            # [H, G] is the normal closure of the [h, x], x listed
+            newlayer = _closure_mask(self, self.commutators(np.flatnonzero(layer), gens).ravel(), gens)
+            if (newlayer == layer).all():
                 raise QcwError("lower central series stalls: table is not nilpotent")
             layer = newlayer
         return cls
@@ -531,6 +550,48 @@ class FiniteGroupTable:
 
     def generates(self, elements) -> bool:
         return len(self.closure(elements)) == self.order
+
+
+def _index_array(elements) -> np.ndarray:
+    return np.fromiter((int(x) for x in elements), dtype=np.int64)
+
+
+def _mask_set(mask: np.ndarray) -> set[int]:
+    return set(np.flatnonzero(mask).tolist())
+
+
+def _closure_mask(t: FiniteGroupTable, seeds: np.ndarray, conjugators: np.ndarray | None = None) -> np.ndarray:
+    """Membership mask of the subgroup K generated by ``seeds`` and closed
+    under conjugation by ``conjugators`` (the normal closure, when they are
+    the listed generators).
+
+    A seed already in K is skipped; any other one becomes a generator of K,
+    K grows by a BFS of frontier x chosen-generator products, and the new
+    generator's conjugates are queued as seeds.  When the queue runs dry,
+    every generator of K has its conjugates in K, so K^x = K for every
+    conjugator x.
+    """
+    mult = t.mult
+    member = np.zeros(t.order, dtype=bool)
+    member[t.identity] = True
+    elems = np.array([t.identity], dtype=np.int64)
+    chosen = np.empty(0, dtype=np.int64)
+    inv = None if conjugators is None or not len(conjugators) else t.inverses()[conjugators]
+    pending = np.unique(np.asarray(seeds, dtype=np.int64))
+    while True:
+        pending = pending[~member[pending]]
+        if not len(pending):
+            return member
+        s = pending[0]
+        chosen = np.append(chosen, s)
+        frontier = mult[elems, s]  # the coset K s, disjoint from K
+        while len(frontier):
+            member[frontier] = True
+            elems = np.concatenate([elems, frontier])
+            step = mult[frontier[:, None], chosen[None, :]].ravel()
+            frontier = np.unique(step[~member[step]])
+        if inv is not None:
+            pending = np.concatenate([pending[1:], mult[mult[inv, s], conjugators]])
 
 
 def _abelian_invariants_of_table(t: FiniteGroupTable) -> list[int]:
@@ -669,15 +730,35 @@ def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> Finite
 
     Element 0 is the identity coset; generator entries are the cosets of the
     x_i.  Representatives are the lexicographically least (a, c) tuples, so
-    tables are deterministic.  The |G|^2 products of the reduced forms are
-    collected and reduced; neither N nor E is enumerated.
+    tables are deterministic.  Only the n |G| products x_i g are collected
+    and reduced; the rows follow from them (module docstring), and neither
+    N nor E is enumerated.
     """
     if g.order > order_bound:
         raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
     n, npairs = g.n, len(g.pairs)
     RA, RC = g.elements()
-    mult = g.encode(*_collect_batch(RA[:, None], RC[:, None], RA[None], RC[None], g.q, g.pairs))
-    gens = g.encode(np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64))
+    XA, XC = np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64)
+    left = g.encode(*_collect_batch(XA[:, None], XC[:, None], RA[None], RC[None], g.q, g.pairs))
+    gens = g.encode(XA, XC)
+    # element 0 is the identity coset; each BFS layer gets its rows from its
+    # parents' as mult[x_i k'] = left[i][mult[k']].  left[i] is a bijection,
+    # so one generator never reaches an element twice in a layer
+    mult = np.empty((g.order, g.order), dtype=np.int64)
+    mult[0] = np.arange(g.order)
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    layer = np.zeros(1, dtype=np.int64)
+    while len(layer):
+        reached = []
+        for row in left:
+            child = row[layer]
+            fresh = ~seen[child]
+            child = child[fresh]
+            seen[child] = True
+            mult[child] = row[mult[layer[fresh]]]
+            reached.append(child)
+        layer = np.concatenate([layer[:0], *reached])  # n = 0 reaches nothing
     return FiniteGroupTable(
         order=g.order, mult=mult, identity=0, generators=tuple(int(x) for x in gens)
     )
@@ -689,30 +770,32 @@ class QuotientTableResult:
     mapping: np.ndarray  # element index of G -> element index of G/N
 
 
-def _check_normal_subgroup(t: FiniteGroupTable, sub: list[int]) -> None:
+def _normal_subgroup(t: FiniteGroupTable, subset) -> np.ndarray:
+    """The sorted element indices of ``subset``, checked to be a normal subgroup.
+
+    A subset with the identity is a subgroup when it is its own closure, and
+    a subgroup is normal when its conjugates by the listed generators lie in
+    it (module docstring).
+    """
+    sub = np.unique(_index_array(subset))
     member = np.zeros(t.order, dtype=bool)
     member[sub] = True
     if not member[t.identity]:
         raise QcwError("subgroup must contain the identity")
-    if not member[t.mult[np.ix_(sub, sub)]].all():
+    if _closure_mask(t, sub).sum() != len(sub):
         raise QcwError("subset is not closed under multiplication")
+    gens = t.listed_generators()
     inv = t.inverses()
-    halfconj = t.mult[np.ix_(inv, sub)]                      # g^-1 * x
-    conj = t.mult[halfconj, np.arange(t.order)[:, None]]     # ... * g
-    if not member[conj].all():
+    if not member[t.mult[t.mult[inv[gens][:, None], sub[None, :]], gens[:, None]]].all():
         raise QcwError("subgroup is not normal")
+    return sub
 
 
 def quotient_table(t: FiniteGroupTable, normal_subset) -> QuotientTableResult:
     """Quotient of a table by a normal subgroup, with the projection map."""
-    sub = sorted(int(x) for x in normal_subset)
-    _check_normal_subgroup(t, sub)
+    sub = _normal_subgroup(t, normal_subset)
     # coset of g = {g * x : x in sub}; representative = min index
-    prod = t.mult[:, sub]
-    rep = prod.min(axis=1)
-    reps = np.unique(rep)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    mapping = np.array([index_of[int(rep[g])] for g in range(t.order)], dtype=np.int64)
+    reps, mapping = np.unique(t.mult[:, sub].min(axis=1), return_inverse=True)
     mult = mapping[t.mult[np.ix_(reps, reps)]]
     gens = tuple(int(mapping[g]) for g in t.generators)
     return QuotientTableResult(
@@ -726,15 +809,17 @@ def quotient_table(t: FiniteGroupTable, normal_subset) -> QuotientTableResult:
 def series_step_oracle(t: FiniteGroupTable, subgroup, params: SeriesParams) -> set[int]:
     """One step H -> H^q [H, G] of the q-central series, on explicit tables.
 
-    Independent of the normal-form construction: works purely on the table.
+    Independent of the normal-form construction: works purely on the table,
+    as the normal closure of the h^q and the [h, x], x listed (module
+    docstring).
     """
-    sub = sorted(int(x) for x in subgroup)
-    _check_normal_subgroup(t, sub)
-    q = params.q
-    gens = {t.power(h, q) for h in sub}
-    comms = t._commutators_block(np.array(sub, dtype=np.int64))
-    gens.update(int(x) for x in np.unique(comms))
-    return t.closure(gens)
+    sub = _normal_subgroup(t, subgroup)
+    gens = t.listed_generators()
+    powers = np.full(len(sub), t.identity, dtype=np.int64)
+    for _ in range(params.q):
+        powers = t.mult[powers, sub]
+    seeds = np.concatenate([powers, t.commutators(sub, gens).ravel()])
+    return _mask_set(_closure_mask(t, seeds, gens))
 
 
 # ---------------------------------------------------------------------------

@@ -454,7 +454,11 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
     cd(G) = m cd(K) + cd(L) (formula, provenance recorded), the least copy
     count that trips the test, the order p^(dim H^1) of G^[2] (elementary
     abelian), and, when the stand-in fits the bound, an independent
-    table-level dim H^1 computed on (K^[2])^m x| P.
+    table-level dim H^1 computed on (K^[2])^m x| P.  That sanity check
+    stays table-level and independent of the formula: ``series_step_oracle``
+    reads G^(2) off the multiplication tables of the stand-in and of P, as
+    the normal closure of the h^p and the [h, x] over their listed
+    generators.
     """
     if not spec.is_transitive():
         raise QcwError("action images do not generate a transitive subgroup")
