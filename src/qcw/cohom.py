@@ -22,35 +22,37 @@ generators, are not solved as they stand: a normalized cocycle is fixed by
 its |S| (|G|-1) values f(x, s) (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 7).  Take a BFS spanning tree of the right
 Cayley graph on S.  On a tree edge k = k's the equation df(g, k', s) = 0
-reads f(g, k) = f(g, k') + f(gk', s) - f(k', s), so walking the tree writes
-every f(g, k) as a linear form in the f(x, s).  Every cocycle satisfies
-these forms; conversely a cochain built from them satisfies the tree
-equations and is normalized, so it is a cocycle exactly when the remaining
-(non-tree) equations hold.  Those are solved in |S| (|G|-1) unknowns, and
-the solutions are extended along the tree; the extension is injective, so
-the result is Z^2.  As a safety net the basis returned is checked on all
-of df(g, h, s) = 0, tree equations included, which by the lemma above is
-the full cocycle identity.
+reads f(g, k) = f(g, k') + f(gk', s) - f(k', s), so walking the tree
+extends any generator values to a normalized cochain that satisfies the
+tree equations, and every cocycle is the extension of its own values.  So
+Z^2 is, on the generator values, the solution module of the remaining
+(off-tree) equations, and the extension is injective on it.
 
-The basis returned is the one a solve of the full generator system would
-give where it is canonical.  When every pivot of that system is a unit, its
-reduced row echelon form R has free columns j, and the kernel vector of
-column j is 1 at j, 0 at the other free columns and 0 right of j.  Those
-vectors are therefore the reduced echelon form of Z^2 with its columns
-reversed (pivots at the last nonzero positions), and they are read off
-from it.  The pivots of Z^2 in that form are all units exactly when those
-of R are, since each module is the annihilator of the other.  Otherwise the
-extended kernel generators are returned with their orders: the same
-module and orders, other representatives.
+One function evaluates df, on generator values that carry a trailing axis
+of m cochains.  Row g of the extension needs only row g of the tree walk,
+so df runs over blocks of rows g whose size keeps every temporary within
+one cell budget.  Fed the unit vectors (m = |S| (|G|-1)) at the off-tree
+pairs (h, s), it gives the equations; fed the solutions at every pair,
+tree pairs included, it is the safety net, which by the lemma above is the
+full cocycle identity.
+
+The generators returned depend on Z^2 alone.  Over Z/q every submodule M
+of (Z/q)^w satisfies Ann(Ann(M)) = M (Z/q is self-injective), so the
+equation module is Ann(Z^2) for any system of equations on the generator
+values whose solutions are Z^2, whatever tree, row order or blocking
+produced it.  ``RowSpace`` holds it in Howell form, which is unique for the
+module (Howell, "Spans in the module (Z_m)^s", 1986), and the generators
+are read off that form: one per free column when every pivot is a unit,
+else ``kernel_with_orders`` of its rows.  Another route to the same Z^2,
+such as a presentation's relators, lands on the same vectors.
 
 After the solve, degree 2 stays on the |S| (|G|-1) generator values:
 ``restrict`` reads f(x, s) off a cochain, ``extend`` walks the tree back,
 and no other code converts.  Restriction is injective on Z^2 (a cocycle is
 fixed by these values), and B^2 and the cup products lie in Z^2, so
 H^2 = Z^2 / B^2 and its decomposable part are the same modules on
-restricted vectors; the basis cochains reported are their extensions.  Bar
-width is left only in the canonical read-off above, its safety net and
-those basis cochains.
+restricted vectors.  Bar width is left only in the basis cochains
+reported, which are their extensions.
 
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
@@ -77,8 +79,7 @@ from .qcentral import FiniteGroupTable
 from .zqlinalg import QuotientModule, RowSpace, kernel_with_orders, prime_power, solve_mod
 
 DEFAULT_H2_BOUND = 64
-_EQUATION_CHUNK = 1024
-_VERIFY_CELLS = 1 << 22
+_BLOCK_CELLS = 1 << 22
 
 __all__ = [
     "CohomologySpace",
@@ -197,17 +198,15 @@ class GroupCohomology:
             gens = list(t.generators) if t.generators else []
             if n > 1 and not gens:
                 raise QcwError("table lists no generators")
-            rows = []
-            # f(x * g) = f(x) + f(g) for every x and every generator g
-            for g in gens:
-                for x in range(n):
-                    row = np.zeros(n, dtype=np.int64)
-                    row[x] += 1
-                    row[g] += 1
-                    row[t.mult[x, g]] -= 1
-                    rows.append(np.delete(row % q, t.identity))
-            if rows:
-                kern = kernel_with_orders(np.array(rows), q)
+            # f(x * g) = f(x) + f(g) for every generator g and every x, g-major
+            g, x = np.repeat(np.array(gens, dtype=np.int64), n), np.tile(np.arange(n), len(gens))
+            rows = np.zeros((len(g), n), dtype=np.int64)
+            r = np.arange(len(g))
+            np.add.at(rows, (r, x), 1)
+            np.add.at(rows, (r, g), 1)
+            np.add.at(rows, (r, t.mult[x, g]), -1)
+            if len(rows):
+                kern = kernel_with_orders(np.delete(rows % q, t.identity, axis=1), q)
             else:
                 kern = []
             basis, invariants = [], []
@@ -222,27 +221,17 @@ class GroupCohomology:
     # -- the generator-value coordinates ---------------------------------------
 
     def restrict(self, F) -> np.ndarray:
-        """The generator values f(g, s), g != 1, of 2-cochains, g-major.
-
-        ``F`` is a |G| x |G| cochain or flat (|G|-1)^2 bar vectors as
-        ``z2_generators`` returns them, either stacked on leading axes.
-        """
+        """The generator values f(g, s), g != 1, g-major, of |G| x |G|
+        2-cochains stacked on leading axes."""
         gens, _ = self._spanning_tree()
-        F = np.asarray(F, dtype=np.int64)
-        w = len(self.elems)
-        if F.shape[-1] == self.width:  # flat: row g, column h, both != 1
-            F = F.reshape(F.shape[:-1] + (w, w))[..., self.pos[gens]]
-        else:
-            F = F[..., self.elems[:, None], gens]
-        return F.reshape(F.shape[:-2] + (w * len(gens),)) % self.q
+        F = np.asarray(F, dtype=np.int64)[..., self.elems[:, None], gens]
+        return F.reshape(F.shape[:-2] + (len(self.elems) * len(gens),)) % self.q
 
     def extend(self, vectors) -> np.ndarray:
         """The |G| x |G| cochains that take the generator values in the rows
         of ``vectors`` and satisfy the tree equations; on a cocycle F,
         ``extend(restrict(F)) == F``."""
-        gens, edges = self._spanning_tree()
-        values = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), len(self.elems), len(gens))
-        return np.moveaxis(self._along_tree(np.moveaxis(values, 0, -1), gens, edges), -1, 0)
+        return np.moveaxis(self._along_tree(self._on_gens(vectors)), -1, 0)
 
     def coboundary_rows(self) -> np.ndarray:
         """Rows spanning B^2: d(u_x)(g, s) = u_x(g) + u_x(s) - u_x(gs) for the
@@ -289,88 +278,56 @@ class GroupCohomology:
         self._tree = gens, edges
         return self._tree
 
-    def _along_tree(self, values: np.ndarray, gens: np.ndarray, edges) -> np.ndarray:
+    def _on_gens(self, vectors) -> np.ndarray:
+        """The generator values of restricted vectors as a |G| x |S| x m array,
+        one cochain per trailing index, with f(1, s) = 0."""
+        gens, _ = self._spanning_tree()
+        w, ns = len(self.elems), len(gens)
+        vectors = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), w * ns)
+        on_gens = np.zeros((self.t.order, ns, len(vectors)), dtype=np.int64)
+        on_gens[self.elems] = vectors.T.reshape(w, ns, len(vectors))
+        return on_gens
+
+    def _along_tree(self, on_gens: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Extend generator values f(x, s) to all f(g, k) by the tree equations.
 
-        ``values`` is (|G|-1) x |S| x m: m cochains given on (x, s), x != 1.
-        Along a tree edge k = k' s, df(g, k', s) = 0 reads
-        f(g, k) = f(g, k') + f(gk', s) - f(k', s).  Returns the |G| x |G| x m
-        values with f(1, .) = f(., 1) = 0.
+        ``on_gens`` is |G| x |S| x m as ``_on_gens`` builds it.  Along a tree
+        edge k = k' s, df(g, k', s) = 0 reads f(g, k) = f(g, k') + f(gk', s)
+        - f(k', s), so row g needs only row g.  Returns the rows g in
+        ``rows`` (all of G by default) of the |G| x |G| x m values, with
+        f(1, .) = f(., 1) = 0.
         """
-        t, n = self.t, self.t.order
-        on_gens = np.zeros((n, len(gens), values.shape[-1]), dtype=np.int64)
-        on_gens[self.elems] = values
-        F = np.zeros((n, n, values.shape[-1]), dtype=np.int64)
+        t = self.t
+        _, edges = self._spanning_tree()
+        g = np.arange(t.order) if rows is None else rows
+        F = np.zeros((len(g), t.order, on_gens.shape[-1]), dtype=np.int64)
         for parent, i, k in edges:
-            F[:, k] = F[:, parent] + on_gens[t.mult[:, parent], i] - on_gens[parent, i]
+            F[:, k] = F[:, parent] + on_gens[t.mult[g, parent], i] - on_gens[parent, i]
         return F % self.q
 
-    def _non_tree_equations(self, forms: np.ndarray, gens: np.ndarray, edges):
-        """Rows of df(g, h, s) = 0 for the pairs (h, s) off the tree, in chunks.
+    def _df_blocks(self, vectors, h: np.ndarray, i: np.ndarray):
+        """df(g, h, s) = f(h, s) - f(gh, s) + f(g, hs) - f(g, h) for the
+        cochains extended from the restricted ``vectors``, at the pairs
+        (h, s) = (h[j], gens[i[j]]), in blocks of rows g != 1.
 
-        ``forms[a, b]`` is f(a, b) as a linear form in the generator values.
-        The tree equations, among them every df(g, 1, s), hold by
-        construction, so these are all that remain of the generator system.
+        Yields block x len(h) x len(vectors) arrays mod q; a block holds at
+        most ``_BLOCK_CELLS`` entries of df unless one row g alone is larger.
         """
-        t, q = self.t, self.q
-        off_tree = np.ones((t.order, len(gens)), dtype=bool)
-        for parent, i, _ in edges:
-            off_tree[parent, i] = False
-        h, i = np.nonzero(off_tree)
-        s = gens[i]
-        g = self.elems[None, :]
-        step = max(1, _EQUATION_CHUNK // max(1, len(self.elems)))
-        for start in range(0, len(h), step):
-            hh, ss = h[start : start + step, None], s[start : start + step, None]
-            rows = (
-                forms[hh, ss]
-                - forms[t.mult[g, hh], ss]
-                + forms[g, t.mult[hh, ss]]
-                - forms[g, hh]
-            )
-            yield rows.reshape(-1, forms.shape[-1]) % q
-
-    def _verify_kernel(self, vectors: list[np.ndarray], gens: np.ndarray) -> bool:
-        """Is every flat cochain a cocycle?  Checks df(g, h, s) = 0 for all g, h
-        and every s in ``gens``.
-
-        By the lemma in the module docstring this is the full cocycle
-        identity, since ``gens`` generate the table.  All cochains are checked
-        at once, in blocks of g that keep every temporary within the size of
-        the stacked cochains.
-        """
-        if not vectors:
-            return True
-        t, q, w = self.t, self.q, len(self.elems)
-        values = np.zeros((self.width + 1, len(vectors)), dtype=np.int64)
-        for i, v in enumerate(vectors):
-            values[: self.width, i] = v
-        # flat index of (a, b); a or b = 1 points at the zero row of `values`
-        idx = np.full((t.order, t.order), self.width, dtype=np.int64)
-        idx[np.ix_(self.elems, self.elems)] = np.arange(self.width).reshape(w, w)
-        h = self.elems[None, :]
-        step = max(1, _VERIFY_CELLS // (w * len(vectors)))
-        for s in gens:
-            for start in range(0, w, step):
-                g = self.elems[start : start + step, None]
-                df = (
-                    values[idx[h, s]]
-                    - values[idx[t.mult[g, h], s]]
-                    + values[idx[g, t.mult[h, s]]]
-                    - values[idx[g, h]]
-                )
-                if (df % q).any():
-                    return False
-        return True
+        gens, _ = self._spanning_tree()
+        t = self.t
+        on_gens = self._on_gens(vectors)
+        f_hs, hs = on_gens[h, i], t.mult[h, gens[i]]
+        step = max(1, _BLOCK_CELLS // max(1, t.order * len(gens) * on_gens.shape[-1]))
+        for start in range(0, len(self.elems), step):
+            g = self.elems[start : start + step]
+            F = self._along_tree(on_gens, g)
+            r = np.arange(len(g))[:, None]
+            yield (f_hs - on_gens[t.mult[g[:, None], h], i] + F[r, hs] - F[r, h]) % self.q
 
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
-        """Independent generators (vector, order) of the cocycle module Z^2.
-
-        Solved on the |S|(|G|-1) generator values f(x, s) (see the module
-        docstring); the solutions are extended along the spanning tree and,
-        when every pivot is a unit, brought to the free-column form of the
-        full generator system.
-        """
+        """Independent generators (vector, order) of the cocycle module Z^2,
+        as restricted vectors: the kernel of the off-tree equations, read off
+        their Howell form (see the module docstring)."""
         if self._z2 is None:
             t, q = self.t, self.q
             if t.order > self.h2_bound:
@@ -378,35 +335,24 @@ class GroupCohomology:
                     f"group order {t.order} exceeds the degree-2 bound {self.h2_bound}"
                 )
             gens, edges = self._spanning_tree()
-            w, ns = len(self.elems), len(gens)
-            unknowns = w * ns
-            unit_values = np.eye(unknowns, dtype=np.int64).reshape(w, ns, unknowns)
-            forms = self._along_tree(unit_values, gens, edges)
+            unknowns = len(self.elems) * len(gens)
+            off_tree = np.ones((t.order, len(gens)), dtype=bool)
+            for parent, i, _ in edges:
+                off_tree[parent, i] = False
             rs = RowSpace(unknowns, q)
-            for rows in self._non_tree_equations(forms, gens, edges):
-                rs.add_rows(rows)
+            for rows in self._df_blocks(np.eye(unknowns, dtype=np.int64), *np.nonzero(off_tree)):
+                rs.add_rows(rows.reshape(-1, unknowns))
             kernel = rs.kernel()
-            solved = []
-            if kernel:
-                F = self.extend([v for v, _ in kernel])
-                cocycles = F[:, self.elems[:, None], self.elems].reshape(len(kernel), self.width)
-                canon = RowSpace(self.width, q)
-                canon.add_rows(cocycles[:, ::-1])
-                if canon.unit_pivots:
-                    # with columns reversed, the reduced echelon form of Z^2 is the
-                    # free-column kernel basis of the full system (module docstring)
-                    rows = np.ascontiguousarray(canon.rows_matrix()[::-1, ::-1])
-                    solved = [(v, q) for v in rows]
-                else:
-                    solved = [(v, o) for v, (_, o) in zip(cocycles, kernel)]
-            if not self._verify_kernel([v for v, _ in solved], gens):
+            # the safety net: every df(g, h, s), tree pairs included
+            every_pair = np.nonzero(np.ones_like(off_tree))
+            if any(df.any() for df in self._df_blocks([v for v, _ in kernel], *every_pair)):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
-            self._z2 = solved
+            self._z2 = kernel
         return self._z2
 
     def h2_module(self) -> QuotientModule:
         if self._h2_module is None:
-            z2 = [self.restrict(v) for v, _ in self.z2_generators()]
+            z2 = [v for v, _ in self.z2_generators()]
             b2 = self.coboundary_rows()
             self._h2_module = QuotientModule(z2, b2, b2.shape[1], self.q)
         return self._h2_module

@@ -418,7 +418,10 @@ def semidirect_power_table(
 ) -> FiniteGroupTable:
     """(base)^m x| P for the permutation group P generated by ``perms``.
 
-    Convention: (k, s)(k', s') = (k * s.k', s s') where (s.k')_i = k'_{s(i)}.
+    Convention: (k, s)(k', s') = (k * s.k', s' o s) where (s.k')_i = k'_{s(i)}.
+    Since (s.(s'.k))_i = k_{s'(s(i))}, this is a left action of P with the
+    product s s' = s' o s (apply s first), so the table is associative for
+    every P; for abelian P the product is the composition either way.
     Element (k, P[si]) has index kcode * |P| + si, where kcode is the
     little-endian base-|base| code of the tuple k.
     """
@@ -432,8 +435,8 @@ def semidirect_power_table(
     # acted[si, kcode]: code of P[si].k, whose entry r is k_{P[si](r)}
     acted = (digits[:, np.array(P, dtype=np.int64).reshape(npm, m)] @ weights).T
     comp = _composition_table(P)
-    # (a, P[si]) (b, P[ti]) = (kprod[a, acted[si, b]], P[comp[si, ti]]), axes (a, si, b, ti)
-    mult = kprod[:, acted][:, :, :, None] * npm + comp[None, :, None, :]
+    # (a, P[si]) (b, P[ti]) = (kprod[a, acted[si, b]], P[comp[ti, si]]), axes (a, si, b, ti)
+    mult = kprod[:, acted][:, :, :, None] * npm + comp.T[None, :, None, :]
     total = nb**m * npm
     ident = pidx[tuple(range(m))]
     ecode = base.identity * int(weights.sum())  # code of (e, ..., e)

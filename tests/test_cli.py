@@ -1,10 +1,14 @@
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import qcw
 from qcw.cli import main
 from qcw.qcentral import ClassTwoGroup
 
@@ -82,6 +86,29 @@ def test_cohomology_trivial():
     assert rep["h1"]["dimension"] == 0
     assert rep["h2"]["dimension"] == 0
     assert rep["decomposable_h2"]["dimension"] == 0
+
+
+def test_cohomology_order243_fits_800mb():
+    # the full H^2 of free2^[3,3], |G| = 243, in a child whose address space
+    # is capped at 800 MB: Z^2 is solved and checked on the 484 generator
+    # values, with no |G|^2-row or (|G|-1)^2-wide array
+    cap = 800 * 10**6
+    src = os.path.dirname(os.path.dirname(qcw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from qcw.cli import main; sys.exit(main(sys.argv[1:]))",
+            "cohomology", DATA, "free2", "--q", "3", "--order-bound", "1000", "--h2-bound", "1000",
+            "--output", "json",
+        ],
+        capture_output=True, text=True, env=env, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert child.returncode == 0, child.stderr
+    rep = json.loads(child.stdout)
+    assert rep["order"] == 243
+    assert rep["h2"]["invariants"] == [3] * 5
+    assert rep["decomposable_h2"]["invariants"] == []
 
 
 def test_commands_never_enumerate_the_kernel(monkeypatch):

@@ -309,6 +309,17 @@ def test_semidirect_table_is_a_group():
     assert W.order // len(step) == 4  # (Z/2)^2 mod-2 abelianization
 
 
+@pytest.mark.parametrize("perms", [[(1, 0, 2), (1, 2, 0)], [(1, 0, 2), (0, 2, 1)]])
+def test_semidirect_table_is_a_group_for_nonabelian_p(perms):
+    # S3 acting on three copies of free2^[2]: P is not abelian, so the
+    # product on P must be s' o s for (s.k')_i = k'_{s(i)} to act on the left
+    base = second_quotient(free_presentation(2), P2)
+    W = semidirect_power_table(base, 3, perms)
+    assert W.order == 384
+    validate_table(W)
+    assert not W.is_abelian()
+
+
 def reference_semidirect_power_table(base, m, perms, rows=None):
     """The former double loop behind ``semidirect_power_table``.
 
@@ -341,7 +352,7 @@ def reference_semidirect_power_table(base, m, perms, rows=None):
             acted = tuple(k2[s[r]] for r in range(m))
             prod_k = tuple(int(base.mult[a, b]) for a, b in zip(k, acted))
             t = P[ti]
-            prod_s = tuple(s[t[r]] for r in range(m))
+            prod_s = tuple(t[s[r]] for r in range(m))  # t o s: s acts first
             mult[out, j] = index[(prod_k, pidx[prod_s])]
     identity = index[(tuple([base.identity] * m), pidx[tuple(range(m))])]
     gens = []

@@ -223,15 +223,15 @@ def stand_in(p, m, perms):
     return semidirect_power_table(second_quotient(free_presentation(2), SeriesParams(p=p, d=1)), m, perms)
 
 
-# (K^[2])^m x| P with K = free2, the stand-ins of wreath_construct.  The
-# builder's convention makes a table only for abelian P, so the actions are
-# the cyclic ones (the swap of the CLI is the cyclic action at m = 2) and two
-# commuting double swaps at m = 4
+# (K^[2])^m x| P with K = free2, the stand-ins of wreath_construct: the
+# cyclic actions (the swap of the CLI is the cyclic action at m = 2), two
+# commuting double swaps at m = 4 and the non-abelian S3 at m = 3
 STAND_INS = {
     f"p{p}_m{m}_{kind}": (p, m, action)
     for p, m, kind, action in [
         (2, 2, "cyclic", cyclic_action(2)),
         (2, 3, "cyclic", cyclic_action(3)),
+        (2, 3, "s3", symmetric_action(3)),
         (2, 4, "cyclic", cyclic_action(4)),
         (2, 4, "swaps", [(1, 0, 3, 2), (2, 3, 0, 1)]),
         (3, 2, "cyclic", cyclic_action(2)),

@@ -1,17 +1,21 @@
 """The benchmark tracer wraps qcw callables by name; every name must resolve.
 
 A renamed method otherwise only shows when ``bench/run.py --trace 1``
-installs the tracer and fails with a KeyError.
+installs the tracer and fails with a KeyError.  The same holds for the
+attributes ``Tracer.end_job`` reads off the objects a job leaves behind.
 """
 
 import importlib
 import importlib.util
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import qcw.cli  # noqa: F401  (imports every module the tracer patches)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+DATA = Path(__file__).resolve().parent / "data" / "groups.grp"
 
 
 def load_tracer():
@@ -33,3 +37,25 @@ def test_every_stage_resolves_to_a_qcw_callable():
             owner = getattr(owner, name)
         assert attr in vars(owner), f"{stage.name}: {stage.module}.{stage.attr} is gone"
         assert callable(vars(owner)[attr]), stage
+
+
+def test_end_job_reads_what_a_cohomology_job_leaves():
+    # end_job reads GroupCohomology.width and .t of every traced context, and
+    # ClassTwoGroup.kernel_set() and .full_order of every third quotient
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job("j")
+        with redirect_stdout(io.StringIO()):
+            assert qcw.cli.main(["cohomology", str(DATA), "demushkin3", "--q", "2"]) == 0
+        contexts, groups = list(tracer._contexts.values()), list(tracer._groups)
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert contexts and groups
+    counts = tracer.counters["j"]
+    assert all(ctx.width == (ctx.t.order - 1) ** 2 for ctx in contexts)
+    assert counts["cohom.width"] == sum(ctx.width for ctx in contexts)
+    assert counts["qcentral.kernel_order"] == sum(len(g.kernel_set()) for g in groups)
+    assert counts["qcentral.quotient_order"] == sum(g.full_order // len(g.kernel_set()) for g in groups)
+    assert counts["qcentral.quotient_order"] == contexts[0].t.order == 16
