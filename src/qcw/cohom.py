@@ -54,6 +54,30 @@ H^2 = Z^2 / B^2 and its decomposable part are the same modules on
 restricted vectors.  Bar width is left only in the basis cochains
 reported, which are their extensions.
 
+B^2 is not eliminated as the span of the |G| - 1 coboundaries d(u_x) of
+point masses: the spanning tree fixes a gauge (the Schreier-tree
+normalisation of Holt, Eick and O'Brien, ch. 7).  The first BFS layer holds
+exactly the listed generators s_i.  For restricted values v (with
+v(1, s) = 0) set u_v(1) = u_v(s_i) = 0 and u_v(k) = u_v(k') - v(k', s_i)
+along every other tree edge k = k' s_i; then v - du_v, with
+du(g, s) = u(g) + u(s) - u(gs), vanishes on the tree edges, and ``gauge``
+keeps its values at the (|S|-1)(|G|-1) + |S| off-tree pairs.  The same walk
+with v = 0 and u(s_i) = δ_ij gives K_j, the number of letters s_j on the
+tree path; dK_j vanishes on the tree edges, and the |S| rows dK_j are
+``coboundary_rows``.  Claim: v ∈ B^2 iff gauge(v) ∈ span(dK_j).  If
+gauge(v) = Σ c_j dK_j on the off-tree pairs, then v - du_v - Σ c_j dK_j is
+zero there and on the tree edges, so it is zero everywhere and
+v = d(u_v + Σ c_j K_j).  Conversely, if v = du, then t = u - u_v has
+dt = v - du_v zero on the tree edges, so t' = t - Σ t(s_j) K_j has
+t'(1) = t'(s_j) = 0 and t'(k) = t'(k') along every tree edge: t' = 0 and
+gauge(v) = Σ t(s_j) dK_j.  The gauge is linear, so a quotient by B^2 is a
+quotient of gauged values by |S| rows.  Its relation module
+Λ = {λ : λ·gens ∈ B^2} is the same in both coordinate systems, and
+``QuotientModule`` reads everything off the Howell form of Λ, so H^2, its
+decomposable part and the cup tensor come out as they would from all of
+B^2; the basis classes are the same combinations (``transform``) of the
+original restricted generators.
+
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
 (the length of the cyclic-invariant list), which coincides with the F_p
@@ -185,6 +209,7 @@ class GroupCohomology:
         self._h1: CohomologySpace | None = None
         self._tree: tuple[np.ndarray, list[tuple[int, int, int]]] | None = None
         self._b2: np.ndarray | None = None
+        self._off: tuple[np.ndarray, np.ndarray] | None = None
         self._z2: list[tuple[np.ndarray, int]] | None = None
         self._h2_module: QuotientModule | None = None
         self._dec_module: QuotientModule | None = None
@@ -234,22 +259,46 @@ class GroupCohomology:
         return np.moveaxis(self._along_tree(self._on_gens(vectors)), -1, 0)
 
     def coboundary_rows(self) -> np.ndarray:
-        """Rows spanning B^2: d(u_x)(g, s) = u_x(g) + u_x(s) - u_x(gs) for the
-        point-mass 1-cochains u_x, on the generator values."""
+        """The |S| gauge rows dK_j on the off-tree values: B^2 in the gauge
+        of the module docstring.  K_j counts the letters s_j on the tree path
+        to each element, so dK_j vanishes on the tree edges."""
         if self._b2 is None:
             gens, _ = self._spanning_tree()
-            g, s = (a.reshape(-1) for a in np.meshgrid(self.elems, gens, indexing="ij"))
-            col = np.arange(len(g))
-            # column (g, s) gets +1 in row g, +1 in row s and -1 in row gs (none if gs = 1);
-            # the columns of one update are distinct, so plain fancy-index updates suffice
-            rows = np.zeros((len(self.elems), len(g)), dtype=np.int64)
-            rows[self.pos[g], col] += 1
-            rows[self.pos[s], col] += 1
-            gs = self.t.mult[g, s]
-            alive = gs != self.t.identity
-            rows[self.pos[gs[alive]], col[alive]] -= 1
-            self._b2 = rows % self.q
+            ns = len(gens)
+            # f(g, s_i) = δ_ij for every g: the walk gives p = K_j and the
+            # values δ_ij + K_j(g) - K_j(g s_i) = dK_j(g, s_i)
+            self._b2 = self._tree_reduced(np.broadcast_to(np.eye(ns, dtype=np.int64), (self.t.order, ns, ns)))
         return self._b2
+
+    def gauge(self, vectors) -> np.ndarray:
+        """The off-tree values of v - du for the restricted vectors v (rows),
+        where u(1) = u(s) = 0 and u(k) = u(k') - v(k', s) along each tree
+        edge k = k's, so that v - du vanishes on the tree edges.  v is a
+        coboundary iff its gauge lies in the span of ``coboundary_rows``."""
+        return self._tree_reduced(self._on_gens(vectors))
+
+    def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
+        """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
+        trailing index of the |G| x |S| x m values f, where p(1) = 0 and
+        p(k) = p(k') + f(k', s) along each tree edge k = k's."""
+        t = self.t
+        gens, edges = self._spanning_tree()
+        pot = np.zeros((t.order, on_gens.shape[-1]), dtype=np.int64)
+        for parent, i, k in edges:
+            pot[k] = pot[parent] + on_gens[parent, i]
+        g, i = self._off_tree()
+        return ((on_gens[g, i] + pot[g] - pot[t.mult[g, gens[i]]]) % self.q).T
+
+    def _off_tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """The off-tree pairs (g, gens[i]), g != 1, g-major as in the
+        restricted vectors: the tree edges (k', i) with k' != 1 removed."""
+        if self._off is None:
+            gens, edges = self._spanning_tree()
+            off = np.ones((self.t.order, len(gens)), dtype=bool)
+            for parent, i, _ in edges:
+                off[parent, i] = False
+            self._off = np.nonzero(off)
+        return self._off
 
     # -- degree 2 -------------------------------------------------------------
 
@@ -334,34 +383,43 @@ class GroupCohomology:
                 raise SizeLimitError(
                     f"group order {t.order} exceeds the degree-2 bound {self.h2_bound}"
                 )
-            gens, edges = self._spanning_tree()
+            gens, _ = self._spanning_tree()
             unknowns = len(self.elems) * len(gens)
-            off_tree = np.ones((t.order, len(gens)), dtype=bool)
-            for parent, i, _ in edges:
-                off_tree[parent, i] = False
             rs = RowSpace(unknowns, q)
-            for rows in self._df_blocks(np.eye(unknowns, dtype=np.int64), *np.nonzero(off_tree)):
+            for rows in self._df_blocks(np.eye(unknowns, dtype=np.int64), *self._off_tree()):
                 rs.add_rows(rows.reshape(-1, unknowns))
             kernel = rs.kernel()
             # the safety net: every df(g, h, s), tree pairs included
-            every_pair = np.nonzero(np.ones_like(off_tree))
+            every_pair = np.nonzero(np.ones((t.order, len(gens)), dtype=bool))
             if any(df.any() for df in self._df_blocks([v for v, _ in kernel], *every_pair)):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
             self._z2 = kernel
         return self._z2
 
+    def _modulo_b2(self, vectors) -> QuotientModule:
+        """span(vectors) + B^2 / B^2 on the gauged values (module docstring)."""
+        b2 = self.coboundary_rows()
+        return QuotientModule(self.gauge(vectors), b2, b2.shape[1], self.q)
+
     def h2_module(self) -> QuotientModule:
+        """H^2 = Z^2 / B^2 in the gauge: ``basis`` and ``coords_batch`` are
+        on gauged values (``gauge``)."""
         if self._h2_module is None:
-            z2 = [v for v, _ in self.z2_generators()]
-            b2 = self.coboundary_rows()
-            self._h2_module = QuotientModule(z2, b2, b2.shape[1], self.q)
+            self._h2_module = self._modulo_b2(self._z2_vectors())
         return self._h2_module
 
-    def h2_space(self) -> CohomologySpace:
-        return self._space(self.h2_module())
+    def _z2_vectors(self) -> np.ndarray:
+        gens, _ = self._spanning_tree()
+        z2 = [v for v, _ in self.z2_generators()]
+        return np.array(z2, dtype=np.int64).reshape(len(z2), len(self.elems) * len(gens))
 
-    def _space(self, mod: QuotientModule) -> CohomologySpace:
-        basis = list(self.extend(mod.basis))
+    def h2_space(self) -> CohomologySpace:
+        return self._space(self.h2_module(), self._z2_vectors())
+
+    def _space(self, mod: QuotientModule, gens: np.ndarray) -> CohomologySpace:
+        """The basis classes of a module built by ``_modulo_b2(gens)``: each a
+        combination of the given restricted generators, extended to |G| x |G|."""
+        basis = list(self.extend((mod.transform @ gens) % self.q))
         return CohomologySpace(degree=2, modulus=self.q, invariants=list(mod.orders), basis=basis)
 
     # -- cup products and the decomposable part -------------------------------
@@ -373,36 +431,38 @@ class GroupCohomology:
         F[:, self.t.identity] = 0
         return F
 
-    def cup_flats(self) -> list[np.ndarray]:
-        """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis."""
-        basis = self.h1_space().basis
+    def cup_flats(self) -> np.ndarray:
+        """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis, one row each."""
+        basis = np.array(self.h1_space().basis, dtype=np.int64).reshape(-1, self.t.order)
         gens, _ = self._spanning_tree()
-        return [np.outer(a[self.elems], b[gens]).reshape(-1) % self.q for a in basis for b in basis]
+        cups = basis[:, None, self.elems, None] * basis[None, :, None, gens] % self.q
+        return cups.reshape(len(basis) ** 2, len(self.elems) * len(gens))
 
     def dec_module(self) -> QuotientModule:
-        """Span of cup products of H^1 classes, modulo coboundaries.
+        """Span of cup products of H^1 classes, modulo coboundaries, on
+        gauged values like ``h2_module``.
 
         Needs only B^2, not the full cocycle solve, so it works above the
         degree-2 bound.
         """
         if self._dec_module is None:
-            b2 = self.coboundary_rows()
-            self._dec_module = QuotientModule(self.cup_flats(), b2, b2.shape[1], self.q)
+            self._dec_module = self._modulo_b2(self.cup_flats())
         return self._dec_module
 
     def dec_space(self) -> CohomologySpace:
-        return self._space(self.dec_module())
+        return self._space(self.dec_module(), self.cup_flats())
 
     def is_coboundary(self, cochain: np.ndarray) -> bool:
         """Is the cochain, off the identity, a coboundary?  A coboundary is a
         cocycle, so it is the extension of its generator values, and those
-        lie in the span of ``coboundary_rows``; conversely both imply it."""
+        are a coboundary's: their gauge lies in the span of the |S|
+        ``coboundary_rows``.  Conversely both imply it."""
         F = np.asarray(cochain, dtype=np.int64) % self.q
         values = self.restrict(F)
         inner = np.ix_(self.elems, self.elems)
         if (self.extend(values[None])[0][inner] != F[inner]).any():
             return False
-        return solve_mod(self.coboundary_rows().T, values, self.q) is not None
+        return solve_mod(self.coboundary_rows().T, self.gauge(values[None])[0], self.q) is not None
 
     def pairing(self) -> PairingTensor:
         """Cup tensor of the H^1 basis in decomposable-H^2 coordinates.
@@ -496,7 +556,7 @@ def induced_h_maps(pi: TableHom, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> In
     tgt_dec = tgt.dec_space()
     if tgt_dec.basis:
         pulled = src.restrict(np.array([b[np.ix_(pi.mapping, pi.mapping)] for b in tgt_dec.basis]))
-        m2 = src_dec.coords_batch(pulled).T
+        m2 = src_dec.coords_batch(src.gauge(pulled)).T
     else:
         m2 = np.zeros((src_dec.rank, 0), dtype=np.int64)
     dec_bij = _is_module_iso(m2, list(src_dec.orders), list(tgt_dec.invariants), q)

@@ -161,13 +161,11 @@ class SmallField:
                 break
         assert gen is not None
         self.generator = gen
-        self.dlog: dict = {}
-        acc = one
-        for i in range(s - 1):
-            self.dlog[acc] = i
-            acc = mul(acc, gen)
+        self.powers = [one]  # powers[i] = g^i
+        for _ in range(s - 2):
+            self.powers.append(mul(self.powers[-1], gen))
+        self.dlog = {x: i for i, x in enumerate(self.powers)}
         assert len(self.dlog) == s - 1
-        self._mul = mul
 
     @staticmethod
     def _pow_raw(base, e, mul, one):
@@ -180,7 +178,7 @@ class SmallField:
         return result
 
     def element_of_exp(self, i: int):
-        return self._pow_raw(self.generator, i % (self.s - 1), self._mul, self.one)
+        return self.powers[i % (self.s - 1)]
 
     def one_minus_exp(self, i: int) -> int | None:
         """dlog(1 - g^i), or None when g^i = 1."""
@@ -325,32 +323,20 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     s = desc.size
     # brute force: generators x_{a,b} = {g^a, g^b}, a,b mod q (valid once
     # bilinearity is imposed); relations: bilinearity + all Steinberg pairs
-    gens = [(a, b) for a in range(q) for b in range(q)]
-    gidx = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for a in range(q):
-        for a2 in range(q):
-            for b in range(q):
-                row = np.zeros(len(gens), dtype=np.int64)
-                row[gidx[((a + a2) % q, b)]] += 1
-                row[gidx[(a, b)]] -= 1
-                row[gidx[(a2, b)]] -= 1
-                rows.append(row % q)
-                row = np.zeros(len(gens), dtype=np.int64)
-                row[gidx[(b, (a + a2) % q)]] += 1
-                row[gidx[(b, a)]] -= 1
-                row[gidx[(b, a2)]] -= 1
-                rows.append(row % q)
-    for i in range(1, s - 1):  # g^i != 1
-        j = F.one_minus_exp(i)
-        assert j is not None
-        row = np.zeros(len(gens), dtype=np.int64)
-        row[gidx[(i % q, j % q)]] += 1
-        rows.append(row)
-    module = QuotientModule(np.eye(len(gens), dtype=np.int64), rows, len(gens), q)
+    # generator {g^x, g^y} has index x q + y; bilinearity in the first slot,
+    # {g^(a+a2), g^b} - {g^a, g^b} - {g^a2, g^b}, then in the second
+    a, a2, b = (x.reshape(-1) for x in np.meshgrid(*[np.arange(q)] * 3, indexing="ij"))
+    rows = np.zeros((2 * q**3, q * q), dtype=np.int64)
+    r = np.arange(2 * q**3)
+    for sign, x in [(1, (a + a2) % q), (-1, a), (-1, a2)]:
+        np.add.at(rows, (r, np.concatenate([x * q + b, b * q + x])), sign)
+    # one Steinberg row {g^i, 1 - g^i} per g^i != 1, each a single generator
+    steinberg = np.unique([(i % q) * q + F.one_minus_exp(i) % q for i in range(1, s - 1)])
+    rows = np.concatenate([rows % q, np.eye(q * q, dtype=np.int64)[steinberg]])
+    module = QuotientModule(np.eye(q * q, dtype=np.int64), rows, q * q, q)
     invariants = module.orders
     # the order of {g, g} in the quotient presents k2 on the single k1 pair
-    coords = module.generator_coords[gidx[(1, 1)]]
+    coords = module.generator_coords[q + 1]
     order_of_g_g = 1
     for c, o in zip(coords, module.orders):
         if c:

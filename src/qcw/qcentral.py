@@ -458,10 +458,9 @@ class FiniteGroupTable:
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
-            inv = np.full(self.order, -1, dtype=np.int64)
-            src, dst = np.nonzero(self.mult == self.identity)
-            inv[src] = dst
-            if (inv < 0).any():
+            hit = self.mult == self.identity
+            inv = hit.argmax(axis=1)
+            if not hit[np.arange(self.order), inv].all():
                 raise QcwError("table has an element without inverse")
             self._inverses = inv
         return self._inverses

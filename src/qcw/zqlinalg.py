@@ -10,7 +10,9 @@ p-valuation.  Everything here reduces to that one idea:
 * ``kernel_with_orders`` / ``solve_mod`` / ``QuotientModule`` are the standard
   consequences, phrased so that callers get cyclic orders alongside vectors
   (for prime q all orders are q and everything collapses to F_p linear
-  algebra).
+  algebra).  ``QuotientModule`` reads the relations among its generators
+  off one Howell form (below), so its basis, orders and coordinates depend
+  only on the generators and the span of the relations.
 * ``RowSpace`` accumulates the row module of a stream of vectors in Howell
   form, the canonical echelon form over Z/p^d (for prime q the reduced row
   echelon form), built by one left-to-right column sweep with
@@ -305,6 +307,17 @@ class QuotientModule:
     the coordinates of the given generators in that basis
     (``generator_coords``, one row each) and coordinates of arbitrary
     ambient vectors in it.
+
+    The module is presented on the s given generators: it is (Z/q)^s / Λ
+    with Λ = {λ : λ·gens ∈ span(rels)}.  Λ is read off one Howell form:
+    the row span of [gens | I_s ; rels | 0] holds (λ·gens + μ·rels, λ), its
+    elements that vanish on the first ``width`` columns are (0, λ) for λ in
+    Λ, and by the Howell property they are spanned by the Howell rows with
+    a pivot column >= width.  Those rows are the Howell form of Λ, unique
+    for the module, and ``diagonalize`` of them gives the basis (``basis =
+    transform @ gens``), the orders and ``generator_coords``.  So all of
+    these depend only on gens and span(rels), not on which rows span it or
+    in what order.
     """
 
     def __init__(self, gens, rels, width: int, q: int):
@@ -317,21 +330,25 @@ class QuotientModule:
         s = gens.shape[0]
         if s == 0:
             self.orders: list[int] = []
+            self.transform = np.zeros((0, 0), dtype=np.int64)
             self.basis = np.zeros((0, width), dtype=np.int64)
             self.generator_coords = np.zeros((0, 0), dtype=np.int64)
             return
-        # relation coefficients on the given generators
-        stacked = np.vstack([gens, rels]).T  # width x (s + r)
-        lam = [k[:s] for k, _ in kernel_with_orders(stacked, q)]
-        P = _as_matrix(lam, s, q)
-        dg = diagonalize(P, q, want_Vinv=True)
-        newgens = (dg.Vinv @ gens) % q  # row i generates the i-th cyclic summand
-        # the relations on newgens are the rows of D = U P V, so summand i has
-        # order p^exps[i] (dropped when that is 1) and the free ones order q
+        # the Howell form of Λ: the rows of the sweep that vanish on the first width columns
+        M = np.zeros((s + len(rels), width + s), dtype=np.int64)
+        M[:s, :width] = gens
+        M[np.arange(s), width + np.arange(s)] = 1
+        M[s:, :width] = rels
+        rows, cols, _ = _howell_sweep(M, self.p, self.d)
+        dg = diagonalize(rows[cols >= width, width:], q, want_Vinv=True)
+        # Vinv @ gens generates the cyclic summands: the relations on them are
+        # the rows of D = U P V, so summand i has order p^exps[i] (dropped when
+        # that is 1) and the free ones order q
         kept = [i for i, e in enumerate(dg.exps) if e > 0] + list(range(len(dg.exps), s))
         self.orders = [self.p ** dg.exps[i] if i < len(dg.exps) else q for i in kept]
-        self.basis = _as_matrix(newgens[kept], width, q)
-        # gens = V newgens: row k of V holds generator k's coordinates
+        self.transform = dg.Vinv[kept] % q
+        self.basis = (self.transform @ gens) % q
+        # gens = V (Vinv gens): row k of V holds generator k's coordinates
         self.generator_coords = dg.V[:, kept] % np.array(self.orders, dtype=np.int64)
 
     @property

@@ -240,6 +240,16 @@ def test_compare_qp11_q5_order625():
     assert rep["cohomology"]["dec_invariants"] == [5]
 
 
+def test_compare_qp29_q7_order2401():
+    # |G| = 2401: B^2 is the |S| = 2 gauge rows on the off-tree values, not
+    # 2400 coboundary rows stacked on 4800 generator values
+    code, rep = run_json("compare", "Qp:29", "--q", "7", "--order-bound", "100000")
+    assert code == 0
+    assert rep["verdict"] == "COMPARISON-CONSISTENT"
+    assert rep["cohomology"]["quotient_order"] == 2401
+    assert rep["cohomology"]["dec_invariants"] == [7]
+
+
 def test_error_exit_codes():
     code, _ = run_cli("quotient", DATA, "nosuchgroup")
     assert code == 1

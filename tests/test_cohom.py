@@ -44,7 +44,7 @@ from qcw.qcentral import (
     universal_class2,
 )
 from qcw.realizability import semidirect_power_table
-from qcw.zqlinalg import QuotientModule, RowSpace, kernel_with_orders, solve_mod_many
+from qcw.zqlinalg import QuotientModule, RowSpace, cokernel_invariants, kernel_with_orders, solve_mod_many
 from test_zqlinalg import ReferenceRowSpace
 
 P2 = SeriesParams(p=2, d=1)
@@ -809,6 +809,8 @@ def test_z2_stays_on_the_generator_values(monkeypatch):
     "name", sorted(SMALL_TABLES) + ["q8_relabelled", "c3_wr_c2_relabelled", "c3_cubed"]
 )
 def test_coboundary_rows_match_reference(name, q, quaternion_table):
+    # the |S| gauge rows are d(K_j) of the reference B^2, K_j(k) the number of
+    # letters s_j on the tree path to k; they vanish on the tree edges
     extra = {
         "q8_relabelled": lambda: relabelled(quaternion_table),
         "c3_wr_c2_relabelled": lambda: relabelled(
@@ -822,30 +824,80 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
         build = SMALL_TABLES[name]
         t = build() if build else quaternion_table
     ctx = GroupCohomology(t, q)
+    gens, edges = ctx._spanning_tree()
+    K = np.zeros((t.order, len(gens)), dtype=np.int64)
+    for parent, i, k in edges:
+        K[k] = K[parent] + np.eye(len(gens), dtype=np.int64)[i]
+    full = K[ctx.elems].T @ reference_coboundary_rows(ctx)[:, generator_columns(ctx)] % q
+    off = off_tree_columns(ctx)
+    assert not np.delete(full, off, axis=1).any()
     got = ctx.coboundary_rows()
-    want = reference_coboundary_rows(ctx)[:, generator_columns(ctx)]
-    assert got.shape == (t.order - 1, len(set(t.generators) - {t.identity}) * (t.order - 1))
+    want = full[:, off]
+    assert got.shape == (len(set(t.generators) - {t.identity}), (len(gens) - 1) * (t.order - 1) + len(gens))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
 
 
+def off_tree_columns(ctx):
+    """Restricted columns (g, s), g != 1, that are not tree edges k' -> k's."""
+    gens, edges = ctx._spanning_tree()
+    tree = {ctx.pos[parent] * len(gens) + i for parent, i, _ in edges if parent != ctx.t.identity}
+    return np.array([c for c in range(len(ctx.elems) * len(gens)) if c not in tree], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES) + ["q8_relabelled", "d4_relabelled", "cyclic8_relabelled"])
+def test_gauge_decides_coboundaries(name, q, request):
+    # v is in B^2 (the reference (|G|-1)-row matrix on the generator values)
+    # iff its gauge lies in the span of the |S| gauge rows; the gauge vanishes
+    # on the tree edges, and it fixes the off-tree values of gauged vectors
+    t = small_table(name, request)
+    ctx = GroupCohomology(t, q)
+    b2 = reference_coboundary_rows(ctx)[:, generator_columns(ctx)]
+    rows = ctx.coboundary_rows()
+    off = off_tree_columns(ctx)
+    rng = np.random.default_rng(7 * t.order + q)
+    vs = []
+    for trial in range(30):
+        v = rng.integers(0, q, len(b2)) @ b2 % q
+        if trial % 3 == 1:
+            v[rng.integers(v.size)] += rng.integers(1, q)
+        elif trial % 3 == 2:
+            v = rng.integers(0, q, v.size)
+        vs.append(v % q)
+    gauged = ctx.gauge(np.array(vs))
+    assert gauged.shape == (len(vs), len(off))
+    hits = 0
+    for v, w in zip(vs, gauged):
+        in_b2 = solve_mod_many(b2.T, v, q)[0] is not None
+        assert in_b2 == (solve_mod_many(rows.T, w, q)[0] is not None)
+        hits += in_b2
+        embedded = np.zeros_like(v)
+        embedded[off] = w
+        assert (ctx.gauge(embedded[None])[0] == w).all()
+        assert solve_mod_many(b2.T, (v - embedded) % q, q)[0] is not None
+    # for cyclic8 at odd q every vector of generator values is a coboundary's
+    assert 10 <= hits and (hits < 30 or not cokernel_invariants(b2, b2.shape[1], q))
+
+
 def test_quotients_stay_on_the_generator_values(monkeypatch):
     # every QuotientModule behind H^2, the decomposable part, the pairing and
-    # the inclusion is |S|(|G|-1) wide, not (|G|-1)^2
+    # the inclusion is on the (|S|-1)(|G|-1) + |S| off-tree values, modulo the
+    # |S| gauge rows, not on (|G|-1)^2 values modulo |G|-1 coboundary rows
     import qcw.cohom
 
     t = to_table(third_quotient(free_presentation(2), P2))
-    widths = []
+    shapes = []
     real = qcw.cohom.QuotientModule
 
     def spy(gens, rels, width, q):
-        widths.append(width)
+        shapes.append((width, len(rels)))
         return real(gens, rels, width, q)
 
     monkeypatch.setattr(qcw.cohom, "QuotientModule", spy)
     decomposable_h2(t, 2)
     GroupCohomology(t, 2).pairing()
-    assert widths == [2 * (t.order - 1)] * 3
+    assert shapes == [((2 - 1) * (t.order - 1) + 2, 2)] * 3
 
 
 def small_table(name, request):
@@ -923,7 +975,8 @@ def test_is_coboundary_rejects_a_non_cocycle_with_coboundary_generator_values(na
     F = du.copy()
     F[ctx.elems[-1], off[-1]] = (F[ctx.elems[-1], off[-1]] + 1) % q
     assert (ctx.restrict(F) == ctx.restrict(du)).all()
-    assert solve_mod_many(ctx.coboundary_rows().T, ctx.restrict(F), q)[0] is not None
+    b2 = reference_coboundary_rows(ctx)[:, generator_columns(ctx)]
+    assert solve_mod_many(b2.T, ctx.restrict(F), q)[0] is not None
     assert not is_cocycle_matrix(ctx, F)
     assert not ctx.is_coboundary(F)
 
@@ -1022,7 +1075,7 @@ def reference_pairing_values(ctx):
     mod = ctx.dec_module()
     if m == 0:
         return np.zeros((0, 0, mod.rank), dtype=np.int64)
-    return mod.coords_batch(np.array(ctx.cup_flats(), dtype=np.int64)).reshape(m, m, mod.rank)
+    return mod.coords_batch(ctx.gauge(ctx.cup_flats())).reshape(m, m, mod.rank)
 
 
 def test_pairing_matches_coordinate_solve():

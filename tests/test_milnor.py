@@ -5,6 +5,7 @@ from qcw.errors import UnsupportedFieldError
 from qcw.milnor import (
     FieldDescriptor,
     SmallField,
+    _poly_mul,
     galois_model,
     k1,
     k2,
@@ -14,6 +15,7 @@ from qcw.milnor import (
     symbol_algebra,
 )
 from qcw.qcentral import SeriesParams
+from qcw.zqlinalg import prime_power
 
 P2 = SeriesParams(p=2, d=1)
 P3 = SeriesParams(p=3, d=1)
@@ -46,6 +48,51 @@ def test_small_field_tables():
     assert len(F9.dlog) == 8
     F16 = SmallField(16)
     assert len(F16.dlog) == 15
+
+
+def reference_finite_relations(F, q):
+    """The former ``_finite_symbol_algebra`` rows: one Python loop per
+    bilinearity row and one Steinberg row per g^i != 1, with g^i by
+    repeated squaring in the field."""
+    if F.k == 1:
+        mul = lambda x, y: x * y % F.ell
+    else:
+        mul = lambda x, y: _poly_mul(x, y, F.ell, F.modpoly)
+    gidx = {(a, b): a * q + b for a in range(q) for b in range(q)}
+    rows = []
+    for a in range(q):
+        for a2 in range(q):
+            for b in range(q):
+                for key in (lambda x: (x, b), lambda x: (b, x)):
+                    row = np.zeros(q * q, dtype=np.int64)
+                    row[gidx[key((a + a2) % q)]] += 1
+                    row[gidx[key(a)]] -= 1
+                    row[gidx[key(a2)]] -= 1
+                    rows.append(row % q)
+    for i in range(1, F.s - 1):
+        assert F.element_of_exp(i) == F._pow_raw(F.generator, i, mul, F.one)
+        row = np.zeros(q * q, dtype=np.int64)
+        row[gidx[(i % q, F.one_minus_exp(i) % q)]] = 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("size,q", [(5, 2), (5, 4), (9, 4), (13, 3), (13, 4), (17, 8), (25, 8), (27, 13), (49, 8), (997, 2)])
+def test_finite_symbol_algebra_matches_the_former_loops(size, q, monkeypatch):
+    # the same relation rows as the former loops, the Steinberg ones without
+    # repeats; k2 of a finite field is 0 either way
+    import qcw.milnor
+
+    seen = []
+    real = qcw.milnor.QuotientModule
+    monkeypatch.setattr(qcw.milnor, "QuotientModule", lambda g, r, w, q: seen.append(r) or real(g, r, w, q))
+    p, d = prime_power(q)
+    S = symbol_algebra(FieldDescriptor(kind="finite", params=SeriesParams(p=p, d=d), size=size))
+    want = reference_finite_relations(SmallField(size), q)
+    (got,) = seen
+    assert {tuple(r) for r in got} == {tuple(r) for r in want}
+    assert len(got) == 2 * q**3 + len({tuple(r) for r in want[2 * q**3 :]})
+    assert S.k2_invariants == [] and S.k2_values.shape == (1, 0) and S.k2_relations.tolist() == [[1]]
 
 
 def test_k1_examples():

@@ -375,6 +375,27 @@ def test_generation_is_checked_once_per_table(monkeypatch):
     assert len(calls) == 1
 
 
+def reference_inverses(t: FiniteGroupTable) -> np.ndarray:
+    """The former ``FiniteGroupTable.inverses``: one nonzero scan of the whole table."""
+    inv = np.full(t.order, -1, dtype=np.int64)
+    src, dst = np.nonzero(t.mult == t.identity)
+    inv[src] = dst
+    return inv
+
+
+@pytest.mark.parametrize("kind,name", TABLE_CASES)
+def test_inverses_match_the_full_scan(kind, name, request):
+    t = build_table(kind, name, request)
+    fresh = FiniteGroupTable(order=t.order, mult=t.mult, identity=t.identity, generators=t.generators)
+    assert (fresh.inverses() == reference_inverses(t)).all()
+
+
+def test_inverses_reject_a_row_without_the_identity():
+    bad = FiniteGroupTable(order=2, mult=np.array([[0, 1], [1, 1]]), identity=0, generators=(1,))
+    with pytest.raises(QcwError, match="without inverse"):
+        bad.inverses()
+
+
 @pytest.mark.parametrize(
     "subset,message",
     [

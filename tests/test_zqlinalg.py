@@ -363,6 +363,69 @@ def test_coords_of_a_zero_module_check_every_vector(q):
         empty.coords_batch([[0, 0], [0, 1]])
 
 
+def reference_quotient_module(gens, rels, width, q):
+    """The former ``QuotientModule`` construction: the relations Λ on the
+    generators from ``kernel_with_orders`` of the stacked [gens; rels].T.
+    Returns (orders, basis, generator_coords)."""
+    gens, rels = _as_matrix(gens, width, q), _as_matrix(rels, width, q)
+    s = len(gens)
+    lam = [k[:s] for k, _ in kernel_with_orders(np.vstack([gens, rels]).T, q)]
+    dg = diagonalize(_as_matrix(lam, s, q), q, want_Vinv=True)
+    p = dg.p
+    kept = [i for i, e in enumerate(dg.exps) if e > 0] + list(range(len(dg.exps), s))
+    orders = [p ** dg.exps[i] if i < len(dg.exps) else q for i in kept]
+    basis = (dg.Vinv @ gens % q)[kept]
+    return orders, basis, dg.V[:, kept] % np.array(orders, dtype=np.int64)
+
+
+def in_span(vectors, rows, width, q):
+    rs = RowSpace(width, q)
+    rs.add_rows(rows)
+    return all(rs.contains(v) for v in vectors)
+
+
+def respanned(rng, rels, q):
+    """Other rows with the same span: shuffled, recombined by a unit
+    triangular matrix, with duplicates, zero rows and combinations added."""
+    r, w = rels.shape
+    U = np.tril(random_matrix(rng, (r, r), q), -1) + np.diag([rng.choice([u for u in range(1, q) if math.gcd(u, q) == 1]) for _ in range(r)])
+    out = list(U @ rels % q)
+    if r:
+        out += [rels[rng.randrange(r)].copy(), random_matrix(rng, (1, r), q)[0] @ rels % q]
+    out += [np.zeros(w, dtype=np.int64)] * rng.randint(0, 2)
+    rng.shuffle(out)
+    return _as_matrix(out, w, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_quotient_module_is_canonical(q):
+    # orders, basis and generator_coords depend only on gens and span(rels),
+    # and agree with the former stacked-kernel construction up to its choice of basis
+    rng = random.Random(97 * q)
+    p, _ = prime_power(q)
+    for trial in range(30):
+        w = rng.randint(1, 6)
+        gens = random_matrix(rng, (rng.randint(0, 5), w), q, density=rng.choice([0.5, 1.0])).reshape(-1, w)
+        rels = random_matrix(rng, (rng.randint(0, 4), w), q).reshape(-1, w)
+        if trial % 3 == 0:
+            rels = rels * p % q  # non-unit relations
+        if trial % 4 == 1 and len(gens) and len(rels):
+            gens[-1] = (gens[0] + rels[-1]) % q  # a generator that differs from another by a relation
+        module = QuotientModule(gens, rels, w, q)
+        for _ in range(3):
+            other = QuotientModule(gens, respanned(rng, rels, q), w, q)
+            assert other.orders == module.orders
+            assert other.basis.shape == module.basis.shape and (other.basis == module.basis).all()
+            assert (other.generator_coords == module.generator_coords).all()
+        orders, basis, _ = reference_quotient_module(gens, rels, w, q)
+        assert module.orders == orders and module.basis.shape == basis.shape
+        if len(gens):
+            diff = (gens - module.generator_coords @ module.basis) % q
+            assert in_span(diff, rels, w, q)
+        assert in_span(module.basis, np.vstack([gens, rels]), w, q)
+        assert (module.basis == module.transform @ gens % q).all()
+
+
 def test_cokernel_invariants_examples():
     # (Z/4)^1 / <2> = Z/2
     assert sorted(cokernel_invariants([[2]], 1, 4)) == [2]
