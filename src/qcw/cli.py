@@ -30,6 +30,7 @@ from .qcentral import (
     group_record,
     second_quotient_record,
     third_quotient,
+    third_quotient_relators,
     to_table,
 )
 from .realizability import (
@@ -103,7 +104,9 @@ def cmd_cohomology(args) -> int:
     pres = _load_group(args.file, args.group)
     params = SeriesParams.from_q(args.q)
     table = to_table(third_quotient(pres, params, args.order_bound), args.order_bound)
-    ctx = GroupCohomology(table, args.q, h2_bound=args.h2_bound)
+    ctx = GroupCohomology(
+        table, args.q, h2_bound=args.h2_bound, relators=third_quotient_relators(pres, params)
+    )
     report = {
         "command": "cohomology",
         "file": args.file,

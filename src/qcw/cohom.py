@@ -28,23 +28,62 @@ tree equations, and every cocycle is the extension of its own values.  So
 Z^2 is, on the generator values, the solution module of the remaining
 (off-tree) equations, and the extension is injective on it.
 
+A presentation <S | R> of G gives a shorter system, by dimension shifting
+(Brown, *Cohomology of Groups*, III.5-III.6; Fox, "Free differential
+calculus I", Ann. Math. 1953).  For a word w in S and generator values f
+(with f(1, s) = 0) walk w from every g at once:
+
+    acc_w(g) = sum over the letters of w of  +f(g u, s)        (letter s)
+                                          or -f(g u s^-1, s)  (letter s^-1),
+
+u the prefix before the letter.  Then acc_uv(g) = acc_u(g) + acc_v(g u), so
+w -> acc_w is a derivation of the free group on S into Map(G, Z/q), on which
+u acts by (u.φ)(g) = φ(g u).  Map(G, Z/q) is co-induced, hence acyclic, so
+with M = Map(G, Z/q) / constants the connecting map is an isomorphism
+H^1(G, M) -> H^2(G, Z/q), and on cocycles it sends a derivation δ to
+F(g, h) = δ~(h)(g), δ~(h) the lift of δ(h) that vanishes at 1; conversely
+F(., h) modulo constants is a derivation for every normalized cocycle F.
+A derivation of the free group factors through G iff it vanishes on R,
+since the normal closure of R acts trivially on M.  So the generator values
+of the normalized cocycles are exactly the f with acc_r constant in g for
+every relator r, and f(1, s) = 0 fixes the constant: the lift of
+δ(s) = acc_s vanishing at 1 is f(., s) itself.  The walk equations are the
+|R| (|G|-1) rows acc_r(g) - acc_r(1), g != 1.  A relator's walk must take
+every g back to g (r = 1 in G); ``z2_generators`` raises otherwise.  It
+does not check that R presents G: fewer relators give more solutions, and
+the safety net below rejects them.
+
+The off-tree equations are the walk equations of one presentation, the
+Schreier relators path(h) s path(hs)^-1 of the tree (one per off-tree edge;
+path(k) spells the tree path to k).  Along a tree path acc_path(k)(g) -
+acc_path(k)(1) is the extension's f(g, k), by the tree equation, so for the
+Schreier relator r of (h, s)
+
+    acc_r(g) - acc_r(1) = f(g, h) + f(gh, s) - f(h, s) - f(g, hs)
+                        = -df(g, h, s).
+
+Tables with no presentation at hand (``h2``, ``decomposable_h2``, the
+stand-ins) solve these; ``cohomology`` passes the relators of G^[3, q]
+(``qcentral.third_quotient_relators``), (|S| |G| - |G| + 1)(|G| - 1) rows
+against |R| (|G| - 1).  Both solve for the same Z^2, so they cross-check.
+
 One function evaluates df, on generator values that carry a trailing axis
 of m cochains.  Row g of the extension needs only row g of the tree walk,
 so df runs over blocks of rows g whose size keeps every temporary within
 one cell budget.  Fed the unit vectors (m = |S| (|G|-1)) at the off-tree
 pairs (h, s), it gives the equations; fed the solutions at every pair,
 tree pairs included, it is the safety net, which by the lemma above is the
-full cocycle identity.
+full cocycle identity.  The safety net runs on either route.
 
 The generators returned depend on Z^2 alone.  Over Z/q every submodule M
 of (Z/q)^w satisfies Ann(Ann(M)) = M (Z/q is self-injective), so the
 equation module is Ann(Z^2) for any system of equations on the generator
-values whose solutions are Z^2, whatever tree, row order or blocking
-produced it.  ``RowSpace`` holds it in Howell form, which is unique for the
-module (Howell, "Spans in the module (Z_m)^s", 1986), and the generators
-are read off that form: one per free column when every pivot is a unit,
-else ``kernel_with_orders`` of its rows.  Another route to the same Z^2,
-such as a presentation's relators, lands on the same vectors.
+values whose solutions are Z^2, whatever presentation, tree, row order or
+blocking produced it.  ``RowSpace`` holds it in Howell form, which is
+unique for the module (Howell, "Spans in the module (Z_m)^s", 1986), and
+the generators are read off that form: one per free column when every
+pivot is a unit, else ``kernel_with_orders`` of its rows.  So the relator
+route and the off-tree route land on the same vectors, in the same order.
 
 After the solve, degree 2 stays on the |S| (|G|-1) generator values:
 ``restrict`` reads f(x, s) off a cochain, ``extend`` walks the tree back,
@@ -195,11 +234,17 @@ class TableHom:
 class GroupCohomology:
     """Cached degree <= 2 cohomology data of one (table, q) pair."""
 
-    def __init__(self, table: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND):
+    def __init__(
+        self, table: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND, relators=None
+    ):
+        """``relators``, if given, are words in the table's listed generators
+        (letter i is ``table.generators[i]``) that present the group; Z^2 is
+        then solved from their walks instead of the off-tree equations."""
         prime_power(q)
         self.t = table
         self.q = q
         self.h2_bound = h2_bound
+        self.relators = None if relators is None else tuple(relators)
         n = table.order
         self.elems = np.array([x for x in range(n) if x != table.identity], dtype=np.int64)
         pos = np.full(n, -1, dtype=np.int64)
@@ -373,10 +418,67 @@ class GroupCohomology:
             r = np.arange(len(g))[:, None]
             yield (f_hs - on_gens[t.mult[g[:, None], h], i] + F[r, hs] - F[r, h]) % self.q
 
+    def _walk_rows(self):
+        """The walk equations acc_r(g) - acc_r(1) = 0, g != 1, of the relators
+        on the restricted unknowns (module docstring), in blocks of relators
+        whose dense rows hold at most ``_BLOCK_CELLS // 4`` entries unless
+        one relator alone is larger: ``RowSpace`` sweeps a block with
+        temporaries a few times its size.
+
+        A letter at prefix u reads f(g h, s) with h = u (letter s) or
+        h = u s^-1 (letter s^-1), so one walk from 1 gives the columns h of
+        the table that every g reads."""
+        t = self.t
+        gens, _ = self._spanning_tree()
+        n, ns = t.order, len(gens)
+        unknowns = len(self.elems) * ns
+        # cell[k, i]: the column of f(k, gens[i]); f(1, .) = 0 goes to a spare
+        # last column, dropped below
+        cell = np.full((n, ns), unknowns, dtype=np.int64)
+        cell[self.elems] = np.arange(unknowns).reshape(len(self.elems), ns)
+        column = {int(x): i for i, x in enumerate(gens)}
+        letters = [
+            (column.get(int(x), -1), int(x), int(np.argmax(t.mult[x] == t.identity)))
+            for x in t.generators
+        ]
+        g = np.arange(n)[:, None]
+        step = max(1, _BLOCK_CELLS // 4 // max(1, n * (unknowns + 1)))
+        for start in range(0, len(self.relators), step):
+            block = self.relators[start : start + step]
+            acc = np.zeros((len(block), n, unknowns + 1), dtype=np.int64)
+            for b, r in enumerate(block):
+                h, i, sign = [], [], []
+                u = t.identity
+                for a, e in r.letters:
+                    if a >= len(letters):
+                        raise DimensionMismatchError(
+                            f"relator uses generator {a}, the table lists {len(letters)}"
+                        )
+                    col, x, x_inv = letters[a]
+                    if col < 0:
+                        continue  # the letter is the identity: f(k, 1) = 0
+                    for _ in range(abs(e)):
+                        if e < 0:
+                            u = int(t.mult[u, x_inv])
+                        h.append(u)
+                        if e > 0:
+                            u = int(t.mult[u, x])
+                    i += [col] * abs(e)
+                    sign += [1 if e > 0 else -1] * abs(e)
+                # g r = g for every g iff r = 1
+                if u != t.identity:
+                    raise QcwError(f"relator {start + b} does not hold in the table")
+                np.add.at(acc[b], (g, cell[t.mult[:, h], i]), sign)
+            rows = acc[:, self.elems, :unknowns]
+            rows -= acc[:, t.identity, None, :unknowns]
+            rows %= self.q
+            yield rows.reshape(len(block) * len(self.elems), unknowns)
+
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
         """Independent generators (vector, order) of the cocycle module Z^2,
-        as restricted vectors: the kernel of the off-tree equations, read off
-        their Howell form (see the module docstring)."""
+        as restricted vectors: the kernel of the relators' walk equations, or
+        without relators of the off-tree equations, read off their Howell
+        form (see the module docstring)."""
         if self._z2 is None:
             t, q = self.t, self.q
             if t.order > self.h2_bound:
@@ -386,8 +488,14 @@ class GroupCohomology:
             gens, _ = self._spanning_tree()
             unknowns = len(self.elems) * len(gens)
             rs = RowSpace(unknowns, q)
-            for rows in self._df_blocks(np.eye(unknowns, dtype=np.int64), *self._off_tree()):
-                rs.add_rows(rows.reshape(-1, unknowns))
+            if self.relators is None:
+                eye = np.eye(unknowns, dtype=np.int64)
+                df = self._df_blocks(eye, *self._off_tree())
+                blocks = (rows.reshape(-1, unknowns) for rows in df)
+            else:
+                blocks = self._walk_rows()
+            for rows in blocks:
+                rs.add_rows(rows)
             kernel = rs.kernel()
             # the safety net: every df(g, h, s), tree pairs included
             every_pair = np.nonzero(np.ones((t.order, len(gens)), dtype=bool))

@@ -88,26 +88,41 @@ def test_cohomology_trivial():
     assert rep["decomposable_h2"]["dimension"] == 0
 
 
-def test_cohomology_order243_fits_800mb():
-    # the full H^2 of free2^[3,3], |G| = 243, in a child whose address space
-    # is capped at 800 MB: Z^2 is solved and checked on the 484 generator
-    # values, with no |G|^2-row or (|G|-1)^2-wide array
-    cap = 800 * 10**6
+def run_json_capped(cap, *argv):
+    """The JSON report of a CLI run in a child whose address space is capped at ``cap`` bytes."""
     src = os.path.dirname(os.path.dirname(qcw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
         [
             sys.executable, "-c", "import sys; from qcw.cli import main; sys.exit(main(sys.argv[1:]))",
-            "cohomology", DATA, "free2", "--q", "3", "--order-bound", "1000", "--h2-bound", "1000",
-            "--output", "json",
+            *argv, "--output", "json",
         ],
         capture_output=True, text=True, env=env, timeout=600,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert child.returncode == 0, child.stderr
-    rep = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_cohomology_order243_fits_800mb():
+    # the full H^2 of free2^[3,3], |G| = 243, in a child whose address space
+    # is capped at 800 MB: Z^2 is solved and checked on the 484 generator
+    # values, with no |G|^2-row or (|G|-1)^2-wide array
+    argv = ("cohomology", DATA, "free2", "--q", "3", "--order-bound", "1000", "--h2-bound", "1000")
+    rep = run_json_capped(800 * 10**6, *argv)
     assert rep["order"] == 243
     assert rep["h2"]["invariants"] == [3] * 5
+    assert rep["decomposable_h2"]["invariants"] == []
+
+
+def test_cohomology_free3_q2_order512():
+    # |G| = 512: Z^2 from the 21 relators of free3^[3,2], 10731 walk rows on
+    # the 1533 generator values (the off-tree route sweeps 523775 rows), in
+    # a child capped at 3 GB
+    argv = ("cohomology", DATA, "free3", "--q", "2", "--order-bound", "1000", "--h2-bound", "1000")
+    rep = run_json_capped(3 * 10**9, *argv)
+    assert rep["order"] == 512
+    assert rep["h2"]["invariants"] == [2] * 14
     assert rep["decomposable_h2"]["invariants"] == []
 
 

@@ -6,6 +6,8 @@ enumerated from all 1-cochains, and |H^2| = |Z^2| / |B^2| is compared with
 the solver's invariants.  The solver never feeds the oracle.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -13,7 +15,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qcw.cli import main
 from qcw.cohom import (
     GroupCohomology,
     _is_module_iso,
@@ -29,9 +34,9 @@ from qcw.cohom import (
     pairings_equivalent,
     PairingTensor,
 )
-from qcw.errors import NotAHomomorphismError, QcwError, SizeLimitError
+from qcw.errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from qcw.milnor import galois_model, parse_field
-from qcw.presentations import Word, free_presentation, parse_file, parse_presentation
+from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     FiniteGroupTable,
     SeriesParams,
@@ -39,6 +44,7 @@ from qcw.qcentral import (
     cyclic_table,
     induced_quotient_map,
     third_quotient,
+    third_quotient_relators,
     to_table,
     trivial_table,
     universal_class2,
@@ -1178,6 +1184,115 @@ def test_corrupted_kernel_raises(name, request, monkeypatch):
     monkeypatch.setattr(RowSpace, "kernel", corrupted)
     with pytest.raises(QcwError, match="non-cocycle"):
         GroupCohomology(t, 2).z2_generators()
+
+
+# -- Z^2 from a presentation's relators ------------------------------------------
+
+with open(GROUPS_GRP, encoding="utf-8") as _fh:
+    GRP = {pres.name: pres for pres in parse_file(_fh.read())}
+
+# third_quotient only bounds |E(n, q)|, and computes in the normal form
+NO_BOUND = 10**12
+
+
+def relator_cases(bound=256):
+    """(name, q) for every groups.grp group at q in {2, 3, 4, 5, 8, 9} with |G| <= bound."""
+    return [
+        (name, q)
+        for name in sorted(GRP)
+        for q in (2, 3, 4, 5, 8, 9)
+        if third_quotient(GRP[name], SeriesParams.from_q(q), NO_BOUND).order <= bound
+    ]
+
+
+def assert_relators_give_the_off_tree_z2(pres, q, bound):
+    params = SeriesParams.from_q(q)
+    t = to_table(third_quotient(pres, params, NO_BOUND), bound)
+    want = GroupCohomology(t, q, h2_bound=bound).z2_generators()
+    rels = third_quotient_relators(pres, params)
+    got = GroupCohomology(t, q, h2_bound=bound, relators=rels).z2_generators()
+    assert [o for _, o in got] == [o for _, o in want]
+    assert all(v.dtype == w.dtype and (v == w).all() for (v, _), (w, _) in zip(got, want))
+
+
+@pytest.mark.parametrize("name,q", relator_cases())
+def test_relator_walks_give_the_off_tree_z2(name, q):
+    # two presentations of the same group, the Schreier relators of the tree
+    # and those of G^[3, q]: the same Howell form, so the same vectors in
+    # the same order
+    assert_relators_give_the_off_tree_z2(GRP[name], q, 256)
+
+
+def test_relator_cases_cover_the_data_groups():
+    # every groups.grp group but free3 (|G| >= 512), trivialg and involution
+    # among them, where the generators map to the identity or to each other
+    cases = relator_cases()
+    assert len(cases) == 36
+    assert {name for name, _ in cases} == set(GRP) - {"free3"}
+
+
+@st.composite
+def _small_presentations(draw):
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([2, 3, 4]))
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1, 2, -2, q, -q]))
+    word = st.lists(letter, min_size=1, max_size=4).map(lambda ls: Word(tuple(ls)))
+    relators = tuple(draw(st.lists(word, min_size=1, max_size=2)))
+    pres = Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=relators)
+    assume(third_quotient(pres, SeriesParams.from_q(q), NO_BOUND).order <= 64)
+    return pres, q
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_small_presentations())
+def test_relator_walks_give_the_off_tree_z2_on_random_presentations(case):
+    assert_relators_give_the_off_tree_z2(*case, 64)
+
+
+def test_a_relator_that_fails_in_the_table_is_refused():
+    pres, params = GRP["free2"], SeriesParams(p=2, d=1)
+    t = to_table(third_quotient(pres, params))
+    rels = third_quotient_relators(pres, params) + (Word(((0, 1),)),)
+    with pytest.raises(QcwError, match="does not hold"):
+        GroupCohomology(t, 2, relators=rels).z2_generators()
+    with pytest.raises(DimensionMismatchError, match="generator 2"):
+        GroupCohomology(t, 2, relators=[Word(((2, 1),))]).z2_generators()
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_relators_that_do_not_present_the_group_trip_the_safety_net(q):
+    # without demushkin3's own relator the walks hold in its table but
+    # present E(2, q): their solutions include non-cocycles.  (At odd q, s
+    # maps to the identity of the cyclic table, and t^(q^2) alone presents it)
+    pres, params = GRP["demushkin3"], SeriesParams.from_q(q)
+    t = to_table(third_quotient(pres, params, NO_BOUND))
+    universal = third_quotient_relators(pres, params)[len(pres.relators) :]
+    with pytest.raises(QcwError, match="non-cocycle"):
+        GroupCohomology(t, q, relators=universal).z2_generators()
+
+
+def test_cohomology_command_solves_z2_from_the_relators(monkeypatch):
+    # RowSpace gets the |R| (|G|-1) walk rows, not the (|S||G|-|G|+1)(|G|-1)
+    # off-tree rows, and df is evaluated once: the safety net on every pair
+    pres, params = GRP["free2"], SeriesParams(p=2, d=1)
+    order = third_quotient(pres, params).order
+    rows_in, df_pairs = [], []
+    add_rows, df_blocks = RowSpace.add_rows, GroupCohomology._df_blocks
+
+    def count_rows(self, block):
+        rows_in.append(len(block))
+        return add_rows(self, block)
+
+    def record_pairs(self, vectors, h, i):
+        df_pairs.append(len(h))
+        return df_blocks(self, vectors, h, i)
+
+    monkeypatch.setattr(RowSpace, "add_rows", count_rows)
+    monkeypatch.setattr(GroupCohomology, "_df_blocks", record_pairs)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cohomology", GROUPS_GRP, "free2", "--q", "2"]) == 0
+    assert 0 < sum(rows_in) <= len(third_quotient_relators(pres, params)) * (order - 1)
+    assert df_pairs == [order * pres.rank]
 
 
 # -- bijectivity from span invariants --------------------------------------------

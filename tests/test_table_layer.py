@@ -1,8 +1,8 @@
 """The table layer built from the listed generators, against its former engines.
 
-``to_table`` collects the n |G| products x_i g and fills the rows along BFS
-layers; series steps, closures, derived subgroups and classes are normal
-closures of a few seeds.  reference_to_table, reference_closure,
+``to_table`` collects the n |G| products x_i g and fills the rows by left
+multiplication with the steps x_i^(2^j); series steps, closures, derived
+subgroups and classes are normal closures of a few seeds.  reference_to_table, reference_closure,
 reference_commutators_block, reference_derived_subgroup,
 reference_nilpotency_class, reference_check_normal_subgroup,
 reference_series_step and reference_quotient_table are the former
@@ -171,6 +171,13 @@ def assert_same_table(got: FiniteGroupTable, want: FiniteGroupTable) -> None:
 def test_to_table_matches_reference_on_data_groups(name, q):
     g = third_quotient(DATA_GROUPS[name], SeriesParams.from_q(q), ORACLE_BOUND)
     assert_same_table(to_table(g, ORACLE_BOUND), reference_to_table(g, ORACLE_BOUND))
+
+
+@pytest.mark.parametrize("q", [16, 27, 32])
+def test_to_table_of_cyclic_quotients_matches_reference(q):
+    # |G| = q^2, filled by its log2 |G| steps x^(2^j)
+    g = third_quotient(free_presentation(1), SeriesParams.from_q(q), 1024)
+    assert_same_table(to_table(g, 1024), reference_to_table(g, 1024))
 
 
 def test_to_table_of_the_rank_0_group():
