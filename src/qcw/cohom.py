@@ -1,9 +1,10 @@
 """Mod-q cohomology of explicit finite groups in degrees 1 and 2.
 
-Degree 1 is Hom(G, Z/q), solved from the homomorphism conditions on a
-generating set.  Degree 2 uses normalized bar cochains: a cochain is a
-function f : (G \\ 1) x (G \\ 1) -> Z/q (normalization f(1, .) = f(., 1) = 0
-is built into the indexing), the cocycle identity
+Degree 1 is Hom(G, Z/q), solved on its |S| values at the listed
+generators through the spanning tree of degree 2 (below).  Degree 2 uses
+normalized bar cochains: a cochain is a function
+f : (G \\ 1) x (G \\ 1) -> Z/q (normalization f(1, .) = f(., 1) = 0 is
+built into the indexing), the cocycle identity
 
     f(g, h) + f(gh, k) = f(h, k) + f(g, hk)
 
@@ -117,6 +118,38 @@ decomposable part and the cup tensor come out as they would from all of
 B^2; the basis classes are the same combinations (``transform``) of the
 original restricted generators.
 
+Degree 1 lives on the same tree.  Lemma: Hom(G, Z/q) is the kernel of the
+transposed gauge rows, v -> Σ_j v_j K_j.  A homomorphism f adds up along
+the tree path, so f = Σ_j f(s_j) K_j (K_j(s_i) = δ_ij, as the first layer
+holds the s_i).  Conversely f = Σ_j v_j K_j has f(1) = 0 and
+f(g) + f(s_i) - f(g s_i) = Σ_j v_j dK_j(g, s_i), which vanishes on the tree
+edges; since S generates G, f is a homomorphism iff it vanishes at the
+off-tree pairs as well, that is iff v is in the kernel of
+``coboundary_rows().T``: |S| columns and at most |S| pivots, where the
+homomorphism conditions f(x g) = f(x) + f(g) on the |G| - 1 values take a
+|S| |G| x (|G| - 1) system.  v -> Σ_j v_j K_j is injective, so the kernel
+vectors' potentials span Hom(G, Z/q).
+
+The basis reported is the one ``kernel_with_orders`` gives for that dense
+system (rows f(x) + f(g) - f(x g), g-major over the listed generators, on
+the values at G \\ 1), yet the system is never eliminated.  One Howell
+sweep solves the |S|-column system.  If its pivots are units, its kernel
+is free (``rref_kernel``): H^1 is free of rank k, so the dense system's
+diagonal form has |G| - 1 - k unit entries and no other nonzero one (an
+entry p^e, 0 < e < d, would give a kernel vector of order p^e).  Then
+``zqlinalg.kernel_free_columns`` replays ``diagonalize``'s pivot choices
+on the dense system's rows, kept sparse (three entries each, walked until
+the last pivot), and lists the k free columns in the order in which
+``kernel_with_orders`` gives their vectors; each vector is the
+homomorphism that is 1 at its own free column and 0 at the others (proof
+there).  So ``h1_space`` sweeps the potentials into Howell form with the
+free columns, in that order, first: the rows have unit pivots there and
+are 0 at the other free columns, so they are the dense route's basis,
+vector for vector and in its order.  If a pivot is not a unit, which
+every H^1 with an invariant below q gives (a unit-pivot form has a free
+kernel) and a free H^1 may give too, ``h1_space`` runs the dense route
+itself, ``kernel_with_orders`` of the |S| |G| x (|G| - 1) conditions.
+
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
 (the length of the cyclic-invariant list), which coincides with the F_p
@@ -139,7 +172,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from .qcentral import FiniteGroupTable
-from .zqlinalg import QuotientModule, RowSpace, kernel_with_orders, prime_power, solve_mod
+from .zqlinalg import (
+    QuotientModule,
+    RowSpace,
+    _howell_sweep,
+    kernel_free_columns,
+    kernel_with_orders,
+    prime_power,
+    rref_kernel,
+    solve_mod,
+)
 
 DEFAULT_H2_BOUND = 64
 _BLOCK_CELLS = 1 << 22
@@ -262,31 +304,73 @@ class GroupCohomology:
     # -- degree 1 -----------------------------------------------------------
 
     def h1_space(self) -> CohomologySpace:
+        """Hom(G, Z/q) with the basis of the dense homomorphism conditions
+        (module docstring): read off the |S|-column solve on the tree
+        generators when that solve has unit pivots, solved from those
+        conditions when not.  Raises ``QcwError`` unless the listed
+        generators generate."""
         if self._h1 is None:
-            t, q = self.t, self.q
-            n = t.order
-            gens = list(t.generators) if t.generators else []
-            if n > 1 and not gens:
-                raise QcwError("table lists no generators")
-            # f(x * g) = f(x) + f(g) for every generator g and every x, g-major
-            g, x = np.repeat(np.array(gens, dtype=np.int64), n), np.tile(np.arange(n), len(gens))
-            rows = np.zeros((len(g), n), dtype=np.int64)
-            r = np.arange(len(g))
-            np.add.at(rows, (r, x), 1)
-            np.add.at(rows, (r, g), 1)
-            np.add.at(rows, (r, t.mult[x, g]), -1)
-            if len(rows):
-                kern = kernel_with_orders(np.delete(rows % q, t.identity, axis=1), q)
+            basis = self._h1_on_tree()
+            if basis is None:
+                kern = self._h1_dense()
             else:
-                kern = []
-            basis, invariants = [], []
-            for vec, order in kern:
-                full = np.zeros(n, dtype=np.int64)
-                full[self.elems] = vec
-                basis.append(full)
-                invariants.append(order)
-            self._h1 = CohomologySpace(degree=1, modulus=q, invariants=invariants, basis=basis)
+                kern = [(vec, self.q) for vec in basis]
+            full = np.zeros((len(kern), self.t.order), dtype=np.int64)
+            if kern:
+                full[:, self.elems] = [vec for vec, _ in kern]
+            self._h1 = CohomologySpace(
+                degree=1, modulus=self.q, invariants=[o for _, o in kern], basis=list(full)
+            )
         return self._h1
+
+    def _h1_on_tree(self) -> np.ndarray | None:
+        """The basis rows on G \\ 1 of Hom(G, Z/q), or None when the Howell
+        form of ``coboundary_rows().T`` has a pivot that is not a unit.  The
+        tree values v solve Σ_j v_j dK_j = 0 at the off-tree pairs, and
+        their potentials are the homomorphisms' values; the Howell form of
+        those with the dense route's free columns first, in its order, is
+        its basis."""
+        gens, _ = self._spanning_tree()
+        q, w = self.q, len(self.elems)
+        p, d = prime_power(q)
+        rows, cols, exps = _howell_sweep(np.array(self.coboundary_rows().T), p, d)
+        if exps.any():
+            return None
+        v = rref_kernel(rows, cols, len(gens), q)
+        values = self._potentials(np.broadcast_to(v.T, (self.t.order,) + v.T.shape))[self.elems].T % q
+        free = np.array(kernel_free_columns(self._h1_conditions(), w, q, w - len(v)), dtype=np.int64)
+        rest = np.ones(w, dtype=bool)
+        rest[free] = False
+        order = np.concatenate([free, np.flatnonzero(rest)])
+        rows, _, _ = _howell_sweep(values[:, order], p, d)
+        basis = np.empty_like(rows)
+        basis[:, order] = rows
+        return basis
+
+    def _h1_conditions(self):
+        """The rows of ``_h1_dense``'s matrix, in order, as sparse
+        {column: value} dicts."""
+        t, pos = self.t, self.pos.tolist()
+        for g in t.generators:
+            for x, xg in enumerate(t.mult[:, g].tolist()):
+                row = {pos[x]: 1}
+                row[pos[g]] = row.get(pos[g], 0) + 1
+                row[pos[xg]] = row.get(pos[xg], 0) - 1
+                row.pop(-1, None)  # the identity's value is 0
+                yield row
+
+    def _h1_dense(self) -> list[tuple[np.ndarray, int]]:
+        """kernel_with_orders of f(x g) = f(x) + f(g) for every listed
+        generator g and every x, g-major, on the values f(x), x != 1."""
+        t, n = self.t, self.t.order
+        g = np.repeat(np.array(t.generators, dtype=np.int64), n)
+        x = np.tile(np.arange(n), len(t.generators))
+        rows = np.zeros((len(g), n), dtype=np.int64)
+        r = np.arange(len(g))
+        np.add.at(rows, (r, x), 1)
+        np.add.at(rows, (r, g), 1)
+        np.add.at(rows, (r, t.mult[x, g]), -1)
+        return kernel_with_orders(np.delete(rows % self.q, t.identity, axis=1), self.q)
 
     # -- the generator-value coordinates ---------------------------------------
 
@@ -322,17 +406,22 @@ class GroupCohomology:
         coboundary iff its gauge lies in the span of ``coboundary_rows``."""
         return self._tree_reduced(self._on_gens(vectors))
 
-    def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
-        """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
-        trailing index of the |G| x |S| x m values f, where p(1) = 0 and
-        p(k) = p(k') + f(k', s) along each tree edge k = k's."""
-        t = self.t
-        gens, edges = self._spanning_tree()
-        pot = np.zeros((t.order, on_gens.shape[-1]), dtype=np.int64)
+    def _potentials(self, on_gens: np.ndarray) -> np.ndarray:
+        """p(1) = 0 and p(k) = p(k') + f(k', s) along each tree edge k = k's,
+        |G| x m for the |G| x |S| x m values f (not reduced mod q)."""
+        _, edges = self._spanning_tree()
+        pot = np.zeros((self.t.order, on_gens.shape[-1]), dtype=np.int64)
         for parent, i, k in edges:
             pot[k] = pot[parent] + on_gens[parent, i]
+        return pot
+
+    def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
+        """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
+        trailing index of the |G| x |S| x m values f, p the ``_potentials``."""
+        gens, _ = self._spanning_tree()
+        pot = self._potentials(on_gens)
         g, i = self._off_tree()
-        return ((on_gens[g, i] + pot[g] - pot[t.mult[g, gens[i]]]) % self.q).T
+        return ((on_gens[g, i] + pot[g] - pot[self.t.mult[g, gens[i]]]) % self.q).T
 
     def _off_tree(self) -> tuple[np.ndarray, np.ndarray]:
         """The off-tree pairs (g, gens[i]), g != 1, g-major as in the

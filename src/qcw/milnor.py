@@ -36,7 +36,7 @@ from .cohom import PairingTensor
 from .errors import QcwError, UnsupportedFieldError
 from .presentations import Presentation, Word
 from .qcentral import SeriesParams
-from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power
+from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power, sorted_unique
 
 __all__ = [
     "FieldDescriptor",
@@ -331,7 +331,7 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     for sign, x in [(1, (a + a2) % q), (-1, a), (-1, a2)]:
         np.add.at(rows, (r, np.concatenate([x * q + b, b * q + x])), sign)
     # one Steinberg row {g^i, 1 - g^i} per g^i != 1, each a single generator
-    steinberg = np.unique([(i % q) * q + F.one_minus_exp(i) % q for i in range(1, s - 1)])
+    steinberg = sorted_unique([(i % q) * q + F.one_minus_exp(i) % q for i in range(1, s - 1)])
     rows = np.concatenate([rows % q, np.eye(q * q, dtype=np.int64)[steinberg]])
     module = QuotientModule(np.eye(q * q, dtype=np.int64), rows, q * q, q)
     invariants = module.orders

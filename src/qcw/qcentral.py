@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from .presentations import Presentation, Word, commutator, power
-from .zqlinalg import _howell_sweep, cokernel_invariants, is_prime, prime_factors, prime_power
+from .zqlinalg import _howell_sweep, cokernel_invariants, is_prime, prime_factors, prime_power, sorted_unique
 
 DEFAULT_ORDER_BOUND = 512
 # ``to_table`` gathers rows in chunks of this many cells, so that the
@@ -614,7 +614,7 @@ def _closure_mask(t: FiniteGroupTable, seeds: np.ndarray, conjugators: np.ndarra
     elems = np.array([t.identity], dtype=np.int64)
     chosen = np.empty(0, dtype=np.int64)
     inv = None if conjugators is None or not len(conjugators) else t.inverses()[conjugators]
-    pending = np.unique(np.asarray(seeds, dtype=np.int64))
+    pending = sorted_unique(np.asarray(seeds, dtype=np.int64))
     while True:
         pending = pending[~member[pending]]
         if not len(pending):
@@ -626,7 +626,7 @@ def _closure_mask(t: FiniteGroupTable, seeds: np.ndarray, conjugators: np.ndarra
             member[frontier] = True
             elems = np.concatenate([elems, frontier])
             step = mult[frontier[:, None], chosen[None, :]].ravel()
-            frontier = np.unique(step[~member[step]])
+            frontier = sorted_unique(step[~member[step]])
         if inv is not None:
             pending = np.concatenate([pending[1:], mult[mult[inv, s], conjugators]])
 
@@ -830,7 +830,7 @@ def _normal_subgroup(t: FiniteGroupTable, subset) -> np.ndarray:
     a subgroup is normal when its conjugates by the listed generators lie in
     it (module docstring).
     """
-    sub = np.unique(_index_array(subset))
+    sub = sorted_unique(_index_array(subset))
     member = np.zeros(t.order, dtype=bool)
     member[sub] = True
     if not member[t.identity]:
@@ -848,7 +848,7 @@ def quotient_table(t: FiniteGroupTable, normal_subset) -> QuotientTableResult:
     """Quotient of a table by a normal subgroup, with the projection map."""
     sub = _normal_subgroup(t, normal_subset)
     # coset of g = {g * x : x in sub}; representative = min index
-    reps, mapping = np.unique(t.mult[:, sub].min(axis=1), return_inverse=True)
+    reps, mapping = sorted_unique(t.mult[:, sub].min(axis=1), return_inverse=True)
     mult = mapping[t.mult[np.ix_(reps, reps)]]
     gens = tuple(int(mapping[g]) for g in t.generators)
     return QuotientTableResult(

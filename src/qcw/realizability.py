@@ -50,7 +50,7 @@ from .qcentral import (
     to_table,
     universal_class2,
 )
-from .zqlinalg import QuotientModule, solve_mod
+from .zqlinalg import QuotientModule, solve_mod, sorted_unique
 
 __all__ = [
     "CdDescriptor",
@@ -404,10 +404,9 @@ def _composition_table(P: list[tuple[int, ...]]) -> np.ndarray:
     """
     perms = np.array(P, dtype=np.int64).reshape(len(P), -1)
     composed = perms[:, perms].reshape(-1, perms.shape[1])  # row i*|P|+j is P[i] o P[j]
-    rows, inv = np.unique(np.vstack([perms, composed]), axis=0, return_inverse=True)
+    rows, inv = sorted_unique(np.vstack([perms, composed]), return_inverse=True)
     if len(rows) != len(P):
         raise ValueError("permutation list has repeats or is not closed under composition")
-    inv = inv.reshape(-1)
     where = np.empty(len(P), dtype=np.int64)
     where[inv[: len(P)]] = np.arange(len(P))
     return where[inv[len(P) :]].reshape(len(P), len(P))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 import qcw
@@ -263,6 +264,95 @@ def test_compare_qp29_q7_order2401():
     assert rep["verdict"] == "COMPARISON-CONSISTENT"
     assert rep["cohomology"]["quotient_order"] == 2401
     assert rep["cohomology"]["dec_invariants"] == [7]
+
+
+def test_compare_qp17_q8_order4096_solves_h1_on_the_tree(monkeypatch):
+    # |G| = 4096, |S| = 2: H^1 is the kernel of the 2-column gauge system, not
+    # a dense elimination of the 8192 x 4095 homomorphism conditions
+    import qcw.cohom
+    import qcw.zqlinalg
+
+    inside, widths = [], []
+    real_h1 = qcw.cohom.GroupCohomology.h1_space
+    real_kernel = qcw.cohom.kernel_with_orders
+    real_diagonalize = qcw.zqlinalg.diagonalize
+
+    def h1_space(self):
+        inside.append(len(self._spanning_tree()[0]))
+        try:
+            return real_h1(self)
+        finally:
+            inside.pop()
+
+    def spy(real):
+        def call(A, *args, **kwargs):
+            if inside:
+                widths.append((inside[-1], np.shape(A)[-1]))
+            return real(A, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(qcw.cohom.GroupCohomology, "h1_space", h1_space)
+    monkeypatch.setattr(qcw.cohom, "kernel_with_orders", spy(real_kernel))
+    monkeypatch.setattr(qcw.zqlinalg, "diagonalize", spy(real_diagonalize))
+    code, rep = run_json("compare", "Qp:17", "--q", "8", "--order-bound", "100000")
+    assert code == 0
+    assert rep["verdict"] == "COMPARISON-CONSISTENT"
+    assert rep["cohomology"]["quotient_order"] == 4096
+    assert all(width <= gens for gens, width in widths), widths
+
+
+def test_cli_runs_do_not_import_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on their first call
+    src = os.path.dirname(os.path.dirname(qcw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, io, contextlib; from qcw.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    runs = [
+        ["quotient", DATA, "free2", "--q", "2"],
+        ["quotient", DATA, "demushkin3", "--level", "2", "--q", "4"],
+        ["cohomology", DATA, "demushkin3", "--q", "2"],
+        ["compare", "Fq:17", "--q", "8"],
+        ["compare", "Qp:7", "--q", "3"],
+        [
+            "check", "--file", DATA, "--wreath-k", "free1", "--wreath-l", "free1",
+            "--wreath-copies", "2", "--wreath-action", "swap", "--q", "2",
+        ],
+    ]
+    for argv in runs:
+        child = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert child.stdout.split() == ["0", "False"], (argv, child.stdout, child.stderr)
+
+
+def test_cohomology_x1sq_q2_matches_its_golden(tmp_path):
+    # x1^2 on three generators at q = 2 (|G| = 256): the pairing tensor is
+    # indexed by the H^1 basis, whose order the golden (recorded from the
+    # dense homomorphism-condition solve) pins
+    path = tmp_path / "x1sq.grp"
+    path.write_text("group x1sq { generators: x0, x1, x2; relators: x1^2; }\n")
+    code, out = run_cli("cohomology", str(path), "x1sq", "--q", "2", "--h2-bound", "256", "--output", "json")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "cohomology_x1sq_q2.json"), encoding="utf-8") as fh:
+        assert fh.read() == out.replace(str(path), "x1sq.grp")
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_prints_its_golden_output(name):
+    src = os.path.dirname(os.path.dirname(qcw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, name)], capture_output=True, env=env, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    with open(os.path.join(GOLDEN, f"demo_{name[:2]}.txt"), "rb") as fh:
+        assert child.stdout == fh.read()
 
 
 def test_error_exit_codes():

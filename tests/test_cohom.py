@@ -7,6 +7,7 @@ the solver's invariants.  The solver never feeds the oracle.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import math
@@ -54,6 +55,7 @@ from qcw.zqlinalg import QuotientModule, RowSpace, cokernel_invariants, kernel_w
 from test_zqlinalg import ReferenceRowSpace
 
 P2 = SeriesParams(p=2, d=1)
+GROUPS_GRP = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
 DEMUSHKIN3 = "group D { generators: s,t; relators: s t s^-1 t^-3; }"
 
 
@@ -1014,6 +1016,15 @@ def reference_h1_rows(t, q):
     return np.array(rows)
 
 
+# the (table, q) cases of test_h1_rows_match_the_former_loop where h1_space
+# falls back to the dense homomorphism conditions (H^1 has an invariant below q)
+H1_DENSE_CASES = {
+    (name, 4)
+    for base in ("klein4", "d4", "q8", "demushkin3_q2")
+    for name in (base, f"{base}_relabelled")
+}
+
+
 @pytest.mark.parametrize("q", [2, 4, 9])
 @pytest.mark.parametrize(
     "name", sorted(SMALL_TABLES) + [f"{name}_relabelled" for name in sorted(SMALL_TABLES)]
@@ -1035,17 +1046,148 @@ def test_h1_rows_match_the_former_loop(name, q, request, monkeypatch):
         space = ctx.h1_space()
         monkeypatch.undo()
         want = reference_h1_rows(table, q)
-        assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].shape == want.shape
-        assert (seen[0] == want).all()
+        if (name, q) in H1_DENSE_CASES:
+            # the fallback builds the former matrix, entry for entry
+            assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].shape == want.shape
+            assert (seen[0] == want).all()
+        else:
+            assert seen == []
         kern = kernel_with_orders(want, q)
         assert space.invariants == [o for _, o in kern]
         assert all((b[ctx.elems] == v).all() and not b[t.identity] for b, (v, _) in zip(space.basis, kern))
 
 
+H1_FIELDS = ["Fq:5", "Fq:17", "Fq:25", "Fq:29", "Fq:31", "Fq:997", "Qp:3", "Qp:5", "Qp:7", "Qp:17", "Qp:103", "R"]
+
+
+def h1_sources():
+    """{label: (q, presentation, order bound)}: groups.grp and the compare
+    ladder's field models whose third quotient has order <= 256, at six q,
+    and free3 at q = 2 (order 512).  Only the quotients' orders are computed."""
+    sources = {}
+    groups = parse_file(open(GROUPS_GRP).read())
+    for q in (2, 3, 4, 5, 8, 9):
+        params = SeriesParams.from_q(q)
+        models = []
+        for spec in H1_FIELDS:
+            try:
+                models.append((spec, galois_model(parse_field(spec, params))))
+            except QcwError:
+                continue
+        for label, pres in [(pres.name, pres) for pres in groups] + models:
+            try:
+                order = third_quotient(pres, params, 4096).order
+            except SizeLimitError:
+                continue
+            if order <= 256:
+                sources[f"{label}-{q}"] = (q, pres, 256)
+    sources["free3-2-order512"] = (2, next(p for p in groups if p.name == "free3"), 512)
+    return sources
+
+
+H1_SOURCES = h1_sources()
+
+
+@functools.cache
+def h1_table(label):
+    q, pres, bound = H1_SOURCES[label]
+    return to_table(third_quotient(pres, SeriesParams.from_q(q), 4096), bound)
+
+
+def uses_dense_route(ctx):
+    """(H^1, whether h1_space took the dense route)."""
+    seen = []
+    real = ctx._h1_dense
+    ctx._h1_dense = lambda: seen.append(1) or real()
+    space = ctx.h1_space()
+    return space, bool(seen)
+
+
+def rowspace_kernel(rows, width, q):
+    rs = RowSpace(width, q)
+    rs.add_rows(rows)
+    kernel = [v for v, _ in rs.kernel()]
+    return np.array(kernel, dtype=np.int64).reshape(len(kernel), width)
+
+
+# the fast-path cases where RowSpace's kernel lists the same vectors in
+# another order (kernel_with_orders orders them by its own pivoting)
+H1_ROWSPACE_REORDERED = {"free3-2-order512"}
+
+
+@pytest.mark.parametrize("label", sorted(H1_SOURCES))
+def test_h1_basis_is_the_dense_kernel(label):
+    q, t = H1_SOURCES[label][0], h1_table(label)
+    ctx = GroupCohomology(t, q)
+    space, dense = uses_dense_route(ctx)
+    rows = reference_h1_rows(t, q)
+    want = kernel_with_orders(rows, q)
+    assert all(not b[t.identity] for b in space.basis)
+    assert space.invariants == [o for _, o in want]
+    assert all((b[ctx.elems] == v).all() for b, (v, _) in zip(space.basis, want))
+    # the fallback runs when the |S|-column Howell form has a pivot that is
+    # not a unit; on these cases that is exactly when H^1 has an invariant below q
+    assert dense == (min(space.invariants, default=q) < q)
+    if not dense:
+        got = [tuple(b[ctx.elems]) for b in space.basis]
+        rk = [tuple(v) for v in rowspace_kernel(rows, t.order - 1, q)]
+        if label in H1_ROWSPACE_REORDERED:
+            assert got != rk and sorted(got) == sorted(rk)
+        else:
+            assert got == rk
+
+
+def test_h1_dense_route_cases():
+    # of the 61 groups.grp and ladder cases only these fall back to the dense route
+    assert len(H1_SOURCES) == 61
+    dense = {
+        label for label in H1_SOURCES if uses_dense_route(GroupCohomology(h1_table(label), H1_SOURCES[label][0]))[1]
+    }
+    assert dense == {"demushkin3-4", "demushkin7-4", "involution-4", "involution-8"}
+
+
+def test_h1_rejects_non_generating_generators():
+    # Z/4 listing only 2: the former dense route gave (Z/2)^2 with the
+    # non-homomorphism [0 1 1 0] at q = 2
+    t = cyclic_table(4)
+    for q in (2, 4):
+        for gens in [(2,), (0, 2)]:
+            table = FiniteGroupTable(order=4, mult=t.mult, identity=0, generators=gens)
+            with pytest.raises(QcwError, match="do not generate"):
+                h1(table, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    q=st.sampled_from([2, 3, 4, 8, 9]),
+    relators=st.lists(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1, max_size=5),
+        max_size=3,
+    ),
+)
+def test_h1_on_drawn_presentations(n, q, relators):
+    words = tuple(Word(tuple((a % n, e) for a, e in r if e)) for r in relators)
+    pres = Presentation(name="drawn", generator_names=tuple(f"x{i}" for i in range(n)), relators=words)
+    try:
+        t = to_table(third_quotient(pres, SeriesParams.from_q(q), 4096), 256)
+    except SizeLimitError:
+        assume(False)
+    ctx = GroupCohomology(t, q)
+    space = ctx.h1_space()
+    rows = reference_h1_rows(t, q)
+    want = kernel_with_orders(rows, q)
+    got = np.array([b[ctx.elems] for b in space.basis], dtype=np.int64).reshape(space.dimension, t.order - 1)
+    # the dense reference, vector for vector and in its order
+    assert space.invariants == [o for _, o in want]
+    assert all((g == v).all() for g, (v, _) in zip(got, want))
+    rk = rowspace_kernel(rows, t.order - 1, q)
+    assert len(rk) >= len(got)
+    if len(got):  # the RowSpace kernel spans the same module
+        assert spans_inside(got, rk, q) and spans_inside(rk, got, q)
+
+
 # -- the cup tensor read off the dec module's generators -------------------------
-
-
-GROUPS_GRP = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
 
 
 def pairing_cases():

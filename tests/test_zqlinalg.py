@@ -14,6 +14,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcw.zqlinalg import (
     Diagonalization,
@@ -22,9 +24,11 @@ from qcw.zqlinalg import (
     _as_matrix,
     cokernel_invariants,
     diagonalize,
+    kernel_free_columns,
     kernel_with_orders,
     prime_power,
     solve_mod,
+    sorted_unique,
     unit_inverse,
     valuation,
 )
@@ -699,3 +703,43 @@ def test_rowspace_kernel(q):
         for v, _ in want:
             assert solve_mod(A, v, q) is not None
     assert [o for _, o in RowSpace(3, q).kernel()] == [q] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(-5, 5), max_size=40),
+    width=st.integers(1, 4),
+)
+def test_sorted_unique_matches_np_unique(values, width):
+    a = np.array(values, dtype=np.int64)
+    assert np.array_equal(sorted_unique(a), np.unique(a))
+    got, inverse = sorted_unique(a, return_inverse=True)
+    want, want_inverse = np.unique(a, return_inverse=True)
+    assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse)
+    assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
+    # rows, as np.unique(axis=0) sorts and numbers them
+    rows = a[: len(a) // width * width].reshape(-1, width)
+    got, inverse = sorted_unique(rows, return_inverse=True)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(got, want) and got.shape == want.shape
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 8, 9]), m=st.integers(1, 8), n=st.integers(1, 7), data=st.data())
+def test_kernel_free_columns_replays_diagonalize(q, m, n, data):
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    A = np.array(data.draw(st.lists(entry, min_size=m * n, max_size=m * n)), dtype=np.int64).reshape(m, n)
+    exps = diagonalize(A, q).exps
+    if any(exps):  # a non-unit diagonal entry: the kernel is not free
+        return
+    rows = [{c: int(v) for c, v in enumerate(row) if v} for row in A]
+    free = kernel_free_columns(iter(rows), n, q, len(exps))
+    kern = kernel_with_orders(A, q)
+    # kernel_with_orders' i-th vector is 1 at the i-th free column, 0 at the others
+    assert len(free) == len(kern) == n - len(exps)
+    for i, (vec, order) in enumerate(kern):
+        assert order == q and vec[free[i]] == 1
+        assert not vec[[c for c in free if c != free[i]]].any()
+    with pytest.raises(ValueError):
+        kernel_free_columns(iter(rows), n, q, len(exps) + 1)
