@@ -874,7 +874,9 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
         return False
     if T1.m > 4:
         raise SizeLimitError("source dimension above the search bound 4")
-    if _value_span_invariants(T1) != _value_span_invariants(T2):
+    # sorted, so the same before and after _canonical_target
+    span1 = _value_span_invariants(T1)
+    if span1 != _value_span_invariants(T2):
         return False
     q, m = T1.q, T1.m
     T1, T2 = _canonical_target(T1), _canonical_target(T2)
@@ -883,7 +885,7 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
         return True
     orders = T1.target_orders
     p, _ = prime_power(q)
-    full_span = len(_value_span_invariants(T1)) == t
+    full_span = len(span1) == t
     free_target = all(o == q for o in orders)
     solve_path = free_target and full_span
     if solve_path:

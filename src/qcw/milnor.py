@@ -3,9 +3,10 @@
 Supported field descriptors (all must contain the q-th roots of unity):
 
 * finite fields F_s with s = ell^k and s = 1 (mod q): k1 = F*/(F*)^q is
-  cyclic of order q; k2 mod q is computed by brute force: symbol generators
-  {g^a, g^b} indexed by exponents mod q, all bilinearity relations, and one
-  Steinberg relation {x, 1-x} = 0 per field element, reduced over Z/q.
+  cyclic of order q on the generator g; bilinearity makes the symbols
+  {g^a, g^b} the multiples ab {g, g} of one symbol, and k2 mod q is Z/q on
+  {g, g} modulo one Steinberg relation {x, 1-x} = 0 per field element
+  x != 0, 1 (the lemma is in ``_finite_symbol_algebra``).
 * local fields Q_ell with ell prime, ell != p and q | ell - 1 (the tame
   case; for q = 2 every odd ell qualifies): k1 is free of rank 2 over Z/q
   on a unit class u and the uniformizer ell; k2 mod q = Z/q via the tame
@@ -36,7 +37,7 @@ from .cohom import PairingTensor
 from .errors import QcwError, UnsupportedFieldError
 from .presentations import Presentation, Word
 from .qcentral import SeriesParams
-from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power, sorted_unique
+from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power
 
 __all__ = [
     "FieldDescriptor",
@@ -318,40 +319,47 @@ class SymbolAlgebra:
 
 
 def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
+    """k2 mod q of F_s as Z/q on {g, g} modulo the Steinberg relations.
+
+    Lemma.  On the q^2 symbol generators e_{a,b} = {g^a, g^b} (a, b mod q)
+    the bilinearity rows e_{a+a2,b} - e_{a,b} - e_{a2,b} and
+    e_{b,a+a2} - e_{b,a} - e_{b,a2} span exactly the kernel of
+    phi: (Z/q)^{q^2} -> Z/q, e_{a,b} |-> ab mod q.  Proof: phi kills every
+    row, since ((a + a2) mod q) b = ab + a2 b mod q.  Conversely the row with
+    a = a2 = 0 gives e_{0,b} = 0, and the rows with a2 = 1 give
+    e_{a,b} = e_{a-1,b} + e_{1,b}, so e_{a,b} = a e_{1,b}; in the second slot
+    likewise e_{1,b} = b e_{1,1}.  So every v is phi(v) e_{1,1} modulo the
+    rows, and v lies in their span when phi(v) = 0.
+
+    Hence the bilinear symbols form Z/q on {g, g} = e_{1,1}, and the
+    Steinberg symbol {g^i, 1 - g^i} = e_{i, dlog(1 - g^i)} is
+    i dlog(1 - g^i) {g, g}.  With d the gcd of q and these multiples over
+    every g^i != 1 (the pass stops once d = 1, which no later multiple can
+    change), k2 is Z/d, presented as the width-1 module Z/q / (d).  (K_2 of
+    a finite field vanishes (Milnor 1970), so d = 1; a wrong dlog table
+    shows as d > 1 instead of being assumed away.)
+    """
     q = desc.params.q
     F = SmallField(desc.size)
-    s = desc.size
-    # brute force: generators x_{a,b} = {g^a, g^b}, a,b mod q (valid once
-    # bilinearity is imposed); relations: bilinearity + all Steinberg pairs
-    # generator {g^x, g^y} has index x q + y; bilinearity in the first slot,
-    # {g^(a+a2), g^b} - {g^a, g^b} - {g^a2, g^b}, then in the second
-    a, a2, b = (x.reshape(-1) for x in np.meshgrid(*[np.arange(q)] * 3, indexing="ij"))
-    rows = np.zeros((2 * q**3, q * q), dtype=np.int64)
-    r = np.arange(2 * q**3)
-    for sign, x in [(1, (a + a2) % q), (-1, a), (-1, a2)]:
-        np.add.at(rows, (r, np.concatenate([x * q + b, b * q + x])), sign)
-    # one Steinberg row {g^i, 1 - g^i} per g^i != 1, each a single generator
-    steinberg = sorted_unique([(i % q) * q + F.one_minus_exp(i) % q for i in range(1, s - 1)])
-    rows = np.concatenate([rows % q, np.eye(q * q, dtype=np.int64)[steinberg]])
-    module = QuotientModule(np.eye(q * q, dtype=np.int64), rows, q * q, q)
-    invariants = module.orders
+    d = q
+    for i in range(1, desc.size - 1):
+        d = math.gcd(d, i * F.one_minus_exp(i))
+        if d == 1:
+            break
+    module = QuotientModule(np.eye(1, dtype=np.int64), [[d % q]], 1, q)
     # the order of {g, g} in the quotient presents k2 on the single k1 pair
-    coords = module.generator_coords[q + 1]
     order_of_g_g = 1
-    for c, o in zip(coords, module.orders):
+    for c, o in zip(module.generator_coords[0], module.orders):
         if c:
             order_of_g_g = math.lcm(order_of_g_g, o // math.gcd(int(c), o))
-    values = (
-        coords.reshape(1, -1) if module.rank else np.zeros((1, 0), dtype=np.int64)
-    )
     return SymbolAlgebra(
         field=desc,
         k1_basis=[F.generator_name()],
         k1_orders=[q],
         k2_pairs=[(0, 0)],
         k2_relations=np.array([[order_of_g_g]], dtype=np.int64),
-        k2_invariants=list(invariants),
-        k2_values=values,
+        k2_invariants=list(module.orders),
+        k2_values=module.generator_coords,
     )
 
 

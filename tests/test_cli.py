@@ -301,6 +301,19 @@ def test_compare_qp17_q8_order4096_solves_h1_on_the_tree(monkeypatch):
     assert all(width <= gens for gens, width in widths), widths
 
 
+def test_milnor_fq97_q32_fits_800mb():
+    # k2 is Z/q on {g, g} modulo the Steinberg multiples, one gcd; the
+    # bilinearity stack alone would be 2 q^3 = 65536 rows on the q^2 symbols
+    rep = run_json_capped(800 * 10**6, "milnor", "Fq:97", "--q", "32")
+    assert rep["symbols"]["k2_invariants"] == []
+
+
+def test_compare_fq193_q64_order4096_fits_800mb():
+    rep = run_json_capped(800 * 10**6, "compare", "Fq:193", "--q", "64", "--order-bound", "5000")
+    assert rep["verdict"] == "COMPARISON-CONSISTENT"
+    assert rep["cohomology"]["quotient_order"] == 4096
+
+
 def test_cli_runs_do_not_import_numpy_ma():
     # np.unique and np.setdiff1d import numpy.ma on their first call
     src = os.path.dirname(os.path.dirname(qcw.__file__))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from qcw.milnor import (
     symbol_algebra,
 )
 from qcw.qcentral import SeriesParams
-from qcw.zqlinalg import prime_power
+from qcw.zqlinalg import QuotientModule, RowSpace, prime_factors, prime_power
 
 P2 = SeriesParams(p=2, d=1)
 P3 = SeriesParams(p=3, d=1)
@@ -50,14 +52,9 @@ def test_small_field_tables():
     assert len(F16.dlog) == 15
 
 
-def reference_finite_relations(F, q):
-    """The former ``_finite_symbol_algebra`` rows: one Python loop per
-    bilinearity row and one Steinberg row per g^i != 1, with g^i by
-    repeated squaring in the field."""
-    if F.k == 1:
-        mul = lambda x, y: x * y % F.ell
-    else:
-        mul = lambda x, y: _poly_mul(x, y, F.ell, F.modpoly)
+def reference_bilinearity_rows(q):
+    """The 2 q^3 bilinearity rows of the former ``_finite_symbol_algebra``
+    on the generators {g^a, g^b} (index a q + b), one Python loop per row."""
     gidx = {(a, b): a * q + b for a in range(q) for b in range(q)}
     rows = []
     for a in range(q):
@@ -69,30 +66,92 @@ def reference_finite_relations(F, q):
                     row[gidx[key(a)]] -= 1
                     row[gidx[key(a2)]] -= 1
                     rows.append(row % q)
+    return rows
+
+
+def reference_finite_relations(F, q):
+    """The former ``_finite_symbol_algebra`` rows: the bilinearity rows and
+    one Steinberg row per g^i != 1, with g^i by repeated squaring in the
+    field."""
+    if F.k == 1:
+        mul = lambda x, y: x * y % F.ell
+    else:
+        mul = lambda x, y: _poly_mul(x, y, F.ell, F.modpoly)
+    rows = reference_bilinearity_rows(q)
     for i in range(1, F.s - 1):
         assert F.element_of_exp(i) == F._pow_raw(F.generator, i, mul, F.one)
         row = np.zeros(q * q, dtype=np.int64)
-        row[gidx[(i % q, F.one_minus_exp(i) % q)]] = 1
+        row[(i % q) * q + F.one_minus_exp(i) % q] = 1
         rows.append(row)
     return rows
 
 
-@pytest.mark.parametrize("size,q", [(5, 2), (5, 4), (9, 4), (13, 3), (13, 4), (17, 8), (25, 8), (27, 13), (49, 8), (997, 2)])
-def test_finite_symbol_algebra_matches_the_former_loops(size, q, monkeypatch):
-    # the same relation rows as the former loops, the Steinberg ones without
-    # repeats; k2 of a finite field is 0 either way
-    import qcw.milnor
+def former_finite_k2(size, q):
+    """(k2_invariants, k2_values, k2_relations) of the former brute force:
+    the q^2 symbol generators modulo every reference row, read at {g, g}."""
+    rows = np.unique(np.array(reference_finite_relations(SmallField(size), q)), axis=0)
+    module = QuotientModule(np.eye(q * q, dtype=np.int64), rows, q * q, q)
+    coords = module.generator_coords[q + 1]
+    order = 1
+    for c, o in zip(coords, module.orders):
+        if c:
+            order = math.lcm(order, o // math.gcd(int(c), o))
+    values = coords.reshape(1, -1) if module.rank else np.zeros((1, 0), dtype=np.int64)
+    return list(module.orders), values.tolist(), [[order]]
 
-    seen = []
-    real = qcw.milnor.QuotientModule
-    monkeypatch.setattr(qcw.milnor, "QuotientModule", lambda g, r, w, q: seen.append(r) or real(g, r, w, q))
+
+def finite_k2(size, q):
     p, d = prime_power(q)
     S = symbol_algebra(FieldDescriptor(kind="finite", params=SeriesParams(p=p, d=d), size=size))
-    want = reference_finite_relations(SmallField(size), q)
-    (got,) = seen
-    assert {tuple(r) for r in got} == {tuple(r) for r in want}
-    assert len(got) == 2 * q**3 + len({tuple(r) for r in want[2 * q**3 :]})
-    assert S.k2_invariants == [] and S.k2_values.shape == (1, 0) and S.k2_relations.tolist() == [[1]]
+    return S.k2_invariants, S.k2_values.tolist(), S.k2_relations.tolist()
+
+
+@pytest.mark.parametrize("size,q", [(5, 2), (5, 4), (9, 4), (13, 3), (13, 4), (17, 8), (25, 8), (27, 13), (49, 8), (997, 2)])
+def test_finite_symbol_algebra_matches_the_former_loops(size, q):
+    # the gcd of the Steinberg multiples gives the module that the former
+    # bilinearity and Steinberg rows present; k2 of a finite field is 0
+    assert finite_k2(size, q) == former_finite_k2(size, q) == ([], [[]], [[1]])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_finite_symbol_algebra_matches_the_former_loops_below_300(q):
+    sizes = [s for s in range(3, 300) if s % q == 1 and len(prime_factors(s)) == 1]
+    assert sizes
+    for size in sizes:
+        assert finite_k2(size, q) == former_finite_k2(size, q), size
+
+
+def lemma_kernel_rows(q, sign=-1):
+    """{e_ab - ab e_11 : (a, b) != (1, 1)}, a basis of the kernel of
+    e_ab |-> ab mod q (with sign=1, the mutant e_ab + ab e_11)."""
+    rows = []
+    for a in range(q):
+        for b in range(q):
+            if (a, b) != (1, 1):
+                row = np.zeros(q * q, dtype=np.int64)
+                row[a * q + b] = 1
+                row[q + 1] = sign * a * b
+                rows.append(row % q)
+    return rows
+
+
+def howell_form(rows, q):
+    rs = RowSpace(q * q, q)
+    rs.add_rows(np.array(rows, dtype=np.int64))
+    return rs.rows_matrix()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_bilinearity_rows_span_the_kernel_of_ab(q):
+    # the lemma of _finite_symbol_algebra, by Howell uniqueness: the
+    # bilinearity rows and the kernel basis span the same submodule
+    want = howell_form(lemma_kernel_rows(q), q)
+    assert np.array_equal(howell_form(reference_bilinearity_rows(q), q), want)
+    # mutants: a dropped kernel row, and e_ab + ab e_11 (the same mod 2)
+    kernel = lemma_kernel_rows(q)
+    for k in (0, len(kernel) // 2, len(kernel) - 1):
+        assert not np.array_equal(howell_form(kernel[:k] + kernel[k + 1 :], q), want)
+    assert np.array_equal(howell_form(lemma_kernel_rows(q, sign=1), q), want) == (q == 2)
 
 
 def test_k1_examples():
