@@ -17,10 +17,11 @@ not apply / does not hold.  JSON output is byte-stable for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .cohom import GroupCohomology, cohomology_record, pairings_equivalent
+from .cohom import GroupCohomology, check_h2_bound, cohomology_record, pairings_equivalent
 from .errors import QcwError
 from .graded import algebra_from_cohomology, algebra_from_milnor
 from .milnor import galois_model, parse_field, symbol_algebra
@@ -103,7 +104,10 @@ def cmd_quotient(args) -> int:
 def cmd_cohomology(args) -> int:
     pres = _load_group(args.file, args.group)
     params = SeriesParams.from_q(args.q)
-    table = to_table(third_quotient(pres, params, args.order_bound), args.order_bound)
+    group = third_quotient(pres, params, args.order_bound)
+    # H^2 is reported, so refuse its order before the |G| x |G| table exists
+    check_h2_bound(group.order, args.h2_bound)
+    table = to_table(group, args.order_bound)
     ctx = GroupCohomology(
         table, args.q, h2_bound=args.h2_bound, relators=third_quotient_relators(pres, params)
     )
@@ -257,7 +261,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if found else EXIT_NOT_APPLICABLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcw",
         description="third q-central quotients, their degree <= 2 cohomology, "

@@ -21,8 +21,10 @@ df = 0 by induction on the word length of k.
 These |S| (|G|-1)^2 equations, s running over the table's listed
 generators, are not solved as they stand: a normalized cocycle is fixed by
 its |S| (|G|-1) values f(x, s) (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 7).  Take a BFS spanning tree of the right
-Cayley graph on S.  On a tree edge k = k's the equation df(g, k', s) = 0
+Computational Group Theory*, ch. 7).  Take the table's BFS spanning tree
+of the right Cayley graph on S (``FiniteGroupTable.spanning_tree``); each
+walk below runs over it a layer at a time, as every parent lies in the
+layer before.  On a tree edge k = k's the equation df(g, k', s) = 0
 reads f(g, k) = f(g, k') + f(gk', s) - f(k', s), so walking the tree
 extends any generator values to a normalized cochain that satisfies the
 tree equations, and every cocycle is the extension of its own values.  So
@@ -273,6 +275,12 @@ class TableHom:
         return TableHom(source=earlier.source, target=self.target, mapping=self.mapping[earlier.mapping])
 
 
+def check_h2_bound(order: int, h2_bound: int) -> None:
+    """Refuse a full degree-2 solve on a group of more than ``h2_bound`` elements."""
+    if order > h2_bound:
+        raise SizeLimitError(f"group order {order} exceeds the degree-2 bound {h2_bound}")
+
+
 class GroupCohomology:
     """Cached degree <= 2 cohomology data of one (table, q) pair."""
 
@@ -294,7 +302,6 @@ class GroupCohomology:
         self.pos = pos
         self.width = (n - 1) * (n - 1)
         self._h1: CohomologySpace | None = None
-        self._tree: tuple[np.ndarray, list[tuple[int, int, int]]] | None = None
         self._b2: np.ndarray | None = None
         self._off: tuple[np.ndarray, np.ndarray] | None = None
         self._z2: list[tuple[np.ndarray, int]] | None = None
@@ -330,7 +337,7 @@ class GroupCohomology:
         their potentials are the homomorphisms' values; the Howell form of
         those with the dense route's free columns first, in its order, is
         its basis."""
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         q, w = self.q, len(self.elems)
         p, d = prime_power(q)
         rows, cols, exps = _howell_sweep(np.array(self.coboundary_rows().T), p, d)
@@ -377,7 +384,7 @@ class GroupCohomology:
     def restrict(self, F) -> np.ndarray:
         """The generator values f(g, s), g != 1, g-major, of |G| x |G|
         2-cochains stacked on leading axes."""
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         F = np.asarray(F, dtype=np.int64)[..., self.elems[:, None], gens]
         return F.reshape(F.shape[:-2] + (len(self.elems) * len(gens),)) % self.q
 
@@ -392,7 +399,7 @@ class GroupCohomology:
         of the module docstring.  K_j counts the letters s_j on the tree path
         to each element, so dK_j vanishes on the tree edges."""
         if self._b2 is None:
-            gens, _ = self._spanning_tree()
+            gens = self.t.spanning_tree().gens
             ns = len(gens)
             # f(g, s_i) = δ_ij for every g: the walk gives p = K_j and the
             # values δ_ij + K_j(g) - K_j(g s_i) = dK_j(g, s_i)
@@ -408,17 +415,17 @@ class GroupCohomology:
 
     def _potentials(self, on_gens: np.ndarray) -> np.ndarray:
         """p(1) = 0 and p(k) = p(k') + f(k', s) along each tree edge k = k's,
-        |G| x m for the |G| x |S| x m values f (not reduced mod q)."""
-        _, edges = self._spanning_tree()
+        |G| x m for the |G| x |S| x m values f (not reduced mod q), one tree
+        layer at a time."""
         pot = np.zeros((self.t.order, on_gens.shape[-1]), dtype=np.int64)
-        for parent, i, k in edges:
+        for parent, i, k in self.t.spanning_tree().layers:
             pot[k] = pot[parent] + on_gens[parent, i]
         return pot
 
     def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
         """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
         trailing index of the |G| x |S| x m values f, p the ``_potentials``."""
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         pot = self._potentials(on_gens)
         g, i = self._off_tree()
         return ((on_gens[g, i] + pot[g] - pot[self.t.mult[g, gens[i]]]) % self.q).T
@@ -427,44 +434,19 @@ class GroupCohomology:
         """The off-tree pairs (g, gens[i]), g != 1, g-major as in the
         restricted vectors: the tree edges (k', i) with k' != 1 removed."""
         if self._off is None:
-            gens, edges = self._spanning_tree()
-            off = np.ones((self.t.order, len(gens)), dtype=bool)
-            for parent, i, _ in edges:
-                off[parent, i] = False
+            tree = self.t.spanning_tree()
+            parent, i, _ = tree.edges
+            off = np.ones((self.t.order, len(tree.gens)), dtype=bool)
+            off[parent, i] = False
             self._off = np.nonzero(off)
         return self._off
 
     # -- degree 2 -------------------------------------------------------------
 
-    def _spanning_tree(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-        """The listed generators and a BFS spanning tree of the right Cayley graph.
-
-        Returns the generators (deduplicated, identity dropped) and the tree
-        edges (k', i, k) with k = k' * gens[i], in BFS order from the identity.
-        """
-        if self._tree is not None:
-            return self._tree
-        t = self.t
-        gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
-        seen = np.zeros(t.order, dtype=bool)
-        seen[t.identity] = True
-        queue, edges = [t.identity], []
-        for parent in queue:
-            for i, s in enumerate(gens):
-                k = int(t.mult[parent, s])
-                if not seen[k]:
-                    seen[k] = True
-                    queue.append(k)
-                    edges.append((parent, i, k))
-        if len(queue) < t.order:
-            raise QcwError("listed generators do not generate the table")
-        self._tree = gens, edges
-        return self._tree
-
     def _on_gens(self, vectors) -> np.ndarray:
         """The generator values of restricted vectors as a |G| x |S| x m array,
         one cochain per trailing index, with f(1, s) = 0."""
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         w, ns = len(self.elems), len(gens)
         vectors = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), w * ns)
         on_gens = np.zeros((self.t.order, ns, len(vectors)), dtype=np.int64)
@@ -481,10 +463,9 @@ class GroupCohomology:
         f(1, .) = f(., 1) = 0.
         """
         t = self.t
-        _, edges = self._spanning_tree()
-        g = np.arange(t.order) if rows is None else rows
+        g = (np.arange(t.order) if rows is None else rows)[:, None]
         F = np.zeros((len(g), t.order, on_gens.shape[-1]), dtype=np.int64)
-        for parent, i, k in edges:
+        for parent, i, k in self.t.spanning_tree().layers:
             F[:, k] = F[:, parent] + on_gens[t.mult[g, parent], i] - on_gens[parent, i]
         return F % self.q
 
@@ -496,7 +477,7 @@ class GroupCohomology:
         Yields block x len(h) x len(vectors) arrays mod q; a block holds at
         most ``_BLOCK_CELLS`` entries of df unless one row g alone is larger.
         """
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         t = self.t
         on_gens = self._on_gens(vectors)
         f_hs, hs = on_gens[h, i], t.mult[h, gens[i]]
@@ -518,7 +499,7 @@ class GroupCohomology:
         h = u s^-1 (letter s^-1), so one walk from 1 gives the columns h of
         the table that every g reads."""
         t = self.t
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         n, ns = t.order, len(gens)
         unknowns = len(self.elems) * ns
         # cell[k, i]: the column of f(k, gens[i]); f(1, .) = 0 goes to a spare
@@ -570,11 +551,8 @@ class GroupCohomology:
         form (see the module docstring)."""
         if self._z2 is None:
             t, q = self.t, self.q
-            if t.order > self.h2_bound:
-                raise SizeLimitError(
-                    f"group order {t.order} exceeds the degree-2 bound {self.h2_bound}"
-                )
-            gens, _ = self._spanning_tree()
+            check_h2_bound(t.order, self.h2_bound)
+            gens = self.t.spanning_tree().gens
             unknowns = len(self.elems) * len(gens)
             rs = RowSpace(unknowns, q)
             if self.relators is None:
@@ -606,7 +584,7 @@ class GroupCohomology:
         return self._h2_module
 
     def _z2_vectors(self) -> np.ndarray:
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         z2 = [v for v, _ in self.z2_generators()]
         return np.array(z2, dtype=np.int64).reshape(len(z2), len(self.elems) * len(gens))
 
@@ -631,7 +609,7 @@ class GroupCohomology:
     def cup_flats(self) -> np.ndarray:
         """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis, one row each."""
         basis = np.array(self.h1_space().basis, dtype=np.int64).reshape(-1, self.t.order)
-        gens, _ = self._spanning_tree()
+        gens = self.t.spanning_tree().gens
         cups = basis[:, None, self.elems, None] * basis[None, :, None, gens] % self.q
         return cups.reshape(len(basis) ** 2, len(self.elems) * len(gens))
 
@@ -728,10 +706,10 @@ class InducedMaps:
     dec_bijective: bool
 
 
-def induced_h_maps(pi: TableHom, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> InducedMaps:
+def induced_h_maps(pi: TableHom, q: int) -> InducedMaps:
     """Contravariant matrices of pi^* on H^1 and on decomposable H^2."""
-    src = GroupCohomology(pi.source, q, h2_bound=h2_bound)
-    tgt = GroupCohomology(pi.target, q, h2_bound=h2_bound)
+    src = GroupCohomology(pi.source, q)
+    tgt = GroupCohomology(pi.target, q)
     # H^1: pull back each target basis hom and express in the source basis
     src_h1 = src.h1_space()
     tgt_h1 = tgt.h1_space()

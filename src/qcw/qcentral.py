@@ -39,7 +39,7 @@ elements of N that lift its rows) and then by the second gives the least
 and every other digit over [0, q^2) (a) or [0, q) (c), so the reduced
 forms number E/N densely in mixed radix, in the order of the least (a, c).
 
-Tables are built and searched from the listed generators, on two lemmas.
+Tables are built and searched from the listed generators, on three lemmas.
 
 * Rows.  If k = y k', then row k of the table is row k' read through
   row y, since (y k') j = y (k' j); in particular row(ab) = row(a)[row(b)].
@@ -55,6 +55,12 @@ Tables are built and searched from the listed generators, on two lemmas.
   closure of the [x, y] and [H, G] that of the [h, x].  A subgroup K is
   normal when K^x lies in K for each x in X, because K^x has the order of K
   and X generates G as a monoid.  ``_closure_mask`` computes these closures.
+* Tree.  A table walks G along one BFS spanning tree of its right Cayley
+  graph on the listed generators S (a Schreier tree: Holt, Eick and
+  O'Brien, *Handbook of Computational Group Theory*, ch. 5 and 7), built
+  one layer per vectorised step; it spans iff S generates G, so it is the
+  one generation check.  A homomorphism φ is fixed by φ(S): φ(k) = φ(k') φ(s)
+  on each tree edge k = k' s, whose parent k' lies in the layer before.
 """
 
 from __future__ import annotations
@@ -466,6 +472,18 @@ def second_quotient_record(
 # explicit multiplication tables
 
 
+@dataclass(frozen=True)
+class SpanningTree:
+    """The BFS tree on ``gens``, the listed generators deduplicated without
+    the identity: per layer, the edges (parent, i, child), child = parent *
+    gens[i], in the order a queue-driven BFS finds them; ``edges`` chains
+    the layers."""
+
+    gens: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class FiniteGroupTable:
     """A finite group as an order x order multiplication table."""
@@ -479,20 +497,21 @@ class FiniteGroupTable:
         self.mult = np.asarray(self.mult, dtype=np.int64)
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._generated = False
+        self._tree: SpanningTree | None = None
+
+    def spanning_tree(self) -> SpanningTree:
+        """The spanning tree on the listed generators, built once; raises
+        ``QcwError`` unless they generate the table."""
+        if self._tree is None:
+            self._tree = _build_tree(self)
+        return self._tree
 
     def listed_generators(self) -> np.ndarray:
-        """The listed generators as an index array, checked once to generate the table.
-
-        The closures of ``_closure_mask`` conjugate by these only, which
-        needs them to generate.
+        """The listed generators as an index array, checked by the spanning
+        tree to generate the table, as ``_closure_mask``'s conjugators need.
         """
-        gens = np.array(self.generators, dtype=np.int64)
-        if not self._generated:
-            if _closure_mask(self, gens).sum() != self.order:
-                raise QcwError("listed generators do not generate the table")
-            self._generated = True
-        return gens
+        self.spanning_tree()
+        return np.array(self.generators, dtype=np.int64)
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
@@ -530,18 +549,9 @@ class FiniteGroupTable:
     def centralizer_size(self, x: int) -> int:
         return int((self.mult[x, :] == self.mult[:, x]).sum())
 
-    def conjugate(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        inv = self.inverses()
-        return int(self.mult[self.mult[inv[g], x], g])
-
     def closure(self, elements) -> set[int]:
         """Subgroup generated by the given element indices."""
         return _mask_set(_closure_mask(self, _index_array(elements)))
-
-    def commutator_of(self, g: int, h: int) -> int:
-        inv = self.inverses()
-        return int(self.mult[self.mult[self.mult[inv[g], inv[h]], g], h])
 
     def commutators(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """[g, h] = g^-1 h^-1 g h over g in ``left`` (rows), h in ``right`` (columns)."""
@@ -587,6 +597,38 @@ class FiniteGroupTable:
 
     def generates(self, elements) -> bool:
         return len(self.closure(elements)) == self.order
+
+
+def _build_tree(t: FiniteGroupTable) -> SpanningTree:
+    """One layer per step: of the products frontier x gens, flattened
+    parent-major, each unseen child is kept at its first occurrence."""
+    gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
+    seen = np.zeros(t.order, dtype=bool)
+    seen[t.identity] = True
+    # first[k]: the least position of k among its layer's products; a child
+    # is unseen in one layer only, so the entries need no reset
+    first = np.full(t.order, t.order * max(1, len(gens)), dtype=np.int64)
+    frontier = np.array([t.identity], dtype=np.int64)
+    parents, indices, children = [], [], []
+    while True:
+        kids = t.mult[frontier[:, None], gens].ravel()
+        new = np.flatnonzero(~seen[kids])
+        if not len(new):
+            break
+        child = kids[new]
+        np.minimum.at(first, child, new)
+        keep = first[child] == new
+        parent, i = np.divmod(new[keep], len(gens))
+        parents.append(frontier[parent])
+        indices.append(i)
+        frontier = child[keep]
+        children.append(frontier)
+        seen[frontier] = True
+    if not seen.all():
+        raise QcwError("listed generators do not generate the table")
+    empty = np.zeros(0, dtype=np.int64)
+    edges = tuple(np.concatenate(part) if part else empty for part in (parents, indices, children))
+    return SpanningTree(gens=gens, layers=tuple(zip(parents, indices, children)), edges=edges)
 
 
 def _index_array(elements) -> np.ndarray:
@@ -890,46 +932,13 @@ def _invariant_fingerprint(t: FiniteGroupTable):
     )
 
 
-def _word_expressions(t: FiniteGroupTable) -> list[tuple[int, int] | None]:
-    """BFS parents: element -> (previous element, generator index)."""
-    expr: list[tuple[int, int] | None] = [None] * t.order
-    seen = {t.identity}
-    frontier = [t.identity]
-    gens = list(t.generators)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = int(t.mult[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    expr[y] = (x, gi)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) != t.order:
-        raise QcwError("listed generators do not generate the table")
-    return expr
-
-
-def _build_hom(t1: FiniteGroupTable, t2: FiniteGroupTable, gen_images: list[int], expr) -> np.ndarray | None:
-    phi = np.full(t1.order, -1, dtype=np.int64)
+def _build_hom(t1: FiniteGroupTable, t2: FiniteGroupTable, images: np.ndarray) -> np.ndarray | None:
+    """The homomorphism t1 -> t2 taking the tree generators to ``images``,
+    or None if there is none (module docstring)."""
+    phi = np.empty(t1.order, dtype=np.int64)
     phi[t1.identity] = t2.identity
-    pending = [x for x in range(t1.order) if expr[x] is not None]
-    # expr is BFS order-safe: parents appear before children when scanned by discovery;
-    # resolve iteratively
-    changed = True
-    while changed:
-        changed = False
-        for x in pending:
-            if phi[x] >= 0:
-                continue
-            prev, gi = expr[x]
-            if phi[prev] >= 0:
-                phi[x] = t2.mult[phi[prev], gen_images[gi]]
-                changed = True
-    if (phi < 0).any():
-        return None
-    # full multiplicativity check, vectorized
+    for parent, i, child in t1.spanning_tree().layers:
+        phi[child] = t2.mult[phi[parent], images[i]]
     if not (phi[t1.mult] == t2.mult[np.ix_(phi, phi)]).all():
         return None
     return phi
@@ -956,7 +965,8 @@ def is_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> tuple[bool, lis
     gens = list(t1.generators)
     if not gens:
         raise QcwError("source table lists no generators")
-    expr = _word_expressions(t1)
+    # a repeated generator's image is read at its first listing
+    listing = [gens.index(int(s)) for s in t1.spanning_tree().gens]
     orders1 = t1.element_orders()
     orders2 = t2.element_orders()
     cent2 = [t2.centralizer_size(x) for x in range(t2.order)]
@@ -972,7 +982,7 @@ def is_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> tuple[bool, lis
 
     def backtrack(k: int, chosen: list[int]):
         if k == len(gens):
-            phi = _build_hom(t1, t2, chosen, expr)
+            phi = _build_hom(t1, t2, np.array(chosen, dtype=np.int64)[listing])
             if phi is not None and len(set(map(int, phi))) == t1.order:
                 return [int(x) for x in chosen]
             return None

@@ -278,7 +278,7 @@ def test_compare_qp17_q8_order4096_solves_h1_on_the_tree(monkeypatch):
     real_diagonalize = qcw.zqlinalg.diagonalize
 
     def h1_space(self):
-        inside.append(len(self._spanning_tree()[0]))
+        inside.append(len(self.t.spanning_tree().gens))
         try:
             return real_h1(self)
         finally:
@@ -422,3 +422,36 @@ def test_golden_outputs(name, argv):
 def test_bad_modulus_clean_error():
     code, _ = run_cli("quotient", DATA, "free2", "--q", "12")
     assert code == 1
+
+
+def test_cohomology_refuses_the_h2_bound_before_the_table(monkeypatch, capsys):
+    # |G| = 32768 at free2, q = 8: the 8 GiB table is never allocated
+    import qcw.cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("to_table called")
+
+    monkeypatch.setattr(qcw.cli, "to_table", no_table)
+    code = main(["cohomology", DATA, "free2", "--q", "8", "--order-bound", "100000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group order 32768 exceeds the degree-2 bound 64\n"
+    # the order bound is still checked first
+    assert main(["cohomology", DATA, "free2", "--q", "8"]) == 1
+    assert capsys.readouterr().err == "error: |E(2,8)| = 32768 exceeds the order bound 512\n"
+
+
+def test_parser_is_built_once_and_parses_alike(capsys):
+    from qcw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    outcomes = []
+    for _ in range(2):
+        for argv in (["--help"], ["cohomology", "--help"], ["nosuch"], ["quotient", DATA]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            outcomes.append((exit_info.value.code, capsys.readouterr()))
+    assert outcomes[:4] == outcomes[4:]
+    assert [code for code, _ in outcomes[:4]] == [0, 0, 2, 2]
+    assert run_json("quotient", DATA, "free2")[1]["result"]["order"] == 32

@@ -605,7 +605,7 @@ def canonical_read_off(ctx, z2):
 def extension_matrix(ctx):
     """The (|G|-1)^2 x |S|(|G|-1) matrix of the tree extension: column j holds
     the bar values of the cocycle extended from the j-th unit vector."""
-    gens, _ = ctx._spanning_tree()
+    gens = ctx.t.spanning_tree().gens
     unknowns = len(ctx.elems) * len(gens)
     return np.array([flat_of_matrix(ctx, F) for F in ctx.extend(np.eye(unknowns, dtype=np.int64))]).reshape(
         unknowns, ctx.width
@@ -832,9 +832,9 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
         build = SMALL_TABLES[name]
         t = build() if build else quaternion_table
     ctx = GroupCohomology(t, q)
-    gens, edges = ctx._spanning_tree()
+    gens = ctx.t.spanning_tree().gens
     K = np.zeros((t.order, len(gens)), dtype=np.int64)
-    for parent, i, k in edges:
+    for parent, i, k in zip(*ctx.t.spanning_tree().edges):
         K[k] = K[parent] + np.eye(len(gens), dtype=np.int64)[i]
     full = K[ctx.elems].T @ reference_coboundary_rows(ctx)[:, generator_columns(ctx)] % q
     off = off_tree_columns(ctx)
@@ -848,7 +848,7 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
 
 def off_tree_columns(ctx):
     """Restricted columns (g, s), g != 1, that are not tree edges k' -> k's."""
-    gens, edges = ctx._spanning_tree()
+    gens, edges = ctx.t.spanning_tree().gens, zip(*ctx.t.spanning_tree().edges)
     tree = {ctx.pos[parent] * len(gens) + i for parent, i, _ in edges if parent != ctx.t.identity}
     return np.array([c for c in range(len(ctx.elems) * len(gens)) if c not in tree], dtype=np.int64)
 
@@ -1265,7 +1265,7 @@ def reference_verify_kernel(ctx, vectors):
 def df_vanishes(ctx, vectors, generators=None):
     """The safety net of ``z2_generators``: df(g, h, s) = 0 for all g, h and
     each s among the listed ``generators`` (indices; all by default)."""
-    gens, _ = ctx._spanning_tree()
+    gens = ctx.t.spanning_tree().gens
     generators = range(len(gens)) if generators is None else generators
     h, i = (a.reshape(-1) for a in np.meshgrid(np.arange(ctx.t.order), generators, indexing="ij"))
     return not any(df.any() for df in ctx._df_blocks(vectors, h, i))
@@ -1300,7 +1300,7 @@ def test_verify_kernel_checks_every_generator(name, q, request):
     # for klein4 at q = 2 and demushkin3_q2 at q = 3 these are all cocycles
     t = z2_case_table(name, request)
     ctx = GroupCohomology(t, q)
-    gens, _ = ctx._spanning_tree()
+    gens = ctx.t.spanning_tree().gens
     w = t.order - 1
     on_first = full_cocycle_matrix(t, q).reshape(w, w, w, -1)[:, :, ctx.pos[gens[0]]].reshape(w * w, -1)
     pulled = (on_first @ extension_matrix(ctx)) % q

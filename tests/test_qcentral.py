@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -13,6 +14,7 @@ from qcw.qcentral import (
     ClassTwoGroup,
     FiniteGroupTable,
     SeriesParams,
+    _build_hom,
     _collect_batch,
     _power_batch,
     _quotient_exponent,
@@ -34,6 +36,7 @@ from qcw.qcentral import (
     table_record,
     validate_table,
 )
+from qcw.realizability import semidirect_power_table
 
 P2 = SeriesParams(p=2, d=1)
 P3 = SeriesParams(p=3, d=1)
@@ -694,3 +697,98 @@ def test_is_isomorphic_detects_relabelings():
             )
             ok, witness = is_isomorphic(t, t2)
             assert ok and witness is not None
+
+
+# -- homomorphisms along the spanning tree ----------------------------------------
+
+
+def reference_build_hom(t1, t2, gen_images):
+    """The former ``_word_expressions`` and ``_build_hom``: BFS parents over
+    the listing as given, resolved by a fixed-point loop."""
+    expr = [None] * t1.order
+    seen, frontier = {t1.identity}, [t1.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(t1.generators):
+                y = int(t1.mult[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    expr[y] = (x, gi)
+                    nxt.append(y)
+        frontier = nxt
+    phi = np.full(t1.order, -1, dtype=np.int64)
+    phi[t1.identity] = t2.identity
+    changed = True
+    while changed:
+        changed = False
+        for x in range(t1.order):
+            if phi[x] < 0 and expr[x] is not None and phi[expr[x][0]] >= 0:
+                prev, gi = expr[x]
+                phi[x] = t2.mult[phi[prev], gen_images[gi]]
+                changed = True
+    if (phi < 0).any() or not (phi[t1.mult] == t2.mult[np.ix_(phi, phi)]).all():
+        return None
+    return phi
+
+
+def listed_as(t, generators):
+    return FiniteGroupTable(order=t.order, mult=t.mult, identity=t.identity, generators=tuple(generators))
+
+
+def permuted(t, seed):
+    """t under a random relabelling, the identity moved too."""
+    perm = np.random.default_rng(seed).permutation(t.order)
+    inv = np.argsort(perm)
+    return FiniteGroupTable(
+        order=t.order,
+        mult=perm[t.mult][np.ix_(inv, inv)],
+        identity=int(perm[t.identity]),
+        generators=tuple(int(perm[g]) for g in t.generators),
+    )
+
+
+def repeated_listing(t):
+    """t listing its first generator twice and the identity once."""
+    a, b = t.generators[0], t.generators[-1]
+    return listed_as(t, (a, t.identity, a, b))
+
+
+HOM_SOURCES = {
+    "z4_x_z2": lambda: abelian_table([4, 2]),
+    "d4": lambda: semidirect_power_table(cyclic_table(2), 2, [(1, 0)]),
+    "z8": lambda: cyclic_table(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_SOURCES))
+def test_build_hom_matches_the_former_fixed_point(name):
+    # every choice of images, consistent or not at the repeated generator and
+    # the identity: the layered build reads a repeated generator's image at
+    # its first listing and ignores the identity's, as the former BFS did
+    t = HOM_SOURCES[name]()
+    t1 = repeated_listing(t)
+    listing = [t1.generators.index(int(s)) for s in t1.spanning_tree().gens]
+    for t2 in (t, permuted(t, 3)):
+        for images in itertools.product(range(t2.order), repeat=len(t1.generators)):
+            got = _build_hom(t1, t2, np.array(images)[listing])
+            want = reference_build_hom(t1, t2, images)
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "name,seed,witness",
+    [
+        ("z4_x_z2", 0, [1, 2, 1, 0]),
+        ("z4_x_z2", 2, [0, 6, 0, 4]),
+        ("d4", 0, [3, 2, 3, 4]),
+        ("d4", 2, [1, 6, 1, 3]),
+        ("z8", 0, [0, 2, 0, 0]),
+        ("z8", 4, [2, 1, 2, 2]),
+    ],
+)
+def test_is_isomorphic_witness_with_a_repeated_generator_and_the_identity(name, seed, witness):
+    # the witnesses the former BFS and fixed-point build returned
+    t = HOM_SOURCES[name]()
+    assert is_isomorphic(repeated_listing(t), permuted(t, seed)) == (True, witness)

@@ -32,10 +32,13 @@ from qcw.qcentral import (
     cyclic_table,
     quotient_table,
     second_quotient,
+    abelian_table,
+    is_isomorphic,
     series_step_oracle,
     third_quotient,
     to_table,
 )
+from qcw.cohom import GroupCohomology
 from qcw.realizability import (
     CdDescriptor,
     WreathSpec,
@@ -355,31 +358,108 @@ def not_generated_z4() -> FiniteGroupTable:
         lambda t: t.derived_subgroup(),
         lambda t: t.nilpotency_class(),
         lambda t: quotient_table(t, {0, 2}),
+        lambda t: t.spanning_tree(),
+        lambda t: GroupCohomology(t, 2).h1_space(),
+        lambda t: GroupCohomology(t, 2).z2_generators(),
+        lambda t: is_isomorphic(t, cyclic_table(4)),
     ],
-    ids=["series_step", "derived_subgroup", "nilpotency_class", "quotient_table"],
+    ids=[
+        "series_step", "derived_subgroup", "nilpotency_class", "quotient_table",
+        "spanning_tree", "h1", "z2", "is_isomorphic",
+    ],
 )
 def test_listed_generators_must_generate(call):
-    with pytest.raises(QcwError, match="listed generators do not generate the table"):
+    with pytest.raises(QcwError, match="^listed generators do not generate the table$"):
         call(not_generated_z4())
 
 
 def test_generation_is_checked_once_per_table(monkeypatch):
+    # the spanning tree is the one generation check: series steps, the
+    # class, cohomology and the isomorphism search all read one tree
     t = stand_in(2, 2, cyclic_action(2))
     calls = []
-    closure_mask = qcentral._closure_mask
+    build_tree = qcentral._build_tree
 
-    def counting(table, seeds, conjugators=None):
-        if conjugators is None and np.array_equal(seeds, table.generators):
-            calls.append(len(seeds))
-        return closure_mask(table, seeds, conjugators)
+    def counting(table):
+        calls.append(table.order)
+        return build_tree(table)
 
-    monkeypatch.setattr(qcentral, "_closure_mask", counting)
+    monkeypatch.setattr(qcentral, "_build_tree", counting)
     P2 = SeriesParams(p=2, d=1)
     layer = set(range(t.order))
     while len(layer) > 1:
         layer = series_step_oracle(t, layer, P2)
     t.nilpotency_class()
-    assert len(calls) == 1
+    GroupCohomology(t, 2).pairing()
+    GroupCohomology(t, 3).h1_space()
+    assert is_isomorphic(t, relabelled(t))[0]
+    assert calls == [t.order, t.order]  # t's, then the relabelled copy's
+
+
+# ---------------------------------------------------------------------------
+# the spanning tree
+
+
+def reference_spanning_tree(t: FiniteGroupTable) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The former ``GroupCohomology._spanning_tree``: a queue-driven BFS,
+    one edge at a time."""
+    gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
+    seen = np.zeros(t.order, dtype=bool)
+    seen[t.identity] = True
+    queue, edges = [t.identity], []
+    for parent in queue:
+        for i, s in enumerate(gens):
+            k = int(t.mult[parent, s])
+            if not seen[k]:
+                seen[k] = True
+                queue.append(k)
+                edges.append((parent, i, k))
+    if len(queue) < t.order:
+        raise QcwError("listed generators do not generate the table")
+    return gens, edges
+
+
+def assert_tree_matches_reference(t: FiniteGroupTable) -> None:
+    tree = t.spanning_tree()
+    gens, edges = reference_spanning_tree(t)
+    assert tree.gens.dtype == gens.dtype and np.array_equal(tree.gens, gens)
+    assert list(zip(*(a.tolist() for a in tree.edges))) == edges
+    # the layers chain to the edges, and each parent lies in the layer before
+    chained = [sum((layer[j].tolist() for layer in tree.layers), []) for j in range(3)]
+    assert chained == [a.tolist() for a in tree.edges]
+    depth = np.full(t.order, -1)
+    depth[t.identity] = 0
+    for level, (parent, i, child) in enumerate(tree.layers, start=1):
+        assert (depth[parent] == level - 1).all() and (depth[child] == -1).all()
+        assert np.array_equal(t.mult[parent, tree.gens[i]], child)
+        depth[child] = level
+
+
+@pytest.mark.parametrize("kind,name", TABLE_CASES)
+def test_spanning_tree_matches_the_former_bfs(kind, name, request):
+    assert_tree_matches_reference(build_table(kind, name, request))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_spanning_tree_drops_repeats_and_the_identity(name, request):
+    t = build_table("small", name, request)
+    listed = (t.identity,) + t.generators[::-1] + t.generators + (t.identity,)
+    t2 = FiniteGroupTable(order=t.order, mult=t.mult, identity=t.identity, generators=listed)
+    assert_tree_matches_reference(t2)
+    assert t2.spanning_tree().gens.tolist() == list(dict.fromkeys(t.generators[::-1]))
+
+
+def test_spanning_tree_of_the_trivial_and_cyclic_tables():
+    for t in (cyclic_table(1), cyclic_table(64), abelian_table([2, 4, 8])):
+        assert_tree_matches_reference(t)
+    assert len(cyclic_table(64).spanning_tree().layers) == 63
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_presentations())
+def test_spanning_tree_matches_the_former_bfs_on_random_presentations(case):
+    pres, q = case
+    assert_tree_matches_reference(to_table(third_quotient(pres, SeriesParams.from_q(q), ORACLE_BOUND), ORACLE_BOUND))
 
 
 def reference_inverses(t: FiniteGroupTable) -> np.ndarray:
