@@ -74,9 +74,18 @@ One function evaluates df, on generator values that carry a trailing axis
 of m cochains.  Row g of the extension needs only row g of the tree walk,
 so df runs over blocks of rows g whose size keeps every temporary within
 one cell budget.  Fed the unit vectors (m = |S| (|G|-1)) at the off-tree
-pairs (h, s), it gives the equations; fed the solutions at every pair,
-tree pairs included, it is the safety net, which by the lemma above is the
-full cocycle identity.  The safety net runs on either route.
+pairs (h, s), it gives the equations; fed solutions at every pair, tree
+pairs included, it is the safety net, which by the lemma above is the full
+cocycle identity.  The net runs on either route, on the ``rank``
+representatives rep_i = ``transform @ gens`` of the H^2 module
+``QuotientModule(gauge(gens), coboundary_rows())``, not on all m solutions.
+Net lemma: that module gives every s in span(gens) as
+gauge(s) = Σ c_i gauge(rep_i) + Σ d_j dK_j, so s - Σ c_i rep_i lies in B^2
+by the gauge lemma below.  df is linear, and it vanishes on B^2 (a
+coboundary is a cocycle, hence the extension of its own values).  So df
+vanishes on all the solutions iff it vanishes on the representatives: the
+check equals the check on every solution, it is not a weaker one, and it
+does not need B^2 ⊆ span(gens), so a corrupted kernel still trips it.
 
 The generators returned depend on Z^2 alone.  Over Z/q every submodule M
 of (Z/q)^w satisfies Ann(Ann(M)) = M (Z/q is self-injective), so the
@@ -548,7 +557,11 @@ class GroupCohomology:
         """Independent generators (vector, order) of the cocycle module Z^2,
         as restricted vectors: the kernel of the relators' walk equations, or
         without relators of the off-tree equations, read off their Howell
-        form (see the module docstring)."""
+        form (see the module docstring).  The H^2 module is built here, once:
+        the safety net runs on its representatives (the net lemma of the
+        module docstring), and Z^2 and the module are cached together once
+        the net has passed.  A non-cocycle raises ``QcwError`` and caches
+        nothing."""
         if self._z2 is None:
             t, q = self.t, self.q
             check_h2_bound(t.order, self.h2_bound)
@@ -564,11 +577,14 @@ class GroupCohomology:
             for rows in blocks:
                 rs.add_rows(rows)
             kernel = rs.kernel()
-            # the safety net: every df(g, h, s), tree pairs included
+            z2 = np.array([v for v, _ in kernel], dtype=np.int64).reshape(len(kernel), unknowns)
+            module = self._modulo_b2(z2)
+            # the safety net on the H^2 representatives: every df(g, h, s),
+            # tree pairs included
             every_pair = np.nonzero(np.ones((t.order, len(gens)), dtype=bool))
-            if any(df.any() for df in self._df_blocks([v for v, _ in kernel], *every_pair)):
+            if any(df.any() for df in self._df_blocks(module.transform @ z2 % q, *every_pair)):
                 raise QcwError("internal error: cocycle solver produced a non-cocycle")
-            self._z2 = kernel
+            self._z2, self._h2_module = kernel, module
         return self._z2
 
     def _modulo_b2(self, vectors) -> QuotientModule:
@@ -578,9 +594,10 @@ class GroupCohomology:
 
     def h2_module(self) -> QuotientModule:
         """H^2 = Z^2 / B^2 in the gauge: ``basis`` and ``coords_batch`` are
-        on gauged values (``gauge``)."""
+        on gauged values (``gauge``).  It is the module that
+        ``z2_generators`` builds for its safety net, the same object."""
         if self._h2_module is None:
-            self._h2_module = self._modulo_b2(self._z2_vectors())
+            self.z2_generators()
         return self._h2_module
 
     def _z2_vectors(self) -> np.ndarray:

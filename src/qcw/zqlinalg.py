@@ -12,7 +12,9 @@ p-valuation.  Everything here reduces to that one idea:
   (for prime q all orders are q and everything collapses to F_p linear
   algebra).  ``QuotientModule`` reads the relations among its generators
   off one Howell form (below), so its basis, orders and coordinates depend
-  only on the generators and the span of the relations.
+  only on the generators and the span of the relations.  When that form
+  has unit pivots only, the module is free and is read off the form itself,
+  without ``diagonalize``.
 * ``kernel_free_columns`` replays ``diagonalize``'s pivot choices on sparse
   rows, naming the free columns behind ``kernel_with_orders``' vectors, in
   its order, without building the matrix.
@@ -400,6 +402,24 @@ class QuotientModule:
     transform @ gens``), the orders and ``generator_coords``.  So all of
     these depend only on gens and span(rels), not on which rows span it or
     in what order.
+
+    Unit-pivot lemma.  When every Howell row of Λ has a unit pivot, the rows
+    are a reduced row echelon form: row r has 1 at its pivot column
+    lcols[r], 0 at the other pivot columns and left of lcols[r].  Then step
+    r of ``diagonalize`` takes its pivot at row r's leading unit, without a
+    row operation, as in ``kernel_free_columns``: the swaps of steps < r
+    moved only pivot columns left, to positions < r, and free columns right
+    of where they stood, so position lcols[r] still holds column lcols[r],
+    and row r, zero at the other pivot columns, has no nonzero entry at an
+    earlier position >= r.  The rows below are zero in that column, so no
+    row operation runs, and the column operations only clear row r, which
+    changes Vinv in row r alone.  So step r swaps positions r and lcols[r],
+    every exponent is 0, and with ``at`` the identity permutation after
+    those swaps and free = at[len(lcols):]: every order is q, ``transform``
+    is the unit rows at ``free``, ``basis`` is gens[free], and
+    ``generator_coords`` has 1 at a free generator's own slot and
+    -Λ[ρ, free] mod q for the generator at pivot column lcols[ρ], as row ρ
+    of Λ says that generator equals -Σ_f Λ[ρ, f] gens[f] modulo rels.
     """
 
     def __init__(self, gens, rels, width: int, q: int):
@@ -421,8 +441,24 @@ class QuotientModule:
         M[:s, :width] = gens
         M[np.arange(s), width + np.arange(s)] = 1
         M[s:, :width] = rels
-        rows, cols, _ = _howell_sweep(M, self.p, self.d)
-        dg = diagonalize(rows[cols >= width, width:], q, want_Vinv=True)
+        rows, cols, exps = _howell_sweep(M, self.p, self.d)
+        in_lam = cols >= width
+        lam, lcols = rows[in_lam, width:], cols[in_lam] - width
+        if not exps[in_lam].any():
+            # unit pivots: diagonalize would only swap columns (class docstring)
+            at = list(range(s))  # at[position] = generator
+            for r, c in enumerate(lcols.tolist()):
+                at[r], at[c] = at[c], at[r]
+            free = np.array(at[len(lcols) :], dtype=np.int64)
+            self.orders = [q] * len(free)
+            self.transform = np.zeros((len(free), s), dtype=np.int64)
+            self.transform[np.arange(len(free)), free] = 1
+            self.basis = gens[free]
+            self.generator_coords = np.zeros((s, len(free)), dtype=np.int64)
+            self.generator_coords[free, np.arange(len(free))] = 1
+            self.generator_coords[lcols] = -lam[:, free] % q
+            return
+        dg = diagonalize(lam, q, want_Vinv=True)
         # Vinv @ gens generates the cyclic summands: the relations on them are
         # the rows of D = U P V, so summand i has order p^exps[i] (dropped when
         # that is 1) and the free ones order q

@@ -89,8 +89,9 @@ def test_cohomology_trivial():
     assert rep["decomposable_h2"]["dimension"] == 0
 
 
-def run_json_capped(cap, *argv):
-    """The JSON report of a CLI run in a child whose address space is capped at ``cap`` bytes."""
+def run_json_capped(cap, *argv, timeout=600):
+    """The JSON report of a CLI run in a child whose address space is capped
+    at ``cap`` bytes, killed after ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(qcw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
@@ -98,7 +99,7 @@ def run_json_capped(cap, *argv):
             sys.executable, "-c", "import sys; from qcw.cli import main; sys.exit(main(sys.argv[1:]))",
             *argv, "--output", "json",
         ],
-        capture_output=True, text=True, env=env, timeout=600,
+        capture_output=True, text=True, env=env, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert child.returncode == 0, child.stderr
@@ -119,11 +120,25 @@ def test_cohomology_order243_fits_800mb():
 def test_cohomology_free3_q2_order512():
     # |G| = 512: Z^2 from the 21 relators of free3^[3,2], 10731 walk rows on
     # the 1533 generator values (the off-tree route sweeps 523775 rows), in
-    # a child capped at 3 GB
+    # a child capped at 3 GB.  About 3.5 s on a 2-vCPU VM, most of it the
+    # walk sweep; the safety net checks the 14 H^2 representatives, not the
+    # 522 Z^2 generators (about 12 s when it checked all of them)
     argv = ("cohomology", DATA, "free3", "--q", "2", "--order-bound", "1000", "--h2-bound", "1000")
     rep = run_json_capped(3 * 10**9, *argv)
     assert rep["order"] == 512
     assert rep["h2"]["invariants"] == [2] * 14
+    assert rep["decomposable_h2"]["invariants"] == []
+
+
+def test_cohomology_free2_q4_order1024_within_30s():
+    # |G| = 1024 in a child capped at 3 GB: about 3 s on a 2-vCPU VM, where
+    # the safety net on all 1026 Z^2 generators took 46-60 s; it now checks
+    # the 5 H^2 representatives
+    argv = ("cohomology", DATA, "free2", "--q", "4", "--order-bound", "5000", "--h2-bound", "5000")
+    rep = run_json_capped(3 * 10**9, *argv, timeout=30)
+    assert rep["order"] == 1024
+    assert rep["h1"]["invariants"] == [4, 4]
+    assert rep["h2"]["invariants"] == [4] * 5
     assert rep["decomposable_h2"]["invariants"] == []
 
 

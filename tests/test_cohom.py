@@ -51,8 +51,8 @@ from qcw.qcentral import (
     universal_class2,
 )
 from qcw.realizability import semidirect_power_table
-from qcw.zqlinalg import QuotientModule, RowSpace, cokernel_invariants, kernel_with_orders, solve_mod_many
-from test_zqlinalg import ReferenceRowSpace
+from qcw.zqlinalg import QuotientModule, RowSpace, _as_matrix, cokernel_invariants, kernel_with_orders, solve_mod_many
+from test_zqlinalg import ReferenceRowSpace, assert_same_module, reference_quotient_module
 
 P2 = SeriesParams(p=2, d=1)
 GROUPS_GRP = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
@@ -1324,8 +1324,11 @@ def test_corrupted_kernel_raises(name, request, monkeypatch):
         return [(v, o)] + kernel[1:]
 
     monkeypatch.setattr(RowSpace, "kernel", corrupted)
-    with pytest.raises(QcwError, match="non-cocycle"):
-        GroupCohomology(t, 2).z2_generators()
+    ctx = GroupCohomology(t, 2)
+    # a tripped net caches neither Z^2 nor H^2: the second call checks again
+    for call in (ctx.z2_generators, ctx.h2_module):
+        with pytest.raises(QcwError, match="non-cocycle"):
+            call()
 
 
 # -- Z^2 from a presentation's relators ------------------------------------------
@@ -1409,8 +1412,67 @@ def test_relators_that_do_not_present_the_group_trip_the_safety_net(q):
     pres, params = GRP["demushkin3"], SeriesParams.from_q(q)
     t = to_table(third_quotient(pres, params, NO_BOUND))
     universal = third_quotient_relators(pres, params)[len(pres.relators) :]
-    with pytest.raises(QcwError, match="non-cocycle"):
-        GroupCohomology(t, q, relators=universal).z2_generators()
+    ctx = GroupCohomology(t, q, relators=universal)
+    for call in (ctx.z2_generators, ctx.h2_module):
+        with pytest.raises(QcwError, match="non-cocycle"):
+            call()
+
+
+def test_safety_net_runs_on_the_h2_representatives(monkeypatch):
+    # df is evaluated once, on the rank(H^2) = 5 vectors transform @ gens,
+    # not on all the Z^2 generators
+    calls, contexts = [], []
+    df_blocks, init = GroupCohomology._df_blocks, GroupCohomology.__init__
+
+    def record(self, vectors, h, i):
+        calls.append(np.array(vectors))
+        return df_blocks(self, vectors, h, i)
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(GroupCohomology, "_df_blocks", record)
+    monkeypatch.setattr(GroupCohomology, "__init__", keep)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cohomology", GROUPS_GRP, "free2", "--q", "2"]) == 0
+    (ctx,) = contexts
+    module = ctx.h2_module()
+    assert module.rank == 5 and len(ctx.z2_generators()) > 5
+    assert len(calls) == 1 and len(calls[0]) == 5
+    assert (calls[0] == module.transform @ ctx._z2_vectors() % 2).all()
+
+
+# the compare-fields ladder of the benchmark, one field from each seeded band
+COMPARE_FIELDS = [
+    ("Fq:5", 2), ("Qp:3", 2), ("R", 2), ("Qp:7", 3), ("Qp:101", 2), ("Qp:103", 3),
+    ("Fq:13", 4), ("Fq:31", 5), ("Fq:17", 8), ("Fq:25", 8), ("Fq:991", 2),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_command_quotient_modules_match_the_diagonalize_read_off(q, monkeypatch):
+    # every QuotientModule that cohomology and compare build, on both
+    # branches of its read-off, equals the former diagonalize read-off
+    built, init = [], QuotientModule.__init__
+
+    def record(self, gens, rels, width, q):
+        init(self, gens, rels, width, q)
+        built.append((self, gens, rels, width, q))
+
+    monkeypatch.setattr(QuotientModule, "__init__", record)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for name in sorted(GRP):
+            main(["cohomology", GROUPS_GRP, name, "--q", str(q)])
+        for field, fq in COMPARE_FIELDS:
+            if fq == q:
+                assert main(["compare", field, "--q", str(q)]) == 0
+    assert built
+    rng = np.random.default_rng(q)
+    for module, gens, rels, width, mq in built:
+        stack = np.vstack([_as_matrix(gens, width, mq), _as_matrix(rels, width, mq)])
+        members = rng.integers(0, mq, (3, len(stack))) @ stack % mq
+        assert_same_module(module, reference_quotient_module(gens, rels, width, mq), members)
 
 
 def test_cohomology_command_solves_z2_from_the_relators(monkeypatch):

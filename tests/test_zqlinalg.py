@@ -6,6 +6,8 @@ and ``diagonalize`` is pinned field for field to its former dense
 implementation, kept here as ``reference_diagonalize``.  ``RowSpace`` is
 pinned to its former implementation, ``ReferenceRowSpace``, wherever every
 pivot is a unit, and its Howell form is checked to be canonical.
+``QuotientModule`` is pinned to its former ``diagonalize`` read-off,
+``reference_quotient_module``, on both of its branches.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from qcw.zqlinalg import (
     QuotientModule,
     RowSpace,
     _as_matrix,
+    _howell_sweep,
     cokernel_invariants,
     diagonalize,
     kernel_free_columns,
@@ -367,8 +370,8 @@ def test_coords_of_a_zero_module_check_every_vector(q):
         empty.coords_batch([[0, 0], [0, 1]])
 
 
-def reference_quotient_module(gens, rels, width, q):
-    """The former ``QuotientModule`` construction: the relations Λ on the
+def stacked_kernel_quotient_module(gens, rels, width, q):
+    """The construction before the Howell read-off: the relations Λ on the
     generators from ``kernel_with_orders`` of the stacked [gens; rels].T.
     Returns (orders, basis, generator_coords)."""
     gens, rels = _as_matrix(gens, width, q), _as_matrix(rels, width, q)
@@ -380,6 +383,39 @@ def reference_quotient_module(gens, rels, width, q):
     orders = [p ** dg.exps[i] if i < len(dg.exps) else q for i in kept]
     basis = (dg.Vinv @ gens % q)[kept]
     return orders, basis, dg.V[:, kept] % np.array(orders, dtype=np.int64)
+
+
+def reference_quotient_module(gens, rels, width, q) -> QuotientModule:
+    """The former ``QuotientModule.__init__``: ``diagonalize`` of the Howell
+    form of Λ, whatever its pivots, read off through V and Vinv.  The module
+    returned has the class's own ``coords_batch``."""
+    p, d = prime_power(q)
+    gens, rels = _as_matrix(gens, width, q), _as_matrix(rels, width, q)
+    module = QuotientModule.__new__(QuotientModule)
+    module.q, module.p, module.d, module.width, module.rels = q, p, d, width, rels
+    s = len(gens)
+    M = np.zeros((s + len(rels), width + s), dtype=np.int64)
+    M[:s, :width] = gens
+    M[np.arange(s), width + np.arange(s)] = 1
+    M[s:, :width] = rels
+    rows, cols, _ = _howell_sweep(M, p, d)
+    dg = diagonalize(rows[cols >= width, width:], q, want_Vinv=True)
+    kept = [i for i, e in enumerate(dg.exps) if e > 0] + list(range(len(dg.exps), s))
+    module.orders = [p ** dg.exps[i] if i < len(dg.exps) else q for i in kept]
+    module.transform = dg.Vinv[kept] % q
+    module.basis = (module.transform @ gens) % q
+    module.generator_coords = dg.V[:, kept] % np.array(module.orders, dtype=np.int64)
+    return module
+
+
+def assert_same_module(got, want, members=()):
+    """Field for field, and the coordinates of ``members`` (vectors of the module)."""
+    assert got.orders == want.orders
+    for name in ("transform", "basis", "generator_coords"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+    if len(members):
+        assert (got.coords_batch(members) == want.coords_batch(members)).all()
 
 
 def in_span(vectors, rows, width, q):
@@ -421,13 +457,48 @@ def test_quotient_module_is_canonical(q):
             assert other.orders == module.orders
             assert other.basis.shape == module.basis.shape and (other.basis == module.basis).all()
             assert (other.generator_coords == module.generator_coords).all()
-        orders, basis, _ = reference_quotient_module(gens, rels, w, q)
+        orders, basis, _ = stacked_kernel_quotient_module(gens, rels, w, q)
         assert module.orders == orders and module.basis.shape == basis.shape
         if len(gens):
             diff = (gens - module.generator_coords @ module.basis) % q
             assert in_span(diff, rels, w, q)
         assert in_span(module.basis, np.vstack([gens, rels]), w, q)
         assert (module.basis == module.transform @ gens % q).all()
+
+
+def test_quotient_module_matches_the_diagonalize_read_off(monkeypatch):
+    # unit-pivot relation modules skip diagonalize; both branches must give
+    # the former read-off entry for entry, and both must be drawn
+    import qcw.zqlinalg
+
+    calls, real = [], qcw.zqlinalg.diagonalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qcw.zqlinalg, "diagonalize", counted)
+    skipped = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4, 5, 8, 9]), s=st.integers(0, 5), w=st.integers(1, 5), r=st.integers(0, 4), data=st.data())
+    def check(q, s, w, r, data):
+        p, _ = prime_power(q)
+        entries = lambda k: np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k)), dtype=np.int64)
+        gens = entries(s * w).reshape(s, w)
+        rels = entries(r * w).reshape(r, w)
+        if data.draw(st.booleans()):
+            rels = rels * p % q  # non-unit relations
+        coeffs = entries(3 * (s + r)).reshape(3, s + r)
+        members = coeffs @ np.vstack([gens, rels]) % q
+        calls.clear()
+        module = QuotientModule(gens, rels, w, q)
+        if s:
+            skipped.add(not calls)
+        assert_same_module(module, reference_quotient_module(gens, rels, w, q), members)
+
+    check()
+    assert skipped == {True, False}
 
 
 def test_cokernel_invariants_examples():
