@@ -73,17 +73,25 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _load_group(path: str, name: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        groups = parse_file(handle.read())
-    for pres in groups:
-        if pres.name == name:
-            return pres
-    raise QcwError(f"no group named {name!r} in {path} (found {[g.name for g in groups]})")
+def _group_loader(path: str):
+    """Name -> presentation in the file at ``path``, parsed once, at the first lookup."""
+    groups = None
+
+    def load(name: str):
+        nonlocal groups
+        if groups is None:
+            with open(path, "r", encoding="utf-8") as handle:
+                groups = parse_file(handle.read())
+        for pres in groups:
+            if pres.name == name:
+                return pres
+        raise QcwError(f"no group named {name!r} in {path} (found {[g.name for g in groups]})")
+
+    return load
 
 
 def cmd_quotient(args) -> int:
-    pres = _load_group(args.file, args.group)
+    pres = _group_loader(args.file)(args.group)
     params = SeriesParams.from_q(args.q)
     if args.level == 3:
         rec = group_record(third_quotient(pres, params, args.order_bound), args.order_bound)
@@ -102,7 +110,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    pres = _load_group(args.file, args.group)
+    pres = _group_loader(args.file)(args.group)
     params = SeriesParams.from_q(args.q)
     group = third_quotient(pres, params, args.order_bound)
     # H^2 is reported, so refuse its order before the |G| x |G| table exists
@@ -184,6 +192,7 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     params = SeriesParams.from_q(args.q)
+    load = _group_loader(args.file)
     verdicts = []
     if args.wreath_copies is not None:
         action = []
@@ -197,12 +206,12 @@ def cmd_check(args) -> int:
         else:
             action = [tuple(int(x) for x in args.wreath_action.split(","))]
         spec = WreathSpec(
-            k_pres=_load_group(args.file, args.wreath_k),
+            k_pres=load(args.wreath_k),
             k_cd=CdDescriptor(value=args.cd_k, provenance="user-supplied")
             if args.cd_k is not None
             else CdDescriptor.free(),
             k_top_cohomology_finite=True,
-            l_pres=_load_group(args.file, args.wreath_l),
+            l_pres=load(args.wreath_l),
             l_cd=CdDescriptor(value=args.cd_l, provenance="user-supplied")
             if args.cd_l is not None
             else CdDescriptor.free(),
@@ -220,13 +229,13 @@ def cmd_check(args) -> int:
         )
         verdicts.append(h1_vs_cd_check(args.dim_h1, cd, params.p, args.torsion_free))
     else:
-        pres = _load_group(args.file, args.group)
+        pres = load(args.group)
         which = args.criterion
         if which in ("all", "third-series"):
             verdicts.append(relators_in_third_series(pres, params, args.order_bound))
         if which in ("all", "principle"):
             if args.against:
-                other = _load_group(args.file, args.against)
+                other = load(args.against)
                 verdicts.append(
                     principle_check(
                         pres,

@@ -13,8 +13,25 @@ The textual format, bit-exact:
 Whitespace is insignificant, "#" starts a line comment, and identifiers are
 ASCII letters followed by ASCII alphanumerics.
 
+Loading a file is one regex scan and one pass over plain tuples.  Each token
+is a (kind, text, offset) tuple; the whitespace and comments after a token
+belong to its match and never become tokens.  Line and column are computed
+from the offset only when a ParseError is raised, and an unexpected
+character anywhere in the file is reported before any syntax error, as if
+the whole file were tokenized first.
+
 Words are stored as runs (generator index, exponent), so x^16 is a single
-letter.  The commutator bracket is left-normed and means
+letter.  Each word is built as one list of runs and kept freely reduced as
+it grows: its factors arrive reduced, so only their junctions can cancel.
+Powers are compact: with w = c core c^-1 and core cyclically reduced,
+w^k = c core^k c^-1, so (x y x^-1)^k is the three runs x y^k x^-1 for every
+k.  A core of two or more runs is repeated, and that is bounded: the powers
+and commutators of one file may build at most ``MAX_RUNS`` runs in all,
+counted before anything is allocated, and the one that would pass the bound
+raises ParseError at its "^" or "[".  Brackets and parentheses nest at most
+``MAX_DEPTH`` deep.
+
+The commutator bracket is left-normed and means
 
     [a, b] = a^-1 b^-1 a b
 
@@ -85,20 +102,87 @@ def free_presentation(rank: int, name: str = "F") -> Presentation:
     return Presentation(name=name, generator_names=names, relators=())
 
 
-def free_reduce(w: Word) -> Word:
-    """Unique reduced form: adjacent equal-generator runs merged, zeros dropped."""
+def _reduce(runs) -> list[tuple[int, int]]:
+    """Free reduction of a run list: equal-generator neighbours merged, zeros dropped."""
     stack: list[tuple[int, int]] = []
-    for g, e in w.letters:
+    for run in runs:
+        g, e = run
         if e == 0:
             continue
         if stack and stack[-1][0] == g:
-            merged = stack[-1][1] + e
-            stack.pop()
-            if merged != 0:
-                stack.append((g, merged))
+            e += stack.pop()[1]
+            if e != 0:
+                stack.append((g, e))
         else:
+            stack.append(run)
+    return stack
+
+
+def _extend(stack: list, runs: list) -> None:
+    """stack := reduced stack . runs, for a reduced run list ``runs``.
+
+    Only the junction can cancel: once a run of ``runs`` stays, the rest
+    follows it unchanged.
+    """
+    for n, (g, e) in enumerate(runs):
+        if not stack or stack[-1][0] != g:
+            stack.extend(runs[n:])
+            return
+        e += stack.pop()[1]
+        if e != 0:
             stack.append((g, e))
-    return Word(tuple(stack))
+            stack.extend(runs[n + 1 :])
+            return
+
+
+def _inverse(runs) -> list[tuple[int, int]]:
+    return [(g, -e) for g, e in reversed(runs)]
+
+
+def _commutator(a: list, b: list) -> list[tuple[int, int]]:
+    return _reduce(_inverse(a) + _inverse(b) + a + b)
+
+
+def _power(runs: list, k: int, check=None) -> list[tuple[int, int]]:
+    """The reduced run list of w^k, for w a reduced run list, built in one piece.
+
+    Peeling mutually inverse end runs writes w = c core c^-1 with
+    c = runs[:i] and core = runs[i:j+1].  A one-run core gives c x^(ak) c^-1.
+    When the end runs of a longer core share their generator, w = c x^a M
+    x^b c^-1 with a + b != 0, the cyclically reduced core is M x^(a+b), and
+    w^k = c x^a (M x^(a+b))^(k-1) M x^b c^-1.  ``check`` is called with the
+    run count of w^k before the list is built.
+    """
+    if k < 0:
+        runs, k = _inverse(runs), -k
+    if k == 0 or not runs:
+        return []
+    i, j = 0, len(runs) - 1
+    while i < j and runs[i][0] == runs[j][0] and runs[i][1] == -runs[j][1]:
+        i += 1
+        j -= 1
+    (g, a), (h, b) = runs[i], runs[j]
+    if i == j:
+        size = 1
+    elif g != h:
+        size = (j - i + 1) * k
+    else:
+        size = (j - i) * k + 1
+    if check is not None:
+        check(2 * i + size)
+    if i == j:
+        body = [(g, a * k)]
+    elif g != h:
+        body = runs[i : j + 1] * k
+    else:
+        middle = runs[i + 1 : j]
+        body = [runs[i]] + (middle + [(g, a + b)]) * (k - 1) + middle + [runs[j]]
+    return runs[:i] + body + runs[j + 1 :]
+
+
+def free_reduce(w: Word) -> Word:
+    """Unique reduced form: adjacent equal-generator runs merged, zeros dropped."""
+    return Word(tuple(_reduce(w.letters)))
 
 
 def is_trivial_in_free(w: Word) -> bool:
@@ -106,10 +190,7 @@ def is_trivial_in_free(w: Word) -> bool:
 
 
 def concat(*words: Word) -> Word:
-    letters: list[tuple[int, int]] = []
-    for w in words:
-        letters.extend(w.letters)
-    return free_reduce(Word(tuple(letters)))
+    return Word(tuple(_reduce([run for w in words for run in w.letters])))
 
 
 def inverse(w: Word) -> Word:
@@ -117,15 +198,8 @@ def inverse(w: Word) -> Word:
 
 
 def power(w: Word, k: int) -> Word:
-    """w^k; single-letter words stay O(1), longer words are repeated."""
-    if k == 0:
-        return Word(())
-    base = w if k > 0 else inverse(w)
-    n = abs(k)
-    if len(base.letters) == 1:
-        g, e = base.letters[0]
-        return free_reduce(Word(((g, e * n),)))
-    return concat(*([base] * n))
+    """w^k, freely reduced, as c core^|k| c^-1: a single run when the core is one."""
+    return Word(tuple(_power(_reduce(w.letters), k)))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -136,144 +210,177 @@ def commutator(a: Word, b: Word) -> Word:
 # ---------------------------------------------------------------------------
 # tokenizer / recursive-descent parser
 
+# The powers and commutators of one file may build at most this many runs in
+# all; the power or bracket that would pass it is refused with a ParseError.
+# (x y)^(2^22), at the bound, parses in about a second into 64 MB of run list,
+# and its level-3 quotient then takes about a minute.
+MAX_RUNS = 1 << 23
+
+# Brackets and parentheses may nest this deep.  Each level is one frame of the
+# parser, so deeper input fails with a ParseError, not a RecursionError.
+MAX_DEPTH = 500
+
+# one match per token, together with the whitespace and comments after it
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<ident>[A-Za-z][A-Za-z0-9]*)
-      | (?P<int>-?[0-9]+)
-      | (?P<punct>[{}\[\](),;:^])
+    r"""(?: (?P<ident>[A-Za-z][A-Za-z0-9]*)
+          | (?P<int>-?[0-9]+)
+          | (?P<punct>[{}\[\](),;:^])
+          | (?P<bad>.) )
+        (?:[ \t\r\n]+|\#[^\n]*)*
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos, line, linestart = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - linestart + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind in ("ws", "comment"):
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                linestart = m.start() + value.rindex("\n") + 1
-        else:
-            tokens.append(_Token(kind, value, line, m.start() - linestart + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - linestart + 1))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, ending in ("eof", "", len(text))."""
+    tokens = [
+        (m.lastgroup, m[m.lastindex], m.start())
+        for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())
+    ]
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+class _Fault(Exception):
+    """A parse error at a character offset; parse_file adds line and column."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+def _expect(tokens, i: int, want: str) -> None:
+    text = tokens[i][1]
+    if text != want:
+        raise _Fault(f"expected {want!r}, got {text!r}", tokens[i][2])
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.fail(f"expected {want!r}, got {tok.text!r}")
-        return self.next()
 
-    def parse_file(self) -> list[Presentation]:
-        groups = [self.parse_group()]
-        while self.peek().kind != "eof":
-            groups.append(self.parse_group())
-        return groups
+def _expect_kind(tokens, i: int, kind: str) -> str:
+    if tokens[i][0] != kind:
+        raise _Fault(f"expected {kind!r}, got {tokens[i][1]!r}", tokens[i][2])
+    return tokens[i][1]
 
-    def parse_group(self) -> Presentation:
-        self.expect("ident", "group")
-        name = self.expect("ident").text
-        self.expect("punct", "{")
-        self.expect("ident", "generators")
-        self.expect("punct", ":")
-        if self.peek().kind == "punct" and self.peek().text == ";":
-            self.fail("empty generator list")
-        gens = [self.expect("ident").text]
-        while self.peek().text == ",":
-            self.next()
-            gens.append(self.expect("ident").text)
-        if len(set(gens)) != len(gens):
-            self.fail(f"duplicate generator name in group {name!r}")
-        self.expect("punct", ";")
-        index = {g: i for i, g in enumerate(gens)}
-        self.expect("ident", "relators")
-        self.expect("punct", ":")
-        relators: list[Word] = []
-        if not (self.peek().kind == "punct" and self.peek().text == ";"):
-            relators.append(self.parse_word(index))
-            while self.peek().text == ",":
-                self.next()
-                relators.append(self.parse_word(index))
-        self.expect("punct", ";")
-        self.expect("punct", "}")
-        return Presentation(name=name, generator_names=tuple(gens), relators=tuple(relators))
 
-    def parse_word(self, index: dict[str, int]) -> Word:
-        factors = [self.parse_factor(index)]
+def _parse_groups(tokens: list) -> list[Presentation]:
+    budget = MAX_RUNS
+
+    def spend(runs: int, what: str, offset: int) -> None:
+        nonlocal budget
+        if runs > budget:
+            raise _Fault(
+                f"{what} too long: the powers and commutators of this file "
+                f"would build more than {MAX_RUNS} runs",
+                offset,
+            )
+        budget -= runs
+
+    def word(i: int, index: dict, depth: int) -> tuple[list, int]:
+        runs: list[tuple[int, int]] = []
+        start = i
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" or (tok.kind == "punct" and tok.text in "[("):
-                factors.append(self.parse_factor(index))
+            kind, text, offset = tokens[i]
+            if depth == MAX_DEPTH and text in ("[", "("):
+                raise _Fault(f"brackets nested more than {MAX_DEPTH} deep", offset)
+            if kind == "ident":
+                g = index.get(text)
+                if g is None:
+                    raise _Fault(f"undeclared generator {text!r}", offset)
+                if tokens[i + 1][1] == "^":
+                    e = int(_expect_kind(tokens, i + 2, "int"))
+                    i += 3
+                else:
+                    e = 1
+                    i += 1
+                if runs and runs[-1][0] == g:
+                    e += runs.pop()[1]
+                if e != 0:
+                    runs.append((g, e))
+                continue
+            if text == "[":
+                left, i = word(i + 1, index, depth + 1)
+                _expect(tokens, i, ",")
+                right, i = word(i + 1, index, depth + 1)
+                _expect(tokens, i, "]")
+                spend(2 * (len(left) + len(right)), "commutator", offset)
+                base = _commutator(left, right)
+            elif text == "(":
+                base, i = word(i + 1, index, depth + 1)
+                _expect(tokens, i, ")")
+            elif i == start:
+                raise _Fault(f"expected a generator, '[' or '(', got {text!r}", offset)
             else:
-                break
-        return concat(*factors)
+                return runs, i
+            i += 1
+            if tokens[i][1] == "^":
+                k = int(_expect_kind(tokens, i + 1, "int"))
+                caret = tokens[i][2]
+                base = _power(base, k, lambda size: spend(size, "power", caret))
+                i += 2
+            _extend(runs, base)
 
-    def parse_factor(self, index: dict[str, int]) -> Word:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            if tok.text not in index:
-                raise ParseError(f"undeclared generator {tok.text!r}", tok.line, tok.col)
-            base = Word(((index[tok.text], 1),))
-        elif tok.kind == "punct" and tok.text == "[":
-            self.next()
-            left = self.parse_word(index)
-            self.expect("punct", ",")
-            right = self.parse_word(index)
-            self.expect("punct", "]")
-            base = commutator(left, right)
-        elif tok.kind == "punct" and tok.text == "(":
-            self.next()
-            base = self.parse_word(index)
-            self.expect("punct", ")")
-        else:
-            self.fail(f"expected a generator, '[' or '(', got {tok.text!r}")
-        if self.peek().kind == "punct" and self.peek().text == "^":
-            self.next()
-            exp = int(self.expect("int").text)
-            return power(base, exp)
-        return base
+    def group(i: int) -> tuple[Presentation, int]:
+        _expect(tokens, i, "group")
+        name = _expect_kind(tokens, i + 1, "ident")
+        _expect(tokens, i + 2, "{")
+        _expect(tokens, i + 3, "generators")
+        _expect(tokens, i + 4, ":")
+        i += 5
+        if tokens[i][1] == ";":
+            raise _Fault("empty generator list", tokens[i][2])
+        gens = [_expect_kind(tokens, i, "ident")]
+        i += 1
+        while tokens[i][1] == ",":
+            gens.append(_expect_kind(tokens, i + 1, "ident"))
+            i += 2
+        if len(set(gens)) != len(gens):
+            raise _Fault(f"duplicate generator name in group {name!r}", tokens[i][2])
+        _expect(tokens, i, ";")
+        _expect(tokens, i + 1, "relators")
+        _expect(tokens, i + 2, ":")
+        i += 3
+        index = {g: n for n, g in enumerate(gens)}
+        relators = []
+        if tokens[i][1] != ";":
+            runs, i = word(i, index, 0)
+            relators.append(Word(tuple(runs)))
+            while tokens[i][1] == ",":
+                runs, i = word(i + 1, index, 0)
+                relators.append(Word(tuple(runs)))
+        _expect(tokens, i, ";")
+        _expect(tokens, i + 1, "}")
+        pres = Presentation(name=name, generator_names=tuple(gens), relators=tuple(relators))
+        return pres, i + 2
+
+    groups = []
+    i = 0
+    while not groups or tokens[i][0] != "eof":
+        pres, i = group(i)
+        groups.append(pres)
+    return groups
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_file(text: str) -> list[Presentation]:
     """Parse a file of one or more group blocks."""
-    return _Parser(text).parse_file()
+    tokens = _tokenize(text)
+    try:
+        return _parse_groups(tokens)
+    except (_Fault, ValueError) as err:
+        # an unexpected character anywhere comes first, as if the whole file
+        # were tokenized before parsing
+        bad = next((t for t in tokens if t[0] == "bad"), None)
+        if bad is not None:
+            raise _error(text, bad[2], f"unexpected character {bad[1]!r}") from None
+        if isinstance(err, _Fault):
+            raise _error(text, err.offset, err.message) from None
+        raise
 
 
 def parse_presentation(text: str) -> Presentation:

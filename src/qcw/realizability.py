@@ -434,8 +434,12 @@ def semidirect_power_table(
     # acted[si, kcode]: code of P[si].k, whose entry r is k_{P[si](r)}
     acted = (digits[:, np.array(P, dtype=np.int64).reshape(npm, m)] @ weights).T
     comp = _composition_table(P)
-    # (a, P[si]) (b, P[ti]) = (kprod[a, acted[si, b]], P[comp[ti, si]]), axes (a, si, b, ti)
-    mult = kprod[:, acted][:, :, :, None] * npm + comp.T[None, :, None, :]
+    # (a, P[si]) (b, P[ti]) = (kprod[a, acted[si, b]], P[comp[ti, si]]), axes (a, si, b, ti),
+    # written into one C-order array so that the square table below is a view of it
+    kpart = kprod[:, acted]
+    kpart *= npm
+    mult = np.empty((nb**m, npm, nb**m, npm), dtype=np.int64)
+    np.add(kpart[:, :, :, None], comp.T[None, :, None, :], out=mult)
     total = nb**m * npm
     ident = pidx[tuple(range(m))]
     ecode = base.identity * int(weights.sum())  # code of (e, ..., e)

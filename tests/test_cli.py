@@ -11,6 +11,7 @@ import pytest
 
 import qcw
 from qcw.cli import main
+from qcw.presentations import MAX_RUNS
 from qcw.qcentral import ClassTwoGroup
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "groups.grp")
@@ -455,6 +456,23 @@ def test_cohomology_refuses_the_h2_bound_before_the_table(monkeypatch, capsys):
     # the order bound is still checked first
     assert main(["cohomology", DATA, "free2", "--q", "8"]) == 1
     assert capsys.readouterr().err == "error: |E(2,8)| = 32768 exceeds the order bound 512\n"
+
+
+def test_huge_power_is_refused_before_allocation(tmp_path, capsys):
+    # (x y)^300000000 would hold 600 million runs; it used to end in a raw
+    # MemoryError.  The conjugate (x y x^-1)^300000000 is x y^300000000 x^-1.
+    huge = "group G { generators: x, y; relators: (x y)^300000000; }\n"
+    (tmp_path / "huge.grp").write_text(huge)
+    (tmp_path / "conj.grp").write_text("group H { generators: x, y; relators: (x y x^-1)^300000000; }\n")
+    assert main(["quotient", str(tmp_path / "huge.grp"), "G", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: power too long: the powers and commutators of this file would build "
+        f"more than {MAX_RUNS} runs (line 1, column {huge.index('^') + 1})\n"
+    )
+    code, rep = run_json("quotient", str(tmp_path / "conj.grp"), "H", "--q", "2")
+    assert code == 0 and rep["result"]["order"] == 32  # y^300000000 is trivial mod 4
 
 
 def test_parser_is_built_once_and_parses_alike(capsys):

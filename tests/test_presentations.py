@@ -1,9 +1,17 @@
 import random
+import re
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcw.presentations
 from qcw.errors import ParseError
 from qcw.presentations import (
+    MAX_DEPTH,
+    MAX_RUNS,
+    Presentation,
     Word,
     commutator,
     concat,
@@ -138,3 +146,346 @@ def test_serialize_roundtrip():
         p1 = parse_presentation(text)
         p2 = parse_presentation(serialize_presentation(p1))
         assert p1 == p2
+
+
+def test_power_of_a_conjugate_is_compact():
+    # (x y x^-1)^k = x y^k x^-1 and (x^2 y x^3)^k = x^2 (y x^5)^(k-1) y x^3
+    assert power(w((0, 1), (1, 1), (0, -1)), 300000000) == w((0, 1), (1, 300000000), (0, -1))
+    assert power(w((0, 2), (1, 1), (0, 3)), 3) == w((0, 2), (1, 1), (0, 5), (1, 1), (0, 5), (1, 1), (0, 3))
+    assert power(w((0, 2), (1, 1), (0, 3)), -1) == w((0, -3), (1, -1), (0, -2))
+
+
+RUNS = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=6).map(lambda r: Word(tuple(r)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=RUNS, core=RUNS, k=st.integers(-6, 6), conjugate=st.booleans())
+def test_power_is_repeated_concatenation(c, core, k, conjugate):
+    # words of the form c core c^-1 exercise the conjugator split of power
+    word = concat(c, core, inverse(c)) if conjugate else core
+    base = word if k >= 0 else inverse(word)
+    assert power(word, k) == free_reduce(concat(*[base] * abs(k))) == _ref_power(word, k)
+
+
+# ---------------------------------------------------------------------------
+# the former tokenizer and parser, kept as an oracle for parse_file
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<ident>[A-Za-z][A-Za-z0-9]*)
+      | (?P<int>-?[0-9]+)
+      | (?P<punct>[{}\[\](),;:^])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos, line, linestart = 0, 1, 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - linestart + 1)
+        kind = m.lastgroup
+        value = m.group()
+        if kind in ("ws", "comment"):
+            nl = value.count("\n")
+            if nl:
+                line += nl
+                linestart = m.start() + value.rindex("\n") + 1
+        else:
+            tokens.append(_RefToken(kind, value, line, m.start() - linestart + 1))
+        pos = m.end()
+    tokens.append(_RefToken("eof", "", line, len(text) - linestart + 1))
+    return tokens
+
+
+def _ref_reduce(letters):
+    stack = []
+    for g, e in letters:
+        if e == 0:
+            continue
+        if stack and stack[-1][0] == g:
+            merged = stack[-1][1] + e
+            stack.pop()
+            if merged != 0:
+                stack.append((g, merged))
+        else:
+            stack.append((g, e))
+    return Word(tuple(stack))
+
+
+def _ref_concat(*words):
+    return _ref_reduce([letter for word in words for letter in word.letters])
+
+
+def _ref_inverse(word):
+    return Word(tuple((g, -e) for g, e in reversed(word.letters)))
+
+
+def _ref_power(word, k):
+    if k == 0:
+        return Word(())
+    base = word if k > 0 else _ref_inverse(word)
+    return _ref_concat(*([base] * abs(k)))
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def expect(self, kind, text=None):
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            self.fail(f"expected {want!r}, got {tok.text!r}")
+        return self.next()
+
+    def parse_file(self):
+        groups = [self.parse_group()]
+        while self.peek().kind != "eof":
+            groups.append(self.parse_group())
+        return groups
+
+    def parse_group(self):
+        self.expect("ident", "group")
+        name = self.expect("ident").text
+        self.expect("punct", "{")
+        self.expect("ident", "generators")
+        self.expect("punct", ":")
+        if self.peek().kind == "punct" and self.peek().text == ";":
+            self.fail("empty generator list")
+        gens = [self.expect("ident").text]
+        while self.peek().text == ",":
+            self.next()
+            gens.append(self.expect("ident").text)
+        if len(set(gens)) != len(gens):
+            self.fail(f"duplicate generator name in group {name!r}")
+        self.expect("punct", ";")
+        index = {g: i for i, g in enumerate(gens)}
+        self.expect("ident", "relators")
+        self.expect("punct", ":")
+        relators = []
+        if not (self.peek().kind == "punct" and self.peek().text == ";"):
+            relators.append(self.parse_word(index))
+            while self.peek().text == ",":
+                self.next()
+                relators.append(self.parse_word(index))
+        self.expect("punct", ";")
+        self.expect("punct", "}")
+        return Presentation(name=name, generator_names=tuple(gens), relators=tuple(relators))
+
+    def parse_word(self, index):
+        factors = [self.parse_factor(index)]
+        while True:
+            tok = self.peek()
+            if tok.kind == "ident" or (tok.kind == "punct" and tok.text in "[("):
+                factors.append(self.parse_factor(index))
+            else:
+                break
+        return _ref_concat(*factors)
+
+    def parse_factor(self, index):
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.next()
+            if tok.text not in index:
+                raise ParseError(f"undeclared generator {tok.text!r}", tok.line, tok.col)
+            base = Word(((index[tok.text], 1),))
+        elif tok.kind == "punct" and tok.text == "[":
+            self.next()
+            left = self.parse_word(index)
+            self.expect("punct", ",")
+            right = self.parse_word(index)
+            self.expect("punct", "]")
+            base = _ref_concat(_ref_inverse(left), _ref_inverse(right), left, right)
+        elif tok.kind == "punct" and tok.text == "(":
+            self.next()
+            base = self.parse_word(index)
+            self.expect("punct", ")")
+        else:
+            self.fail(f"expected a generator, '[' or '(', got {tok.text!r}")
+        if self.peek().kind == "punct" and self.peek().text == "^":
+            self.next()
+            exp = int(self.expect("int").text)
+            return _ref_power(base, exp)
+        return base
+
+
+def reference_parse_file(text):
+    return _RefParser(text).parse_file()
+
+
+def outcome(parse, text):
+    """The parse result, or the error's type, message, line and column."""
+    try:
+        return parse(text)
+    except (ParseError, ValueError) as err:
+        return type(err).__name__, str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+# whitespace between tokens; a comment runs to the end of its line
+SPACES = ["", "", " ", "\t", "\n", "\r\n", "\r", " # [x, (y)^-2 \n", "#\n"]
+EXPONENTS = [None, None, None, -3, -2, -1, 0, 1, 2, 3]
+
+
+@st.composite
+def presentation_files(draw):
+    """One to three group blocks with nested words and random spacing.
+
+    The text is built from one drawn seed: drawing every token and space
+    separately made generation about ten times slower.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+
+    def sep():
+        return rng.choice(SPACES)
+
+    def gap():  # where tokens would run together without it
+        return rng.choice(SPACES[2:])
+
+    def power():
+        e = rng.choice(EXPONENTS)
+        return "" if e is None else f"{sep()}^{sep()}{e}"
+
+    def word(names, depth):
+        return gap().join(factor(names, depth) for _ in range(rng.randint(1, 3)))
+
+    def factor(names, depth):
+        shape = rng.choice(["gen", "gen", "comm", "paren"]) if depth else "gen"
+        if shape == "gen":
+            return rng.choice(names) + power()
+        if shape == "comm":
+            left, right = word(names, depth - 1), word(names, depth - 1)
+            return f"[{sep()}{left}{sep()},{sep()}{right}{sep()}]" + power()
+        return f"({sep()}{word(names, depth - 1)}{sep()})" + power()
+
+    blocks = []
+    for n in range(rng.randint(1, 3)):
+        names = rng.sample(["x", "y", "z", "a1", "Tt"], rng.randint(1, 3))
+        relators = [word(names, rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+        blocks.append(
+            f"{sep()}group{gap()}G{n}{sep()}{{{sep()}generators{sep()}:{sep()}"
+            + f"{sep()},{sep()}".join(names)
+            + f"{sep()};{sep()}relators{sep()}:{sep()}"
+            + f"{sep()},{sep()}".join(relators)
+            + f"{sep()};{sep()}}}{sep()}"
+        )
+    return gap().join(blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=presentation_files())
+def test_parse_file_matches_the_reference_parser(text):
+    assert parse_file(text) == reference_parse_file(text)
+
+
+JUNCTIONS = [
+    # factors whose junctions cancel in a cascade, several runs deep
+    "x y (y^-1 x^-1 z)",
+    "x y z [z, y] (z^-1 y^-1 x^-1)^1 x",
+    "(x y)^3 (y^-1 x^-1)^2 y^-1",
+    "x^2 y (y^-1 x^-2)^2 x^2",
+    "[x, y] [y, x] z",
+    "x y x^-1 (x y^-1 x^-1)^2 x y",
+]
+
+
+@pytest.mark.parametrize("word", JUNCTIONS)
+def test_parse_file_cancels_across_factor_junctions(word):
+    text = f"group G {{ generators: x, y, z; relators: {word}; }}"
+    assert parse_file(text) == reference_parse_file(text)
+
+
+MALFORMED = [
+    "group A {\n generators: x;\n relators: x é; }",  # unexpected non-ASCII character, line 3
+    "group A { generators: x; relators: x - 1; }",  # '-' without digits
+    "group { generators: x; }\n\n  $",  # a bad character beats an earlier syntax error
+    "group B { generators: x; relators: [x,z]; }",  # undeclared generator
+    "group B { generators: ; relators: ; }",  # empty generator list
+    "group B { generators: x, y, x; relators: ; }",  # duplicate generator
+    "group B {\n generators: x\n relators: ; }",  # missing ';'
+    "group B {\ngenerators: x\nrelators: ; }",  # ... at the start of a line
+    "group A { generators: x; relators: x; }\n$",
+    "group B { generators: x; relators: x,; }",
+    "group B { generators: x; relators: x;",  # missing '}'
+    "group B { generators: x; relators: x^y; }",  # '^' without an int
+    "group B { generators: x; relators: (x x)^; }",
+    "group B { generators: x,y; relators: [x, y; }",  # unterminated '['
+    "group B { generators: x,y; relators: [x y]; }",
+    "group B { generators: x,y; relators: (x y; }",
+    "",  # empty text
+    "  # only a comment\n\t",
+    "group A { generators: x; relators: ; }\ngroup",  # junk after the last group
+    "group A { generators: x; relators: ; } junk",
+    "group A { generators: x; relators: ; } }",
+    "group A { generators: x; relators: x^" + "9" * 5000 + "; }",  # int() refuses 5000 digits
+    "group A { generators: x; relators: x^" + "9" * 5000 + "; } é",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_input_fails_as_the_reference_parser_does(text):
+    expected = outcome(reference_parse_file, text)
+    assert isinstance(expected, tuple)  # the reference refuses every entry
+    assert outcome(parse_file, text) == expected
+
+
+def test_huge_power_is_refused_at_its_caret():
+    text = "group G { generators: x, y;\n  relators: (x y)^300000000; }"
+    with pytest.raises(ParseError) as err:
+        parse_file(text)
+    assert (err.value.line, err.value.col) == (2, 18)
+    assert f"more than {MAX_RUNS} runs" in str(err.value)
+    # the conjugate of a single run stays three runs, whatever the exponent
+    (pres,) = parse_file("group G { generators: x, y; relators: (x y x^-1)^300000000; }")
+    assert pres.relators == (w((0, 1), (1, 300000000), (0, -1)),)
+
+
+def test_run_limit_counts_every_power_and_commutator_of_a_file(monkeypatch):
+    monkeypatch.setattr(qcw.presentations, "MAX_RUNS", 10)
+
+    def refused_at(text):
+        with pytest.raises(ParseError) as err:
+            parse_file("group G { generators: x, y; relators: " + text + "; }")
+        return err.value.col - len("group G { generators: x, y; relators: ")
+
+    assert parse_file("group G { generators: x, y; relators: (x y)^5; }")[0].relators[0].runs() == 10
+    assert refused_at("(x y)^6") == 6  # the '^'
+    assert refused_at("(x y)^3, (x y)^3") == 15  # 6 runs, then 6 more
+    assert refused_at("[[x, y], [x, y]]") == 1  # 4 + 4 runs, then 16 for the outer bracket
+
+
+def test_nesting_is_bounded_before_the_interpreter_stack():
+    # 501 parentheses used to end in a RecursionError traceback
+    def nested(depth):
+        return "group G { generators: x, y; relators: " + "(y " * depth + "[x, y]" + ")" * depth + "; }"
+
+    # MAX_DEPTH levels: MAX_DEPTH - 1 parentheses around one bracket
+    assert parse_file(nested(MAX_DEPTH - 1))[0].relators == (w((1, MAX_DEPTH - 1), (0, -1), (1, -1), (0, 1), (1, 1)),)
+    with pytest.raises(ParseError, match=f"brackets nested more than {MAX_DEPTH} deep") as err:
+        parse_file(nested(MAX_DEPTH))
+    assert err.value.col == len("group G { generators: x, y; relators: ") + 3 * MAX_DEPTH + 1

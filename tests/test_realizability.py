@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,21 @@ def assert_semidirect_matches_reference(base, m, perms):
     assert (W.order, W.identity, W.generators) == (order, identity, generators)
     assert W.mult.dtype == mult.dtype and W.mult.shape == (order, order)
     assert (W.mult[rows] == mult).all()
+
+
+def test_semidirect_table_is_not_copied():
+    # the order-1024 table of the wreath check free2, free1, 4 copies: the
+    # products go straight into the table's C-order buffer, so the table is
+    # built once and never copied by a reshape
+    base = second_quotient(free_presentation(2), P2)
+    tracemalloc.start()
+    try:
+        W = semidirect_power_table(base, 4, cyclic_action(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.mult.nbytes == 8 * 1024 * 1024
+    assert peak < 1.5 * W.mult.nbytes
 
 
 @pytest.mark.parametrize("p,m,perms", SEMIDIRECT_CASES)

@@ -59,3 +59,35 @@ def test_end_job_reads_what_a_cohomology_job_leaves():
     assert counts["qcentral.kernel_order"] == sum(len(g.kernel_set()) for g in groups)
     assert counts["qcentral.quotient_order"] == sum(g.full_order // len(g.kernel_set()) for g in groups)
     assert counts["qcentral.quotient_order"] == contexts[0].t.order == 16
+
+
+SEEDED = """
+group free3 { generators: x, y, z; relators: ; }
+group seededclass2 { generators: x, y, z; relators: [[x, y], z], [[y, z], x], [[z, x], y]; }
+"""
+
+
+def test_each_command_parses_its_file_once(tmp_path):
+    # every parse of a job falls inside one traced presentations.parse_file
+    # span, so that the bench's parse layer holds all of the parsing
+    seeded = tmp_path / "seeded.grp"
+    seeded.write_text(SEEDED)
+    commands = [
+        ["quotient", str(DATA), "free2", "--q", "2"],
+        ["cohomology", str(DATA), "demushkin3", "--q", "2"],
+        ["check", "--file", str(seeded), "--group", "seededclass2", "--against", "free3", "--q", "2"],
+        ["check", "--file", str(DATA), "--wreath-k", "free2", "--wreath-l", "free1",
+         "--wreath-copies", "4", "--q", "2"],
+    ]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for n, argv in enumerate(commands):
+            tracer.begin_job(str(n))
+            with redirect_stdout(io.StringIO()):
+                assert qcw.cli.main(argv) == 0, argv
+            tracer.end_job()
+    finally:
+        tracer.uninstall()
+    parses = [s["job"] for s in tracer.spans if s["name"] == "presentations.parse_file"]
+    assert parses == [str(n) for n in range(len(commands))]
