@@ -5,8 +5,7 @@ The package computes, at desk scale:
 * G^[2, q] and G^[3, q] of finitely presented groups as explicit finite
   groups (``qcentral``), parsed from a small text format (``presentations``);
 * their mod-q cohomology in degrees 1 and 2 with cup products and the
-  decomposable part of H^2 (``cohom``), packaged as graded algebras with
-  quadratic hulls (``graded``);
+  decomposable part of H^2 and the quadratic hull of a pairing (``cohom``);
 * Milnor K-theory mod q of small finite, local (tame) and real fields with
   standard Galois models (``milnor``), enabling the degree <= 2 comparison
   of the two sides;
@@ -27,6 +26,7 @@ from .cohom import (
     inflation,
     pairing_gram,
     pairings_equivalent,
+    quadratic_hull,
 )
 from .errors import (
     DimensionMismatchError,
@@ -35,13 +35,6 @@ from .errors import (
     QcwError,
     SizeLimitError,
     UnsupportedFieldError,
-)
-from .graded import (
-    GradedAlgebra2,
-    algebra_from_cohomology,
-    algebra_from_milnor,
-    algebras_equivalent,
-    quadratic_hull,
 )
 from .lie import HallBasisEntry, hall_basis, witt_rank
 from .milnor import (

@@ -23,7 +23,6 @@ import sys
 
 from .cohom import GroupCohomology, check_h2_bound, cohomology_record, pairings_equivalent
 from .errors import QcwError
-from .graded import algebra_from_cohomology, algebra_from_milnor
 from .milnor import galois_model, parse_field, symbol_algebra
 from .presentations import parse_file
 from .qcentral import (
@@ -152,20 +151,17 @@ def cmd_milnor(args) -> int:
 def cmd_compare(args) -> int:
     params = SeriesParams.from_q(args.q)
     desc = parse_field(args.field, params)
-    S = symbol_algebra(desc)
-    milnor_side = algebra_from_milnor(S)
+    milnor_side = symbol_algebra(desc).pairing()
     pres = galois_model(desc)
     table = to_table(third_quotient(pres, params, args.order_bound), args.order_bound)
     # the decomposable part only needs coboundaries, so the comparison works
     # above the full-H^2 bound (e.g. the order-81 tame quotient at q = 3)
-    group_side = algebra_from_cohomology(table, args.q)
+    group_side = GroupCohomology(table, args.q).pairing()
     dims_match = (
-        milnor_side.dim1 == group_side.dim1
+        milnor_side.m == group_side.m
         and sorted(milnor_side.target_orders) == sorted(group_side.target_orders)
     )
-    tensors_match = dims_match and pairings_equivalent(
-        milnor_side.pairing(), group_side.pairing()
-    )
+    tensors_match = dims_match and pairings_equivalent(milnor_side, group_side)
     consistent = dims_match and tensors_match
     report = {
         "command": "compare",
@@ -173,15 +169,15 @@ def cmd_compare(args) -> int:
         "q": args.q,
         "verdict": CONSISTENT if consistent else INCONSISTENT,
         "milnor": {
-            "dim1": milnor_side.dim1,
+            "dim1": milnor_side.m,
             "k2_invariants": list(milnor_side.target_orders),
-            "mult": milnor_side.mult.tolist(),
+            "mult": milnor_side.values.tolist(),
         },
         "cohomology": {
             "quotient_order": table.order,
-            "dim1": group_side.dim1,
+            "dim1": group_side.m,
             "dec_invariants": list(group_side.target_orders),
-            "mult": group_side.mult.tolist(),
+            "mult": group_side.values.tolist(),
         },
         "dims_match": dims_match,
         "pairings_equivalent": tensors_match,

@@ -187,11 +187,13 @@ from .zqlinalg import (
     QuotientModule,
     RowSpace,
     _howell_sweep,
+    diagonalize,
     kernel_free_columns,
     kernel_with_orders,
     prime_power,
     rref_kernel,
     solve_mod,
+    solve_mod_many,
 )
 
 DEFAULT_H2_BOUND = 64
@@ -210,6 +212,7 @@ __all__ = [
     "induced_h_maps",
     "pairing_gram",
     "pairings_equivalent",
+    "quadratic_hull",
     "cohomology_record",
 ]
 
@@ -846,7 +849,9 @@ def _span_invariants(vectors, orders, q: int) -> list[int]:
         return []
     scale = np.array([q // o for o in orders], dtype=np.int64)
     rows = (np.asarray(vectors, dtype=np.int64).reshape(-1, t) * scale) % q
-    return sorted(QuotientModule(rows, [], t, q).orders)
+    # diag(p^e) = U rows V with U, V invertible, so the span is the sum of the p^e Z/q
+    p, d = prime_power(q)
+    return sorted(p ** (d - e) for e in diagonalize(rows, q).exps)
 
 
 def _value_span_invariants(T: PairingTensor) -> list[int]:
@@ -896,15 +901,9 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
             S[:, :, k] %= o
         A = S.reshape(m * m, t).T % q
         if solve_path:
-            rows = []
-            ok = True
-            for r in range(t):
-                x = solve_mod(A.T, B[r], q)
-                if x is None:
-                    ok = False
-                    break
-                rows.append(x % q)
-            if not ok:
+            # row r of Q solves A.T x = B[r]; diagonalize pivots on A alone
+            rows = solve_mod_many(A.T, B.T, q)
+            if any(x is None for x in rows):
                 continue
             Q = np.stack(rows)
             # full span makes the solution unique, so invertibility decides
@@ -923,6 +922,35 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
                 if good:
                     return True
     return False
+
+
+def quadratic_hull(T: PairingTensor) -> PairingTensor:
+    """Degree <= 2 quadratic hull: the target becomes the image of the pairing.
+
+    The hull replaces the target by
+
+        (A^1 (x) A^1 modulo the commutativity convention) / ker(values),
+
+    i.e. by the image of the pairing on the (anti)symmetric square; for
+    p = 2 the symmetric square includes the squares x (x) x, for odd p they
+    are excluded (forced by graded anticommutativity).  Degrees >= 3 of the
+    hull are not represented.
+    """
+    p, _ = prime_power(T.q)
+    m, t = T.m, T.target_dim
+    if p == 2:
+        sym_pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    else:
+        sym_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    if t == 0 or not sym_pairs:
+        return PairingTensor(q=T.q, m=m, target_orders=(), values=np.zeros((m, m, 0), dtype=np.int64))
+    # embed the target Sum Z/o_k into (Z/q)^t by scaling coordinate k with
+    # q/o_k, so Z/q-linear algebra sees the correct orders
+    scale = np.array([T.q // o for o in T.target_orders], dtype=np.int64)
+    flat = (T.values.reshape(m * m, t) * scale) % T.q
+    image = QuotientModule(flat[[i * m + j for i, j in sym_pairs]], [], t, T.q)
+    vals = image.coords_batch(flat).reshape(m, m, image.rank)
+    return PairingTensor(q=T.q, m=m, target_orders=tuple(image.orders), values=vals)
 
 
 def cohomology_record(space: CohomologySpace) -> dict:

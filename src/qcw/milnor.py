@@ -37,7 +37,7 @@ from .cohom import PairingTensor
 from .errors import QcwError, UnsupportedFieldError
 from .presentations import Presentation, Word
 from .qcentral import SeriesParams
-from .zqlinalg import QuotientModule, is_prime, kernel_with_orders, prime_factors, prime_power
+from .zqlinalg import is_prime, kernel_with_orders, prime_factors, prime_power
 
 __all__ = [
     "FieldDescriptor",
@@ -335,9 +335,10 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     Steinberg symbol {g^i, 1 - g^i} = e_{i, dlog(1 - g^i)} is
     i dlog(1 - g^i) {g, g}.  With d the gcd of q and these multiples over
     every g^i != 1 (the pass stops once d = 1, which no later multiple can
-    change), k2 is Z/d, presented as the width-1 module Z/q / (d).  (K_2 of
-    a finite field vanishes (Milnor 1970), so d = 1; a wrong dlog table
-    shows as d > 1 instead of being assumed away.)
+    change), k2 is Z/q / (d) = Z/d: the relation row [d] on the single k1
+    pair, the invariant d with {g, g} at coordinate 1 when d > 1, and no
+    invariant when d = 1.  (K_2 of a finite field vanishes (Milnor 1970), so
+    d = 1; a wrong dlog table shows as d > 1 instead of being assumed away.)
     """
     q = desc.params.q
     F = SmallField(desc.size)
@@ -346,20 +347,15 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
         d = math.gcd(d, i * F.one_minus_exp(i))
         if d == 1:
             break
-    module = QuotientModule(np.eye(1, dtype=np.int64), [[d % q]], 1, q)
-    # the order of {g, g} in the quotient presents k2 on the single k1 pair
-    order_of_g_g = 1
-    for c, o in zip(module.generator_coords[0], module.orders):
-        if c:
-            order_of_g_g = math.lcm(order_of_g_g, o // math.gcd(int(c), o))
+    invariants = [d] if d > 1 else []
     return SymbolAlgebra(
         field=desc,
         k1_basis=[F.generator_name()],
         k1_orders=[q],
         k2_pairs=[(0, 0)],
-        k2_relations=np.array([[order_of_g_g]], dtype=np.int64),
-        k2_invariants=list(module.orders),
-        k2_values=module.generator_coords,
+        k2_relations=np.array([[d]], dtype=np.int64),
+        k2_invariants=invariants,
+        k2_values=np.ones((1, len(invariants)), dtype=np.int64),
     )
 
 

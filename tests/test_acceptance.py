@@ -15,8 +15,7 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from qcw.cli import main
-from qcw.cohom import GroupCohomology, TableHom
-from qcw.graded import GradedAlgebra2, algebras_equivalent, quadratic_hull
+from qcw.cohom import GroupCohomology, PairingTensor, TableHom, pairings_equivalent, quadratic_hull
 from qcw.lie import witt_rank
 from qcw.milnor import FieldDescriptor, symbol_algebra
 from qcw.presentations import Word, free_presentation, parse_presentation
@@ -300,10 +299,11 @@ def test_criterion_8_property_suites():
                         if i == j:
                             vals[i, i] = 0
                         vals[j, i] = (-vals[i, j]) % q
-            A = GradedAlgebra2(q=q, dim1=dim1, target_orders=(q,) * dim2, mult=vals)
-            H1 = quadratic_hull(A)
+            T = PairingTensor(q=q, m=dim1, target_orders=(q,) * dim2, values=vals)
+            H1 = quadratic_hull(T)
             H2 = quadratic_hull(H1)
-            assert algebras_equivalent(H1, H2)
+            assert H1.q == H2.q == q
+            assert pairings_equivalent(H1, H2)
             cases += 1
 
         # --- Steinberg and antisymmetry in every symbol algebra ------------

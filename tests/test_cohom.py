@@ -24,6 +24,7 @@ from qcw.cohom import (
     GroupCohomology,
     _is_module_iso,
     _module_automorphisms,
+    _span_invariants,
     TableHom,
     cup,
     decomposable_h2,
@@ -51,7 +52,15 @@ from qcw.qcentral import (
     universal_class2,
 )
 from qcw.realizability import semidirect_power_table
-from qcw.zqlinalg import QuotientModule, RowSpace, _as_matrix, cokernel_invariants, kernel_with_orders, solve_mod_many
+from qcw.zqlinalg import (
+    QuotientModule,
+    RowSpace,
+    _as_matrix,
+    cokernel_invariants,
+    kernel_with_orders,
+    prime_power,
+    solve_mod_many,
+)
 from test_zqlinalg import ReferenceRowSpace, assert_same_module, reference_quotient_module
 
 P2 = SeriesParams(p=2, d=1)
@@ -479,6 +488,30 @@ def test_pairings_equivalent_closed_under_transforms():
             newvals = np.einsum("st,xyt->xys", Q, newvals) % q
             T2 = PairingTensor(q=q, m=m, target_orders=(q,) * t, values=newvals)
             assert pairings_equivalent(T, T2)
+
+
+def former_span_invariants(vectors, orders, q):
+    """The former ``_span_invariants``: the span of the scaled rows as a
+    ``QuotientModule`` with no relations, read at its orders."""
+    t = len(orders)
+    if t == 0:
+        return []
+    scale = np.array([q // o for o in orders], dtype=np.int64)
+    rows = (np.asarray(vectors, dtype=np.int64).reshape(-1, t) * scale) % q
+    return sorted(QuotientModule(rows, [], t, q).orders)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_span_invariants_match_the_former_module(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    p, d = prime_power(q)
+    t = data.draw(st.integers(0, 4))
+    orders = [p**e for e in data.draw(st.lists(st.integers(1, d), min_size=t, max_size=t))]
+    n = data.draw(st.integers(0, 6))
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=n * t, max_size=n * t))
+    vectors = np.array(entries, dtype=np.int64).reshape(n, t)
+    assert _span_invariants(vectors, orders, q) == former_span_invariants(vectors, orders, q)
 
 
 # -- Z^2 from the generator equations against the full cocycle system ----------

@@ -121,6 +121,33 @@ def test_finite_symbol_algebra_matches_the_former_loops_below_300(q):
         assert finite_k2(size, q) == former_finite_k2(size, q), size
 
 
+def former_module_k2(d, q):
+    """(k2_invariants, k2_values, k2_relations) of the former construction:
+    the width-1 module Z/q / (d), read at {g, g} through an lcm of orders."""
+    module = QuotientModule(np.eye(1, dtype=np.int64), [[d % q]], 1, q)
+    order = 1
+    for c, o in zip(module.generator_coords[0], module.orders):
+        if c:
+            order = math.lcm(order, o // math.gcd(int(c), o))
+    return list(module.orders), module.generator_coords.tolist(), [[order]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_finite_k2_closed_form_for_every_divisor(q, monkeypatch):
+    # a wrong dlog table would show as d > 1; force every d | q through it
+    p, e = prime_power(q)
+    size = next(s for s in range(3, 300) if s % q == 1 and len(prime_factors(s)) == 1)
+    for d in (p**k for k in range(e + 1)):
+        monkeypatch.setattr(SmallField, "one_minus_exp", lambda self, i, d=d: d)
+        S = symbol_algebra(FieldDescriptor(kind="finite", params=SeriesParams(p=p, d=e), size=size))
+        got = (S.k2_invariants, S.k2_values.tolist(), S.k2_relations.tolist())
+        assert got == former_module_k2(d, q), d
+        assert S.k2_values.dtype == S.k2_relations.dtype == np.int64
+        T = S.pairing()
+        assert T.target_orders == ((d,) if d > 1 else ())
+        assert T.values.tolist() == [[[1] if d > 1 else []]]
+
+
 def lemma_kernel_rows(q, sign=-1):
     """{e_ab - ab e_11 : (a, b) != (1, 1)}, a basis of the kernel of
     e_ab |-> ab mod q (with sign=1, the mutant e_ab + ab e_11)."""

@@ -31,6 +31,7 @@ from qcw.zqlinalg import (
     kernel_with_orders,
     prime_power,
     solve_mod,
+    solve_mod_many,
     sorted_unique,
     unit_inverse,
     valuation,
@@ -275,6 +276,22 @@ def test_solve_mod_unsolvable():
     assert solve_mod(A, np.array([1, 0]), 2) is None
     # 2x = 1 has no solution mod 4
     assert solve_mod(np.array([[2]]), np.array([1]), 4) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solve_mod_many_is_solve_mod_per_column(data):
+    # diagonalize picks its pivots from A alone, so the carried columns do
+    # not change one another's solutions
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    m, n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n))).reshape(m, n)
+    B = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m * k, max_size=m * k))).reshape(m, k)
+    for col, x in enumerate(solve_mod_many(A, B, q)):
+        y = solve_mod(A, B[:, col], q)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert (x == y).all()
 
 
 def quotient_order_census(gens, rels, q, w):
