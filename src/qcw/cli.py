@@ -218,11 +218,10 @@ def cmd_check(args) -> int:
         )
         verdicts.append(wreath_construct(spec, params.p))
     elif args.dim_h1 is not None:
-        cd = (
-            CdDescriptor(value=None, provenance="user-supplied")
-            if args.cd_infinite
-            else CdDescriptor(value=args.cd, provenance="user-supplied")
-        )
+        if (args.cd is not None) == args.cd_infinite:
+            raise QcwError("--dim-h1 needs exactly one of --cd and --cd-infinite")
+        # --cd-infinite leaves args.cd at None, the infinite cd
+        cd = CdDescriptor(value=args.cd, provenance="user-supplied")
         verdicts.append(h1_vs_cd_check(args.dim_h1, cd, params.p, args.torsion_free))
     else:
         pres = load(args.group)

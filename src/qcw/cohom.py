@@ -141,25 +141,13 @@ homomorphism conditions f(x g) = f(x) + f(g) on the |G| - 1 values take a
 |S| |G| x (|G| - 1) system.  v -> Σ_j v_j K_j is injective, so the kernel
 vectors' potentials span Hom(G, Z/q).
 
-The basis reported is the one ``kernel_with_orders`` gives for that dense
-system (rows f(x) + f(g) - f(x g), g-major over the listed generators, on
-the values at G \\ 1), yet the system is never eliminated.  One Howell
-sweep solves the |S|-column system.  If its pivots are units, its kernel
-is free (``rref_kernel``): H^1 is free of rank k, so the dense system's
-diagonal form has |G| - 1 - k unit entries and no other nonzero one (an
-entry p^e, 0 < e < d, would give a kernel vector of order p^e).  Then
-``zqlinalg.kernel_free_columns`` replays ``diagonalize``'s pivot choices
-on the dense system's rows, kept sparse (three entries each, walked until
-the last pivot), and lists the k free columns in the order in which
-``kernel_with_orders`` gives their vectors; each vector is the
-homomorphism that is 1 at its own free column and 0 at the others (proof
-there).  So ``h1_space`` sweeps the potentials into Howell form with the
-free columns, in that order, first: the rows have unit pivots there and
-are 0 at the other free columns, so they are the dense route's basis,
-vector for vector and in its order.  If a pivot is not a unit, which
-every H^1 with an invariant below q gives (a unit-pivot form has a free
-kernel) and a free H^1 may give too, ``h1_space`` runs the dense route
-itself, ``kernel_with_orders`` of the |S| |G| x (|G| - 1) conditions.
+``h1_space`` reports the ``kernel_with_orders`` generators v of that
+kernel, with their orders, as the homomorphisms Σ_j v_j K_j.  On the tree
+generators the basis values are the kernel vectors themselves, since
+K_j(s_i) = δ_ij.  So when the gauge rows vanish mod q, and the kernel is
+all of (Z/q)^|S| with the unit vectors as its generators, the basis is the
+dual basis χ_i(s_j) = δ_ij of the tree generators, the basis in which
+the cup products χ_i ∪ χ_j are read off the relators.
 
 For q = p^d with d > 1 the spaces are Z/q-modules rather than vector
 spaces; "dimension" throughout means the minimal number of generators
@@ -186,12 +174,9 @@ from .qcentral import FiniteGroupTable
 from .zqlinalg import (
     QuotientModule,
     RowSpace,
-    _howell_sweep,
     diagonalize,
-    kernel_free_columns,
     kernel_with_orders,
     prime_power,
-    rref_kernel,
     solve_mod,
     solve_mod_many,
 )
@@ -281,8 +266,11 @@ class TableHom:
         return len(set(map(int, self.mapping))) == self.target.order
 
     def compose(self, earlier: "TableHom") -> "TableHom":
-        """self o earlier (apply ``earlier`` first)."""
-        if earlier.target is not self.source and earlier.target.order != self.source.order:
+        """self o earlier (apply ``earlier`` first); ``earlier`` must land in
+        this map's source: the same table, or one with the same identity and
+        multiplication."""
+        mid, src = earlier.target, self.source
+        if mid is not src and not (mid.identity == src.identity and np.array_equal(mid.mult, src.mult)):
             raise DimensionMismatchError("homomorphisms do not compose")
         return TableHom(source=earlier.source, target=self.target, mapping=self.mapping[earlier.mapping])
 
@@ -323,73 +311,19 @@ class GroupCohomology:
     # -- degree 1 -----------------------------------------------------------
 
     def h1_space(self) -> CohomologySpace:
-        """Hom(G, Z/q) with the basis of the dense homomorphism conditions
-        (module docstring): read off the |S|-column solve on the tree
-        generators when that solve has unit pivots, solved from those
-        conditions when not.  Raises ``QcwError`` unless the listed
-        generators generate."""
+        """Hom(G, Z/q) from the kernel of ``coboundary_rows().T`` (module
+        docstring): each kernel vector gives the values at the tree
+        generators of one basis homomorphism, its potential, and its order.
+        Raises ``QcwError`` unless the listed generators generate."""
         if self._h1 is None:
-            basis = self._h1_on_tree()
-            if basis is None:
-                kern = self._h1_dense()
-            else:
-                kern = [(vec, self.q) for vec in basis]
-            full = np.zeros((len(kern), self.t.order), dtype=np.int64)
-            if kern:
-                full[:, self.elems] = [vec for vec, _ in kern]
+            b2 = self.coboundary_rows()
+            kern = kernel_with_orders(b2.T, self.q)
+            v = np.array([vec for vec, _ in kern], dtype=np.int64).reshape(len(kern), len(b2)).T
+            values = self._potentials(np.broadcast_to(v, (self.t.order,) + v.shape)) % self.q
             self._h1 = CohomologySpace(
-                degree=1, modulus=self.q, invariants=[o for _, o in kern], basis=list(full)
+                degree=1, modulus=self.q, invariants=[o for _, o in kern], basis=list(values.T)
             )
         return self._h1
-
-    def _h1_on_tree(self) -> np.ndarray | None:
-        """The basis rows on G \\ 1 of Hom(G, Z/q), or None when the Howell
-        form of ``coboundary_rows().T`` has a pivot that is not a unit.  The
-        tree values v solve Σ_j v_j dK_j = 0 at the off-tree pairs, and
-        their potentials are the homomorphisms' values; the Howell form of
-        those with the dense route's free columns first, in its order, is
-        its basis."""
-        gens = self.t.spanning_tree().gens
-        q, w = self.q, len(self.elems)
-        p, d = prime_power(q)
-        rows, cols, exps = _howell_sweep(np.array(self.coboundary_rows().T), p, d)
-        if exps.any():
-            return None
-        v = rref_kernel(rows, cols, len(gens), q)
-        values = self._potentials(np.broadcast_to(v.T, (self.t.order,) + v.T.shape))[self.elems].T % q
-        free = np.array(kernel_free_columns(self._h1_conditions(), w, q, w - len(v)), dtype=np.int64)
-        rest = np.ones(w, dtype=bool)
-        rest[free] = False
-        order = np.concatenate([free, np.flatnonzero(rest)])
-        rows, _, _ = _howell_sweep(values[:, order], p, d)
-        basis = np.empty_like(rows)
-        basis[:, order] = rows
-        return basis
-
-    def _h1_conditions(self):
-        """The rows of ``_h1_dense``'s matrix, in order, as sparse
-        {column: value} dicts."""
-        t, pos = self.t, self.pos.tolist()
-        for g in t.generators:
-            for x, xg in enumerate(t.mult[:, g].tolist()):
-                row = {pos[x]: 1}
-                row[pos[g]] = row.get(pos[g], 0) + 1
-                row[pos[xg]] = row.get(pos[xg], 0) - 1
-                row.pop(-1, None)  # the identity's value is 0
-                yield row
-
-    def _h1_dense(self) -> list[tuple[np.ndarray, int]]:
-        """kernel_with_orders of f(x g) = f(x) + f(g) for every listed
-        generator g and every x, g-major, on the values f(x), x != 1."""
-        t, n = self.t, self.t.order
-        g = np.repeat(np.array(t.generators, dtype=np.int64), n)
-        x = np.tile(np.arange(n), len(t.generators))
-        rows = np.zeros((len(g), n), dtype=np.int64)
-        r = np.arange(len(g))
-        np.add.at(rows, (r, x), 1)
-        np.add.at(rows, (r, g), 1)
-        np.add.at(rows, (r, t.mult[x, g]), -1)
-        return kernel_with_orders(np.delete(rows % self.q, t.identity, axis=1), self.q)
 
     # -- the generator-value coordinates ---------------------------------------
 

@@ -15,9 +15,6 @@ p-valuation.  Everything here reduces to that one idea:
   only on the generators and the span of the relations.  When that form
   has unit pivots only, the module is free and is read off the form itself,
   without ``diagonalize``.
-* ``kernel_free_columns`` replays ``diagonalize``'s pivot choices on sparse
-  rows, naming the free columns behind ``kernel_with_orders``' vectors, in
-  its order, without building the matrix.
 * ``RowSpace`` accumulates the row module of a stream of vectors in Howell
   form, the canonical echelon form over Z/p^d (for prime q the reduced row
   echelon form), built by one left-to-right column sweep with
@@ -260,85 +257,6 @@ def kernel_with_orders(A, q: int) -> list[tuple[np.ndarray, int]]:
     return gens
 
 
-def kernel_free_columns(rows, width: int, q: int, rank: int) -> list[int]:
-    """The free columns of ``diagonalize(A, q)``, in the order in which
-    ``kernel_with_orders(A, q)`` lists their kernel vectors, for a matrix A
-    whose diagonal form has ``rank`` unit entries and no other nonzero one
-    (its kernel is free of rank width - rank).  ``rows`` streams the rows of
-    A in order, each a sparse {column: value} dict; A is never built.
-
-    Each of those kernel vectors is a column V[:, j], j >= rank, of the
-    column transform: 1 at its own free column and 0 at the others, as V's
-    column ops add to it only columns of pivots.  So the kernel and the
-    free columns in this order fix the vectors.
-
-    At step r ``diagonalize`` takes the first unit of A[r:, r:] in row-major
-    order (the block's least valuation is its least remaining diagonal
-    exponent, 0 here).  Its row is swapped with row r, which holds no unit,
-    and a row without a unit never gains one (its row ops add multiples of
-    its entries, all divisible by p).  So the rows with a unit keep their
-    order, and the pivot rows are the rows, walked in order, that still hold
-    a unit once reduced by the pivot rows before them.  That reduction is
-    unique (the pivot rows, scaled to 1 at their pivots, are unitriangular on
-    the pivot columns), so it may run in any order: the pivot rows are kept
-    sparse and brought up to date when next used.  The pivot column is the
-    reduced row's unit of least current position; swapping it to position r
-    moves the column there to its place, and the columns left at positions
-    rank.. are the free ones, in order.
-    """
-    p, _ = prime_power(q)
-    at = list(range(width))  # at[position] = column
-    where = list(range(width))  # where[column] = position
-    pivots: list[dict[int, int] | None] = [None] * width  # a pivot column's row, less its entry 1
-    stamp = [0] * width  # a pivot column -> the number of pivots its row is reduced by
-    r = 0
-    for row in rows:
-        if r == rank:
-            break
-        row = dict(row)
-        for c in [c for c in row if pivots[c] is not None]:
-            todo = [c]
-            while todo:  # bring the pivot rows up to date, later pivots first
-                c1 = todo[-1]
-                if stamp[c1] == r:
-                    todo.pop()
-                    continue
-                prow = pivots[c1]
-                inner = [c2 for c2 in prow if pivots[c2] is not None]
-                stale = [c2 for c2 in inner if stamp[c2] != r]
-                if stale:
-                    todo += stale
-                    continue
-                for c2 in inner:
-                    v = prow.pop(c2)
-                    for c3, v3 in pivots[c2].items():
-                        x = (prow.get(c3, 0) - v * v3) % q
-                        if x:
-                            prow[c3] = x
-                        else:
-                            prow.pop(c3, None)
-                stamp[c1] = r
-                todo.pop()
-            v = row.pop(c)
-            for c2, v2 in pivots[c].items():
-                row[c2] = row.get(c2, 0) - v * v2
-        best, best_at = -1, width
-        for c, v in row.items():
-            if v % p and where[c] < best_at:
-                best, best_at = c, where[c]
-        if best < 0:
-            continue
-        inv = pow(row.pop(best), -1, q)
-        pivots[best] = {c: v * inv % q for c, v in row.items() if v % q}
-        other = at[r]
-        at[r], at[best_at], where[best], where[other] = best, other, r, best_at
-        r += 1
-        stamp[best] = r
-    if r < rank:
-        raise ValueError("the rows give fewer unit pivots than the rank")
-    return at[rank:]
-
-
 def solve_mod_many(A, B, q: int) -> list[np.ndarray | None]:
     """Solutions of A x = b for every column b of B (None where unsolvable)."""
     A = np.array(A, dtype=np.int64) % q
@@ -407,7 +325,7 @@ class QuotientModule:
     are a reduced row echelon form: row r has 1 at its pivot column
     lcols[r], 0 at the other pivot columns and left of lcols[r].  Then step
     r of ``diagonalize`` takes its pivot at row r's leading unit, without a
-    row operation, as in ``kernel_free_columns``: the swaps of steps < r
+    row operation: the swaps of steps < r
     moved only pivot columns left, to positions < r, and free columns right
     of where they stood, so position lcols[r] still holds column lcols[r],
     and row r, zero at the other pivot columns, has no nonzero entry at an

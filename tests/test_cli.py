@@ -262,6 +262,17 @@ def test_check_dimension_test_direct():
     assert rep["verdicts"][0]["verdict"] == "not-realizable"
 
 
+@pytest.mark.parametrize("cd_args", [[], ["--cd", "3", "--cd-infinite"]])
+def test_check_dimension_test_needs_exactly_one_cd(cd_args, capsys):
+    # neither option is not an infinite cd, and both do not mean either one
+    code, out = run_cli("check", "--dim-h1", "2", *cd_args, "--torsion-free", "--q", "2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: --dim-h1 needs exactly one of --cd and --cd-infinite\n"
+    code, rep = run_json("check", "--dim-h1", "2", "--cd-infinite", "--torsion-free", "--q", "2")
+    assert code == 0
+    assert rep["verdicts"][0]["witness"]["cd"] == {"provenance": "user-supplied", "value": "infinity"}
+
+
 def test_compare_qp11_q5_order625():
     # |G| = 625: a bar-width B^2 would be 624 x 389376 int64 (1.81 GiB); on the
     # generator values it is 624 x 1248
@@ -359,8 +370,8 @@ def test_cli_runs_do_not_import_numpy_ma():
 
 def test_cohomology_x1sq_q2_matches_its_golden(tmp_path):
     # x1^2 on three generators at q = 2 (|G| = 256): the pairing tensor is
-    # indexed by the H^1 basis, whose order the golden (recorded from the
-    # dense homomorphism-condition solve) pins
+    # indexed by the H^1 basis dual to x0, x1, x2, so its one nonzero value
+    # is χ_1 ∪ χ_1, read off the relator x1^2
     path = tmp_path / "x1sq.grp"
     path.write_text("group x1sq { generators: x0, x1, x2; relators: x1^2; }\n")
     code, out = run_cli("cohomology", str(path), "x1sq", "--q", "2", "--h2-bound", "256", "--output", "json")

@@ -25,6 +25,7 @@ from qcw.cohom import (
     _is_module_iso,
     _module_automorphisms,
     _span_invariants,
+    CohomologySpace,
     TableHom,
     cup,
     decomposable_h2,
@@ -231,6 +232,17 @@ def test_inflation_identity_and_pullbacks():
     sq = ctx2.cup_matrix(x2, x2)
     assert not ctx2.is_coboundary(sq)  # x cup x generates H^2(Z/2)
     assert ctx4.is_coboundary(inflation(proj, sq))  # but dies on Z/4
+
+
+def test_compose_requires_the_same_middle_table():
+    t4, t2, v4 = cyclic_table(4), cyclic_table(2), abelian_table([2, 2])
+    proj = TableHom(source=t4, target=t2, mapping=np.array([0, 1, 0, 1]))
+    # Klein four has order 4 too, but it is not the source of proj
+    with pytest.raises(DimensionMismatchError, match="do not compose"):
+        proj.compose(TableHom(source=v4, target=v4, mapping=np.arange(4)))
+    # an equal table built separately composes
+    double = TableHom(source=t4, target=cyclic_table(4), mapping=np.array([0, 2, 0, 2]))
+    assert (proj.compose(double).mapping == [0, 0, 0, 0]).all()
 
 
 def test_inflation_commutes_with_cup():
@@ -1049,22 +1061,30 @@ def reference_h1_rows(t, q):
     return np.array(rows)
 
 
-# the (table, q) cases of test_h1_rows_match_the_former_loop where h1_space
-# falls back to the dense homomorphism conditions (H^1 has an invariant below q)
-H1_DENSE_CASES = {
-    (name, 4)
-    for base in ("klein4", "d4", "q8", "demushkin3_q2")
-    for name in (base, f"{base}_relabelled")
-}
+def assert_h1_matches_the_dense_kernel(ctx):
+    """``h1_space`` against the dense oracle, ``kernel_with_orders`` of the
+    homomorphism conditions ``reference_h1_rows``: the same invariants in the
+    same order, each span inside the other, and every basis vector a
+    solution of the conditions."""
+    t, q = ctx.t, ctx.q
+    space = ctx.h1_space()
+    rows = reference_h1_rows(t, q)
+    want = kernel_with_orders(rows, q)
+    assert space.invariants == [o for _, o in want]
+    assert all(b.shape == (t.order,) and not b[t.identity] for b in space.basis)
+    got = np.array([b[ctx.elems] for b in space.basis], dtype=np.int64).reshape(space.dimension, t.order - 1)
+    dense = np.array([v for v, _ in want], dtype=np.int64).reshape(len(want), t.order - 1)
+    assert not (rows @ got.T % q).any()
+    if len(got):
+        assert spans_inside(got, dense, q) and spans_inside(dense, got, q)
+    return space
 
 
-@pytest.mark.parametrize("q", [2, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize(
     "name", sorted(SMALL_TABLES) + [f"{name}_relabelled" for name in sorted(SMALL_TABLES)]
 )
-def test_h1_rows_match_the_former_loop(name, q, request, monkeypatch):
-    import qcw.cohom
-
+def test_h1_rows_match_the_former_loop(name, q, request):
     t = small_table(name, request)
     # the identity and a repeated generator each give their own rows
     noisy = FiniteGroupTable(
@@ -1072,22 +1092,7 @@ def test_h1_rows_match_the_former_loop(name, q, request, monkeypatch):
         generators=(t.identity,) + tuple(t.generators) + tuple(t.generators[:1]),
     )
     for table in (t, noisy):
-        seen = []
-        real = qcw.cohom.kernel_with_orders
-        monkeypatch.setattr(qcw.cohom, "kernel_with_orders", lambda A, q: seen.append(A) or real(A, q))
-        ctx = GroupCohomology(table, q)
-        space = ctx.h1_space()
-        monkeypatch.undo()
-        want = reference_h1_rows(table, q)
-        if (name, q) in H1_DENSE_CASES:
-            # the fallback builds the former matrix, entry for entry
-            assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].shape == want.shape
-            assert (seen[0] == want).all()
-        else:
-            assert seen == []
-        kern = kernel_with_orders(want, q)
-        assert space.invariants == [o for _, o in kern]
-        assert all((b[ctx.elems] == v).all() and not b[t.identity] for b, (v, _) in zip(space.basis, kern))
+        assert_h1_matches_the_dense_kernel(GroupCohomology(table, q))
 
 
 H1_FIELDS = ["Fq:5", "Fq:17", "Fq:25", "Fq:29", "Fq:31", "Fq:997", "Qp:3", "Qp:5", "Qp:7", "Qp:17", "Qp:103", "R"]
@@ -1127,15 +1132,6 @@ def h1_table(label):
     return to_table(third_quotient(pres, SeriesParams.from_q(q), 4096), bound)
 
 
-def uses_dense_route(ctx):
-    """(H^1, whether h1_space took the dense route)."""
-    seen = []
-    real = ctx._h1_dense
-    ctx._h1_dense = lambda: seen.append(1) or real()
-    space = ctx.h1_space()
-    return space, bool(seen)
-
-
 def rowspace_kernel(rows, width, q):
     rs = RowSpace(width, q)
     rs.add_rows(rows)
@@ -1143,40 +1139,32 @@ def rowspace_kernel(rows, width, q):
     return np.array(kernel, dtype=np.int64).reshape(len(kernel), width)
 
 
-# the fast-path cases where RowSpace's kernel lists the same vectors in
-# another order (kernel_with_orders orders them by its own pivoting)
-H1_ROWSPACE_REORDERED = {"free3-2-order512"}
-
-
 @pytest.mark.parametrize("label", sorted(H1_SOURCES))
 def test_h1_basis_is_the_dense_kernel(label):
     q, t = H1_SOURCES[label][0], h1_table(label)
-    ctx = GroupCohomology(t, q)
-    space, dense = uses_dense_route(ctx)
-    rows = reference_h1_rows(t, q)
-    want = kernel_with_orders(rows, q)
-    assert all(not b[t.identity] for b in space.basis)
-    assert space.invariants == [o for _, o in want]
-    assert all((b[ctx.elems] == v).all() for b, (v, _) in zip(space.basis, want))
-    # the fallback runs when the |S|-column Howell form has a pivot that is
-    # not a unit; on these cases that is exactly when H^1 has an invariant below q
-    assert dense == (min(space.invariants, default=q) < q)
-    if not dense:
-        got = [tuple(b[ctx.elems]) for b in space.basis]
-        rk = [tuple(v) for v in rowspace_kernel(rows, t.order - 1, q)]
-        if label in H1_ROWSPACE_REORDERED:
-            assert got != rk and sorted(got) == sorted(rk)
-        else:
-            assert got == rk
+    assert_h1_matches_the_dense_kernel(GroupCohomology(t, q))
 
 
-def test_h1_dense_route_cases():
-    # of the 61 groups.grp and ladder cases only these fall back to the dense route
+def test_h1_basis_at_the_tree_generators_is_the_gauge_kernel():
+    # K_j(s_i) = δ_ij, so each basis class takes its own kernel vector's
+    # values at the tree generators; with vanishing gauge rows that is the
+    # dual basis of the generators
     assert len(H1_SOURCES) == 61
-    dense = {
-        label for label in H1_SOURCES if uses_dense_route(GroupCohomology(h1_table(label), H1_SOURCES[label][0]))[1]
-    }
-    assert dense == {"demushkin3-4", "demushkin7-4", "involution-4", "involution-8"}
+    dual = 0
+    for label, (q, _, _) in sorted(H1_SOURCES.items()):
+        ctx = GroupCohomology(h1_table(label), q)
+        gens = ctx.t.spanning_tree().gens
+        b2 = ctx.coboundary_rows()
+        kern = kernel_with_orders(b2.T, q)
+        space = ctx.h1_space()
+        assert space.invariants == [o for _, o in kern], label
+        at_gens = np.array([b[gens] for b in space.basis], dtype=np.int64).reshape(len(kern), len(gens))
+        want = np.array([v for v, _ in kern], dtype=np.int64).reshape(len(kern), len(gens))
+        assert (at_gens == want).all(), label
+        if not b2.any():
+            assert (at_gens == np.eye(len(gens), dtype=np.int64)).all(), label
+            dual += 1
+    assert dual >= 10
 
 
 def test_h1_rejects_non_generating_generators():
@@ -1193,7 +1181,7 @@ def test_h1_rejects_non_generating_generators():
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 3),
-    q=st.sampled_from([2, 3, 4, 8, 9]),
+    q=st.sampled_from([2, 3, 4, 5, 8, 9]),
     relators=st.lists(
         st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1, max_size=5),
         max_size=3,
@@ -1207,14 +1195,9 @@ def test_h1_on_drawn_presentations(n, q, relators):
     except SizeLimitError:
         assume(False)
     ctx = GroupCohomology(t, q)
-    space = ctx.h1_space()
-    rows = reference_h1_rows(t, q)
-    want = kernel_with_orders(rows, q)
+    space = assert_h1_matches_the_dense_kernel(ctx)
     got = np.array([b[ctx.elems] for b in space.basis], dtype=np.int64).reshape(space.dimension, t.order - 1)
-    # the dense reference, vector for vector and in its order
-    assert space.invariants == [o for _, o in want]
-    assert all((g == v).all() for g, (v, _) in zip(got, want))
-    rk = rowspace_kernel(rows, t.order - 1, q)
+    rk = rowspace_kernel(reference_h1_rows(t, q), t.order - 1, q)
     assert len(rk) >= len(got)
     if len(got):  # the RowSpace kernel spans the same module
         assert spans_inside(got, rk, q) and spans_inside(rk, got, q)
@@ -1285,6 +1268,39 @@ def test_pairing_runs_no_diagonalization_after_dec_module(monkeypatch):
     tensor = ctx.pairing()
     assert calls == []
     assert tensor.values.shape == (3, 3, 6) and tensor.values.any()
+
+
+def dense_basis_pairing(t, q):
+    """The cup tensor in the former H^1 basis, the dense kernel of
+    ``reference_h1_rows``, installed on a fresh context."""
+    ctx = GroupCohomology(t, q)
+    kern = kernel_with_orders(reference_h1_rows(t, q), q)
+    basis = np.zeros((len(kern), t.order), dtype=np.int64)
+    for row, (vec, _) in zip(basis, kern):
+        row[ctx.elems] = vec
+    ctx._h1 = CohomologySpace(degree=1, modulus=q, invariants=[o for _, o in kern], basis=list(basis))
+    return ctx.pairing()
+
+
+def test_pairing_is_equivalent_to_the_dense_basis_pairing():
+    moved = 0
+    for label, q, t in pairing_cases():
+        got, dense = GroupCohomology(t, q).pairing(), dense_basis_pairing(t, q)
+        assert pairings_equivalent(got, dense), label
+        moved += not np.array_equal(got.values, dense.values)
+    # the two bases differ on some cases, so the equivalence is not vacuous
+    assert moved >= 1
+
+
+def test_x1sq_pairing_is_chi1_cup_chi1():
+    # the relator x1^2 at q = 2: in the basis dual to x0, x1, x2 the only
+    # nonzero cup product is χ_1 ∪ χ_1
+    pres = parse_presentation("group x1sq { generators: x0, x1, x2; relators: x1^2; }")
+    t = to_table(third_quotient(pres, P2, 512), 512)
+    T = GroupCohomology(t, 2).pairing()
+    assert T.m == 3 and T.target_orders == (2,)
+    nonzero = {(i, j) for i in range(3) for j in range(3) if T.values[i, j].any()}
+    assert nonzero == {(1, 1)}
 
 
 # -- the cocycle safety net ------------------------------------------------------

@@ -27,7 +27,6 @@ from qcw.zqlinalg import (
     _howell_sweep,
     cokernel_invariants,
     diagonalize,
-    kernel_free_columns,
     kernel_with_orders,
     prime_power,
     solve_mod,
@@ -811,23 +810,3 @@ def test_sorted_unique_matches_np_unique(values, width):
     want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(got, want) and got.shape == want.shape
     assert np.array_equal(inverse, want_inverse.reshape(-1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 8, 9]), m=st.integers(1, 8), n=st.integers(1, 7), data=st.data())
-def test_kernel_free_columns_replays_diagonalize(q, m, n, data):
-    entry = st.one_of(st.just(0), st.integers(0, q - 1))
-    A = np.array(data.draw(st.lists(entry, min_size=m * n, max_size=m * n)), dtype=np.int64).reshape(m, n)
-    exps = diagonalize(A, q).exps
-    if any(exps):  # a non-unit diagonal entry: the kernel is not free
-        return
-    rows = [{c: int(v) for c, v in enumerate(row) if v} for row in A]
-    free = kernel_free_columns(iter(rows), n, q, len(exps))
-    kern = kernel_with_orders(A, q)
-    # kernel_with_orders' i-th vector is 1 at the i-th free column, 0 at the others
-    assert len(free) == len(kern) == n - len(exps)
-    for i, (vec, order) in enumerate(kern):
-        assert order == q and vec[free[i]] == 1
-        assert not vec[[c for c in free if c != free[i]]].any()
-    with pytest.raises(ValueError):
-        kernel_free_columns(iter(rows), n, q, len(exps) + 1)
