@@ -297,9 +297,6 @@ class GroupCohomology:
         self.relators = None if relators is None else tuple(relators)
         n = table.order
         self.elems = np.array([x for x in range(n) if x != table.identity], dtype=np.int64)
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[self.elems] = np.arange(n - 1)
-        self.pos = pos
         self.width = (n - 1) * (n - 1)
         self._h1: CohomologySpace | None = None
         self._b2: np.ndarray | None = None

@@ -670,11 +670,18 @@ def reference_coboundary_rows(ctx):
     return rows % q
 
 
+def positions(ctx):
+    """Position of each element in ``ctx.elems`` (-1 at the identity)."""
+    pos = np.full(ctx.t.order, -1, dtype=np.int64)
+    pos[ctx.elems] = np.arange(len(ctx.elems))
+    return pos
+
+
 def generator_columns(ctx):
     """Bar columns (g, s), g-major, of the listed generators s (deduplicated, identity dropped)."""
-    t, w = ctx.t, ctx.t.order - 1
+    t, w, pos = ctx.t, ctx.t.order - 1, positions(ctx)
     gens = [s for s in dict.fromkeys(t.generators) if s != t.identity]
-    return np.array([ctx.pos[g] * w + ctx.pos[s] for g in ctx.elems for s in gens], dtype=np.int64)
+    return np.array([pos[g] * w + pos[s] for g in ctx.elems for s in gens], dtype=np.int64)
 
 
 def relabelled(t):
@@ -694,7 +701,7 @@ def reference_equation_batches(ctx, chunk=1024):
     Rows of df(g, h, s) = 0 over all g, h != 1 and every listed generator s
     (deduplicated, identity dropped), (|G|-1)^2 wide, in fixed-size chunks.
     """
-    t, q = ctx.t, ctx.q
+    t, q, pos = ctx.t, ctx.q, positions(ctx)
     w = t.order - 1
     gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
     total = len(gens) * w * w
@@ -708,7 +715,7 @@ def reference_equation_batches(ctx, chunk=1024):
 
         def put(a, b, sign):
             alive = (a != t.identity) & (b != t.identity)
-            np.add.at(rows, (idx[alive], ctx.pos[a[alive]] * w + ctx.pos[b[alive]]), sign)
+            np.add.at(rows, (idx[alive], pos[a[alive]] * w + pos[b[alive]]), sign)
 
         put(g, h, 1)
         put(t.mult[g, h], k, 1)
@@ -893,8 +900,8 @@ def test_coboundary_rows_match_reference(name, q, quaternion_table):
 
 def off_tree_columns(ctx):
     """Restricted columns (g, s), g != 1, that are not tree edges k' -> k's."""
-    gens, edges = ctx.t.spanning_tree().gens, zip(*ctx.t.spanning_tree().edges)
-    tree = {ctx.pos[parent] * len(gens) + i for parent, i, _ in edges if parent != ctx.t.identity}
+    gens, edges, pos = ctx.t.spanning_tree().gens, zip(*ctx.t.spanning_tree().edges), positions(ctx)
+    tree = {pos[parent] * len(gens) + i for parent, i, _ in edges if parent != ctx.t.identity}
     return np.array([c for c in range(len(ctx.elems) * len(gens)) if c not in tree], dtype=np.int64)
 
 
@@ -1351,7 +1358,7 @@ def test_verify_kernel_checks_every_generator(name, q, request):
     ctx = GroupCohomology(t, q)
     gens = ctx.t.spanning_tree().gens
     w = t.order - 1
-    on_first = full_cocycle_matrix(t, q).reshape(w, w, w, -1)[:, :, ctx.pos[gens[0]]].reshape(w * w, -1)
+    on_first = full_cocycle_matrix(t, q).reshape(w, w, w, -1)[:, :, positions(ctx)[gens[0]]].reshape(w * w, -1)
     pulled = (on_first @ extension_matrix(ctx)) % q
     partial = [v for v, _ in kernel_with_orders(pulled, q)]
     assert df_vanishes(ctx, partial, [0])
