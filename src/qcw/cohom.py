@@ -358,11 +358,23 @@ class GroupCohomology:
 
     def _potentials(self, on_gens: np.ndarray) -> np.ndarray:
         """p(1) = 0 and p(k) = p(k') + f(k', s) along each tree edge k = k's,
-        |G| x m for the |G| x |S| x m values f (not reduced mod q), one tree
-        layer at a time."""
+        |G| x m for the |G| x |S| x m values f (not reduced mod q), by
+        pointer jumping: while anc[k] is the 2^j-th ancestor of k (the root
+        once past it), pot[k] sums the edge values on the path from k up to
+        anc[k], so pot += pot[anc], anc = anc[anc] doubles the reach.  The
+        depth-many layers take log2(depth) steps, with the same integer
+        sums."""
+        tree = self.t.spanning_tree()
+        parent, i, k = tree.edges
         pot = np.zeros((self.t.order, on_gens.shape[-1]), dtype=np.int64)
-        for parent, i, k in self.t.spanning_tree().layers:
-            pot[k] = pot[parent] + on_gens[parent, i]
+        pot[k] = on_gens[parent, i]
+        anc = np.full(self.t.order, self.t.identity)
+        anc[k] = parent
+        reach = 1
+        while reach < len(tree.layers):
+            pot += pot[anc]
+            anc = anc[anc]
+            reach *= 2
         return pot
 
     def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
@@ -440,7 +452,11 @@ class GroupCohomology:
 
         A letter at prefix u reads f(g h, s) with h = u (letter s) or
         h = u s^-1 (letter s^-1), so one walk from 1 gives the columns h of
-        the table that every g reads."""
+        the table that every g reads.  A run x^e, y = x or x^-1, reads
+        h = v y^t for t < |e|, with v = u or u y.  These lie in the coset
+        v <y>, which has o = ord(x) elements, so only the first min(|e|, o)
+        are walked, and v y^t, t < o, is read floor(|e|/o) + [t < |e| mod o]
+        times: a long run costs its period, not its length."""
         t = self.t
         gens = self.t.spanning_tree().gens
         n, ns = t.order, len(gens)
@@ -460,7 +476,7 @@ class GroupCohomology:
             block = self.relators[start : start + step]
             acc = np.zeros((len(block), n, unknowns + 1), dtype=np.int64)
             for b, r in enumerate(block):
-                h, i, sign = [], [], []
+                h, i, weight = [], [], []
                 u = t.identity
                 for a, e in r.letters:
                     if a >= len(letters):
@@ -468,20 +484,29 @@ class GroupCohomology:
                             f"relator uses generator {a}, the table lists {len(letters)}"
                         )
                     col, x, x_inv = letters[a]
-                    if col < 0:
+                    if col < 0 or not e:
                         continue  # the letter is the identity: f(k, 1) = 0
-                    for _ in range(abs(e)):
-                        if e < 0:
-                            u = int(t.mult[u, x_inv])
-                        h.append(u)
-                        if e > 0:
-                            u = int(t.mult[u, x])
-                    i += [col] * abs(e)
-                    sign += [1 if e > 0 else -1] * abs(e)
+                    y = x if e > 0 else x_inv
+                    v = u if e > 0 else int(t.mult[u, y])
+                    coset = [v]
+                    nxt = int(t.mult[v, y])
+                    while len(coset) < abs(e) and nxt != v:
+                        coset.append(nxt)
+                        nxt = int(t.mult[nxt, y])
+                    # o = ord(x) if the walk met v again, else o = |e| < ord(x)
+                    o = len(coset)
+                    reps, extra = divmod(abs(e), o)
+                    h += coset
+                    i += [col] * o
+                    weight.append((reps + (np.arange(o) < extra)) % self.q * (1 if e > 0 else -1))
+                    # the prefix after the run is v y^k, nxt = v y^o
+                    k = abs(e) - (e < 0)
+                    u = nxt if k == o else coset[k % o]
                 # g r = g for every g iff r = 1
                 if u != t.identity:
                     raise QcwError(f"relator {start + b} does not hold in the table")
-                np.add.at(acc[b], (g, cell[t.mult[:, h], i]), sign)
+                if h:
+                    np.add.at(acc[b], (g, cell[t.mult[:, h], i]), np.concatenate(weight))
             rows = acc[:, self.elems, :unknowns]
             rows -= acc[:, t.identity, None, :unknowns]
             rows %= self.q

@@ -20,6 +20,14 @@ p-valuation.  Everything here reduces to that one idea:
   echelon form), built by one left-to-right column sweep with
   least-valuation pivots; it is the workhorse for the large, highly
   redundant 2-cocycle systems.
+* Over F_2 (q = 2) the one sweep, ``_howell_sweep``, runs a bit-packed
+  kernel (``_gf2_sweep``; Albrecht, Bard and Hart, "Algorithm 898", ACM
+  TOMS 2010): rows packed 64 columns to a uint64 word, one OR-reduce per
+  pivot to reach the next column with a candidate bit, one XOR over the
+  rows with that bit.  Over F_2 the Howell form is the reduced row
+  echelon form, which is unique, so the kernel returns exactly what the
+  general sweep (``_general_sweep``) returns; the general sweep is its
+  test oracle.
 
 All vectors are numpy int64 arrays with entries in [0, q).
 """
@@ -427,6 +435,62 @@ class QuotientModule:
 
 
 def _howell_sweep(M: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Howell form (rows, pivot columns, pivot exponents) of the rows of M,
+    which holds entries in [0, p^d) and may be overwritten: by ``_gf2_sweep``
+    over F_2, else by ``_general_sweep``.  An empty M returns at once."""
+    if not M.size:
+        return M[:0], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if (p, d) == (2, 1):
+        return _gf2_sweep(M)
+    return _general_sweep(M, p, d)
+
+
+_BITS = [np.uint64(1 << b) for b in range(64)]
+
+
+def _gf2_sweep(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_general_sweep`` at q = 2 on rows packed 64 columns to a word.
+
+    Over F_2 the Howell form is the reduced row echelon form, which is
+    unique, so this returns the general sweep's rows, pivot columns and
+    (zero) exponents exactly.  Column c of M is bit c % 64 of word c // 64
+    of its row.  The candidates (the rows not yet pivots) are zero left of
+    the current column, so the lowest set bit of the OR of their current
+    word is the next pivot column, and columns where no candidate has a
+    bit cost nothing.  The first candidate with that bit is the pivot row:
+    every row with the bit is XORed with it from the pivot's word on (the
+    pivot row is zero left of it), which clears the bit everywhere, and
+    the pivot row is then written back, swapped up to just below the
+    earlier pivots.  A bit held by the pivot row alone needs only the swap.
+    """
+    n, w = M.shape
+    words = -(-w // 64)
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    bits[:, :w] = M
+    W = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    k = 0  # W[:k] are the pivot rows so far, in column order; W[k:] the candidates
+    cols: list[int] = []
+    for j in range(words):
+        while k < n:
+            low = int(np.bitwise_or.reduce(W[k:, j]))
+            if not low:
+                break
+            b = (low & -low).bit_length() - 1
+            nz = (W[:, j] & _BITS[b]).nonzero()[0]
+            r = int(nz[nz.searchsorted(k)])
+            if r != k or len(nz) > 1:
+                pivot = W[r, j:].copy()
+                if len(nz) > 1:
+                    W[nz, j:] ^= pivot
+                W[r, j:] = W[k, j:]
+                W[k, j:] = pivot
+            cols.append(64 * j + b)
+            k += 1
+    rows = np.unpackbits(W[:k].view(np.uint8), axis=1, count=w, bitorder="little")
+    return rows.astype(np.int64), np.array(cols, dtype=np.int64), np.zeros(k, dtype=np.int64)
+
+
+def _general_sweep(M: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Howell form (rows, pivot columns, pivot exponents) of the rows of M.
 
     One sweep over the columns; M holds entries in [0, p^d) and is

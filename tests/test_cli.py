@@ -380,6 +380,26 @@ def test_cohomology_x1sq_q2_matches_its_golden(tmp_path):
         assert fh.read() == out.replace(str(path), "x1sq.grp")
 
 
+@pytest.mark.parametrize(
+    "long_relator,short_relator", [("x^100000000", None), ("x^100000002", "x^2")]
+)
+def test_cohomology_of_a_long_run_costs_its_period(tmp_path, long_relator, short_relator):
+    # x^100000000 lies in the third q-central term at q = 2, and x^100000002
+    # has the image of x^2: each walks only the coset of <x>, |x| = 4 in G
+    path = tmp_path / "long.grp"
+    short = ", ".join(filter(None, [short_relator, "[x, y]"]))
+    path.write_text(
+        f"group long {{ generators: x, y; relators: {long_relator}, [x, y]; }}\n"
+        f"group short {{ generators: x, y; relators: {short}; }}\n"
+    )
+    code, long_out = run_cli("cohomology", str(path), "long", "--q", "2", "--output", "json")
+    assert code == 0
+    code, short_out = run_cli("cohomology", str(path), "short", "--q", "2", "--output", "json")
+    assert code == 0
+    assert '"group": "long"' in long_out
+    assert long_out.replace('"group": "long"', '"group": "short"') == short_out
+
+
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos")
 
 
@@ -426,6 +446,16 @@ def test_text_output_runs():
         ("milnor_qp3_q2", ["milnor", "Qp:3", "--q", "2"]),
         ("quotient_free2_q2", ["quotient", "data/groups.grp", "free2", "--q", "2"]),
         ("quotient_demushkin3_q2", ["quotient", "data/groups.grp", "demushkin3", "--q", "2"]),
+        # q = 2 walk sweeps wider than one 64-column word: the H^2 module of
+        # free2 is 36 x 67, and free3's walk system has 1533 columns
+        ("cohomology_free2_q2", ["cohomology", "data/groups.grp", "free2", "--q", "2"]),
+        (
+            "cohomology_free3_q2",
+            [
+                "cohomology", "data/groups.grp", "free3", "--q", "2",
+                "--order-bound", "1000", "--h2-bound", "1000",
+            ],
+        ),
         (
             "check_class2_q2",
             [

@@ -1450,6 +1450,34 @@ def test_relator_walks_give_the_off_tree_z2_on_random_presentations(case):
     assert_relators_give_the_off_tree_z2(*case, 64)
 
 
+def _run(x, e, by_letter):
+    """x^e as |e| one-letter runs, or as one run."""
+    return ((x, 1 if e > 0 else -1),) * abs(e) if by_letter else ((x, e),)
+
+
+def _walk_rows_of(t, q, word):
+    return np.vstack(list(GroupCohomology(t, q, relators=[word])._walk_rows()))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_long_run_walks_its_period(q):
+    # in the abelian G^[3, q] of <x, y | [x, y]>, ord(x) = q^2 and the
+    # commutator [x^e, y] holds for every e; the walk of a run x^e covers
+    # the coset of <x> at its prefix with multiplicities, so the run reads
+    # the same equations as |e| single letters
+    t = to_table(third_quotient(GRP["abelianized"], SeriesParams.from_q(q), NO_BOUND), 256)
+    x = t.generators[0]
+    o = int(t.element_orders()[x])
+    assert o == q * q
+    for e in (o - 1, o, o + 1, 3 * o + 2, -(2 * o + 1)):
+        words = [
+            Word(_run(0, e, by_letter) + ((1, 1),) + _run(0, -e, by_letter) + ((1, -1),))
+            for by_letter in (True, False)
+        ]
+        letters, run = (_walk_rows_of(t, q, w) for w in words)
+        assert letters.any() and (letters == run).all(), e
+
+
 def test_a_relator_that_fails_in_the_table_is_refused():
     pres, params = GRP["free2"], SeriesParams(p=2, d=1)
     t = to_table(third_quotient(pres, params))

@@ -7,7 +7,9 @@ implementation, kept here as ``reference_diagonalize``.  ``RowSpace`` is
 pinned to its former implementation, ``ReferenceRowSpace``, wherever every
 pivot is a unit, and its Howell form is checked to be canonical.
 ``QuotientModule`` is pinned to its former ``diagonalize`` read-off,
-``reference_quotient_module``, on both of its branches.
+``reference_quotient_module``, on both of its branches.  The bit-packed
+F_2 sweep is pinned to the general sweep, its oracle, across word
+boundaries.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcw.zqlinalg import (
@@ -24,6 +26,8 @@ from qcw.zqlinalg import (
     QuotientModule,
     RowSpace,
     _as_matrix,
+    _general_sweep,
+    _gf2_sweep,
     _howell_sweep,
     cokernel_invariants,
     diagonalize,
@@ -719,6 +723,63 @@ def test_rowspace_matches_reference_at_prime_q(q):
         rows, w = int(rng.integers(1, 30)), int(rng.integers(1, 25))
         block = sparse_block(rng, rows, w, q, float(rng.choice([0.1, 0.3, 0.7])))
         assert_matches_reference(random_chunks(rng, block), w, q)
+
+
+def test_rowspace_matches_reference_at_q2_across_words():
+    # the oracle tests above draw widths under 25, inside one 64-bit word
+    rng = np.random.default_rng(64)
+    for w in (63, 64, 65, 127, 128, 129, 200):
+        for _ in range(4):
+            rows = int(rng.integers(1, 40))
+            block = sparse_block(rng, rows, w, 2, float(rng.choice([0.02, 0.1, 0.5])))
+            assert_matches_reference(random_chunks(rng, block), w, 2)
+
+
+def _gf2_case(n, w, density, seed, zeros, copies):
+    """n x w 0/1 rows with the rows in ``zeros`` zeroed and each (i, j) in
+    ``copies`` making row j a copy of row i."""
+    rng = np.random.default_rng(seed)
+    M = (rng.random((n, w)) < density).astype(np.int64)
+    if n:
+        M[[z % n for z in zeros]] = 0
+        for i, j in copies:
+            M[j % n] = M[i % n]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 80),
+    w=st.sampled_from([63, 64, 65, 127, 128, 129]) | st.integers(1, 200),
+    density=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.lists(st.integers(0, 79), max_size=4),
+    copies=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), max_size=6),
+)
+@example(n=80, w=63, density=0.5, seed=1, zeros=[3], copies=[(0, 1)])
+@example(n=80, w=64, density=0.05, seed=2, zeros=[], copies=[(5, 6), (6, 7)])
+@example(n=70, w=65, density=0.2, seed=3, zeros=[0, 1], copies=[(2, 3)])
+@example(n=80, w=127, density=0.5, seed=4, zeros=[], copies=[])
+@example(n=40, w=128, density=0.9, seed=5, zeros=[7], copies=[(1, 2)])
+@example(n=80, w=129, density=0.01, seed=6, zeros=[], copies=[(9, 10)])
+@example(n=0, w=129, density=0.5, seed=7, zeros=[], copies=[])
+def test_gf2_sweep_is_the_general_sweep(n, w, density, seed, zeros, copies):
+    M = _gf2_case(n, w, density, seed, zeros, copies)
+    want = _general_sweep(M.copy(), 2, 1)
+    for got in (_gf2_sweep(M.copy()), _howell_sweep(M.copy(), 2, 1)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape and (a == b).all()
+        assert got[0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_howell_sweep_of_an_empty_matrix(shape, q):
+    p, d = prime_power(q)
+    rows, cols, exps = _howell_sweep(np.zeros(shape, dtype=np.int64), p, d)
+    assert rows.shape == (0, shape[1]) and rows.dtype == np.int64
+    assert cols.shape == exps.shape == (0,) and cols.dtype == exps.dtype == np.int64
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
