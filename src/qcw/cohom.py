@@ -466,10 +466,11 @@ class GroupCohomology:
         cell = np.full((n, ns), unknowns, dtype=np.int64)
         cell[self.elems] = np.arange(unknowns).reshape(len(self.elems), ns)
         column = {int(x): i for i, x in enumerate(gens)}
-        letters = [
-            (column.get(int(x), -1), int(x), int(np.argmax(t.mult[x] == t.identity)))
-            for x in t.generators
-        ]
+        # per listed generator x: its column and the maps k -> k x, k -> k x^-1
+        letters = []
+        for x in t.generators:
+            x_inv = np.argmax(t.mult[x] == t.identity)
+            letters.append((column.get(int(x), -1), t.mult[:, x].tolist(), t.mult[:, x_inv].tolist()))
         g = np.arange(n)[:, None]
         step = max(1, _BLOCK_CELLS // 4 // max(1, n * (unknowns + 1)))
         for start in range(0, len(self.relators), step):
@@ -483,22 +484,24 @@ class GroupCohomology:
                         raise DimensionMismatchError(
                             f"relator uses generator {a}, the table lists {len(letters)}"
                         )
-                    col, x, x_inv = letters[a]
+                    col, times_x, times_x_inv = letters[a]
                     if col < 0 or not e:
                         continue  # the letter is the identity: f(k, 1) = 0
-                    y = x if e > 0 else x_inv
-                    v = u if e > 0 else int(t.mult[u, y])
+                    times_y = times_x if e > 0 else times_x_inv
+                    v = u if e > 0 else times_y[u]
                     coset = [v]
-                    nxt = int(t.mult[v, y])
+                    nxt = times_y[v]
                     while len(coset) < abs(e) and nxt != v:
                         coset.append(nxt)
-                        nxt = int(t.mult[nxt, y])
+                        nxt = times_y[nxt]
                     # o = ord(x) if the walk met v again, else o = |e| < ord(x)
                     o = len(coset)
                     reps, extra = divmod(abs(e), o)
+                    sign = 1 if e > 0 else -1
                     h += coset
                     i += [col] * o
-                    weight.append((reps + (np.arange(o) < extra)) % self.q * (1 if e > 0 else -1))
+                    weight += [sign * ((reps + 1) % self.q)] * extra
+                    weight += [sign * (reps % self.q)] * (o - extra)
                     # the prefix after the run is v y^k, nxt = v y^o
                     k = abs(e) - (e < 0)
                     u = nxt if k == o else coset[k % o]
@@ -506,7 +509,7 @@ class GroupCohomology:
                 if u != t.identity:
                     raise QcwError(f"relator {start + b} does not hold in the table")
                 if h:
-                    np.add.at(acc[b], (g, cell[t.mult[:, h], i]), np.concatenate(weight))
+                    np.add.at(acc[b], (g, cell[t.mult[:, h], i]), weight)
             rows = acc[:, self.elems, :unknowns]
             rows -= acc[:, t.identity, None, :unknowns]
             rows %= self.q

@@ -564,7 +564,8 @@ class RowSpace:
     ``add_rows`` re-sweeps the stacked [rows; block] column by column
     (``_howell_sweep``).  A column costs one read over the stacked rows; a
     pivot updates only the rows with a nonzero entry in its column, and
-    only on the columns where the pivot row is nonzero.
+    only on the columns where the pivot row is nonzero.  At q = 2 the
+    sweep works on 64-column words, and costs per pivot, not per column.
     """
 
     def __init__(self, width: int, q: int):

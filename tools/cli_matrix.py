@@ -1,11 +1,12 @@
 """Byte-identity matrix: a fixed list of qcw command lines, one line each.
 
 Each command line runs as ``python -m qcw.cli ... --output json`` in a child
-process of its own, under a timeout and an address-space cap
-(``RLIMIT_AS``) set on that child only.  The child's working directory is a
-fresh temporary directory holding ``data/groups.grp`` (the test suite's
-presentations) and ``data/long.grp`` (long relator runs), so every argv is
-the same whichever checkout runs.  One line is printed per run::
+process of its own, one after another, under a 120 s timeout and a 2 GiB
+address-space cap (``RLIMIT_AS``) set on that child only.  The child's
+working directory is a fresh temporary directory holding
+``data/groups.grp`` (the test suite's presentations) and ``data/long.grp``
+(long relator runs), so every argv is the same whichever checkout runs.
+One line is printed per run::
 
     <argv> <TAB> exit=<code> <TAB> out=<sha256 of stdout> <TAB> err=<sha256 of stderr>
 
@@ -40,12 +41,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ROOT / "tests" / "data" / "groups.grp"
 MODULI = (2, 3, 4, 5, 8, 9)
+TIMEOUT_S = 120
+MEMORY_CAP = 2 << 30
 
 LONG = """\
 group longx { generators: x, y; relators: x^100000000, [x, y]; }
@@ -93,48 +95,36 @@ def command_lines() -> list[list[str]]:
     return [argv + ["--output", "json"] for argv in runs]
 
 
-def run_one(argv: list[str], src: str, workdir: str, timeout: float, cap: int) -> str:
+def run_one(argv: list[str], src: str, workdir: str) -> str:
     def limit() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
     try:
         child = subprocess.run(
             [sys.executable, "-m", "qcw.cli", *argv],
-            cwd=workdir, env=env, capture_output=True, timeout=timeout, preexec_fn=limit,
+            cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=limit,
         )
         code = str(child.returncode) if child.returncode >= 0 else f"signal{-child.returncode}"
         out, err = child.stdout, child.stderr
     except subprocess.TimeoutExpired as exc:
         code, out, err = "timeout", exc.stdout or b"", exc.stderr or b""
-    digest = lambda data: hashlib.sha256(data).hexdigest()  # noqa: E731
-    return f"{' '.join(argv)}\texit={code}\tout={digest(out)}\terr={digest(err)}"
+    out, err = hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
+    return f"{' '.join(argv)}\texit={code}\tout={out}\terr={err}"
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="the src directory of the checkout to run")
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per run (default 120)")
-    ap.add_argument("--memory-mb", type=int, default=3072, help="RLIMIT_AS of each child (default 3072)")
-    ap.add_argument("--jobs", type=int, default=1, help="children run at once (default 1)")
-    ap.add_argument("--list", action="store_true", help="print the command lines only")
     args = ap.parse_args(argv)
-    runs = command_lines()
-    if args.list:
-        for run in runs:
-            print(" ".join(run))
-        return 0
     src = str(Path(args.src).resolve())
     with tempfile.TemporaryDirectory(prefix="qcw-matrix-") as workdir:
         (Path(workdir) / "data").mkdir()
         shutil.copy(GROUPS, Path(workdir) / "data" / "groups.grp")
         (Path(workdir) / "data" / "long.grp").write_text(LONG, encoding="utf-8")
-        cap = args.memory_mb << 20
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            lines = pool.map(lambda run: run_one(run, src, workdir, args.timeout, cap), runs)
-            for line in lines:
-                print(line, flush=True)
+        for run in command_lines():
+            print(run_one(run, src, workdir), flush=True)
     return 0
 
 
