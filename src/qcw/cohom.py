@@ -508,8 +508,7 @@ class GroupCohomology:
                 # g r = g for every g iff r = 1
                 if u != t.identity:
                     raise QcwError(f"relator {start + b} does not hold in the table")
-                if h:
-                    np.add.at(acc[b], (g, cell[t.mult[:, h], i]), weight)
+                np.add.at(acc[b], (g, cell[t.mult[:, h], i]), weight)
             rows = acc[:, self.elems, :unknowns]
             rows -= acc[:, t.identity, None, :unknowns]
             rows %= self.q
