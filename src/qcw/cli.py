@@ -31,6 +31,7 @@ from .qcentral import (
     second_quotient_record,
     third_quotient,
     third_quotient_relators,
+    to_action,
     to_table,
 )
 from .realizability import (
@@ -153,10 +154,11 @@ def cmd_compare(args) -> int:
     desc = parse_field(args.field, params)
     milnor_side = symbol_algebra(desc).pairing()
     pres = galois_model(desc)
-    table = to_table(third_quotient(pres, params, args.order_bound), args.order_bound)
+    action = to_action(third_quotient(pres, params, args.order_bound), args.order_bound)
     # the decomposable part only needs coboundaries, so the comparison works
-    # above the full-H^2 bound (e.g. the order-81 tame quotient at q = 3)
-    group_side = GroupCohomology(table, args.q).pairing()
+    # above the full-H^2 bound (e.g. the order-81 tame quotient at q = 3),
+    # and reads only the generator columns, so it needs no table
+    group_side = GroupCohomology(action, args.q).pairing()
     dims_match = (
         milnor_side.m == group_side.m
         and sorted(milnor_side.target_orders) == sorted(group_side.target_orders)
@@ -174,7 +176,7 @@ def cmd_compare(args) -> int:
             "mult": milnor_side.values.tolist(),
         },
         "cohomology": {
-            "quotient_order": table.order,
+            "quotient_order": action.order,
             "dim1": group_side.m,
             "dec_invariants": list(group_side.target_orders),
             "mult": group_side.values.tolist(),

@@ -159,6 +159,19 @@ sign.  The decomposable part of H^2 is the span of these products modulo
 coboundaries; ``GroupCohomology.dec_module`` computes it without solving
 for all of H^2 (only coboundaries are needed), keeping large groups within
 reach of the degree <= 2 comparisons.
+
+What reads what.  The gauge reads the tree and, at the off-tree pairs
+(g, s), the product g s, which is the column of s (``SpanningTree.columns``);
+the potentials and K_j read the tree alone; the cup products read H^1 at
+the elements and at the tree generators.  So ``h1_space``,
+``coboundary_rows``, ``gauge``, ``cup_flats``, ``dec_module`` and
+``pairing`` read the |G| x |S| generator columns and nothing else of the
+group, and run on a ``qcentral.GeneratorAction`` as they do on a table.
+The Z^2 solve (``z2_generators``, hence ``h2_module`` and ``h2_space``),
+``extend`` and ``is_coboundary`` evaluate products g h of any two
+elements along the tree, and the relator walks read the inverses of the
+generators: they need the |G| x |G| ``mult`` of a ``FiniteGroupTable`` and
+raise ``QcwError`` on an action.  ``restrict`` reads neither.
 """
 
 from __future__ import annotations
@@ -170,7 +183,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
-from .qcentral import FiniteGroupTable
+from .qcentral import FiniteGroupTable, GeneratorAction
 from .zqlinalg import (
     QuotientModule,
     RowSpace,
@@ -285,9 +298,15 @@ class GroupCohomology:
     """Cached degree <= 2 cohomology data of one (table, q) pair."""
 
     def __init__(
-        self, table: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND, relators=None
+        self,
+        table: FiniteGroupTable | GeneratorAction,
+        q: int,
+        h2_bound: int = DEFAULT_H2_BOUND,
+        relators=None,
     ):
-        """``relators``, if given, are words in the table's listed generators
+        """``table`` is a multiplication table or, for degree 1 and the
+        decomposable part only, a generator action (module docstring).
+        ``relators``, if given, are words in the table's listed generators
         (letter i is ``table.generators[i]``) that present the group; Z^2 is
         then solved from their walks instead of the off-tree equations."""
         prime_power(q)
@@ -296,7 +315,8 @@ class GroupCohomology:
         self.h2_bound = h2_bound
         self.relators = None if relators is None else tuple(relators)
         n = table.order
-        self.elems = np.array([x for x in range(n) if x != table.identity], dtype=np.int64)
+        elems = np.arange(n, dtype=np.int64)
+        self.elems = elems[elems != table.identity]
         self.width = (n - 1) * (n - 1)
         self._h1: CohomologySpace | None = None
         self._b2: np.ndarray | None = None
@@ -380,10 +400,10 @@ class GroupCohomology:
     def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
         """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
         trailing index of the |G| x |S| x m values f, p the ``_potentials``."""
-        gens = self.t.spanning_tree().gens
+        columns = self.t.spanning_tree().columns
         pot = self._potentials(on_gens)
         g, i = self._off_tree()
-        return ((on_gens[g, i] + pot[g] - pot[self.t.mult[g, gens[i]]]) % self.q).T
+        return ((on_gens[g, i] + pot[g] - pot[columns[g, i]]) % self.q).T
 
     def _off_tree(self) -> tuple[np.ndarray, np.ndarray]:
         """The off-tree pairs (g, gens[i]), g != 1, g-major as in the

@@ -61,6 +61,13 @@ Tables are built and searched from the listed generators, on three lemmas.
   one layer per vectorised step; it spans iff S generates G, so it is the
   one generation check.  A homomorphism φ is fixed by φ(S): φ(k) = φ(k') φ(s)
   on each tree edge k = k' s, whose parent k' lies in the layer before.
+  Each layer's children are the entries k' s of its parents' rows in the
+  columns g -> g s, s in S, so the tree reads |G| |S| entries of the table
+  and no others; it is the same tree on anything that holds those columns.
+
+A ``GeneratorAction`` is such a holder: order, identity, the listed
+generators and their columns, which ``to_action`` collects as the n |G|
+right products g x_i, with no |G| x |G| table.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ __all__ = [
     "ClassTwoElement",
     "ClassTwoGroup",
     "FiniteGroupTable",
+    "GeneratorAction",
     "QuotientMap",
     "universal_class2",
     "evaluate_word",
@@ -95,6 +103,7 @@ __all__ = [
     "second_quotient",
     "second_quotient_record",
     "to_table",
+    "to_action",
     "series_step_oracle",
     "is_isomorphic",
     "induced_quotient_map",
@@ -477,9 +486,10 @@ class SpanningTree:
     """The BFS tree on ``gens``, the listed generators deduplicated without
     the identity: per layer, the edges (parent, i, child), child = parent *
     gens[i], in the order a queue-driven BFS finds them; ``edges`` chains
-    the layers."""
+    the layers.  ``columns[k, i]`` is k * gens[i]."""
 
     gens: np.ndarray
+    columns: np.ndarray
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     edges: tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -498,6 +508,12 @@ class FiniteGroupTable:
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._tree: SpanningTree | None = None
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """columns[g, i] = index of (element g) * generators[i]: the table
+        at the listed generators, as a ``GeneratorAction`` holds it."""
+        return self.mult[:, np.array(self.generators, dtype=np.int64)]
 
     def spanning_tree(self) -> SpanningTree:
         """The spanning tree on the listed generators, built once; raises
@@ -599,10 +615,41 @@ class FiniteGroupTable:
         return len(self.closure(elements)) == self.order
 
 
-def _build_tree(t: FiniteGroupTable) -> SpanningTree:
+@dataclass
+class GeneratorAction:
+    """A finite group known by the right action of its listed generators:
+    ``columns[g, i]`` is the index of (element g) * generators[i], |G| x n
+    entries where a ``FiniteGroupTable`` holds |G|^2.  The spanning tree,
+    H^1 and the decomposable H^2 read no more than that (``cohom``); what
+    reads ``mult`` raises ``QcwError`` on an action."""
+
+    order: int
+    identity: int
+    generators: tuple[int, ...]
+    columns: np.ndarray
+
+    def __post_init__(self):
+        self.columns = np.asarray(self.columns, dtype=np.int64)
+        self._tree: SpanningTree | None = None
+
+    @property
+    def mult(self) -> np.ndarray:
+        raise QcwError("a generator action has no multiplication table")
+
+    def spanning_tree(self) -> SpanningTree:
+        """As ``FiniteGroupTable.spanning_tree``, on the columns."""
+        if self._tree is None:
+            self._tree = _build_tree(self)
+        return self._tree
+
+
+def _build_tree(t: FiniteGroupTable | GeneratorAction) -> SpanningTree:
     """One layer per step: of the products frontier x gens, flattened
-    parent-major, each unseen child is kept at its first occurrence."""
-    gens = np.array([s for s in dict.fromkeys(t.generators) if s != t.identity], dtype=np.int64)
+    parent-major, each unseen child is kept at its first occurrence.  Reads
+    only the columns of the listed generators."""
+    listed = [int(s) for s in t.generators]
+    gens = np.array([s for s in dict.fromkeys(listed) if s != t.identity], dtype=np.int64)
+    columns = t.columns[:, [listed.index(s) for s in gens.tolist()]]
     seen = np.zeros(t.order, dtype=bool)
     seen[t.identity] = True
     # first[k]: the least position of k among its layer's products; a child
@@ -611,7 +658,7 @@ def _build_tree(t: FiniteGroupTable) -> SpanningTree:
     frontier = np.array([t.identity], dtype=np.int64)
     parents, indices, children = [], [], []
     while True:
-        kids = t.mult[frontier[:, None], gens].ravel()
+        kids = columns[frontier].ravel()
         new = np.flatnonzero(~seen[kids])
         if not len(new):
             break
@@ -628,7 +675,7 @@ def _build_tree(t: FiniteGroupTable) -> SpanningTree:
         raise QcwError("listed generators do not generate the table")
     empty = np.zeros(0, dtype=np.int64)
     edges = tuple(np.concatenate(part) if part else empty for part in (parents, indices, children))
-    return SpanningTree(gens=gens, layers=tuple(zip(parents, indices, children)), edges=edges)
+    return SpanningTree(gens=gens, columns=columns, layers=tuple(zip(parents, indices, children)), edges=edges)
 
 
 def _index_array(elements) -> np.ndarray:
@@ -856,6 +903,25 @@ def to_table(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> Finite
         known = np.concatenate([known, child])
     return FiniteGroupTable(
         order=g.order, mult=mult, identity=0, generators=tuple(int(x) for x in gens)
+    )
+
+
+def to_action(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> GeneratorAction:
+    """The generator columns of ``to_table(g)``, without the table.
+
+    columns[k, i] is the code of (element k) x_i: the n |G| right products
+    of the reduced forms with the x_i, collected and encoded at once, the
+    mirror of the products x_i g that ``to_table`` collects.
+    """
+    if g.order > order_bound:
+        raise SizeLimitError(f"quotient order {g.order} exceeds bound {order_bound}")
+    n, npairs = g.n, len(g.pairs)
+    RA, RC = g.elements()
+    XA, XC = np.eye(n, dtype=np.int64), np.zeros((n, npairs), dtype=np.int64)
+    columns = g.encode(*_collect_batch(RA[:, None], RC[:, None], XA[None], XC[None], g.q, g.pairs))
+    gens = g.encode(XA, XC)
+    return GeneratorAction(
+        order=g.order, identity=0, generators=tuple(int(x) for x in gens), columns=columns
     )
 
 

@@ -19,8 +19,39 @@ counted on two families only: free presentations, and presentations of
 S / [S, [S, S]], recognised from the relators' weight-3 Lie values, which
 are read off the truncated Magnus expansion (``magnus_terms``).  dim H^1
 is the number of cyclic factors of G^[2, p], found with no table; the
-wreath construction builds its table-level stand-in only when its order,
+wreath construction builds its stand-in only when its order,
 p^(m dim H^1(K)) |P|, is within the sanity bound.
+
+The stand-in W = (K^[2])^m x| P is built as its generator columns
+(``semidirect_power_action``), and its dim H^1 is that of
+``GroupCohomology(W, p).h1_space()``.  Lemma: for every finite group W,
+Hom(W, Z/p) has dimension log_p |W / W^p [W, W]|.  A homomorphism to the
+abelian group Z/p of exponent p kills W^p [W, W], so Hom(W, Z/p) =
+Hom(W / W^p [W, W], Z/p), and that quotient is elementary abelian of order
+p^d, with a dual of dimension d.  W^p [W, W] is the series step that
+``series_step_oracle`` reads off the table, so the witness is the one the
+table gave, whether or not P is a p-group.
+
+The pairing principle compares G1 = E(n1, p)/N1 and G2 = E(n2, p)/N2.  It
+decides two cases on the reduced forms of ``qcentral.ClassTwoGroup`` and
+builds the two coset tables for ``is_isomorphic`` only in the others:
+
+* The orders differ.  ``is_isomorphic`` then fails its identical-table
+  shortcut, which needs equal orders, and returns "not isomorphic" at the
+  first entry of its fingerprint, the order; the reduced forms number the
+  elements, so their orders are the tables'.
+* The kernels agree: n1 = n2, equal orders, and N1 contains every element
+  of G2's kernel basis.  That basis generates N2, so N2 <= N1, and
+  |N1| = |E| / |G1| = |N2|, so N1 = N2.  A coset table is a function of N
+  alone: an element's code is that of the least (a, c) of its coset, in
+  radices read off Howell forms, which are unique for the module.  So the
+  tables are identical, ``is_isomorphic`` returns at its identical-table
+  shortcut, and its witness is the codes of the x_i.
+
+Both routes run ``third_quotient`` on the two sides first, in the same
+order, and it refuses |E(n, p)| over the order bound.  |G| <= |E|, so
+``to_table``'s own bound cannot fire after it, and both routes raise the
+same ``SizeLimitError``.
 
 Verdict records are {criterion, verdict, witness} with verdict one of
 "not-realizable", "at-most-one-realizable", "criterion-not-applicable",
@@ -34,12 +65,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohom import GroupCohomology
 from .errors import QcwError
 from .lie import hall_basis, witt_rank
 from .presentations import Presentation, Word, is_trivial_in_free
 from .qcentral import (
     DEFAULT_ORDER_BOUND,
     FiniteGroupTable,
+    GeneratorAction,
     SeriesParams,
     _second_quotient_invariants,
     evaluate_word,
@@ -64,6 +97,7 @@ __all__ = [
     "magnus_terms",
     "weight3_lie_vector",
     "semidirect_power_table",
+    "semidirect_power_action",
 ]
 
 NOT_REALIZABLE = "not-realizable"
@@ -244,22 +278,33 @@ def principle_check(
     """At most one of two groups with isomorphic third quotients but
     different cohomology is a maximal pro-p Galois group.
 
-    H^2 enters only on families where the relation rank is countable (free
-    presentations; the free-class-2 family via the Witt numbers); otherwise
-    only H^1 is compared.  ``assert_realizable`` in {"first", "second"}
+    The third quotients are compared on their reduced forms when the
+    orders differ or the kernels agree, and by ``is_isomorphic`` on their
+    tables otherwise (module docstring).  H^2 enters only on families
+    where the relation rank is countable (free presentations; the
+    free-class-2 family via the Witt numbers); otherwise only H^1 is
+    compared.  ``assert_realizable`` in {"first", "second"}
     declares one side realizable, and the verdict then names the other.
     """
     params = SeriesParams(p=p, d=1)
-    t1 = to_table(third_quotient(pres1, params, order_bound), order_bound)
-    t2 = to_table(third_quotient(pres2, params, order_bound), order_bound)
-    iso, witness_map = is_isomorphic(t1, t2)
+    g1 = third_quotient(pres1, params, order_bound)
+    g2 = third_quotient(pres2, params, order_bound)
+    # the two cases that the reduced forms decide (module docstring)
+    if g1.order != g2.order:
+        iso, witness_map = False, None
+    elif g1.n == g2.n and all(g1.contains_in_kernel(k) for k in g2.kernel_basis):
+        n = g1.n
+        gens = g1.encode(np.eye(n, dtype=np.int64), np.zeros((n, len(g1.pairs)), dtype=np.int64))
+        iso, witness_map = True, [int(x) for x in gens]
+    else:
+        iso, witness_map = is_isomorphic(to_table(g1, order_bound), to_table(g2, order_bound))
     if not iso:
         return Verdict(
             criterion="principle",
             verdict=INCONCLUSIVE,
             witness={
                 "reason": "third quotients are not isomorphic",
-                "orders": [t1.order, t2.order],
+                "orders": [g1.order, g2.order],
             },
         )
     h1_1, h1_2 = dim_h1_mod_p(pres1, p), dim_h1_mod_p(pres2, p)
@@ -280,7 +325,7 @@ def principle_check(
             },
         )
     witness = {
-        "quotient_order": t1.order,
+        "quotient_order": g1.order,
         "generator_images": witness_map,
         **distinguishing,
     }
@@ -441,15 +486,52 @@ def semidirect_power_table(
     mult = np.empty((nb**m, npm, nb**m, npm), dtype=np.int64)
     np.add(kpart[:, :, :, None], comp.T[None, :, None, :], out=mult)
     total = nb**m * npm
-    ident = pidx[tuple(range(m))]
-    ecode = base.identity * int(weights.sum())  # code of (e, ..., e)
+    identity, gens = _semidirect_generators(base, m, perms, pidx)
+    return FiniteGroupTable(
+        order=total, mult=mult.reshape(total, total), identity=identity, generators=gens
+    )
+
+
+def _semidirect_generators(
+    base: FiniteGroupTable, m: int, perms: list[tuple[int, ...]], pidx: dict
+) -> tuple[int, tuple[int, ...]]:
+    """The identity of (base)^m x| P and its listed generators: those of
+    base in copy 0, then ``perms``; ``pidx`` numbers P."""
+    npm, ident = len(pidx), pidx[tuple(range(m))]
+    ecode = base.identity * sum(base.order**r for r in range(m))  # code of (e, ..., e)
     gens = [(ecode + (int(g) - base.identity)) * npm + ident for g in base.generators]
     gens += [ecode * npm + pidx[tuple(perm)] for perm in perms]
-    return FiniteGroupTable(
-        order=total,
-        mult=mult.reshape(total, total),
-        identity=ecode * npm + ident,
-        generators=tuple(gens),
+    return ecode * npm + ident, tuple(gens)
+
+
+def semidirect_power_action(
+    base: FiniteGroupTable, m: int, perms: list[tuple[int, ...]]
+) -> GeneratorAction:
+    """The generator columns of ``semidirect_power_table(base, m, perms)``,
+    without the table.
+
+    By its product rule, (k, s) (b, 1) with b = (y, e, ..., e) changes k
+    only in the copy r with s(r) = 0, to k_r y, and (k, s) (e, t) is
+    (k, t o s).  Only ``base.columns`` is read.
+    """
+    P = permutation_closure(perms, m)
+    pidx = {s: i for i, s in enumerate(P)}
+    nb, npm = base.order, len(P)
+    weights = nb ** np.arange(m, dtype=np.int64)
+    comp = _composition_table(P)
+    kcode, si = np.divmod(np.arange(nb**m * npm, dtype=np.int64), npm)
+    # the copy r that P[si] sends to 0, its weight and the digit k_r there
+    slot = np.argmax(np.array(P, dtype=np.int64).reshape(npm, m) == 0, axis=1)[si]
+    weight = weights[slot]
+    digit = kcode // weight % nb
+    columns = [(kcode + (y - digit) * weight) * npm + si for y in base.columns[digit].T]
+    columns += [kcode * npm + comp[pidx[tuple(perm)], si] for perm in perms]
+    identity, gens = _semidirect_generators(base, m, perms, pidx)
+    return GeneratorAction(
+        order=len(kcode),
+        identity=identity,
+        generators=gens,
+        columns=np.array(columns, dtype=np.int64).reshape(len(gens), len(kcode)).T,
     )
 
 
@@ -460,11 +542,12 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
     cd(G) = m cd(K) + cd(L) (formula, provenance recorded), the least copy
     count that trips the test, the order p^(dim H^1) of G^[2] (elementary
     abelian), and, when the stand-in fits the bound, an independent
-    table-level dim H^1 computed on (K^[2])^m x| P.  That sanity check
-    stays table-level and independent of the formula: ``series_step_oracle``
-    reads G^(2) off the multiplication tables of the stand-in and of P, as
-    the normal closure of the h^p and the [h, x] over their listed
-    generators.
+    group-level dim H^1 computed on W = (K^[2])^m x| P.  That sanity check
+    stays independent of the formula: dim Hom(W, Z/p) is solved on the
+    generator columns of W (``semidirect_power_action``, module
+    docstring), and the image of L is read off the table of P by
+    ``series_step_oracle``, as the normal closure of the h^p and the
+    [h, x] over its listed generators.
     """
     if not spec.is_transitive():
         raise QcwError("action images do not generate a transitive subgroup")
@@ -495,13 +578,12 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
         "dimension_test": inner.witness,
     }
     perms = [tuple(a) for a in spec.action]
-    base_order = p ** (h_k * m)  # |K^[2]|^m, known before any table is built
+    base_order = p ** (h_k * m)  # |K^[2]|^m, known before the stand-in is built
     P = permutation_closure(perms, m) if base_order <= sanity_bound else None
     if P is not None and base_order * len(P) <= sanity_bound:
         params = SeriesParams(p=p, d=1)
-        W = semidirect_power_table(second_quotient(spec.k_pres, params), m, perms)
-        step = series_step_oracle(W, set(range(W.order)), params)
-        dim_w = round(math.log(W.order // len(step), p))
+        W = semidirect_power_action(second_quotient(spec.k_pres, params), m, perms)
+        dim_w = GroupCohomology(W, p).h1_space().dimension
         ptable = permutation_group_table(P, perms)
         pstep = series_step_oracle(ptable, set(range(ptable.order)), params)
         dim_p = 0 if ptable.order == len(pstep) else round(

@@ -90,9 +90,9 @@ def test_cohomology_trivial():
     assert rep["decomposable_h2"]["dimension"] == 0
 
 
-def run_json_capped(cap, *argv, timeout=600):
-    """The JSON report of a CLI run in a child whose address space is capped
-    at ``cap`` bytes, killed after ``timeout`` seconds."""
+def run_capped(cap, *argv, timeout=600):
+    """The exit code and JSON report of a CLI run in a child whose address
+    space is capped at ``cap`` bytes, killed after ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(qcw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
@@ -103,8 +103,15 @@ def run_json_capped(cap, *argv, timeout=600):
         capture_output=True, text=True, env=env, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
-    assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout)
+    assert child.returncode in (0, 2), child.stderr
+    return child.returncode, json.loads(child.stdout)
+
+
+def run_json_capped(cap, *argv, timeout=600):
+    """The JSON report of a capped CLI run (``run_capped``) that exits 0."""
+    code, rep = run_capped(cap, *argv, timeout=timeout)
+    assert code == 0, rep
+    return rep
 
 
 def test_cohomology_order243_fits_800mb():
@@ -529,3 +536,30 @@ def test_parser_is_built_once_and_parses_alike(capsys):
     assert outcomes[:4] == outcomes[4:]
     assert [code for code, _ in outcomes[:4]] == [0, 0, 2, 2]
     assert run_json("quotient", DATA, "free2")[1]["result"]["order"] == 32
+
+
+# runs that the |G| x |G| tables took past any memory: compare reads only
+# the generator columns, and check decides these pairs on the reduced forms
+
+
+def test_compare_qp17_q16_order65536_fits_800mb():
+    rep = run_json_capped(800 * 10**6, "compare", "Qp:17", "--q", "16", "--order-bound", "10000000")
+    assert rep["verdict"] == "COMPARISON-CONSISTENT"
+    assert rep["cohomology"]["quotient_order"] == 65536
+
+
+def test_check_class2_against_free2_q7_order16807_fits_800mb():
+    # equal kernels: the two 16807 x 16807 tables would be identical
+    argv = ("check", "--file", DATA, "--group", "class2", "--against", "free2", "--q", "7", "--order-bound", "20000")
+    rep = run_json_capped(800 * 10**6, *argv)
+    assert [v["verdict"] for v in rep["verdicts"]] == ["not-realizable", "at-most-one-realizable"]
+    assert rep["verdicts"][1]["witness"]["quotient_order"] == 16807
+
+
+def test_check_demushkin3_against_free3_q3_fits_800mb():
+    # the orders differ, so the quotients are not isomorphic
+    argv = ("check", "--file", DATA, "--group", "demushkin3", "--against", "free3", "--q", "3",
+            "--order-bound", "20000")
+    code, rep = run_capped(800 * 10**6, *argv)
+    assert code == 2
+    assert rep["verdicts"][-1]["witness"]["orders"] == [9, 19683]

@@ -12,6 +12,12 @@ reference_series_step and reference_quotient_table are the former
 products and |H| x |G| commutator blocks.
 """
 
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +32,7 @@ from qcw.qcentral import (
     ClassTwoElement,
     ClassTwoGroup,
     FiniteGroupTable,
+    GeneratorAction,
     QuotientTableResult,
     SeriesParams,
     _collect_batch,
@@ -36,20 +43,30 @@ from qcw.qcentral import (
     is_isomorphic,
     series_step_oracle,
     third_quotient,
+    to_action,
     to_table,
 )
+from qcw.cli import main
 from qcw.cohom import GroupCohomology
+from qcw.milnor import galois_model, parse_field
 from qcw.realizability import (
+    AT_MOST_ONE,
+    INCONCLUSIVE,
     CdDescriptor,
+    Verdict,
     WreathSpec,
+    _h2_count,
+    dim_h1_mod_p,
     permutation_closure,
     permutation_group_table,
     principle_check,
+    semidirect_power_action,
     semidirect_power_table,
     wreath_construct,
 )
-from test_cohom import SMALL_TABLES
+from test_cohom import COMPARE_FIELDS, SMALL_TABLES
 from test_qcentral import DATA_GROUPS, ORACLE_BOUND, ORACLE_QS, _presentations, _universal_order
+from test_realizability import SEMIDIRECT_CASES
 
 # ---------------------------------------------------------------------------
 # the former engines, verbatim
@@ -525,8 +542,11 @@ HALL_WEIGHT3 = (
 
 
 def test_check_path_collects_n_g_products_and_forms_no_commutator_block(monkeypatch):
+    # the table route that check keeps: the principle's tables when the
+    # orders agree and the kernels differ, and the series step of the table
+    # stand-in, which the wreath check's H^1 is tested against below
     collected = []  # (products collected, n |G|) per _collect_batch call inside to_table
-    tables = []  # (|G|, largest indexed read) per series step, derived subgroup or class
+    tables = []  # (|G|, largest indexed read) per series step
     in_table: list[ClassTwoGroup] = []
 
     def collect(A1, C1, A2, C2, q, pairs):
@@ -536,56 +556,282 @@ def test_check_path_collects_n_g_products_and_forms_no_commutator_block(monkeypa
             collected.append((int(np.prod(shape)), g.n * g.order))
         return _collect_batch(A1, C1, A2, C2, q, pairs)
 
-    def spy_to_table(g, order_bound=DEFAULT_ORDER_BOUND):
-        in_table.append(g)
-        try:
-            return to_table(g, order_bound)
-        finally:
-            in_table.pop()
-
     post_init = FiniteGroupTable.__post_init__
 
     def recording_post_init(self):
         post_init(self)
         self.mult = self.mult.view(RecordingArray)
 
-    def spied(method):
-        def call(t, *args):
-            outer = RecordingArray.log
-            RecordingArray.log = [] if outer is None else outer
-            try:
-                return method(t, *args)
-            finally:
-                if outer is None:
-                    tables.append((t.order, max(RecordingArray.log, default=0)))
-                RecordingArray.log = outer
-
-        return call
-
     monkeypatch.setattr(qcentral, "_collect_batch", collect)
-    monkeypatch.setattr(realizability, "to_table", spy_to_table)
     monkeypatch.setattr(FiniteGroupTable, "__post_init__", recording_post_init)
-    monkeypatch.setattr(realizability, "series_step_oracle", spied(series_step_oracle))
-    for name in ("derived_subgroup", "nilpotency_class"):
-        monkeypatch.setattr(FiniteGroupTable, name, spied(getattr(FiniteGroupTable, name)))
 
-    # the principle on two order-512 third quotients, and the wreath
-    # stand-in of order 1024
-    verdict = principle_check(parse_presentation(HALL_WEIGHT3), free_presentation(3), 2)
-    assert verdict.witness["quotient_order"] == 512
-    spec = WreathSpec(
-        k_pres=free_presentation(2),
-        k_cd=CdDescriptor.free(),
-        k_top_cohomology_finite=True,
-        l_pres=free_presentation(1),
-        l_cd=CdDescriptor.free(),
-        copies=4,
-        action=cyclic_action(4),
-    )
-    assert wreath_construct(spec, 2).witness["sanity"]["model_order"] == 1024
+    # the two order-512 third quotients of the principle on HALL_WEIGHT3
+    # against free3
+    for pres in (parse_presentation(HALL_WEIGHT3), free_presentation(3)):
+        g = third_quotient(pres, SeriesParams(p=2, d=1))
+        in_table.append(g)
+        try:
+            assert to_table(g).order == 512
+        finally:
+            in_table.pop()
+    # the series step of the order-1024 stand-in of the wreath check free2,
+    # free1, 4 copies
+    W = stand_in(2, 4, cyclic_action(4))
+    RecordingArray.log = []
+    try:
+        series_step_oracle(W, set(range(W.order)), SeriesParams(p=2, d=1))
+        tables.append((W.order, max(RecordingArray.log, default=0)))
+    finally:
+        RecordingArray.log = None
 
     assert collected and all(products <= bound for products, bound in collected), collected
     big = [(order, largest) for order, largest in tables if order >= 256]
     assert 1024 in {order for order, _ in big}
     # an |H| x |G| commutator block with H = G would read |G|^2 entries
     assert all(largest < order * order // 8 for order, largest in big), big
+
+
+# ---------------------------------------------------------------------------
+# generator columns: compare and check without the table
+
+
+def action_cases():
+    """(name, q) of every groups.grp group at the oracle moduli, then the
+    compare-fields ladder as (field, q)."""
+    groups = [
+        (name, q)
+        for name, pres in sorted(DATA_GROUPS.items())
+        for q in ORACLE_QS
+        if _universal_order(pres.rank, q) <= ORACLE_BOUND
+    ]
+    return groups + list(COMPARE_FIELDS)
+
+
+def action_quotient(name, q) -> ClassTwoGroup:
+    params = SeriesParams.from_q(q)
+    pres = DATA_GROUPS[name] if name in DATA_GROUPS else galois_model(parse_field(name, params))
+    return third_quotient(pres, params, ORACLE_BOUND)
+
+
+def assert_same_columns(action: GeneratorAction, t: FiniteGroupTable) -> None:
+    assert (action.order, action.identity, action.generators) == (t.order, t.identity, t.generators)
+    assert action.columns.dtype == np.int64
+    assert np.array_equal(action.columns, t.mult[:, list(t.generators)])
+    assert np.array_equal(action.columns, t.columns)
+
+
+def assert_same_low_degree(action: GeneratorAction, t: FiniteGroupTable, q: int) -> None:
+    """GroupCohomology on the columns equals GroupCohomology on the table."""
+    on_action, on_table = GroupCohomology(action, q), GroupCohomology(t, q)
+    h1a, h1t = on_action.h1_space(), on_table.h1_space()
+    assert h1a.invariants == h1t.invariants
+    assert len(h1a.basis) == len(h1t.basis)
+    assert all(np.array_equal(a, b) for a, b in zip(h1a.basis, h1t.basis))
+    assert np.array_equal(on_action.coboundary_rows(), on_table.coboundary_rows())
+    deca, dect = on_action.dec_module(), on_table.dec_module()
+    assert deca.orders == dect.orders
+    assert np.array_equal(deca.basis, dect.basis)
+    assert np.array_equal(deca.generator_coords, dect.generator_coords)
+    pa, pt = on_action.pairing(), on_table.pairing()
+    assert (pa.m, pa.target_orders) == (pt.m, pt.target_orders)
+    assert np.array_equal(pa.values, pt.values)
+
+
+@pytest.mark.parametrize("name,q", action_cases())
+def test_to_action_is_the_table_at_the_generators(name, q):
+    g = action_quotient(name, q)
+    action, t = to_action(g, ORACLE_BOUND), to_table(g, ORACLE_BOUND)
+    assert_same_columns(action, t)
+    assert_same_low_degree(action, t, q)
+
+
+def test_to_action_refuses_the_order_bound():
+    g = third_quotient(free_presentation(2), SeriesParams(p=2, d=1))
+    with pytest.raises(SizeLimitError, match="^quotient order 32 exceeds bound 31$"):
+        to_action(g, 31)
+
+
+def is_transitive(m, perms) -> bool:
+    return len({perm[0] for perm in permutation_closure(perms, m)}) == m
+
+
+NOT_GENERATED = "^listed generators do not generate the table$"
+
+
+@pytest.mark.parametrize("p,m,perms", SEMIDIRECT_CASES)
+def test_semidirect_power_action_is_the_table_at_the_generators(p, m, perms):
+    base = second_quotient(free_presentation(2), SeriesParams(p=p, d=1))
+    W = semidirect_power_table(base, m, perms)
+    action = semidirect_power_action(base, m, perms)
+    assert_same_columns(action, W)
+    if is_transitive(m, perms):
+        assert_same_low_degree(action, W, p)
+        return
+    # S3 on three of four copies: the listed generators never reach the
+    # fourth copy, on either side
+    for group in (action, W):
+        with pytest.raises(QcwError, match=NOT_GENERATED):
+            GroupCohomology(group, p).h1_space()
+
+
+@pytest.mark.parametrize("m,perms", [(2, cyclic_action(2)), (3, symmetric_action(3))])
+def test_semidirect_power_action_on_a_relabelled_nonabelian_base(quaternion_table, m, perms):
+    base = relabelled(quaternion_table)
+    assert_same_columns(semidirect_power_action(base, m, perms), semidirect_power_table(base, m, perms))
+
+
+@pytest.mark.parametrize("p,m,perms", SEMIDIRECT_CASES)
+def test_stand_in_h1_is_the_first_series_step(p, m, perms):
+    # dim Hom(W, Z/p) = log_p |W / W^p [W, W]| for every finite W, P a
+    # p-group or not (the S3 and 3-cycle actions at p = 2)
+    params = SeriesParams(p=p, d=1)
+    base = second_quotient(free_presentation(2), params)
+    W = semidirect_power_table(base, m, perms)
+    ctx = GroupCohomology(semidirect_power_action(base, m, perms), p)
+    if not is_transitive(m, perms):
+        with pytest.raises(QcwError, match=NOT_GENERATED):
+            series_step_oracle(W, set(range(W.order)), params)
+        with pytest.raises(QcwError, match=NOT_GENERATED):
+            ctx.h1_space()
+        return
+    step = series_step_oracle(W, set(range(W.order)), params)
+    assert p ** ctx.h1_space().dimension * len(step) == W.order
+
+
+def test_an_action_has_no_table_for_degree_2():
+    action = to_action(third_quotient(DATA_GROUPS["demushkin3"], SeriesParams(p=2, d=1)))
+    ctx = GroupCohomology(action, 2)
+    assert ctx.pairing().target_orders == (2,)
+    values = np.zeros((1, (action.order - 1) * len(action.generators)), dtype=np.int64)
+    for call in (ctx.z2_generators, ctx.h2_space, lambda: ctx.extend(values)):
+        with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
+            call()
+    with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
+        ctx.is_coboundary(np.zeros((action.order, action.order), dtype=np.int64))
+    with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
+        action.mult
+
+
+def reference_principle_check(pres1, pres2, p, order_bound=DEFAULT_ORDER_BOUND, assert_realizable=None):
+    """The former ``principle_check``, verbatim: two tables and ``is_isomorphic``."""
+    params = SeriesParams(p=p, d=1)
+    t1 = to_table(third_quotient(pres1, params, order_bound), order_bound)
+    t2 = to_table(third_quotient(pres2, params, order_bound), order_bound)
+    iso, witness_map = is_isomorphic(t1, t2)
+    if not iso:
+        return Verdict(
+            criterion="principle",
+            verdict=INCONCLUSIVE,
+            witness={
+                "reason": "third quotients are not isomorphic",
+                "orders": [t1.order, t2.order],
+            },
+        )
+    h1_1, h1_2 = dim_h1_mod_p(pres1, p), dim_h1_mod_p(pres2, p)
+    h2_1, h2_2 = _h2_count(pres1, p), _h2_count(pres2, p)
+    distinguishing = None
+    if h1_1 != h1_2:
+        distinguishing = {"invariant": "dim_h1", "values": [h1_1, h1_2]}
+    elif h2_1 is not None and h2_2 is not None and h2_1 != h2_2:
+        distinguishing = {"invariant": "dim_h2", "values": [h2_1, h2_2]}
+    if distinguishing is None:
+        return Verdict(
+            criterion="principle",
+            verdict=INCONCLUSIVE,
+            witness={
+                "reason": "no distinguishing cohomology invariant found",
+                "dim_h1": [h1_1, h1_2],
+                "dim_h2": [h2_1, h2_2],
+            },
+        )
+    witness = {
+        "quotient_order": t1.order,
+        "generator_images": witness_map,
+        **distinguishing,
+    }
+    if assert_realizable in ("first", "second"):
+        witness["asserted_realizable"] = assert_realizable
+        witness["excluded"] = "second" if assert_realizable == "first" else "first"
+    return Verdict(criterion="principle", verdict=AT_MOST_ONE, witness=witness)
+
+
+def outcome(call, *args):
+    """The verdict record of a call, or the type and message of its error."""
+    try:
+        return call(*args).to_record()
+    except (QcwError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("first", sorted(DATA_GROUPS))
+def test_principle_check_matches_the_table_route(first, q):
+    for second in sorted(DATA_GROUPS):
+        args = (DATA_GROUPS[first], DATA_GROUPS[second], q)
+        assert outcome(principle_check, *args) == outcome(reference_principle_check, *args), second
+
+
+def spy_on(monkeypatch, names) -> list[str]:
+    """Record the calls of the named callables through every binding in qcw."""
+    calls: list[str] = []
+    for module in [m for key, m in list(sys.modules.items()) if key == "qcw" or key.startswith("qcw.")]:
+        for name in names:
+            original = vars(module).get(name)
+            if original is None:
+                continue
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+TABLE_ROUTE = ("to_table", "semidirect_power_table", "is_isomorphic")
+BENCH_JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs.py"
+
+
+def load_bench_jobs():
+    spec = importlib.util.spec_from_file_location("qcw_bench_jobs", BENCH_JOBS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_check_jobs_build_no_table(seed, tmp_path, monkeypatch):
+    # the benchmark's principle jobs have relators in the third series term
+    # (equal kernels), and its wreath job reads the stand-in's columns
+    seeded = tmp_path / "seeded.grp"
+    jobs, text = load_bench_jobs().build("quotient-check", seed, seeded)
+    seeded.write_text(text, encoding="utf-8")
+    checks = [job for job in jobs if job.argv[0] == "check"]
+    assert {"check-principle-class2-q2", "check-principle-seededclass2-q2", "check-wreath-free2-free1-4"} <= {
+        job.id for job in checks
+    }
+    monkeypatch.chdir(Path(__file__).resolve().parent)
+    calls = spy_on(monkeypatch, TABLE_ROUTE)
+    for job in checks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(job.argv + ["--output", "json"]) == 0, job.id
+    assert calls == []
+
+
+DEMUSHKIN3_TS = "group D { generators: t,s; relators: s t s^-1 t^-3; }"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_equal_orders_with_different_kernels_take_the_table_route(q, monkeypatch):
+    # demushkin3 with its generators listed the other way round: the same
+    # group, the same order, another kernel in E(2, q)
+    first, second = DATA_GROUPS["demushkin3"], parse_presentation(DEMUSHKIN3_TS)
+    params = SeriesParams(p=q, d=1)
+    g1, g2 = third_quotient(first, params), third_quotient(second, params)
+    assert g1.order == g2.order
+    assert not all(g1.contains_in_kernel(k) for k in g2.kernel_basis)
+    want = reference_principle_check(first, second, q).to_record()
+    calls = spy_on(monkeypatch, TABLE_ROUTE)
+    assert principle_check(first, second, q).to_record() == want
+    assert calls == ["to_table", "to_table", "is_isomorphic"]

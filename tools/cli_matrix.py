@@ -27,7 +27,12 @@ The runs:
 * the ``check`` runs of the benchmark's quotient-check workload and of the
   README, and ``check --against-free`` for every group at q = 2;
 * ``cohomology`` at q = 2 of long relator runs (x^100000000 and
-  x^100000002 beside [x, y]) and of the short groups they equal.
+  x^100000002 beside [x, y]) and of the short groups they equal;
+* ``check --group a --against b`` for every ordered pair of groups at
+  q in {2, 3};
+* four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
+  65536) and ``compare Qp:97 --q 32`` (|G| = 2^20), ``check class2
+  --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``.
 """
 
 from __future__ import annotations
@@ -92,6 +97,18 @@ def command_lines() -> list[list[str]]:
     ]
     runs += [["check", "--file", grp, "--group", g, "--against-free", "--q", "2"] for g in groups]
     runs += [["cohomology", "data/long.grp", g, "--q", "2"] for g in ("longx", "comm", "longx2", "sq")]
+    runs += [
+        ["check", "--file", grp, "--group", a, "--against", b, "--q", str(q)]
+        for q in (2, 3)
+        for a in groups
+        for b in groups
+    ]
+    runs += [
+        ["compare", "Qp:17", "--q", "16", "--order-bound", "10000000"],
+        ["compare", "Qp:97", "--q", "32", "--order-bound", "100000000"],
+        ["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "7", "--order-bound", "20000"],
+        ["check", "--file", grp, "--group", "demushkin3", "--against", "free3", "--q", "3", "--order-bound", "20000"],
+    ]
     return [argv + ["--output", "json"] for argv in runs]
 
 
