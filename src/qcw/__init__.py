@@ -18,7 +18,6 @@ from .cohom import (
     GroupCohomology,
     PairingTensor,
     TableHom,
-    cup,
     decomposable_h2,
     h1,
     h2,

@@ -97,13 +97,15 @@ the generators are read off that form: one per free column when every
 pivot is a unit, else ``kernel_with_orders`` of its rows.  So the relator
 route and the off-tree route land on the same vectors, in the same order.
 
-After the solve, degree 2 stays on the |S| (|G|-1) generator values:
-``restrict`` reads f(x, s) off a cochain, ``extend`` walks the tree back,
-and no other code converts.  Restriction is injective on Z^2 (a cocycle is
-fixed by these values), and B^2 and the cup products lie in Z^2, so
-H^2 = Z^2 / B^2 and its decomposable part are the same modules on
-restricted vectors.  Bar width is left only in the basis cochains
-reported, which are their extensions.
+Degree 2 has one coordinate system, the |S| (|G|-1) generator values, and
+no function here builds a |G| x |G| cochain.  Restriction is injective on
+Z^2 (a cocycle is fixed by these values), and B^2 and the cup products lie
+in Z^2, so H^2 = Z^2 / B^2 and its decomposable part are the same modules
+on restricted vectors.  The basis classes reported are restricted vectors.
+Their support size, the number of nonzero values of the bar cochains they
+extend to, is counted over blocks of rows g of ``_along_tree``, so no
+block holds more than one cell budget.  Maps induced on the decomposable
+part need no cochain either (``induced_h_maps``).
 
 B^2 is not eliminated as the span of the |G| - 1 coboundaries d(u_x) of
 point masses: the spanning tree fixes a gauge (the Schreier-tree
@@ -167,11 +169,11 @@ the elements and at the tree generators.  So ``h1_space``,
 ``coboundary_rows``, ``gauge``, ``cup_flats``, ``dec_module`` and
 ``pairing`` read the |G| x |S| generator columns and nothing else of the
 group, and run on a ``qcentral.GeneratorAction`` as they do on a table.
-The Z^2 solve (``z2_generators``, hence ``h2_module`` and ``h2_space``),
-``extend`` and ``is_coboundary`` evaluate products g h of any two
-elements along the tree, and the relator walks read the inverses of the
-generators: they need the |G| x |G| ``mult`` of a ``FiniteGroupTable`` and
-raise ``QcwError`` on an action.  ``restrict`` reads neither.
+The Z^2 solve (``z2_generators``, hence ``h2_module`` and ``h2_space``)
+and the support count of ``h2_space`` and ``dec_space`` evaluate products
+g h of any two elements along the tree, and the relator walks read the
+inverses of the generators: they need the |G| x |G| ``mult`` of a
+``FiniteGroupTable`` and raise ``QcwError`` on an action.
 """
 
 from __future__ import annotations
@@ -190,7 +192,6 @@ from .zqlinalg import (
     diagonalize,
     kernel_with_orders,
     prime_power,
-    solve_mod,
     solve_mod_many,
 )
 
@@ -204,7 +205,6 @@ __all__ = [
     "GroupCohomology",
     "h1",
     "h2",
-    "cup",
     "decomposable_h2",
     "inflation",
     "induced_h_maps",
@@ -217,19 +217,23 @@ __all__ = [
 
 @dataclass
 class CohomologySpace:
-    """Basis of H^degree(G, Z/q) with cyclic orders of the basis classes."""
+    """Basis of H^degree(G, Z/q) with cyclic orders of the basis classes.
+
+    Degree-1 classes are length-|G| arrays; degree-2 classes are their
+    generator values f(g, s), g != 1, g-major, |S| (|G|-1) long.
+    ``support_size`` is the number of nonzero values of the basis classes as
+    functions on G, or on G x G for the bar cochains that degree 2 extends to.
+    """
 
     degree: int
     modulus: int
     invariants: list[int]
-    basis: list[np.ndarray]  # degree 1: length-|G| arrays; degree 2: |G| x |G|
+    basis: list[np.ndarray]
+    support_size: int
 
     @property
     def dimension(self) -> int:
         return len(self.invariants)
-
-    def basis_support_size(self) -> int:
-        return int(sum(np.count_nonzero(b) for b in self.basis))
 
 
 @dataclass
@@ -338,24 +342,15 @@ class GroupCohomology:
             v = np.array([vec for vec, _ in kern], dtype=np.int64).reshape(len(kern), len(b2)).T
             values = self._potentials(np.broadcast_to(v, (self.t.order,) + v.shape)) % self.q
             self._h1 = CohomologySpace(
-                degree=1, modulus=self.q, invariants=[o for _, o in kern], basis=list(values.T)
+                degree=1,
+                modulus=self.q,
+                invariants=[o for _, o in kern],
+                basis=list(values.T),
+                support_size=int(np.count_nonzero(values)),
             )
         return self._h1
 
     # -- the generator-value coordinates ---------------------------------------
-
-    def restrict(self, F) -> np.ndarray:
-        """The generator values f(g, s), g != 1, g-major, of |G| x |G|
-        2-cochains stacked on leading axes."""
-        gens = self.t.spanning_tree().gens
-        F = np.asarray(F, dtype=np.int64)[..., self.elems[:, None], gens]
-        return F.reshape(F.shape[:-2] + (len(self.elems) * len(gens),)) % self.q
-
-    def extend(self, vectors) -> np.ndarray:
-        """The |G| x |G| cochains that take the generator values in the rows
-        of ``vectors`` and satisfy the tree equations; on a cocycle F,
-        ``extend(restrict(F)) == F``."""
-        return np.moveaxis(self._along_tree(self._on_gens(vectors)), -1, 0)
 
     def coboundary_rows(self) -> np.ndarray:
         """The |S| gauge rows dK_j on the off-tree values: B^2 in the gauge
@@ -428,21 +423,37 @@ class GroupCohomology:
         on_gens[self.elems] = vectors.T.reshape(w, ns, len(vectors))
         return on_gens
 
-    def _along_tree(self, on_gens: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Extend generator values f(x, s) to all f(g, k) by the tree equations.
+    def _along_tree(self, on_gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Extend generator values f(x, s) to f(g, k) for the rows g in ``rows``.
 
         ``on_gens`` is |G| x |S| x m as ``_on_gens`` builds it.  Along a tree
         edge k = k' s, df(g, k', s) = 0 reads f(g, k) = f(g, k') + f(gk', s)
-        - f(k', s), so row g needs only row g.  Returns the rows g in
-        ``rows`` (all of G by default) of the |G| x |G| x m values, with
-        f(1, .) = f(., 1) = 0.
+        - f(k', s), so row g needs only row g.  Returns the len(rows) x |G| x m
+        values of the extended cochains in those rows, with f(., 1) = 0.
         """
         t = self.t
-        g = (np.arange(t.order) if rows is None else rows)[:, None]
+        g = rows[:, None]
         F = np.zeros((len(g), t.order, on_gens.shape[-1]), dtype=np.int64)
         for parent, i, k in self.t.spanning_tree().layers:
             F[:, k] = F[:, parent] + on_gens[t.mult[g, parent], i] - on_gens[parent, i]
         return F % self.q
+
+    def _row_blocks(self, m: int):
+        """The rows g != 1 in blocks of |G| |S| m cells a row, at most
+        ``_BLOCK_CELLS`` a block unless one row alone is larger: room for df
+        at every pair (h, s), or for m cochains along the tree and their
+        temporaries."""
+        step = max(1, _BLOCK_CELLS // max(1, self.t.order * len(self.t.spanning_tree().gens) * m))
+        for start in range(0, len(self.elems), step):
+            yield self.elems[start : start + step]
+
+    def _support_size(self, vectors) -> int:
+        """The number of nonzero values of the bar cochains extended from the
+        restricted ``vectors``, summed over them, counted a block of rows g
+        at a time (f(1, .) = 0)."""
+        on_gens = self._on_gens(vectors)
+        blocks = self._row_blocks(on_gens.shape[-1])
+        return sum(int(np.count_nonzero(self._along_tree(on_gens, g))) for g in blocks)
 
     def _df_blocks(self, vectors, h: np.ndarray, i: np.ndarray):
         """df(g, h, s) = f(h, s) - f(gh, s) + f(g, hs) - f(g, h) for the
@@ -456,9 +467,7 @@ class GroupCohomology:
         t = self.t
         on_gens = self._on_gens(vectors)
         f_hs, hs = on_gens[h, i], t.mult[h, gens[i]]
-        step = max(1, _BLOCK_CELLS // max(1, t.order * len(gens) * on_gens.shape[-1]))
-        for start in range(0, len(self.elems), step):
-            g = self.elems[start : start + step]
+        for g in self._row_blocks(on_gens.shape[-1]):
             F = self._along_tree(on_gens, g)
             r = np.arange(len(g))[:, None]
             yield (f_hs - on_gens[t.mult[g[:, None], h], i] + F[r, hs] - F[r, h]) % self.q
@@ -591,18 +600,17 @@ class GroupCohomology:
 
     def _space(self, mod: QuotientModule, gens: np.ndarray) -> CohomologySpace:
         """The basis classes of a module built by ``_modulo_b2(gens)``: each a
-        combination of the given restricted generators, extended to |G| x |G|."""
-        basis = list(self.extend((mod.transform @ gens) % self.q))
-        return CohomologySpace(degree=2, modulus=self.q, invariants=list(mod.orders), basis=basis)
+        combination of the given restricted generators, as restricted values."""
+        basis = (mod.transform @ gens) % self.q
+        return CohomologySpace(
+            degree=2,
+            modulus=self.q,
+            invariants=list(mod.orders),
+            basis=list(basis),
+            support_size=self._support_size(basis),
+        )
 
     # -- cup products and the decomposable part -------------------------------
-
-    def cup_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a cup b)(g, h) = a(g) b(h); a normalized 2-cocycle for homs a, b."""
-        F = (np.asarray(a)[:, None] * np.asarray(b)[None, :]) % self.q
-        F[self.t.identity, :] = 0
-        F[:, self.t.identity] = 0
-        return F
 
     def cup_flats(self) -> np.ndarray:
         """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis, one row each."""
@@ -625,23 +633,13 @@ class GroupCohomology:
     def dec_space(self) -> CohomologySpace:
         return self._space(self.dec_module(), self.cup_flats())
 
-    def is_coboundary(self, cochain: np.ndarray) -> bool:
-        """Is the cochain, off the identity, a coboundary?  A coboundary is a
-        cocycle, so it is the extension of its generator values, and those
-        are a coboundary's: their gauge lies in the span of the |S|
-        ``coboundary_rows``.  Conversely both imply it."""
-        F = np.asarray(cochain, dtype=np.int64) % self.q
-        values = self.restrict(F)
-        inner = np.ix_(self.elems, self.elems)
-        if (self.extend(values[None])[0][inner] != F[inner]).any():
-            return False
-        return solve_mod(self.coboundary_rows().T, self.gauge(values[None])[0], self.q) is not None
-
     def pairing(self) -> PairingTensor:
         """Cup tensor of the H^1 basis in decomposable-H^2 coordinates.
 
         The cup products are the generators of ``dec_module``, in the order
-        (i, j) -> i m + j, so their coordinates are already known.
+        (i, j) -> i m + j, so their coordinates are already known.  The
+        module is taken modulo B^2, so a_i ∪ a_j is a coboundary iff
+        ``values[i, j]`` is zero.
         """
         m = self.h1_space().dimension
         mod = self.dec_module()
@@ -663,14 +661,6 @@ def h2(G: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> Cohomol
     return GroupCohomology(G, q, h2_bound=h2_bound).h2_space()
 
 
-def cup(a: np.ndarray, b: np.ndarray, G: FiniteGroupTable, q: int) -> np.ndarray:
-    """Representative of the cup product of two degree-1 classes."""
-    ctx = GroupCohomology(G, q)
-    if len(a) != G.order or len(b) != G.order:
-        raise DimensionMismatchError("degree-1 classes must be functions on G")
-    return ctx.cup_matrix(np.asarray(a, dtype=np.int64) % q, np.asarray(b, dtype=np.int64) % q)
-
-
 @dataclass
 class DecomposableH2:
     space: CohomologySpace
@@ -685,15 +675,13 @@ def decomposable_h2(G: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUN
 
 
 def inflation(pi: TableHom, cls: np.ndarray) -> np.ndarray:
-    """Pullback of a class on the target along a surjective quotient map."""
+    """Pullback of a degree-1 class on the target along a surjective quotient map."""
     if not pi.is_surjective():
         raise NotAHomomorphismError("inflation requires a surjective quotient map")
     cls = np.asarray(cls, dtype=np.int64)
-    if cls.shape == (pi.target.order,):
-        return cls[pi.mapping]
-    if cls.shape == (pi.target.order, pi.target.order):
-        return cls[np.ix_(pi.mapping, pi.mapping)]
-    raise DimensionMismatchError("class shape does not match the target group")
+    if cls.shape != (pi.target.order,):
+        raise DimensionMismatchError("class shape does not match the target group")
+    return cls[pi.mapping]
 
 
 @dataclass
@@ -705,34 +693,44 @@ class InducedMaps:
 
 
 def induced_h_maps(pi: TableHom, q: int) -> InducedMaps:
-    """Contravariant matrices of pi^* on H^1 and on decomposable H^2."""
+    """Contravariant matrices of pi^* on H^1 and on decomposable H^2.
+
+    Column j of ``h1_matrix`` M1 holds the source coordinates of the pulled
+    back target class a_j: pi^* a_j = Σ_u M1[u, j] b_u as functions on the
+    source, b_u its H^1 basis (B^1 = 0 for trivial coefficients).  The
+    decomposable part needs no cochain.  Lemma: with T the ``transform`` of
+    the target ``dec_module`` and P the source ``pairing().values``, target
+    class k is Σ_ij T[k, ij] a_i ∪ a_j, and pi^* commutes with the cup
+    product on cochains, (a ∪ b)(pi g, pi h) = a(pi g) b(pi h), so
+
+        pi^*(class k) = Σ_uv (Σ_ij T[k, ij] M1[u, i] M1[v, j]) b_u ∪ b_v,
+
+    exactly, and its source coordinates are Σ_uv (...) P[u, v, l] modulo
+    the order of source class l: the coordinates of b_u ∪ b_v are P[u, v].
+    """
     src = GroupCohomology(pi.source, q)
     tgt = GroupCohomology(pi.target, q)
     # H^1: pull back each target basis hom and express in the source basis
     src_h1 = src.h1_space()
     tgt_h1 = tgt.h1_space()
-    cols = []
-    if src_h1.dimension:
-        stack = np.array([b for b in src_h1.basis], dtype=np.int64).T  # |G| x m
-        for b in tgt_h1.basis:
-            pulled = b[pi.mapping]
-            x = solve_mod(stack, pulled, q)
-            if x is None:
-                raise QcwError("internal error: pullback hom not in the source H^1")
-            cols.append(x % q)
-        m1 = np.stack(cols, axis=1) if cols else np.zeros((src_h1.dimension, 0), dtype=np.int64)
-    else:
-        m1 = np.zeros((0, tgt_h1.dimension), dtype=np.int64)
+    m, n = src_h1.dimension, tgt_h1.dimension
+    m1 = np.zeros((m, n), dtype=np.int64)
+    if m and n:
+        stack = np.array(src_h1.basis, dtype=np.int64).T  # |G| x m
+        pulled = np.array(tgt_h1.basis, dtype=np.int64)[:, pi.mapping]
+        cols = solve_mod_many(stack, pulled.T, q)
+        if any(x is None for x in cols):
+            raise QcwError("internal error: pullback hom not in the source H^1")
+        m1 = np.stack(cols, axis=1)
     h1_bij = _is_module_iso(m1, src_h1.invariants, tgt_h1.invariants, q)
-    # decomposable H^2
-    src_dec = src.dec_module()
-    tgt_dec = tgt.dec_space()
-    if tgt_dec.basis:
-        pulled = src.restrict(np.array([b[np.ix_(pi.mapping, pi.mapping)] for b in tgt_dec.basis]))
-        m2 = src_dec.coords_batch(src.gauge(pulled)).T
-    else:
-        m2 = np.zeros((src_dec.rank, 0), dtype=np.int64)
-    dec_bij = _is_module_iso(m2, list(src_dec.orders), list(tgt_dec.invariants), q)
+    # decomposable H^2, by the lemma
+    src_dec, tgt_dec = src.dec_module(), tgt.dec_module()
+    T = tgt_dec.transform.reshape(tgt_dec.rank, n, n)
+    coeffs = np.einsum("kij,ui->kuj", T, m1) % q
+    coeffs = np.einsum("kuj,vj->kuv", coeffs, m1) % q
+    P = src.pairing().values.reshape(m * m, src_dec.rank)
+    m2 = (coeffs.reshape(tgt_dec.rank, m * m) @ P).T % np.array(src_dec.orders, dtype=np.int64)[:, None]
+    dec_bij = _is_module_iso(m2, list(src_dec.orders), list(tgt_dec.orders), q)
     return InducedMaps(h1_matrix=m1, dec_matrix=m2, h1_bijective=h1_bij, dec_bijective=dec_bij)
 
 
@@ -757,10 +755,8 @@ def _det_mod(M: np.ndarray, q: int) -> int:
     m = M.shape[0]
     total = 0
     for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = list(perm)
         # permutation sign by counting inversions
-        inv = sum(1 for i in range(m) for j in range(i + 1, m) if seen[i] > seen[j])
+        inv = sum(1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j])
         sign = -1 if inv % 2 else 1
         term = sign
         for i in range(m):
@@ -937,5 +933,5 @@ def cohomology_record(space: CohomologySpace) -> dict:
         "modulus": space.modulus,
         "dimension": space.dimension,
         "invariants": list(space.invariants),
-        "basis_support_size": space.basis_support_size(),
+        "basis_support_size": space.support_size,
     }

@@ -27,12 +27,10 @@ from qcw.cohom import (
     _span_invariants,
     CohomologySpace,
     TableHom,
-    cup,
     decomposable_h2,
     h1,
     h2,
     induced_h_maps,
-    inflation,
     pairing_gram,
     pairings_equivalent,
     PairingTensor,
@@ -46,6 +44,8 @@ from qcw.qcentral import (
     abelian_table,
     cyclic_table,
     induced_quotient_map,
+    quotient_table,
+    series_step_oracle,
     third_quotient,
     third_quotient_relators,
     to_table,
@@ -61,6 +61,24 @@ from qcw.zqlinalg import (
     kernel_with_orders,
     prime_power,
     solve_mod_many,
+)
+from bar_oracle import (
+    bar_z2,
+    cup,
+    cup_matrix,
+    extend,
+    extension_matrix,
+    flat_of_matrix,
+    former_induced_h_maps,
+    generator_columns,
+    inflation,
+    is_coboundary,
+    is_cocycle_matrix,
+    matrix_of_flat,
+    positions,
+    reference_coboundary_rows,
+    restrict,
+    support_size,
 )
 from test_zqlinalg import ReferenceRowSpace, assert_same_module, reference_quotient_module
 
@@ -126,8 +144,8 @@ def test_h2_against_brute_force(table, q, expected_invariants):
     assert space.invariants == expected_invariants
     assert math.prod(space.invariants) == brute_h2_order(table, q)
     ctx = GroupCohomology(table, q)
-    for b in space.basis:
-        assert is_cocycle_matrix(ctx, b)
+    for F in extend(ctx, space.basis):
+        assert is_cocycle_matrix(ctx, F)
 
 
 def test_h2_dimensions_cyclic_family():
@@ -164,14 +182,14 @@ def test_cup_nonzero_on_klein():
     t = abelian_table([2, 2])
     ctx = GroupCohomology(t, 2)
     x, y = ctx.h1_space().basis
-    assert not ctx.is_coboundary(ctx.cup_matrix(x, y))
+    assert not is_coboundary(ctx, cup_matrix(ctx, x, y))
 
 
 def test_cup_square_dies_on_z4():
     t = cyclic_table(4)
     ctx = GroupCohomology(t, 2)
     (x,) = ctx.h1_space().basis
-    assert ctx.is_coboundary(ctx.cup_matrix(x, x))
+    assert is_coboundary(ctx, cup_matrix(ctx, x, x))
 
 
 def test_decomposable_dimensions():
@@ -188,7 +206,7 @@ def test_decomposable_vanishes_for_free_quotient():
     assert ctx.dec_module().rank == 0
     x, y = ctx.h1_space().basis
     for a, b in ((x, x), (x, y), (y, y)):
-        assert ctx.is_coboundary(ctx.cup_matrix(a, b))
+        assert is_coboundary(ctx, cup_matrix(ctx, a, b))
 
 
 def test_dec_light_path_beats_h2_bound():
@@ -214,8 +232,8 @@ def test_graded_commutativity():
         basis = ctx.h1_space().basis
         for a in basis:
             for b in basis:
-                anti = (ctx.cup_matrix(a, b) + ctx.cup_matrix(b, a)) % q
-                assert ctx.is_coboundary(anti)
+                anti = (cup_matrix(ctx, a, b) + cup_matrix(ctx, b, a)) % q
+                assert is_coboundary(ctx, anti)
 
 
 def test_inflation_identity_and_pullbacks():
@@ -229,9 +247,9 @@ def test_inflation_identity_and_pullbacks():
     assert pulled.any()
     ctx4 = GroupCohomology(t4, 2)
     ctx2 = GroupCohomology(t2, 2)
-    sq = ctx2.cup_matrix(x2, x2)
-    assert not ctx2.is_coboundary(sq)  # x cup x generates H^2(Z/2)
-    assert ctx4.is_coboundary(inflation(proj, sq))  # but dies on Z/4
+    sq = cup_matrix(ctx2, x2, x2)
+    assert not is_coboundary(ctx2, sq)  # x cup x generates H^2(Z/2)
+    assert is_coboundary(ctx4, inflation(proj, sq))  # but dies on Z/4
 
 
 def test_compose_requires_the_same_middle_table():
@@ -251,8 +269,8 @@ def test_inflation_commutes_with_cup():
     x2 = h1(t2, 2).basis[0]
     ctx2 = GroupCohomology(t2, 2)
     ctx4 = GroupCohomology(t4, 2)
-    lhs = inflation(proj, ctx2.cup_matrix(x2, x2))
-    rhs = ctx4.cup_matrix(inflation(proj, x2), inflation(proj, x2))
+    lhs = inflation(proj, cup_matrix(ctx2, x2, x2))
+    rhs = cup_matrix(ctx4, inflation(proj, x2), inflation(proj, x2))
     assert (lhs % 2 == rhs % 2).all()
 
 
@@ -344,8 +362,8 @@ def test_h2_basis_all_cocycles_demushkin():
     t = to_table(third_quotient(parse_presentation(DEMUSHKIN3), P2))
     ctx = GroupCohomology(t, 2)
     space = ctx.h2_space()
-    for b in space.basis:
-        assert is_cocycle_matrix(ctx, b)
+    for F in extend(ctx, space.basis):
+        assert is_cocycle_matrix(ctx, F)
     dec = ctx.dec_module()
     assert dec.rank <= space.dimension
 
@@ -604,33 +622,6 @@ def reference_kernel_of_rowspace(rs, width, q):
     return kernel_with_orders(rs.rows_matrix(), q)
 
 
-def is_cocycle_matrix(ctx, F):
-    """The former ``GroupCohomology.is_cocycle_matrix``: the full |G|^3 cocycle identity."""
-    m, q, n = ctx.t.mult, ctx.q, ctx.t.order
-    lhs = F[:, :, None] + F[m, :]  # F[g, h] + F[gh, k]
-    rhs = F[None, :, :] + F[np.arange(n)[:, None, None], m[None, :, :]]
-    return bool(((lhs - rhs) % q == 0).all())
-
-
-def flat_of_matrix(ctx, F):
-    """The former ``GroupCohomology.flat_of_matrix``: the (|G|-1)^2 bar values of F."""
-    return F[np.ix_(ctx.elems, ctx.elems)].reshape(ctx.width) % ctx.q
-
-
-def matrix_of_flat(ctx, v):
-    """The former ``GroupCohomology.matrix_of_flat``: the |G| x |G| cochain of bar values v."""
-    n = ctx.t.order
-    F = np.zeros((n, n), dtype=np.int64)
-    F[np.ix_(ctx.elems, ctx.elems)] = np.asarray(v, dtype=np.int64).reshape(n - 1, n - 1) % ctx.q
-    return F
-
-
-def bar_z2(ctx):
-    """``z2_generators`` at bar width: the (|G|-1)^2 bar values of each extended generator, with its order."""
-    z2 = ctx.z2_generators()
-    return [(flat_of_matrix(ctx, F), o) for F, (_, o) in zip(ctx.extend([v for v, _ in z2]), z2)]
-
-
 def canonical_read_off(ctx, z2):
     """The former read-off of ``z2_generators`` from bar-width generators (vector, order) of Z^2.
 
@@ -645,43 +636,6 @@ def canonical_read_off(ctx, z2):
     if not canon.unit_pivots:
         return z2
     return [(v, ctx.q) for v in np.ascontiguousarray(canon.rows_matrix()[::-1, ::-1])]
-
-
-def extension_matrix(ctx):
-    """The (|G|-1)^2 x |S|(|G|-1) matrix of the tree extension: column j holds
-    the bar values of the cocycle extended from the j-th unit vector."""
-    gens = ctx.t.spanning_tree().gens
-    unknowns = len(ctx.elems) * len(gens)
-    return np.array([flat_of_matrix(ctx, F) for F in ctx.extend(np.eye(unknowns, dtype=np.int64))]).reshape(
-        unknowns, ctx.width
-    ).T
-
-
-def reference_coboundary_rows(ctx):
-    """The former bar-width ``GroupCohomology.coboundary_rows``: one |G| x |G| matrix per element."""
-    t, q, n = ctx.t, ctx.q, ctx.t.order
-    rows = np.zeros((n - 1, ctx.width), dtype=np.int64)
-    for k, x in enumerate(ctx.elems):
-        F = np.zeros((n, n), dtype=np.int64)
-        F[x, :] += 1
-        F[:, x] += 1
-        F[t.mult == x] -= 1
-        rows[k] = flat_of_matrix(ctx, F)
-    return rows % q
-
-
-def positions(ctx):
-    """Position of each element in ``ctx.elems`` (-1 at the identity)."""
-    pos = np.full(ctx.t.order, -1, dtype=np.int64)
-    pos[ctx.elems] = np.arange(len(ctx.elems))
-    return pos
-
-
-def generator_columns(ctx):
-    """Bar columns (g, s), g-major, of the listed generators s (deduplicated, identity dropped)."""
-    t, w, pos = ctx.t, ctx.t.order - 1, positions(ctx)
-    gens = [s for s in dict.fromkeys(t.generators) if s != t.identity]
-    return np.array([pos[g] * w + pos[s] for g in ctx.elems for s in gens], dtype=np.int64)
 
 
 def relabelled(t):
@@ -977,13 +931,13 @@ def test_quotients_match_the_bar_width_oracle(name, q, request):
     b2 = reference_coboundary_rows(ctx)
     ref_h2 = QuotientModule([v for v, _ in bar_z2(ctx)], b2, ctx.width, q)
     basis = ctx.h1_space().basis
-    cups = [flat_of_matrix(ctx, ctx.cup_matrix(a, b)) for a in basis for b in basis]
+    cups = [flat_of_matrix(ctx, cup_matrix(ctx, a, b)) for a in basis for b in basis]
     ref_dec = QuotientModule(cups, b2, ctx.width, q)
     h2mod, dec = ctx.h2_module(), ctx.dec_module()
     assert h2mod.orders == ref_h2.orders and dec.orders == ref_dec.orders
     for mod, ref, space in [(h2mod, ref_h2, ctx.h2_space()), (dec, ref_dec, ctx.dec_space())]:
         assert len(space.basis) == len(ref.basis)
-        assert all((F == matrix_of_flat(ctx, v)).all() for F, v in zip(space.basis, ref.basis))
+        assert all((F == matrix_of_flat(ctx, v)).all() for F, v in zip(extend(ctx, space.basis), ref.basis))
     m = len(basis)
     want = ref_dec.generator_coords.reshape(m, m, ref_dec.rank)
     got = ctx.pairing()
@@ -1011,12 +965,12 @@ def test_is_coboundary_matches_the_bar_width_solve(name, q, request):
         u[t.identity] = 0
         F = (u[:, None] + u[None, :] - u[t.mult]) % q
         if trial % 3 == 1 and basis:
-            F = F + ctx.cup_matrix(basis[trial % len(basis)], basis[-1])
+            F = F + cup_matrix(ctx, basis[trial % len(basis)], basis[-1])
         elif trial % 3 == 2:
             F[rng.integers(1, t.order), rng.integers(1, t.order)] += rng.integers(1, q)
         F[t.identity, :] = F[:, t.identity] = 0
         want = solve_mod_many(b2.T, flat_of_matrix(ctx, F), q)[0] is not None
-        assert ctx.is_coboundary(F) == want
+        assert is_coboundary(ctx, F) == want
         hits += want
     assert 0 < hits < 24
 
@@ -1029,16 +983,16 @@ def test_is_coboundary_rejects_a_non_cocycle_with_coboundary_generator_values(na
     u = np.arange(t.order, dtype=np.int64) % q
     du = (u[:, None] + u[None, :] - u[t.mult]) % q
     du[t.identity, :] = du[:, t.identity] = 0
-    assert ctx.is_coboundary(du)
+    assert is_coboundary(ctx, du)
     # change d(u) at one (g, h) with h neither 1 nor a listed generator
     off = [h for h in ctx.elems if h not in set(t.generators)]
     F = du.copy()
     F[ctx.elems[-1], off[-1]] = (F[ctx.elems[-1], off[-1]] + 1) % q
-    assert (ctx.restrict(F) == ctx.restrict(du)).all()
+    assert (restrict(ctx, F) == restrict(ctx, du)).all()
     b2 = reference_coboundary_rows(ctx)[:, generator_columns(ctx)]
-    assert solve_mod_many(b2.T, ctx.restrict(F), q)[0] is not None
+    assert solve_mod_many(b2.T, restrict(ctx, F), q)[0] is not None
     assert not is_cocycle_matrix(ctx, F)
-    assert not ctx.is_coboundary(F)
+    assert not is_coboundary(ctx, F)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])
@@ -1051,8 +1005,8 @@ def test_extend_inverts_restrict_on_cocycles(name, q, request):
     cocycles = np.array([matrix_of_flat(ctx, v) for v in flats])
     assert all(is_cocycle_matrix(ctx, F) for F in cocycles)
     assert (flats[:, generator_columns(ctx)] == z2).all()
-    assert (ctx.restrict(cocycles) == z2).all()
-    assert (ctx.extend(ctx.restrict(cocycles)) == cocycles).all()
+    assert (restrict(ctx, cocycles) == z2).all()
+    assert (extend(ctx, restrict(ctx, cocycles)) == cocycles).all()
 
 
 def reference_h1_rows(t, q):
@@ -1285,7 +1239,13 @@ def dense_basis_pairing(t, q):
     basis = np.zeros((len(kern), t.order), dtype=np.int64)
     for row, (vec, _) in zip(basis, kern):
         row[ctx.elems] = vec
-    ctx._h1 = CohomologySpace(degree=1, modulus=q, invariants=[o for _, o in kern], basis=list(basis))
+    ctx._h1 = CohomologySpace(
+        degree=1,
+        modulus=q,
+        invariants=[o for _, o in kern],
+        basis=list(basis),
+        support_size=int(np.count_nonzero(basis)),
+    )
     return ctx.pairing()
 
 
@@ -1315,7 +1275,7 @@ def test_x1sq_pairing_is_chi1_cup_chi1():
 
 def reference_verify_kernel(ctx, vectors):
     """The former ``_verify_kernel``: the full |G|^3 identity, one extended cochain at a time."""
-    return all(is_cocycle_matrix(ctx, F) for F in ctx.extend(vectors))
+    return all(is_cocycle_matrix(ctx, F) for F in extend(ctx, vectors))
 
 
 def df_vanishes(ctx, vectors, generators=None):
@@ -1581,6 +1541,142 @@ def test_cohomology_command_solves_z2_from_the_relators(monkeypatch):
         assert main(["cohomology", GROUPS_GRP, "free2", "--q", "2"]) == 0
     assert 0 < sum(rows_in) <= len(third_quotient_relators(pres, params)) * (order - 1)
     assert df_pairs == [order * pres.rank]
+
+
+# -- degree 2 on the generator values against the bar-cochain oracle -------------
+
+
+def assert_support_matches_the_bar_cochains(ctx):
+    for space in (ctx.h2_space(), ctx.dec_space()):
+        assert space.support_size == support_size(ctx, space)
+
+
+@pytest.mark.parametrize("name,q", relator_cases(1024))
+def test_support_size_matches_the_bar_cochains(name, q):
+    # the count over row blocks equals np.count_nonzero of the extended
+    # basis cochains, on the cohomology command's relator route
+    params = SeriesParams.from_q(q)
+    t = to_table(third_quotient(GRP[name], params, NO_BOUND), 1024)
+    relators = third_quotient_relators(GRP[name], params)
+    assert_support_matches_the_bar_cochains(GroupCohomology(t, q, h2_bound=1024, relators=relators))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_support_size_matches_the_bar_cochains_on_small_tables(name, q, request):
+    assert_support_matches_the_bar_cochains(GroupCohomology(small_table(name, request), q))
+
+
+def test_support_count_runs_over_row_blocks_within_the_budget(monkeypatch):
+    # with a budget of a few rows, h2_space and dec_space extend their basis
+    # classes a block of rows g at a time, never all |G| rows at once, and
+    # the count over the blocks does not change
+    import qcw.cohom
+
+    q, budget = 3, 2000
+    t = to_table(third_quotient(GRP["abelianized"], SeriesParams.from_q(q), NO_BOUND))
+    whole = GroupCohomology(t, q, h2_bound=t.order)
+    want = [whole.h2_space().support_size, whole.dec_space().support_size]
+    ctx = GroupCohomology(t, q, h2_bound=t.order)
+    # the Z^2 solve and its safety net run before the spy
+    ctx.h2_module()
+    ctx.dec_module()
+    ns = len(t.spanning_tree().gens)
+    calls, along_tree = [], GroupCohomology._along_tree
+
+    def spy(self, on_gens, rows):
+        calls.append((len(rows), on_gens.shape[-1]))
+        return along_tree(self, on_gens, rows)
+
+    monkeypatch.setattr(qcw.cohom, "_BLOCK_CELLS", budget)
+    monkeypatch.setattr(GroupCohomology, "_along_tree", spy)
+    got = []
+    for call in (ctx.h2_space, ctx.dec_space):
+        calls.clear()
+        space = call()
+        assert space.dimension and len(calls) > 1
+        assert all(m == space.dimension and rows * t.order * ns * m <= budget for rows, m in calls)
+        assert sum(rows for rows, _ in calls) == t.order - 1
+        got.append(space.support_size)
+    assert got == want and all(want)
+    monkeypatch.undo()
+    assert got == [support_size(ctx, ctx.h2_space()), support_size(ctx, ctx.dec_space())]
+
+
+def _images(*words):
+    return [Word(tuple(w)) for w in words]
+
+
+# (source, target, images of the source generators) in groups.grp, each a
+# homomorphism at level 3 for q in {2, 3, 4}
+QUOTIENT_MAPS = [
+    ("free2", "free2", _images([(0, 1)], [(1, 1)])),
+    ("free2", "free2", _images([(0, 1), (1, 1)], [(1, 1)])),
+    ("free2", "free2", _images([(0, 1)], [(1, 2)])),
+    ("free2", "free1", _images([(0, 1)], [])),
+    ("free1", "free2", _images([(0, 1)])),
+    ("free2", "abelianized", _images([(0, 1)], [(1, 1)])),
+    ("free2", "class2", _images([(0, 1)], [(1, 1)])),
+    ("class2", "free2", _images([(0, 1)], [(1, 1)])),
+    ("abelianized", "abelianized", _images([(0, 1), (1, 1)], [(1, 1)])),
+    ("abelianized", "abelianized", _images([(1, 1)], [(0, 1)])),
+    ("abelianized", "abelianized", _images([(0, 1)], [(1, 2)])),
+    ("abelianized", "involution", _images([(0, 1)], [])),
+    ("abelianized", "free1", _images([(0, 1)], [(0, 1)])),
+    ("demushkin3", "demushkin3", _images([(0, 1), (1, 1)], [(1, 1)])),
+    ("demushkin3", "demushkin3", _images([(0, -1)], [(1, 1)])),
+    ("demushkin7", "demushkin7", _images([(0, 1), (1, 1)], [(1, 1)])),
+    ("demushkin7", "demushkin7", _images([(0, 1)], [(1, 2)])),
+    ("demushkin3", "involution", _images([(0, 1)], [])),
+    ("involution", "involution", _images([(0, 1)])),
+    ("free1", "involution", _images([(0, 1)])),
+]
+
+
+def induced_cases(q, request):
+    """(label, TableHom) at q: the induced_h_maps cases above, QUOTIENT_MAPS,
+    the Frattini quotients of the small tables and an automorphism of klein4."""
+    free2, free1 = free_presentation(2), free_presentation(1)
+    e = to_table(universal_class2(2, P2))
+    cases = [("universal_class2_identity", TableHom(source=e, target=e, mapping=np.arange(e.order)))]
+    params = SeriesParams.from_q(q)
+    maps = [
+        ("level3_identity", [Word(((0, 1),)), Word(((1, 1),))], free2, free2, P2),
+        ("level3_transvection", [Word(((0, 1), (1, 1))), Word(((1, 1),))], free2, free2, P2),
+        ("level3_y_squared", [Word(((0, 1),)), Word(((1, 2),))], free2, free2, P2),
+        ("level3_kill_y", [Word(((0, 1),)), Word(())], free2, free1, P2),
+        ("level3_inclusion", [Word(((0, 1),))], free1, free2, P2),
+    ]
+    maps += [(f"{a}_to_{b}_{k}", images, GRP[a], GRP[b], params) for k, (a, b, images) in enumerate(QUOTIENT_MAPS)]
+    for label, images, src, tgt, at in maps:
+        qmap = induced_quotient_map(images, src, tgt, at, 4096)
+        cases.append((label, TableHom(source=qmap.source, target=qmap.target, mapping=qmap.mapping)))
+    named = dict(cases)
+    cases.append(("level3_kill_y_after_transvection", named["level3_kill_y"].compose(named["level3_transvection"])))
+    for name in sorted(SMALL_TABLES):
+        t = small_table(name, request)
+        quot = quotient_table(t, series_step_oracle(t, set(range(t.order)), P2))
+        cases.append((f"{name}_frattini", TableHom(source=t, target=quot.table, mapping=quot.mapping)))
+    klein = abelian_table([2, 2])
+    # Aut(Z/2 x Z/2) permutes the three involutions
+    cases.append(("klein4_automorphism", TableHom(source=klein, target=klein, mapping=[0, 2, 3, 1])))
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_induced_maps_match_the_bar_cochain_route(q, request):
+    # h1_matrix from one batched solve and dec_matrix from the pairing, by
+    # the lemma of induced_h_maps, against the former route: one solve per
+    # class, and the dec basis cochains pulled back at |G| x |G|
+    nonzero = 0
+    for label, pi in induced_cases(q, request):
+        res = induced_h_maps(pi, q)
+        m1, m2 = former_induced_h_maps(pi, q)
+        for got, want in ((res.h1_matrix, m1), (res.dec_matrix, m2)):
+            assert got.dtype == want.dtype and got.shape == want.shape, label
+            assert (got == want).all(), label
+        nonzero += bool(m2.any())
+    assert nonzero >= 4
 
 
 # -- bijectivity from span invariants --------------------------------------------

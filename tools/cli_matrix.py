@@ -32,7 +32,14 @@ The runs:
   q in {2, 3};
 * four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
   65536) and ``compare Qp:97 --q 32`` (|G| = 2^20), ``check class2
-  --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``.
+  --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``;
+* four ``cohomology`` runs with large bounds: ``free2 --q 3`` (|G| =
+  243) and ``free3 --q 2`` (|G| = 512) at ``--order-bound 1000
+  --h2-bound 1000``, ``free2 --q 4 --order-bound 5000 --h2-bound 5000``
+  (|G| = 1024) and ``demushkin7 --q 3 --order-bound 2048 --h2-bound
+  256`` (|G| = 81), which has a nonzero decomposable part.  The free3
+  and the q = 4 run count the support of their H^2 basis classes over
+  three blocks of rows each.
 """
 
 from __future__ import annotations
@@ -108,6 +115,12 @@ def command_lines() -> list[list[str]]:
         ["compare", "Qp:97", "--q", "32", "--order-bound", "100000000"],
         ["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "7", "--order-bound", "20000"],
         ["check", "--file", grp, "--group", "demushkin3", "--against", "free3", "--q", "3", "--order-bound", "20000"],
+    ]
+    runs += [
+        ["cohomology", grp, "free2", "--q", "3", "--order-bound", "1000", "--h2-bound", "1000"],
+        ["cohomology", grp, "free3", "--q", "2", "--order-bound", "1000", "--h2-bound", "1000"],
+        ["cohomology", grp, "free2", "--q", "4", "--order-bound", "5000", "--h2-bound", "5000"],
+        ["cohomology", grp, "demushkin7", "--q", "3", "--order-bound", "2048", "--h2-bound", "256"],
     ]
     return [argv + ["--output", "json"] for argv in runs]
 
