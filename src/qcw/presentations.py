@@ -13,12 +13,14 @@ The textual format, bit-exact:
 Whitespace is insignificant, "#" starts a line comment, and identifiers are
 ASCII letters followed by ASCII alphanumerics.
 
-Loading a file is one regex scan and one pass over plain tuples.  Each token
-is a (kind, text, offset) tuple; the whitespace and comments after a token
-belong to its match and never become tokens.  Line and column are computed
-from the offset only when a ParseError is raised, and an unexpected
-character anywhere in the file is reported before any syntax error, as if
-the whole file were tokenized first.
+Loading a file is one regex scan and one descent over the token texts.  The
+scan is a ``findall`` over the text with every comment replaced by spaces of
+the same length, so neither comments nor whitespace become tokens, and a
+token's kind is read off its first character.  Offsets are computed only
+when a ParseError is raised, by a ``finditer`` of the same regex over the
+same text, and give its line and column.  An unexpected character anywhere
+in the file is reported before any syntax error, as if the whole file were
+tokenized first.
 
 Words are stored as runs (generator index, exponent), so x^16 is a single
 letter.  Each word is built as one list of runs and kept freely reduced as
@@ -220,60 +222,70 @@ MAX_RUNS = 1 << 23
 # parser, so deeper input fails with a ParseError, not a RecursionError.
 MAX_DEPTH = 500
 
-# one match per token, together with the whitespace and comments after it
-_TOKEN_RE = re.compile(
-    r"""(?: (?P<ident>[A-Za-z][A-Za-z0-9]*)
-          | (?P<int>-?[0-9]+)
-          | (?P<punct>[{}\[\](),;:^])
-          | (?P<bad>.) )
-        (?:[ \t\r\n]+|\#[^\n]*)*
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*")
+# one match per token, group 1, with the whitespace before it; comments are
+# blanked out before the scan
+_TOKEN = re.compile(r"[ \t\r\n]*([{}\[\](),;:^]|[A-Za-z][A-Za-z0-9]*|-?[0-9]+|[^ \t\r\n])")
+_COMMENT = re.compile(r"#[^\n]*")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_PUNCT = frozenset("{}[](),;:^")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, ending in ("eof", "", len(text))."""
-    tokens = [
-        (m.lastgroup, m[m.lastindex], m.start())
-        for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())
-    ]
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _blank_comments(text: str) -> str:
+    """The text with every comment replaced by as many spaces."""
+    return _COMMENT.sub(lambda m: " " * len(m[0]), text)
+
+
+def _token_texts(text: str) -> list[str]:
+    """The token texts of a file, ending in "" for the end of the file."""
+    texts = _TOKEN.findall(_blank_comments(text))
+    texts.append("")
+    return texts
+
+
+def _kind(text: str) -> str:
+    """"ident", "int", "punct", "bad" (an unexpected character) or "eof",
+    read off the first character of a token text."""
+    head = text[:1]
+    if head in _LETTERS:
+        return "ident"
+    if head in _DIGITS or (head == "-" and len(text) > 1):
+        return "int"
+    if head in _PUNCT:
+        return "punct"
+    return "bad" if text else "eof"
 
 
 class _Fault(Exception):
-    """A parse error at a character offset; parse_file adds line and column."""
+    """A parse error at a token index; parse_file adds line and column."""
 
-    def __init__(self, message: str, offset: int):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.message = message
-        self.offset = offset
+        self.index = index
 
 
-def _expect(tokens, i: int, want: str) -> None:
-    text = tokens[i][1]
-    if text != want:
-        raise _Fault(f"expected {want!r}, got {text!r}", tokens[i][2])
+def _expect(texts, i: int, want: str) -> None:
+    if texts[i] != want:
+        raise _Fault(f"expected {want!r}, got {texts[i]!r}", i)
 
 
-def _expect_kind(tokens, i: int, kind: str) -> str:
-    if tokens[i][0] != kind:
-        raise _Fault(f"expected {kind!r}, got {tokens[i][1]!r}", tokens[i][2])
-    return tokens[i][1]
+def _expect_kind(texts, i: int, kind: str) -> str:
+    if _kind(texts[i]) != kind:
+        raise _Fault(f"expected {kind!r}, got {texts[i]!r}", i)
+    return texts[i]
 
 
-def _parse_groups(tokens: list) -> list[Presentation]:
+def _parse_groups(texts: list) -> list[Presentation]:
     budget = MAX_RUNS
 
-    def spend(runs: int, what: str, offset: int) -> None:
+    def spend(runs: int, what: str, i: int) -> None:
         nonlocal budget
         if runs > budget:
             raise _Fault(
                 f"{what} too long: the powers and commutators of this file "
                 f"would build more than {MAX_RUNS} runs",
-                offset,
+                i,
             )
         budget -= runs
 
@@ -281,15 +293,11 @@ def _parse_groups(tokens: list) -> list[Presentation]:
         runs: list[tuple[int, int]] = []
         start = i
         while True:
-            kind, text, offset = tokens[i]
-            if depth == MAX_DEPTH and text in ("[", "("):
-                raise _Fault(f"brackets nested more than {MAX_DEPTH} deep", offset)
-            if kind == "ident":
-                g = index.get(text)
-                if g is None:
-                    raise _Fault(f"undeclared generator {text!r}", offset)
-                if tokens[i + 1][1] == "^":
-                    e = int(_expect_kind(tokens, i + 2, "int"))
+            text = texts[i]
+            g = index.get(text)
+            if g is not None:
+                if texts[i + 1] == "^":
+                    e = int(_expect_kind(texts, i + 2, "int"))
                     i += 3
                 else:
                     e = 1
@@ -299,87 +307,96 @@ def _parse_groups(tokens: list) -> list[Presentation]:
                 if e != 0:
                     runs.append((g, e))
                 continue
+            if depth == MAX_DEPTH and text in ("[", "("):
+                raise _Fault(f"brackets nested more than {MAX_DEPTH} deep", i)
             if text == "[":
+                opening = i
                 left, i = word(i + 1, index, depth + 1)
-                _expect(tokens, i, ",")
+                _expect(texts, i, ",")
                 right, i = word(i + 1, index, depth + 1)
-                _expect(tokens, i, "]")
-                spend(2 * (len(left) + len(right)), "commutator", offset)
+                _expect(texts, i, "]")
+                spend(2 * (len(left) + len(right)), "commutator", opening)
                 base = _commutator(left, right)
             elif text == "(":
                 base, i = word(i + 1, index, depth + 1)
-                _expect(tokens, i, ")")
+                _expect(texts, i, ")")
+            elif _kind(text) == "ident":
+                raise _Fault(f"undeclared generator {text!r}", i)
             elif i == start:
-                raise _Fault(f"expected a generator, '[' or '(', got {text!r}", offset)
+                raise _Fault(f"expected a generator, '[' or '(', got {text!r}", i)
             else:
                 return runs, i
             i += 1
-            if tokens[i][1] == "^":
-                k = int(_expect_kind(tokens, i + 1, "int"))
-                caret = tokens[i][2]
+            if texts[i] == "^":
+                k = int(_expect_kind(texts, i + 1, "int"))
+                caret = i
                 base = _power(base, k, lambda size: spend(size, "power", caret))
                 i += 2
             _extend(runs, base)
 
     def group(i: int) -> tuple[Presentation, int]:
-        _expect(tokens, i, "group")
-        name = _expect_kind(tokens, i + 1, "ident")
-        _expect(tokens, i + 2, "{")
-        _expect(tokens, i + 3, "generators")
-        _expect(tokens, i + 4, ":")
+        _expect(texts, i, "group")
+        name = _expect_kind(texts, i + 1, "ident")
+        _expect(texts, i + 2, "{")
+        _expect(texts, i + 3, "generators")
+        _expect(texts, i + 4, ":")
         i += 5
-        if tokens[i][1] == ";":
-            raise _Fault("empty generator list", tokens[i][2])
-        gens = [_expect_kind(tokens, i, "ident")]
+        if texts[i] == ";":
+            raise _Fault("empty generator list", i)
+        gens = [_expect_kind(texts, i, "ident")]
         i += 1
-        while tokens[i][1] == ",":
-            gens.append(_expect_kind(tokens, i + 1, "ident"))
+        while texts[i] == ",":
+            gens.append(_expect_kind(texts, i + 1, "ident"))
             i += 2
         if len(set(gens)) != len(gens):
-            raise _Fault(f"duplicate generator name in group {name!r}", tokens[i][2])
-        _expect(tokens, i, ";")
-        _expect(tokens, i + 1, "relators")
-        _expect(tokens, i + 2, ":")
+            raise _Fault(f"duplicate generator name in group {name!r}", i)
+        _expect(texts, i, ";")
+        _expect(texts, i + 1, "relators")
+        _expect(texts, i + 2, ":")
         i += 3
         index = {g: n for n, g in enumerate(gens)}
         relators = []
-        if tokens[i][1] != ";":
+        if texts[i] != ";":
             runs, i = word(i, index, 0)
             relators.append(Word(tuple(runs)))
-            while tokens[i][1] == ",":
+            while texts[i] == ",":
                 runs, i = word(i + 1, index, 0)
                 relators.append(Word(tuple(runs)))
-        _expect(tokens, i, ";")
-        _expect(tokens, i + 1, "}")
+        _expect(texts, i, ";")
+        _expect(texts, i + 1, "}")
         pres = Presentation(name=name, generator_names=tuple(gens), relators=tuple(relators))
         return pres, i + 2
 
     groups = []
     i = 0
-    while not groups or tokens[i][0] != "eof":
+    while not groups or texts[i] != "":
         pres, i = group(i)
         groups.append(pres)
     return groups
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The ParseError at token ``index`` (the end of the file past the last
+    token): its offset comes from the same scan that gave the token texts."""
+    offsets = [m.start(1) for m in _TOKEN.finditer(_blank_comments(text))]
+    offset = offsets[index] if index < len(offsets) else len(text)
     line = text.count("\n", 0, offset) + 1
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_file(text: str) -> list[Presentation]:
     """Parse a file of one or more group blocks."""
-    tokens = _tokenize(text)
+    texts = _token_texts(text)
     try:
-        return _parse_groups(tokens)
+        return _parse_groups(texts)
     except (_Fault, ValueError) as err:
         # an unexpected character anywhere comes first, as if the whole file
         # were tokenized before parsing
-        bad = next((t for t in tokens if t[0] == "bad"), None)
+        bad = next((i for i, t in enumerate(texts) if _kind(t) == "bad"), None)
         if bad is not None:
-            raise _error(text, bad[2], f"unexpected character {bad[1]!r}") from None
+            raise _error(text, bad, f"unexpected character {texts[bad]!r}") from None
         if isinstance(err, _Fault):
-            raise _error(text, err.offset, err.message) from None
+            raise _error(text, err.index, err.message) from None
         raise
 
 

@@ -25,6 +25,26 @@ Integer powers have the closed form
 
 valid for every k in Z, negative included.
 
+Two closed forms follow from these rules; the front end of every quotient
+(relator images, commutators) uses them instead of chains of products.
+
+* Word images.  For u = (A, C) and a prefix (a, c),
+
+      (a, c) u^e = (a + e A,  c + e C + C(e, 2) corr(A, A) + e corr(a, A)),
+
+  corr(a, A)_ij = a_j A_i: the power rule gives u^e = (e A, e C +
+  C(e, 2) corr(A, A)), and collecting it onto (a, c) adds corr(a, e A) =
+  e corr(a, A).  So ``evaluate_word`` makes one pass over a word's runs,
+  summing plain integers: the c-terms read a only mod q, so a may be
+  reduced mod q^2 and c mod q once, at the end.
+* Commutators.  [u, v] = u^-1 v^-1 u v = (v u)^-1 (u v).  The products u v
+  and v u share the a-part a_u + a_v, and their c-parts differ by
+  corr(a_u, a_v) - corr(a_v, a_u).  For X, Y with one a-part a, X^-1 =
+  (-a, -c_X + corr(a, a)) and collecting Y onto it adds corr(-a, a), so
+  X^-1 Y = (0, c_Y - c_X).  Hence
+
+      [u, v] = (0, c),   c_ij = a_u[j] a_v[i] - a_v[j] a_u[i]   (mod q).
+
 G^[3] of a presented group is E(n, q) / N, where N is the normal closure of
 the relator images.  In a class-2 group the normal closure of a set R is
 generated by R together with the commutators [r, x_i] (one round suffices:
@@ -235,7 +255,12 @@ class ClassTwoGroup:
         return self.power(u, -1)
 
     def commutator(self, u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
-        return self.mul(self.inverse(self.mul(v, u)), self.mul(u, v))
+        """[u, v] = u^-1 v^-1 u v, central: (0, corr(a_u, a_v) - corr(a_v, a_u))
+        (module docstring)."""
+        self._check(u)
+        self._check(v)
+        c = tuple((u.a[j] * v.a[i] - v.a[j] * u.a[i]) % self.q for i, j in self.pairs)
+        return ClassTwoElement(a=(0,) * self.n, c=c)
 
     # -- the kernel N --------------------------------------------------------
 
@@ -352,15 +377,47 @@ def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_OR
 
 
 def evaluate_word(w: Word, images: list[ClassTwoElement], group: ClassTwoGroup) -> ClassTwoElement:
-    """Image of a word under generator -> images, computed in normal form."""
-    out = group.identity()
+    """Image of a word under generator -> images, in one pass over its runs.
+
+    A run (g, e) with image u = (A, C) adds e A to a and, for each pair ij,
+    e C_ij + C(e, 2) A_j A_i + e A_i a_j to c_ij, where a is the sum before
+    the run (module docstring: this is collecting u^e onto the prefix).
+    Each image is checked once, at its first run, and contributes only the
+    pairs where one of C_ij, A_j A_i, A_i is nonzero mod q.
+    """
+    q, q2 = group.q, group.q2
+    a = [0] * group.n
+    c = [0] * len(group.pairs)
+    forms: list = [None] * len(images)
     for g, e in w.letters:
         if g >= len(images):
             raise DimensionMismatchError(
                 f"word uses generator {g}, only {len(images)} images given"
             )
-        out = group.mul(out, group.power(images[g], e))
-    return out
+        form = forms[g]
+        if form is None:
+            form = forms[g] = _run_form(group, images[g])
+        a_terms, c_terms = form
+        binom = e * (e - 1) // 2
+        for t, ct, corr, ai, j in c_terms:
+            c[t] += e * (ct + ai * a[j]) + binom * corr
+        for i, ai in a_terms:
+            a[i] += e * ai
+    return ClassTwoElement(a=tuple(x % q2 for x in a), c=tuple(x % q for x in c))
+
+
+def _run_form(group: ClassTwoGroup, u: ClassTwoElement) -> tuple[list, list]:
+    """The nonzero terms of ``evaluate_word``'s step for image u: (i, A_i)
+    for a, and (pair index, C_ij, A_j A_i, A_i, j) for c, all reduced."""
+    group._check(u)
+    q, q2 = group.q, group.q2
+    a_terms = [(i, x % q2) for i, x in enumerate(u.a) if x % q2]
+    c_terms = []
+    for t, (i, j) in enumerate(group.pairs):
+        term = (t, u.c[t] % q, u.a[j] * u.a[i] % q, u.a[i] % q, j)
+        if any(term[1:4]):
+            c_terms.append(term)
+    return a_terms, c_terms
 
 
 def _saturate_with_commutators(group: ClassTwoGroup, seeds: list[ClassTwoElement]) -> list[ClassTwoElement]:
@@ -386,13 +443,14 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
     # trial describes the normal closure of its basis, and that is the
     # subgroup it generates: the saturated elements with a = 0 (the central
     # ones, the commutators [r, x_i] among them) sort before any with a != 0,
-    # so each [r, x_i] of an r already kept lies in the trial.
-    pruned: list[ClassTwoElement] = []
+    # so each [r, x_i] of an r already kept lies in the trial.  A trial
+    # builds its ``_KernelForm`` once, at its first membership test: one
+    # build for E and one per kept element, the last of them returned.
+    trial = E
     for g in sorted(saturated, key=lambda e: (e.a, e.c)):
-        trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
         if not trial.contains_in_kernel(g):
-            pruned.append(g)
-    return ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
+            trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=trial.kernel_basis + (g,))
+    return trial
 
 
 def third_quotient_relators(pres: Presentation, params: SeriesParams) -> tuple[Word, ...]:

@@ -501,19 +501,22 @@ def _general_sweep(M: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarra
     loses (x // p^e) times the pivot row: a candidate's x has valuation
     >= e, so it is cleared, and a pivot row above keeps x mod p^e.  For
     e > 0 the tail p^(d-e) * pivot row, which is zero at c, joins the
-    candidates.
+    candidates.  A column where no candidate is nonzero changes nothing, so
+    the sweep jumps from it to the next column with a nonzero candidate
+    entry (``_next_column``).
     """
     q = p**d
     n, w = M.shape
     k = 0  # M[:k] are the pivot rows so far, in column order; M[k:n] the candidates
     cols: list[int] = []
     exps: list[int] = []
-    for c in range(w):
-        if k == n:
-            break  # no candidates left: the columns to the right change nothing
+    c = 0
+    # with no candidates left, the columns to the right change nothing
+    while c < w and k < n:
         nz = np.flatnonzero(M[:n, c])
         cand = nz[np.searchsorted(nz, k) :]
         if cand.size == 0:
+            c = _next_column(M[k:n], c + 1)
             continue
         x = M[cand, c]
         e, pe = 0, 1
@@ -544,7 +547,22 @@ def _general_sweep(M: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarra
                 M[n] = tail
                 n += 1
         k += 1
+        c += 1
     return M[:k], np.array(cols, dtype=np.int64), np.array(exps, dtype=np.int64)
+
+
+def _next_column(block: np.ndarray, c: int) -> int:
+    """The first column >= c where ``block`` has a nonzero entry, else its
+    width: read in column chunks of doubling width, as in
+    ``_first_min_valuation``, so a gap of g columns costs log2(g) steps."""
+    size = 8
+    while c < block.shape[1]:
+        hit = block[:, c : c + size].any(axis=0)
+        if hit.any():
+            return c + int(hit.argmax())
+        c += size
+        size *= 2
+    return block.shape[1]
 
 
 class RowSpace:

@@ -407,6 +407,24 @@ def test_cohomology_of_a_long_run_costs_its_period(tmp_path, long_relator, short
     assert long_out.replace('"group": "long"', '"group": "short"') == short_out
 
 
+@pytest.mark.parametrize(
+    "output,name_line", [("json", '"group": "{}"'), ("text", "group: {}\n")], ids=["json", "text"]
+)
+def test_quotient_of_a_long_power_prints_what_free2_prints(tmp_path, output, name_line):
+    # (x y)^400000 is 800000 runs; at q = 2 its image in E(2, 2) is trivial
+    path = tmp_path / "long.grp"
+    path.write_text(
+        "group long { generators: x, y; relators: (x y)^400000; }\n"
+        "group free2 { generators: x, y; relators: ; }\n"
+    )
+    code, long_out = run_cli("quotient", str(path), "long", "--q", "2", "--output", output)
+    assert code == 0
+    code, free_out = run_cli("quotient", str(path), "free2", "--q", "2", "--output", output)
+    assert code == 0
+    assert name_line.format("long") in long_out
+    assert long_out.replace(name_line.format("long"), name_line.format("free2")) == free_out
+
+
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos")
 
 

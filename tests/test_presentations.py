@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from qcw.presentations import (
     power,
     serialize_presentation,
 )
+import front_oracle
 
 
 def w(*letters):
@@ -489,3 +491,64 @@ def test_nesting_is_bounded_before_the_interpreter_stack():
     with pytest.raises(ParseError, match=f"brackets nested more than {MAX_DEPTH} deep") as err:
         parse_file(nested(MAX_DEPTH))
     assert err.value.col == len("group G { generators: x, y; relators: ") + 3 * MAX_DEPTH + 1
+
+
+# ---------------------------------------------------------------------------
+# the token texts against the former (kind, text, offset) tokenizer
+
+with open(os.path.join(os.path.dirname(__file__), "data", "groups.grp"), encoding="utf-8") as _fh:
+    GROUPS_TEXT = _fh.read()
+
+# files of the shapes the benchmark's quotient-check workload writes
+WORKLOAD_FILES = [
+    GROUPS_TEXT,
+    "group seeded1 { generators: x; relators: x^-1 (x^3 x^-2 x)^8 x; }\n"
+    "group seeded2 { generators: x, y; relators: y x (x y^-1 x^2)^3 x^-1 y^-1, [[x, y^-1], x y]; }\n"
+    "group seeded3 { generators: x, y, z; relators: z^-1 (x z y^-1 x)^2 z, [[y, x z], z^-1]; }\n",
+    "group seededclass2 { generators: x, y, z; relators: [[x y, z], x^-1], [[y, z], z], "
+    "x^-2 [[x, y], x] x^2, [[y, z x], y]; }\n# trailing comment\ngroup free3 { generators: x, y, z; relators: ; }\n",
+    "group long { generators: x, y; relators: (x y)^400000, [x, y]; }\n",
+]
+MUTATION_ALPHABET = list("#\f\vé-^ \t\r\n[](){},;:xyz019") + ["group", "x^-"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A workload file with one to four characters inserted, replaced or deleted."""
+    text = draw(st.sampled_from(WORKLOAD_FILES))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        piece = "" if op == "delete" else draw(st.sampled_from(MUTATION_ALPHABET))
+        text = text[:at] + piece + text[at + (op != "insert") :]
+    return text
+
+
+FRONT_EXAMPLES = [
+    "group A { generators: x; relators: x # é \f \v - ^\n; }",  # bad characters inside a comment
+    "group A { generators: x; relators: x\f; }",
+    "group A {\n generators: x;\n relators: x\v; }",
+    "group A { generators: x; relators: x-1, x^-; }",
+    "group A { generators: x; relators: --1; }",
+    "#\n#\n   # only comments",
+    "group A { generators: x; relators: ; }#",
+]
+
+
+def assert_same_front_end(text):
+    texts = qcw.presentations._token_texts(text)
+    former = front_oracle.tokenize(text)
+    assert texts == [t[1] for t in former]
+    assert [qcw.presentations._kind(t) for t in texts] == [t[0] for t in former]
+    assert outcome(parse_file, text) == outcome(front_oracle.parse_file, text)
+
+
+@pytest.mark.parametrize("text", FRONT_EXAMPLES + MALFORMED)
+def test_token_texts_and_errors_match_the_former_tokenizer(text):
+    assert_same_front_end(text)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=mutated_files())
+def test_mutated_files_parse_as_with_the_former_tokenizer(text):
+    assert_same_front_end(text)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcw.errors import NotAHomomorphismError, SizeLimitError
+from qcw.errors import DimensionMismatchError, NotAHomomorphismError, SizeLimitError
 from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     ClassTwoElement,
     ClassTwoGroup,
     FiniteGroupTable,
     SeriesParams,
+    _KernelForm,
     _build_hom,
     _collect_batch,
     _power_batch,
@@ -37,6 +38,7 @@ from qcw.qcentral import (
     validate_table,
 )
 from qcw.realizability import semidirect_power_table
+import front_oracle
 
 P2 = SeriesParams(p=2, d=1)
 P3 = SeriesParams(p=3, d=1)
@@ -792,3 +794,129 @@ def test_is_isomorphic_witness_with_a_repeated_generator_and_the_identity(name, 
     # the witnesses the former BFS and fixed-point build returned
     t = HOM_SOURCES[name]()
     assert is_isomorphic(repeated_listing(t), permuted(t, seed)) == (True, witness)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form front end against the former run-by-run routes
+
+FRONT_QS = (2, 3, 4, 5, 8, 9)
+
+
+@st.composite
+def _class_two_groups(draw):
+    return ClassTwoGroup(SeriesParams.from_q(draw(st.sampled_from(FRONT_QS))), draw(st.integers(1, 4)))
+
+
+def _elements(group, n=None, npairs=None):
+    """Normal forms with digits a little outside [0, q^2) and [0, q)."""
+    n = group.n if n is None else n
+    npairs = len(group.pairs) if npairs is None else npairs
+    a = st.lists(st.integers(-group.q2, 2 * group.q2), min_size=n, max_size=n)
+    c = st.lists(st.integers(-group.q, 2 * group.q), min_size=npairs, max_size=npairs)
+    return st.builds(lambda a, c: ClassTwoElement(tuple(a), tuple(c)), a, c)
+
+
+def _words(group, generators):
+    bound = 3 * group.q2
+    run = st.tuples(st.integers(0, generators - 1), st.integers(-bound, bound))
+    return st.lists(run, max_size=12).map(lambda runs: Word(tuple(runs)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DimensionMismatchError as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_evaluate_word_matches_the_run_by_run_oracle(data):
+    group = data.draw(_class_two_groups())
+    if data.draw(st.booleans()):
+        images = group.generators()
+    else:
+        images = data.draw(st.lists(_elements(group), min_size=group.n, max_size=group.n))
+    w = data.draw(_words(group, group.n))
+    assert evaluate_word(w, images, group) == front_oracle.evaluate_word(w, images, group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_evaluate_word_raises_as_the_run_by_run_oracle(data):
+    # some images missing, one maybe of the wrong dimension: the first run
+    # that reaches either raises, with the same message
+    group = data.draw(_class_two_groups())
+    images = data.draw(st.lists(_elements(group), max_size=group.n))
+    if images and data.draw(st.booleans()):
+        wrong = data.draw(
+            _elements(group, n=group.n + 1) | _elements(group, npairs=len(group.pairs) + 1)
+        )
+        images[data.draw(st.integers(0, len(images) - 1))] = wrong
+    w = data.draw(_words(group, len(images) + 1))
+    got = _outcome(evaluate_word, w, images, group)
+    assert got == _outcome(front_oracle.evaluate_word, w, images, group)
+
+
+def test_evaluate_word_of_the_empty_word_and_a_bad_image():
+    E = ClassTwoGroup(P3, 2)
+    assert evaluate_word(Word(()), [], E) == E.identity()
+    with pytest.raises(DimensionMismatchError, match="word uses generator 2, only 2 images given"):
+        evaluate_word(Word(((0, 1), (2, 1))), E.generators(), E)
+    bad = ClassTwoElement((1, 0, 0), (0,))
+    with pytest.raises(DimensionMismatchError, match="element has wrong dimensions for this group"):
+        evaluate_word(Word(((0, 1), (1, 5))), [E.generator(0), bad], E)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_the_mul_chain(data):
+    group = data.draw(_class_two_groups())
+    u, v = data.draw(_elements(group)), data.draw(_elements(group))
+    assert group.commutator(u, v) == front_oracle.commutator(group, u, v)
+
+
+def _data_cases():
+    return [(name, q) for name in sorted(DATA_GROUPS) for q in FRONT_QS]
+
+
+@pytest.mark.parametrize("name,q", _data_cases())
+def test_kernel_basis_matches_the_former_pruning_loop(name, q):
+    pres, params = DATA_GROUPS[name], SeriesParams.from_q(q)
+    got = third_quotient(pres, params, 10**40)
+    assert got.kernel_basis == front_oracle.third_quotient(pres, params, 10**40).kernel_basis
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_presentations())
+def test_kernel_basis_matches_the_former_pruning_loop_on_random_presentations(case):
+    pres, q = case
+    params = SeriesParams.from_q(q)
+    want = front_oracle.third_quotient(pres, params, ORACLE_BOUND).kernel_basis
+    assert third_quotient(pres, params, ORACLE_BOUND).kernel_basis == want
+
+
+# relators whose images, or their commutators with the generators, repeat
+# what an earlier kept element already gives: the former loop built a form
+# for each of them
+REDUNDANT = parse_file(
+    "group twice { generators: x, y; relators: x^2, x^-2 y^4, y^2; }\n"
+    "group comm { generators: x, y; relators: [x, y], [x, y]^2, x [y, x]^3 x^-1; }\n"
+    "group chain { generators: x, y, z; relators: x y, y z, x z^-1, x^2 y^2 z^2; }\n"
+)
+SPY_GROUPS = {**DATA_GROUPS, **{pres.name: pres for pres in REDUNDANT}}
+
+
+@pytest.mark.parametrize("name,q", [(name, q) for name in sorted(SPY_GROUPS) for q in FRONT_QS])
+def test_third_quotient_builds_one_kernel_form_per_kept_element(monkeypatch, name, q):
+    built = []
+    build = _KernelForm.build.__func__
+
+    def spy(cls, g):
+        built.append(g.kernel_basis)
+        return build(cls, g)
+
+    monkeypatch.setattr(_KernelForm, "build", classmethod(spy))
+    g = third_quotient(SPY_GROUPS[name], SeriesParams.from_q(q), 10**40)
+    g.order, g.contains_in_kernel(g.identity())  # the returned group's form
+    assert len(built) <= len(g.kernel_basis) + 1

@@ -9,7 +9,8 @@ pivot is a unit, and its Howell form is checked to be canonical.
 ``QuotientModule`` is pinned to its former ``diagonalize`` read-off,
 ``reference_quotient_module``, on both of its branches.  The bit-packed
 F_2 sweep is pinned to the general sweep, its oracle, across word
-boundaries.
+boundaries, and the general sweep to its former column-by-column loop,
+``former_general_sweep``, on wide matrices with few rows.
 """
 
 import itertools
@@ -871,3 +872,69 @@ def test_sorted_unique_matches_np_unique(values, width):
     want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(got, want) and got.shape == want.shape
     assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
+def former_general_sweep(M, p, d):
+    """``_general_sweep`` as it was, one Python step per column."""
+    q = p**d
+    n, w = M.shape
+    k = 0
+    cols: list[int] = []
+    exps: list[int] = []
+    for c in range(w):
+        if k == n:
+            break
+        nz = np.flatnonzero(M[:n, c])
+        cand = nz[np.searchsorted(nz, k) :]
+        if cand.size == 0:
+            continue
+        x = M[cand, c]
+        e, pe = 0, 1
+        hit = x % p != 0
+        while not hit.any():
+            e, pe = e + 1, pe * p
+            hit = x % (pe * p) != 0
+        r = int(cand[hit.argmax()])
+        if r != k:
+            M[[k, r]] = M[[r, k]]
+            nz = np.where(nz == r, k, np.where(nz == k, r, nz))
+        pc = np.flatnonzero(M[k])
+        u = pow(int(M[k, c]) // pe, -1, q)
+        if u != 1:
+            M[k, pc] = M[k, pc] * u % q
+        rest = nz[nz != k]
+        if rest.size:
+            cell = np.ix_(rest, pc)
+            M[cell] = (M[cell] - np.outer(M[rest, c] // pe, M[k, pc])) % q
+        cols.append(c)
+        exps.append(e)
+        if e:
+            tail = M[k] * p ** (d - e) % q
+            if tail.any():
+                if n == len(M):
+                    M = np.concatenate([M, np.zeros((max(16, n // 4), w), dtype=np.int64)])
+                M[n] = tail
+                n += 1
+        k += 1
+    return M[:k], np.array(cols, dtype=np.int64), np.array(exps, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([3, 4, 5, 8, 9, 27]),
+    n=st.integers(1, 12),
+    w=st.integers(1, 3000),
+    nonzeros=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_general_sweep_skips_empty_columns_as_the_column_loop(q, n, w, nonzeros, seed):
+    # a few rows and wide gaps of zero columns, some inside the span of
+    # earlier pivots only, as in the decomposable part of a large compare
+    rng = np.random.default_rng(seed)
+    M = np.zeros((n, w), dtype=np.int64)
+    M[rng.integers(0, n, nonzeros), rng.integers(0, w, nonzeros)] = rng.integers(1, q, nonzeros)
+    p, d = prime_power(q)
+    got = _general_sweep(M.copy(), p, d)
+    want = former_general_sweep(M.copy(), p, d)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and (a == b).all()

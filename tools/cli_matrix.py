@@ -4,8 +4,10 @@ Each command line runs as ``python -m qcw.cli ... --output json`` in a child
 process of its own, one after another, under a 120 s timeout and a 2 GiB
 address-space cap (``RLIMIT_AS``) set on that child only.  The child's
 working directory is a fresh temporary directory holding
-``data/groups.grp`` (the test suite's presentations) and ``data/long.grp``
-(long relator runs), so every argv is the same whichever checkout runs.
+``data/groups.grp`` (the test suite's presentations), ``data/long.grp``
+(long relator runs), ``data/longpower.grp`` (a relator of 800000 runs) and
+one malformed file per kind of ``ParseError`` (``MALFORMED``), so every
+argv is the same whichever checkout runs.
 One line is printed per run::
 
     <argv> <TAB> exit=<code> <TAB> out=<sha256 of stdout> <TAB> err=<sha256 of stderr>
@@ -28,6 +30,13 @@ The runs:
   README, and ``check --against-free`` for every group at q = 2;
 * ``cohomology`` at q = 2 of long relator runs (x^100000000 and
   x^100000002 beside [x, y]) and of the short groups they equal;
+* ``quotient`` of (x y)^400000 at q in {2, 3};
+* ``quotient`` at q = 2 of each malformed file, so that the listing pins
+  the message, line and column of each kind of ``ParseError``: an
+  unexpected character (a form feed, a non-ASCII letter), an undeclared
+  generator, brackets nested past ``MAX_DEPTH``, a power past
+  ``MAX_RUNS``, an empty generator list, a duplicate generator, a missing
+  ";", text after the last "}" and a file of comments only;
 * ``check --group a --against b`` for every ordered pair of groups at
   q in {2, 3};
 * four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
@@ -67,6 +76,21 @@ group comm { generators: x, y; relators: [x, y]; }
 group longx2 { generators: x, y; relators: x^100000002, [x, y]; }
 group sq { generators: x, y; relators: x^2, [x, y]; }
 """
+LONG_POWER = "group longxy { generators: x, y; relators: (x y)^400000; }\n"
+
+# one file per kind of ParseError, each read as group G
+MALFORMED = {
+    "formfeed.grp": "group G {\n  generators: x, y;\n  relators: x\f y; }\n",
+    "nonascii.grp": "group G { generators: x, y; relators: [x, y] # é in a comment\n, x é; }\n",
+    "undeclared.grp": "group G { generators: x, y;\n  relators: [x, z]; }\n",
+    "nested.grp": "group G { generators: x; relators: " + "(" * 501 + "x" + ")" * 501 + "; }\n",
+    "runs.grp": "group G { generators: x, y;\n  relators: [x, y], (x y)^300000000; }\n",
+    "emptygens.grp": "group G { generators: ; relators: ; }\n",
+    "duplicate.grp": "group G { generators: x, y, x; relators: ; }\n",
+    "semicolon.grp": "group G {\n  generators: x, y\n  relators: x; }\n",
+    "trailing.grp": "group G { generators: x; relators: x^2; }\n}\n",
+    "comments.grp": "# a file of comments only\n  # and blanks\n",
+}
 
 
 def _primes(lo: int, hi: int) -> list[int]:
@@ -104,6 +128,8 @@ def command_lines() -> list[list[str]]:
     ]
     runs += [["check", "--file", grp, "--group", g, "--against-free", "--q", "2"] for g in groups]
     runs += [["cohomology", "data/long.grp", g, "--q", "2"] for g in ("longx", "comm", "longx2", "sq")]
+    runs += [["quotient", "data/longpower.grp", "longxy", "--q", str(q)] for q in (2, 3)]
+    runs += [["quotient", f"data/{name}", "G", "--q", "2"] for name in MALFORMED]
     runs += [
         ["check", "--file", grp, "--group", a, "--against", b, "--q", str(q)]
         for q in (2, 3)
@@ -152,7 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="qcw-matrix-") as workdir:
         (Path(workdir) / "data").mkdir()
         shutil.copy(GROUPS, Path(workdir) / "data" / "groups.grp")
-        (Path(workdir) / "data" / "long.grp").write_text(LONG, encoding="utf-8")
+        files = {"long.grp": LONG, "longpower.grp": LONG_POWER, **MALFORMED}
+        for name, text in files.items():
+            (Path(workdir) / "data" / name).write_text(text, encoding="utf-8")
         for run in command_lines():
             print(run_one(run, src, workdir), flush=True)
     return 0
