@@ -59,6 +59,22 @@ elements of N that lift its rows) and then by the second gives the least
 and every other digit over [0, q^2) (a) or [0, q) (c), so the reduced
 forms number E/N densely in mixed radix, in the order of the least (a, c).
 
+The exponent of E/N is read off the generators and the u_ij.  In class 2,
+(g h)^k = g^k h^k [h, g]^C(k, 2) (Huppert, *Endliche Gruppen I*, III.1.3).
+
+* Exponent.  For a power k of p, E/N has exponent dividing k iff x_i^k is
+  in N for every i and u_ij^C(k, 2) = [x_j, x_i]^C(k, 2) is in N for every
+  i < j.  (<=) S_k = {g : g^k in N} holds the x_i and is closed under
+  products: by the commutator rule [h, g] = (0, c) is the product of the
+  u_ij^c_ij, which are central, so [h, g]^C(k, 2) is the product of the
+  (u_ij^C(k, 2))^c_ij and lies in N with g^k and h^k.  E/N is finite, so
+  the x_i generate it as a monoid, and S_k is all of E.  (=>) Take g = x_i,
+  and g = x_i x_j, whose k-th power is x_i^k x_j^k u_ij^C(k, 2).  The
+  u_ij term is needed: at p = 2, <x, y | x^2, y^2> gives D4, whose
+  generators have order 2 and whose exponent is 4.  E/N is a p-group, so
+  its exponent is the least such k, and k = q^2 always qualifies: E has
+  exponent q^2, and q divides C(q^2, 2).
+
 Tables are built and searched from the listed generators, on three lemmas.
 
 * Rows.  If k = y k', then row k of the table is row k' read through
@@ -443,11 +459,14 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
     # trial describes the normal closure of its basis, and that is the
     # subgroup it generates: the saturated elements with a = 0 (the central
     # ones, the commutators [r, x_i] among them) sort before any with a != 0,
-    # so each [r, x_i] of an r already kept lies in the trial.  A trial
-    # builds its ``_KernelForm`` once, at its first membership test: one
-    # build for E and one per kept element, the last of them returned.
-    trial = E
-    for g in sorted(saturated, key=lambda e: (e.a, e.c)):
+    # so each [r, x_i] of an r already kept lies in the trial.  E's kernel
+    # is trivial and no saturated element is the identity, so the first is
+    # kept with no membership test, and E builds no ``_KernelForm``.  A
+    # trial builds its form once, at its first membership test: one build
+    # per kept element, the last when the returned group is first read.
+    ordered = sorted(saturated, key=lambda e: (e.a, e.c))
+    trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(ordered[:1]))
+    for g in ordered[1:]:
         if not trial.contains_in_kernel(g):
             trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=trial.kernel_basis + (g,))
     return trial
@@ -1202,21 +1221,20 @@ def _element_record(e: ClassTwoElement) -> dict:
 
 
 def _quotient_exponent(g: ClassTwoGroup) -> int:
-    """Least p^e with g^(p^e) in N for every g in E: the exponent of E/N.
+    """Least power k of p with g^k in N for every g in E: the exponent of E/N.
 
-    Powers the |G| reduced forms at once and keeps, after each step, only
-    the elements whose power is still outside N.  Generator orders alone
-    would not do: at p = 2, <x, y | x^2, y^2> gives D4, of exponent 4.
+    By the exponent lemma (module docstring), for k = 1, p, p^2, ... one
+    batch of n + n(n-1)/2 rows is reduced, the x_i^k = (k e_i, 0) and the
+    u_ij^C(k, 2) = (0, C(k, 2) e_t), and the first k at which every row
+    lies in N is returned; it is at most q^2.  No element of E/N is listed.
     """
-    A, C = g.elements()
-    exponent = 1
+    n, unit = g.n, np.eye(g.n + len(g.pairs), dtype=np.int64)
+    k = 1
     while True:
-        RA, RC = g.reduce(A, C)
-        outside = RA.any(axis=-1) | RC.any(axis=-1)
-        if not outside.any():
-            return exponent
-        A, C = _power_batch(RA[outside], RC[outside], g.params.p, g.q, g.pairs)
-        exponent *= g.params.p
+        A, C = g.reduce(unit[:, :n] * (k % g.q2), unit[:, n:] * (k * (k - 1) // 2 % g.q))
+        if not A.any() and not C.any():
+            return k
+        k *= g.params.p
 
 
 def group_record(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> dict:
@@ -1231,10 +1249,13 @@ def group_record(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> di
       ``kernel_basis``;
     - class: 0 for the trivial group, 1 when N contains Z = [E, E] (every
       c-radix is 1), else 2 (E has class <= 2);
-    - exponent: the least p^e with g^(p^e) in N for every g in G, from the
-      closed power formula applied to the |G| reduced forms.
+    - exponent: the least p^e with g^(p^e) in N for every g in E, from
+      the powers of the x_i and the u_ij alone (the exponent lemma of the
+      module docstring).
 
-    The bound still applies to |E(n, q)|, as in ``third_quotient``.
+    So the record costs O(n^2 log_p q) row reductions plus the cokernel,
+    whatever |G| is.  The bound still applies to |E(n, q)|, as in
+    ``third_quotient``.
     """
     if g.full_order > order_bound:
         raise SizeLimitError(f"|E({g.n},{g.q})| = {g.full_order} exceeds the order bound {order_bound}")

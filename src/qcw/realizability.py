@@ -174,21 +174,31 @@ def magnus_terms(w: Word, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     + d3[i, j, k] X_i X_j X_k + (degree >= 4), summed over the indices.  A
     run x_g^e is the factor (1 + X_g)^e = 1 + e X_g + C(e, 2) X_g^2
     + C(e, 3) X_g^3 for every integer e, and right multiplication by it
-    only adds to entries whose last index is g.
+    only adds to entries whose last index is g.  The terms are kept in
+    nested lists of Python integers, exact for every exponent, and turned
+    into arrays once, at the end.
     """
-    d1 = np.zeros(n, dtype=object)
-    d2 = np.zeros((n, n), dtype=object)
-    d3 = np.zeros((n, n, n), dtype=object)
+    d1 = [0] * n
+    d2 = [[0] * n for _ in range(n)]
+    d3 = [[[0] * n for _ in range(n)] for _ in range(n)]
     for g, e in w.letters:
         g, e = int(g), int(e)
         b2, b3 = e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6
-        d3[:, :, g] += e * d2
-        d3[:, g, g] += b2 * d1
-        d3[g, g, g] += b3
-        d2[:, g] += e * d1
-        d2[g, g] += b2
+        # degree 3 reads the degree-1 and degree-2 terms before this run
+        for i in range(n):
+            row, plane = d2[i], d3[i]
+            for j in range(n):
+                plane[j][g] += e * row[j]
+            plane[g][g] += b2 * d1[i]
+            row[g] += e * d1[i]
+        d3[g][g][g] += b3
+        d2[g][g] += b2
         d1[g] += e
-    return d1, d2, d3
+    return (
+        np.array(d1, dtype=object).reshape(n),
+        np.array(d2, dtype=object).reshape(n, n),
+        np.array(d3, dtype=object).reshape(n, n, n),
+    )
 
 
 def _hall_matrix(n: int) -> np.ndarray:

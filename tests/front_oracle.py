@@ -1,22 +1,26 @@
-"""Front-end oracle: the former run-by-run routes of relator images,
-commutators, kernel pruning and tokens.
+"""Front-end oracle: the former routes of relator images, commutators,
+kernel pruning, tokens, the exponent of a quotient and Magnus terms.
 
-qcw computes a word's image in E(n, q), a commutator and the token texts of
-a file by closed forms (``qcw.qcentral`` and ``qcw.presentations`` module
-docstrings).  The helpers here are the routes those replaced, kept as they
-were: a word multiplied run by run with ``mul`` and ``power``, a commutator
-as the product (v u)^-1 (u v), the pruning loop of ``third_quotient`` with
-a fresh trial group per element, and the tokenizer of (kind, text, offset)
-tuples with the descent that read it.  The file is a helper module, not a
-test file: pytest does not collect it.
+qcw computes a word's image in E(n, q), a commutator, the token texts of a
+file, the exponent of E(n, q)/N and the Magnus terms of a word by closed
+forms (``qcw.qcentral``, ``qcw.presentations`` and ``qcw.realizability``).
+The helpers here are the routes those replaced, kept as they were: a word
+multiplied run by run with ``mul`` and ``power``, a commutator as the
+product (v u)^-1 (u v), the pruning loop of ``third_quotient`` with a fresh
+trial group per element, the tokenizer of (kind, text, offset) tuples with
+the descent that read it, the exponent found by powering all |G| reduced
+forms, and the Magnus recurrence on object-dtype arrays.  The file is a
+helper module, not a test file: pytest does not collect it.
 """
 
 import re
 
+import numpy as np
+
 from qcw import presentations
 from qcw.errors import DimensionMismatchError, ParseError
 from qcw.presentations import MAX_DEPTH, Presentation, Word, _commutator, _extend, _power
-from qcw.qcentral import ClassTwoElement, ClassTwoGroup, universal_class2
+from qcw.qcentral import ClassTwoElement, ClassTwoGroup, _power_batch, universal_class2
 
 # -- relator images, commutators and the pruning loop -------------------------
 
@@ -63,6 +67,52 @@ def third_quotient(pres, params, order_bound) -> ClassTwoGroup:
         if not trial.contains_in_kernel(g):
             pruned.append(g)
     return ClassTwoGroup(params=params, n=pres.rank, kernel_basis=tuple(pruned))
+
+
+# -- the exponent of E(n, q)/N and the Magnus terms -----------------------------
+
+
+def _quotient_exponent(g: ClassTwoGroup) -> int:
+    """Least p^e with g^(p^e) in N for every g in E: the exponent of E/N.
+
+    Powers the |G| reduced forms at once and keeps, after each step, only
+    the elements whose power is still outside N.  Generator orders alone
+    would not do: at p = 2, <x, y | x^2, y^2> gives D4, of exponent 4.
+    """
+    A, C = g.elements()
+    exponent = 1
+    while True:
+        RA, RC = g.reduce(A, C)
+        outside = RA.any(axis=-1) | RC.any(axis=-1)
+        if not outside.any():
+            return exponent
+        A, C = _power_batch(RA[outside], RC[outside], g.params.p, g.q, g.pairs)
+        exponent *= g.params.p
+
+
+def magnus_terms(w: Word, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of degree 1, 2 and 3 of the Magnus expansion of a word, over Z.
+
+    Returns object arrays of Python integers d1 (n), d2 (n x n) and
+    d3 (n x n x n) with w = 1 + d1[i] X_i + d2[i, j] X_i X_j
+    + d3[i, j, k] X_i X_j X_k + (degree >= 4), summed over the indices.  A
+    run x_g^e is the factor (1 + X_g)^e = 1 + e X_g + C(e, 2) X_g^2
+    + C(e, 3) X_g^3 for every integer e, and right multiplication by it
+    only adds to entries whose last index is g.
+    """
+    d1 = np.zeros(n, dtype=object)
+    d2 = np.zeros((n, n), dtype=object)
+    d3 = np.zeros((n, n, n), dtype=object)
+    for g, e in w.letters:
+        g, e = int(g), int(e)
+        b2, b3 = e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6
+        d3[:, :, g] += e * d2
+        d3[:, g, g] += b2 * d1
+        d3[g, g, g] += b3
+        d2[:, g] += e * d1
+        d2[g, g] += b2
+        d1[g] += e
+    return d1, d2, d3
 
 
 # -- the tokenizer of (kind, text, offset) tuples and its descent ---------------

@@ -114,6 +114,18 @@ def run_json_capped(cap, *argv, timeout=600):
     return rep
 
 
+def test_quotient_of_free3_at_q16_fits_800mb():
+    # |G| = 16^9 = 2^36: the exponent comes from the powers of the three
+    # generators and the three commutators, not from the elements, which
+    # would take 512 GiB as one int64 array
+    argv = ("quotient", DATA, "free3", "--q", "16", "--order-bound", "100000000000")
+    code, rep = run_capped(800 * 10**6, *argv)
+    assert code == 0
+    assert rep["result"]["order"] == 16**9
+    assert rep["result"]["exponent"] == 256
+    assert rep["result"]["abelian_invariants"] == [256, 256, 256]
+
+
 def test_cohomology_order243_fits_800mb():
     # the full H^2 of free2^[3,3], |G| = 243, in a child whose address space
     # is capped at 800 MB: Z^2 is solved and checked on the 484 generator

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcw import qcentral
 from qcw.errors import DimensionMismatchError, NotAHomomorphismError, SizeLimitError
 from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
@@ -380,16 +381,16 @@ def test_second_quotient_record_matches_table(name, q):
 
 
 @st.composite
-def _presentations(draw):
-    n = draw(st.integers(1, 3))
-    q = draw(st.sampled_from([q for q in ORACLE_QS if _universal_order(n, q) <= ORACLE_BOUND]))
+def _presentations(draw, bound=ORACLE_BOUND, max_rank=3):
+    n = draw(st.integers(1, max_rank))
+    q = draw(st.sampled_from([q for q in ORACLE_QS if _universal_order(n, q) <= bound]))
     p = SeriesParams.from_q(q).p
     # +-p and +-q give the non-unit Howell pivots at q = 4, 8 and 9
     exponent = st.integers(-4, 4).filter(bool) | st.sampled_from([p, -p, q, -q])
     letter = st.tuples(st.integers(0, n - 1), exponent)
     word = st.lists(letter, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
     relators = draw(st.lists(word, max_size=3))
-    return Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=tuple(relators)), q
+    return Presentation(name="H", generator_names=tuple("xyzw"[:n]), relators=tuple(relators)), q
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -416,10 +417,55 @@ def test_group_record_edge_cases(text, q, expected):
 
 
 def test_group_record_bounds_the_order_of_e():
-    # the work is O(|E|), so the bound applies to |E(3, 3)| = 19683
+    # the bound applies to |E(3, 3)| = 19683, as in third_quotient, though
+    # the record's work no longer grows with |E|
     g = third_quotient(free_presentation(3), P3, order_bound=20000)
     with pytest.raises(SizeLimitError):
         group_record(g, order_bound=4096)
+
+
+# -- the exponent from the generators and the u_ij, against the former route
+# that powered every reduced form (front_oracle._quotient_exponent)
+
+EXPONENT_BOUND = 2**17
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_presentations(EXPONENT_BOUND, 4))
+def test_quotient_exponent_matches_the_powering_oracle(case):
+    pres, q = case
+    g = third_quotient(pres, SeriesParams.from_q(q), EXPONENT_BOUND)
+    assert _quotient_exponent(g) == front_oracle._quotient_exponent(g)
+
+
+def test_quotient_exponent_of_d4_needs_the_commutator_row():
+    # x^2 and y^2 lie in N, but (x y)^2 = x^2 y^2 [y, x] does not
+    g = third_quotient(parse_presentation("group d4 { generators: x,y; relators: x^2, y^2; }"), P2)
+    assert all(g.contains_in_kernel(g.power(x, 2)) for x in g.generators())
+    assert not g.contains_in_kernel(g.power(g.mul(*g.generators()), 2))
+    assert _quotient_exponent(g) == 4
+
+
+EXPONENT_CASES = [
+    (name, q)
+    for name, pres in sorted(DATA_GROUPS.items())
+    for q in ORACLE_QS
+    if _universal_order(pres.rank, q) <= EXPONENT_BOUND
+]
+
+
+@pytest.mark.parametrize("name,q", EXPONENT_CASES)
+def test_group_record_lists_no_element(monkeypatch, name, q):
+    # the oracle's exponent, with no call that lists the elements of E/N
+    g = third_quotient(DATA_GROUPS[name], SeriesParams.from_q(q), EXPONENT_BOUND)
+    want = front_oracle._quotient_exponent(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group_record listed the elements of E/N")
+
+    monkeypatch.setattr(ClassTwoGroup, "elements", refuse)
+    monkeypatch.setattr(qcentral, "_decode_batch", refuse)
+    assert group_record(g, EXPONENT_BOUND)["exponent"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -919,4 +965,4 @@ def test_third_quotient_builds_one_kernel_form_per_kept_element(monkeypatch, nam
     monkeypatch.setattr(_KernelForm, "build", classmethod(spy))
     g = third_quotient(SPY_GROUPS[name], SeriesParams.from_q(q), 10**40)
     g.order, g.contains_in_kernel(g.identity())  # the returned group's form
-    assert len(built) <= len(g.kernel_basis) + 1
+    assert len(built) <= max(1, len(g.kernel_basis))

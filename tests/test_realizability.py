@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcw.errors import QcwError, SizeLimitError
 from qcw.presentations import (
@@ -45,6 +47,7 @@ from qcw.realizability import (
     wreath_construct,
 )
 from qcw.zqlinalg import QuotientModule
+import front_oracle
 
 P2 = SeriesParams(p=2, d=1)
 CLASS2_TEXT = "group G { generators: x,y; relators: [x,[x,y]], [y,[x,y]]; }"
@@ -687,6 +690,39 @@ def test_weight3_is_exact_for_huge_exponents():
         assert (big == (N * unit) % p).all()
     d1, d2, d3 = magnus_terms(Word(((0, -N),)), 1)
     assert (d1[0], d2[0, 0], d3[0, 0, 0]) == (-N, N * (N + 1) // 2, -N * (N + 1) * (N + 2) // 6)
+
+
+BIG = 10**9 + 7
+
+
+def _assert_same_terms(w: Word, n: int) -> None:
+    for got, want in zip(magnus_terms(w, n), front_oracle.magnus_terms(w, n)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+        assert got.tolist() == want.tolist()
+
+
+@st.composite
+def _magnus_words(draw):
+    n = draw(st.integers(1, 4))
+    exponent = st.integers(-9, 9) | st.sampled_from([BIG, -BIG]) | st.integers(-(2**70), 2**70)
+    runs = st.lists(st.tuples(st.integers(0, n - 1), exponent), max_size=10)
+    return Word(tuple(draw(runs))), n
+
+
+@settings(max_examples=500, deadline=None)
+@given(_magnus_words())
+def test_magnus_terms_match_the_object_array_recurrence(case):
+    # zero exponents and repeated generators are drawn as they come: Word
+    # keeps its runs as given
+    _assert_same_terms(*case)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_magnus_terms_of_the_empty_word_and_huge_runs(n):
+    _assert_same_terms(Word(()), n)
+    if n:
+        _assert_same_terms(Word(tuple((i, (-1) ** i * BIG) for i in range(n)) + ((0, 0), (n - 1, -BIG))), n)
 
 
 def test_hall_matrix_is_injective_mod_p():

@@ -39,6 +39,11 @@ The runs:
   ";", text after the last "}" and a file of comments only;
 * ``check --group a --against b`` for every ordered pair of groups at
   q in {2, 3};
+* three ``quotient`` runs whose record the exponent lemma reads off the
+  generators: ``free3 --q 5 --order-bound 2000000`` (|G| = 5^9), ``free2
+  --q 16 --order-bound 20000000`` (|G| = 2^20) and ``free3 --q 16
+  --order-bound 100000000000`` (|G| = 2^36, which no array of its
+  elements fits);
 * four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
   65536) and ``compare Qp:97 --q 32`` (|G| = 2^20), ``check class2
   --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``;
@@ -135,6 +140,11 @@ def command_lines() -> list[list[str]]:
         for q in (2, 3)
         for a in groups
         for b in groups
+    ]
+    runs += [
+        ["quotient", grp, "free3", "--q", "5", "--order-bound", "2000000"],
+        ["quotient", grp, "free2", "--q", "16", "--order-bound", "20000000"],
+        ["quotient", grp, "free3", "--q", "16", "--order-bound", "100000000000"],
     ]
     runs += [
         ["compare", "Qp:17", "--q", "16", "--order-bound", "10000000"],
