@@ -32,7 +32,6 @@ from .qcentral import (
     third_quotient,
     third_quotient_relators,
     to_action,
-    to_table,
 )
 from .realizability import (
     CdDescriptor,
@@ -113,18 +112,18 @@ def cmd_cohomology(args) -> int:
     pres = _group_loader(args.file)(args.group)
     params = SeriesParams.from_q(args.q)
     group = third_quotient(pres, params, args.order_bound)
-    # H^2 is reported, so refuse its order before the |G| x |G| table exists
+    # H^2 is reported, so refuse its order before the generator columns exist
     check_h2_bound(group.order, args.h2_bound)
-    table = to_table(group, args.order_bound)
+    action = to_action(group, args.order_bound)
     ctx = GroupCohomology(
-        table, args.q, h2_bound=args.h2_bound, relators=third_quotient_relators(pres, params)
+        action, args.q, h2_bound=args.h2_bound, relators=third_quotient_relators(pres, params)
     )
     report = {
         "command": "cohomology",
         "file": args.file,
         "group": args.group,
         "q": args.q,
-        "order": table.order,
+        "order": action.order,
         "h1": cohomology_record(ctx.h1_space()),
         "h2": cohomology_record(ctx.h2_space()),
         "decomposable_h2": cohomology_record(ctx.dec_space()),
@@ -188,11 +187,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK if consistent else EXIT_NOT_APPLICABLE
 
 
+def _require_prime(params: SeriesParams, criterion: str) -> None:
+    """The principle and wreath criteria are stated for q = p (realizability)."""
+    if params.d > 1:
+        raise QcwError(f"the {criterion} criterion needs a prime --q, not {params.q} = {params.p}^{params.d}")
+
+
 def cmd_check(args) -> int:
     params = SeriesParams.from_q(args.q)
     load = _group_loader(args.file)
     verdicts = []
     if args.wreath_copies is not None:
+        _require_prime(params, "wreath")
         action = []
         if args.wreath_action == "cyclic":
             m = args.wreath_copies
@@ -226,8 +232,10 @@ def cmd_check(args) -> int:
         cd = CdDescriptor(value=args.cd, provenance="user-supplied")
         verdicts.append(h1_vs_cd_check(args.dim_h1, cd, params.p, args.torsion_free))
     else:
-        pres = load(args.group)
         which = args.criterion
+        if which in ("all", "principle") and (args.against or args.against_free):
+            _require_prime(params, "principle")
+        pres = load(args.group)
         if which in ("all", "third-series"):
             verdicts.append(relators_in_third_series(pres, params, args.order_bound))
         if which in ("all", "principle"):

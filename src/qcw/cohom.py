@@ -21,7 +21,7 @@ df = 0 by induction on the word length of k.
 These |S| (|G|-1)^2 equations, s running over the table's listed
 generators, are not solved as they stand: a normalized cocycle is fixed by
 its |S| (|G|-1) values f(x, s) (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 7).  Take the table's BFS spanning tree
+Computational Group Theory*, ch. 7).  Take the group's BFS spanning tree
 of the right Cayley graph on S (``FiniteGroupTable.spanning_tree``); each
 walk below runs over it a layer at a time, as every parent lies in the
 layer before.  On a tree edge k = k's the equation df(g, k', s) = 0
@@ -162,18 +162,12 @@ coboundaries; ``GroupCohomology.dec_module`` computes it without solving
 for all of H^2 (only coboundaries are needed), keeping large groups within
 reach of the degree <= 2 comparisons.
 
-What reads what.  The gauge reads the tree and, at the off-tree pairs
-(g, s), the product g s, which is the column of s (``SpanningTree.columns``);
-the potentials and K_j read the tree alone; the cup products read H^1 at
-the elements and at the tree generators.  So ``h1_space``,
-``coboundary_rows``, ``gauge``, ``cup_flats``, ``dec_module`` and
-``pairing`` read the |G| x |S| generator columns and nothing else of the
-group, and run on a ``qcentral.GeneratorAction`` as they do on a table.
-The Z^2 solve (``z2_generators``, hence ``h2_module`` and ``h2_space``)
-and the support count of ``h2_space`` and ``dec_space`` evaluate products
-g h of any two elements along the tree, and the relator walks read the
-inverses of the generators: they need the |G| x |G| ``mult`` of a
-``FiniteGroupTable`` and raise ``QcwError`` on an action.
+The group is read through its order, identity, listed generators and
+their |G| x |S| columns g -> g s, and the spanning tree built on them: a
+product g k of any two elements walks the tree beside the extension
+(``_along_tree``), and a relator walk carries its prefix map g -> g u.  So
+a ``FiniteGroupTable`` and a ``qcentral.GeneratorAction`` are the same
+input: ``GroupCohomology`` reads no |G| x |G| table.
 """
 
 from __future__ import annotations
@@ -308,11 +302,11 @@ class GroupCohomology:
         h2_bound: int = DEFAULT_H2_BOUND,
         relators=None,
     ):
-        """``table`` is a multiplication table or, for degree 1 and the
-        decomposable part only, a generator action (module docstring).
-        ``relators``, if given, are words in the table's listed generators
-        (letter i is ``table.generators[i]``) that present the group; Z^2 is
-        then solved from their walks instead of the off-tree equations."""
+        """``table`` is a multiplication table or a generator action, read
+        only at the listed generators (module docstring).  ``relators``, if
+        given, are words in the listed generators (letter i is
+        ``table.generators[i]``) that present the group; Z^2 is then solved
+        from their walks instead of the off-tree equations."""
         prime_power(q)
         self.t = table
         self.q = q
@@ -423,20 +417,25 @@ class GroupCohomology:
         on_gens[self.elems] = vectors.T.reshape(w, ns, len(vectors))
         return on_gens
 
-    def _along_tree(self, on_gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _along_tree(self, on_gens: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Extend generator values f(x, s) to f(g, k) for the rows g in ``rows``.
 
         ``on_gens`` is |G| x |S| x m as ``_on_gens`` builds it.  Along a tree
         edge k = k' s, df(g, k', s) = 0 reads f(g, k) = f(g, k') + f(gk', s)
-        - f(k', s), so row g needs only row g.  Returns the len(rows) x |G| x m
-        values of the extended cochains in those rows, with f(., 1) = 0.
+        - f(k', s), so row g needs only row g, and the products P[., k] = g k
+        walk beside it: g k = (g k') s is the column of s at g k'.  Returns
+        the len(rows) x |G| x m values F of the extended cochains in those
+        rows, with f(., 1) = 0, and the len(rows) x |G| products P.
         """
-        t = self.t
-        g = rows[:, None]
-        F = np.zeros((len(g), t.order, on_gens.shape[-1]), dtype=np.int64)
-        for parent, i, k in self.t.spanning_tree().layers:
-            F[:, k] = F[:, parent] + on_gens[t.mult[g, parent], i] - on_gens[parent, i]
-        return F % self.q
+        tree = self.t.spanning_tree()
+        F = np.zeros((len(rows), self.t.order, on_gens.shape[-1]), dtype=np.int64)
+        P = np.empty((len(rows), self.t.order), dtype=np.int64)
+        P[:, self.t.identity] = rows
+        for parent, i, k in tree.layers:
+            gk = P[:, parent]
+            F[:, k] = F[:, parent] + on_gens[gk, i] - on_gens[parent, i]
+            P[:, k] = tree.columns[gk, i]
+        return F % self.q, P
 
     def _row_blocks(self, m: int):
         """The rows g != 1 in blocks of |G| |S| m cells a row, at most
@@ -453,7 +452,7 @@ class GroupCohomology:
         at a time (f(1, .) = 0)."""
         on_gens = self._on_gens(vectors)
         blocks = self._row_blocks(on_gens.shape[-1])
-        return sum(int(np.count_nonzero(self._along_tree(on_gens, g))) for g in blocks)
+        return sum(int(np.count_nonzero(self._along_tree(on_gens, g)[0])) for g in blocks)
 
     def _df_blocks(self, vectors, h: np.ndarray, i: np.ndarray):
         """df(g, h, s) = f(h, s) - f(gh, s) + f(g, hs) - f(g, h) for the
@@ -463,14 +462,12 @@ class GroupCohomology:
         Yields block x len(h) x len(vectors) arrays mod q; a block holds at
         most ``_BLOCK_CELLS`` entries of df unless one row g alone is larger.
         """
-        gens = self.t.spanning_tree().gens
-        t = self.t
         on_gens = self._on_gens(vectors)
-        f_hs, hs = on_gens[h, i], t.mult[h, gens[i]]
+        f_hs, hs = on_gens[h, i], self.t.spanning_tree().columns[h, i]
         for g in self._row_blocks(on_gens.shape[-1]):
-            F = self._along_tree(on_gens, g)
+            F, P = self._along_tree(on_gens, g)
             r = np.arange(len(g))[:, None]
-            yield (f_hs - on_gens[t.mult[g[:, None], h], i] + F[r, hs] - F[r, h]) % self.q
+            yield (f_hs - on_gens[P[:, h], i] + F[r, hs] - F[r, h]) % self.q
 
     def _walk_rows(self):
         """The walk equations acc_r(g) - acc_r(1) = 0, g != 1, of the relators
@@ -480,12 +477,12 @@ class GroupCohomology:
         temporaries a few times its size.
 
         A letter at prefix u reads f(g h, s) with h = u (letter s) or
-        h = u s^-1 (letter s^-1), so one walk from 1 gives the columns h of
-        the table that every g reads.  A run x^e, y = x or x^-1, reads
-        h = v y^t for t < |e|, with v = u or u y.  These lie in the coset
-        v <y>, which has o = ord(x) elements, so only the first min(|e|, o)
-        are walked, and v y^t, t < o, is read floor(|e|/o) + [t < |e| mod o]
-        times: a long run costs its period, not its length."""
+        h = u s^-1 (letter s^-1) for every g: the walk carries the map g -> g u
+        through the columns and stacks the maps g -> g h it reads.  A run
+        x^e, y = x or x^-1, reads h = v y^t for t < |e|, with v = u or u y.
+        These lie in the coset v <y>, which has o = ord(x) elements, so only
+        the first min(|e|, o) are walked, and v y^t, t < o, is read
+        floor(|e|/o) + [t < |e| mod o] times: a long run costs its period."""
         t = self.t
         gens = self.t.spanning_tree().gens
         n, ns = t.order, len(gens)
@@ -497,17 +494,18 @@ class GroupCohomology:
         column = {int(x): i for i, x in enumerate(gens)}
         # per listed generator x: its column and the maps k -> k x, k -> k x^-1
         letters = []
-        for x in t.generators:
-            x_inv = np.argmax(t.mult[x] == t.identity)
-            letters.append((column.get(int(x), -1), t.mult[:, x].tolist(), t.mult[:, x_inv].tolist()))
+        for a, x in enumerate(t.generators):
+            times_x = t.columns[:, a]
+            letters.append((column.get(int(x), -1), times_x, np.argsort(times_x)))
         g = np.arange(n)[:, None]
+        one = t.identity
         step = max(1, _BLOCK_CELLS // 4 // max(1, n * (unknowns + 1)))
         for start in range(0, len(self.relators), step):
             block = self.relators[start : start + step]
             acc = np.zeros((len(block), n, unknowns + 1), dtype=np.int64)
             for b, r in enumerate(block):
-                h, i, weight = [], [], []
-                u = t.identity
+                gh, i, weight = [], [], []
+                gu = np.arange(n)
                 for a, e in r.letters:
                     if a >= len(letters):
                         raise DimensionMismatchError(
@@ -517,27 +515,29 @@ class GroupCohomology:
                     if col < 0 or not e:
                         continue  # the letter is the identity: f(k, 1) = 0
                     times_y = times_x if e > 0 else times_x_inv
-                    v = u if e > 0 else times_y[u]
-                    coset = [v]
-                    nxt = times_y[v]
-                    while len(coset) < abs(e) and nxt != v:
+                    gv = gu if e > 0 else times_y[gu]
+                    coset = [gv]
+                    nxt = times_y[gv]
+                    # a map g -> g h is fixed by h, its value at 1
+                    while len(coset) < abs(e) and nxt[one] != gv[one]:
                         coset.append(nxt)
                         nxt = times_y[nxt]
                     # o = ord(x) if the walk met v again, else o = |e| < ord(x)
                     o = len(coset)
                     reps, extra = divmod(abs(e), o)
                     sign = 1 if e > 0 else -1
-                    h += coset
+                    gh += coset
                     i += [col] * o
                     weight += [sign * ((reps + 1) % self.q)] * extra
                     weight += [sign * (reps % self.q)] * (o - extra)
                     # the prefix after the run is v y^k, nxt = v y^o
                     k = abs(e) - (e < 0)
-                    u = nxt if k == o else coset[k % o]
+                    gu = nxt if k == o else coset[k % o]
                 # g r = g for every g iff r = 1
-                if u != t.identity:
+                if gu[one] != one:
                     raise QcwError(f"relator {start + b} does not hold in the table")
-                np.add.at(acc[b], (g, cell[t.mult[:, h], i]), weight)
+                gh = np.array(gh, dtype=np.int64).reshape(len(gh), n).T
+                np.add.at(acc[b], (g, cell[gh, i]), weight)
             rows = acc[:, self.elems, :unknowns]
             rows -= acc[:, t.identity, None, :unknowns]
             rows %= self.q

@@ -103,7 +103,9 @@ Tables are built and searched from the listed generators, on three lemmas.
 
 A ``GeneratorAction`` is such a holder: order, identity, the listed
 generators and their columns, which ``to_action`` collects as the n |G|
-right products g x_i, with no |G| x |G| table.
+right products g x_i, with no |G| x |G| table.  It is all that the
+degree <= 2 cohomology reads (``cohom``), so the ``cohomology`` and
+``compare`` commands build no table.
 """
 
 from __future__ import annotations
@@ -696,9 +698,8 @@ class FiniteGroupTable:
 class GeneratorAction:
     """A finite group known by the right action of its listed generators:
     ``columns[g, i]`` is the index of (element g) * generators[i], |G| x n
-    entries where a ``FiniteGroupTable`` holds |G|^2.  The spanning tree,
-    H^1 and the decomposable H^2 read no more than that (``cohom``); what
-    reads ``mult`` raises ``QcwError`` on an action."""
+    entries where a ``FiniteGroupTable`` holds |G|^2.  The spanning tree
+    and the degree <= 2 cohomology (``cohom``) read no more than that."""
 
     order: int
     identity: int
@@ -708,10 +709,6 @@ class GeneratorAction:
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=np.int64)
         self._tree: SpanningTree | None = None
-
-    @property
-    def mult(self) -> np.ndarray:
-        raise QcwError("a generator action has no multiplication table")
 
     def spanning_tree(self) -> SpanningTree:
         """As ``FiniteGroupTable.spanning_tree``, on the columns."""

@@ -118,8 +118,8 @@ def _as_matrix(rows, width: int, q: int) -> np.ndarray:
 class Diagonalization:
     """D = U A V with D = diag(p^exps) padded by zeros; V columns tracked.
 
-    ``carry``, when requested, is U applied to the caller's right-hand-side
-    columns (tracking U itself would be quadratic in the row count).
+    U is not kept: ``carry``, when requested, is U applied to the caller's
+    right-hand-side columns, so ``carry=np.eye(m)`` gives U itself.
     """
 
     q: int
@@ -128,7 +128,6 @@ class Diagonalization:
     exps: list[int]
     V: np.ndarray
     Vinv: np.ndarray | None = None
-    U: np.ndarray | None = None
     D: np.ndarray | None = None
     carry: np.ndarray | None = None
 
@@ -155,7 +154,7 @@ def _first_min_valuation(block: np.ndarray, p: int, d: int) -> tuple[int, int, i
     return None
 
 
-def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=None) -> Diagonalization:
+def diagonalize(A, q: int, want_Vinv: bool = False, carry=None) -> Diagonalization:
     """Diagonalize A over Z/q by row+column ops with valuation pivoting.
 
     Step r takes as pivot the first entry, in row-major order, of least
@@ -172,7 +171,7 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
     the block's rows down to the first candidate, once per valuation level
     tried (one level for prime q, at most d); the row ops touch only the rows
     with a nonzero entry in column r and, in A, only the columns >= r where
-    row r is nonzero (U and carry get the same rows); the V update touches
+    row r is nonzero (carry gets the same rows); the V update touches
     only the at most r + 1 rows where V[:, r] != 0 and the columns with a
     nonzero multiplier, and Vinv[r] sums only the rows with a nonzero
     multiplier.
@@ -184,7 +183,6 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
     m, n = A.shape
     V = np.eye(n, dtype=np.int64)
     Vinv = np.eye(n, dtype=np.int64) if want_Vinv else None
-    U = np.eye(m, dtype=np.int64) if want_U else None
     if carry is not None:
         carry = np.array(carry, dtype=np.int64) % q
         if carry.ndim == 1:
@@ -200,8 +198,6 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
         i, j = r + bi, r + bj
         if i != r:
             A[[r, i]] = A[[i, r]]
-            if U is not None:
-                U[[r, i]] = U[[i, r]]
             if carry is not None:
                 carry[[r, i]] = carry[[i, r]]
         if j != r:
@@ -212,8 +208,6 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
         # A[r:, :r] is zero, so row r and the row ops need only columns >= r
         uinv = unit_inverse(A[r, r], p, d)
         A[r, r:] = (A[r, r:] * uinv) % q
-        if U is not None:
-            U[r] = (U[r] * uinv) % q
         if carry is not None:
             carry[r] = (carry[r] * uinv) % q
         pe = p**e
@@ -224,8 +218,6 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
             cols = r + np.flatnonzero(A[r, r:])
             cell = np.ix_(below, cols)
             A[cell] = (A[cell] - np.outer(mult, A[r, cols])) % q
-            if U is not None:
-                U[below] = (U[below] - np.outer(mult, U[r])) % q
             if carry is not None:
                 carry[below] = (carry[below] - np.outer(mult, carry[r])) % q
         # clear the pivot row: directly on A (column-r invariant), by column ops on V, Vinv
@@ -239,7 +231,7 @@ def diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=
             if Vinv is not None:
                 Vinv[r] = (Vinv[r] + mult @ Vinv[right]) % q
         exps.append(e)
-    return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, U=U, D=A, carry=carry)
+    return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, D=A, carry=carry)
 
 
 def kernel_with_orders(A, q: int) -> list[tuple[np.ndarray, int]]:

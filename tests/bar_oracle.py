@@ -35,7 +35,7 @@ def extend(ctx, vectors):
     ``vectors`` and satisfy the tree equations; on a cocycle F,
     ``extend(ctx, restrict(ctx, F)) == F``."""
     every_row = np.arange(ctx.t.order)
-    return np.moveaxis(ctx._along_tree(ctx._on_gens(vectors), every_row), -1, 0)
+    return np.moveaxis(ctx._along_tree(ctx._on_gens(vectors), every_row)[0], -1, 0)
 
 
 def flat_of_matrix(ctx, F):

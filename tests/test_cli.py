@@ -226,6 +226,43 @@ def test_check_third_series_order_bound():
     assert rep["verdicts"][0]["verdict"] == "not-realizable"
 
 
+def refuse_criteria(monkeypatch):
+    """Make every criterion that builds a quotient raise if it runs."""
+    import qcw.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    for name in ("principle_check", "wreath_construct", "relators_in_third_series"):
+        monkeypatch.setattr(qcw.cli, name, refuse)
+
+
+def test_check_principle_refuses_a_prime_power_q(monkeypatch, capsys):
+    # the principle runs at p: at --q 4 it would compare G^[3, 2] under a
+    # report of "q": 4.  Refused before any quotient is built
+    refuse_criteria(monkeypatch)
+    for against in (("--against", "free2"), ("--against-free",)):
+        argv = ("check", "--file", DATA, "--group", "class2", *against, "--q", "4", "--order-bound", "2000")
+        assert run_cli(*argv, "--output", "json") == (1, "")
+        assert capsys.readouterr().err == "error: the principle criterion needs a prime --q, not 4 = 2^2\n"
+
+
+def test_check_wreath_refuses_a_prime_power_q(monkeypatch, capsys):
+    refuse_criteria(monkeypatch)
+    argv = ("check", "--file", DATA, "--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "4", "--q", "9")
+    assert run_cli(*argv, "--output", "json") == (1, "")
+    assert capsys.readouterr().err == "error: the wreath criterion needs a prime --q, not 9 = 3^2\n"
+
+
+def test_check_at_a_prime_power_q_still_runs_third_series_and_dim_h1():
+    # the third series term is taken at q; the dimension test reports its p
+    code, rep = run_json("check", "--file", DATA, "--group", "class2", "--criterion", "third-series", "--q", "4",
+                         "--order-bound", "2000")
+    assert code == 0 and rep["q"] == 4
+    code, rep = run_json("check", "--dim-h1", "2", "--cd", "3", "--torsion-free", "--q", "4")
+    assert code == 0 and rep["verdicts"][0]["witness"]["p"] == 2
+
+
 def test_check_free_alone_not_applicable():
     code, rep = run_json("check", "--file", DATA, "--group", "free2", "--q", "2")
     assert code == 2
@@ -519,13 +556,14 @@ def test_bad_modulus_clean_error():
 
 
 def test_cohomology_refuses_the_h2_bound_before_the_table(monkeypatch, capsys):
-    # |G| = 32768 at free2, q = 8: the 8 GiB table is never allocated
+    # |G| = 32768 at free2, q = 8: refused before the generator columns
+    # (and any table) are collected
     import qcw.cli
 
-    def no_table(*args, **kwargs):
-        raise AssertionError("to_table called")
+    def no_columns(*args, **kwargs):
+        raise AssertionError("to_action called")
 
-    monkeypatch.setattr(qcw.cli, "to_table", no_table)
+    monkeypatch.setattr(qcw.cli, "to_action", no_columns)
     code = main(["cohomology", DATA, "free2", "--q", "8", "--order-bound", "100000"])
     assert code == 1
     captured = capsys.readouterr()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from qcw.cli import main
 from qcw.cohom import (
+    DEFAULT_H2_BOUND,
     GroupCohomology,
     _is_module_iso,
     _module_automorphisms,
@@ -34,6 +35,7 @@ from qcw.cohom import (
     pairing_gram,
     pairings_equivalent,
     PairingTensor,
+    cohomology_record,
 )
 from qcw.errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from qcw.milnor import galois_model, parse_field
@@ -48,6 +50,7 @@ from qcw.qcentral import (
     series_step_oracle,
     third_quotient,
     third_quotient_relators,
+    to_action,
     to_table,
     trivial_table,
     universal_class2,
@@ -1460,6 +1463,78 @@ def test_relators_that_do_not_present_the_group_trip_the_safety_net(q):
     for call in (ctx.z2_generators, ctx.h2_module):
         with pytest.raises(QcwError, match="non-cocycle"):
             call()
+
+
+# -- one group interface: a generator action and its table --------------------
+
+
+def both_shapes(g, q, relators=None, h2_bound=DEFAULT_H2_BOUND):
+    """GroupCohomology on ``to_action(g)`` and on ``to_table(g)``."""
+    shapes = (to_action(g, NO_BOUND), to_table(g, NO_BOUND))
+    return [GroupCohomology(shape, q, h2_bound=h2_bound, relators=relators) for shape in shapes]
+
+
+def assert_one_interface(on_action, on_table):
+    """The same degree <= 2 records and basis classes, cup tensor and Z^2 on both shapes."""
+    for space in ("h1_space", "h2_space", "dec_space"):
+        a, b = getattr(on_action, space)(), getattr(on_table, space)()
+        assert cohomology_record(a) == cohomology_record(b), space
+        assert all(np.array_equal(x, y) for x, y in zip(a.basis, b.basis)), space
+    assert np.array_equal(on_action.pairing().values, on_table.pairing().values)
+    za, zt = on_action.z2_generators(), on_table.z2_generators()
+    assert [o for _, o in za] == [o for _, o in zt]
+    assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(za, zt))
+
+
+@pytest.mark.parametrize("route", ["relators", "off-tree"])
+@pytest.mark.parametrize("name,q", relator_cases(DEFAULT_H2_BOUND))
+def test_an_action_and_its_table_give_the_same_cohomology(name, q, route):
+    # trivialg lists a generator equal to 1, and involution one that is 1
+    # at odd q
+    params = SeriesParams.from_q(q)
+    relators = third_quotient_relators(GRP[name], params) if route == "relators" else None
+    assert_one_interface(*both_shapes(third_quotient(GRP[name], params, NO_BOUND), q, relators))
+
+
+EQUAL_GENERATORS = "group E { generators: x, y; relators: x y^-1; }"
+INVERSE_RUNS = "group R { generators: x, y; relators: x^-3 y^-2 x y; }"
+
+
+@pytest.mark.parametrize("route", ["relators", "off-tree"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("text", [EQUAL_GENERATORS, INVERSE_RUNS])
+def test_an_action_and_its_table_on_equal_generators_and_inverse_runs(text, q, route):
+    pres, params = parse_presentation(text), SeriesParams.from_q(q)
+    g = third_quotient(pres, params, NO_BOUND)
+    if text == EQUAL_GENERATORS:
+        x, y = to_action(g).generators
+        assert x == y
+    relators = third_quotient_relators(pres, params) if route == "relators" else None
+    assert_one_interface(*both_shapes(g, q, relators, h2_bound=g.order))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_an_action_and_its_table_walk_long_and_negative_runs_alike(q):
+    # ord(x) = q^2 in the abelian G^[3, q] of <x, y | [x, y]>, and
+    # [x^e, y] holds for every e: runs past the order, negative ones
+    # included, add no equation on either shape
+    pres, params = GRP["abelianized"], SeriesParams.from_q(q)
+    g = third_quotient(pres, params, NO_BOUND)
+    o = q * q
+    runs = tuple(Word(((0, e), (1, 1), (0, -e), (1, -1))) for e in (o + 1, 3 * o + 2, -(2 * o + 1)))
+    on_action, on_table = both_shapes(g, q, third_quotient_relators(pres, params) + runs, g.order)
+    assert_one_interface(on_action, on_table)
+    off_tree = GroupCohomology(to_action(g, NO_BOUND), q, h2_bound=g.order).z2_generators()
+    assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(on_action.z2_generators(), off_tree))
+    assert len(on_action.z2_generators()) == len(off_tree)
+
+
+def test_a_failing_relator_gives_the_same_error_on_both_shapes():
+    pres, params = GRP["free2"], SeriesParams(p=2, d=1)
+    relators = third_quotient_relators(pres, params) + (Word(((0, 1),)),)
+    for ctx in both_shapes(third_quotient(pres, params), 2, relators):
+        with pytest.raises(QcwError, match=f"^relator {len(relators) - 1} does not hold in the table$"):
+            ctx.z2_generators()
 
 
 def test_safety_net_runs_on_the_h2_representatives(monkeypatch):

@@ -699,18 +699,22 @@ def test_stand_in_h1_is_the_first_series_step(p, m, perms):
     assert p ** ctx.h1_space().dimension * len(step) == W.order
 
 
-def test_an_action_has_no_table_for_degree_2():
-    action = to_action(third_quotient(DATA_GROUPS["demushkin3"], SeriesParams(p=2, d=1)))
-    ctx = GroupCohomology(action, 2)
-    assert ctx.pairing().target_orders == (2,)
-    values = np.zeros((1, (action.order - 1) * len(action.generators)), dtype=np.int64)
-    for call in (ctx.z2_generators, ctx.h2_space, lambda: extend(ctx, values)):
-        with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
-            call()
-    with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
-        is_coboundary(ctx, np.zeros((action.order, action.order), dtype=np.int64))
-    with pytest.raises(QcwError, match="^a generator action has no multiplication table$"):
-        action.mult
+def test_an_action_has_degree_2_without_a_table():
+    # the action holds no |G| x |G| table, and the Z^2 solve, H^2, the
+    # extension to bar cochains and the coboundary test run on its columns
+    # as they run on the table
+    g = third_quotient(DATA_GROUPS["demushkin3"], SeriesParams(p=2, d=1))
+    action, t = to_action(g), to_table(g)
+    assert not hasattr(action, "mult")
+    on_action, on_table = GroupCohomology(action, 2), GroupCohomology(t, 2)
+    assert on_action.pairing().target_orders == (2,)
+    z2 = np.array([v for v, _ in on_action.z2_generators()])
+    assert np.array_equal(z2, np.array([v for v, _ in on_table.z2_generators()]))
+    assert on_action.h2_space().invariants == on_table.h2_space().invariants == [2, 2, 2]
+    cochains = extend(on_action, z2)
+    assert np.array_equal(cochains, extend(on_table, z2))
+    assert all(is_coboundary(on_action, F) == is_coboundary(on_table, F) for F in cochains)
+    assert is_coboundary(on_action, np.zeros((action.order, action.order), dtype=np.int64))
 
 
 def reference_principle_check(pres1, pres2, p, order_bound=DEFAULT_ORDER_BOUND, assert_realizable=None):
@@ -818,6 +822,33 @@ def test_bench_check_jobs_build_no_table(seed, tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(job.argv + ["--output", "json"]) == 0, job.id
     assert calls == []
+
+
+def forbid_tables(monkeypatch) -> None:
+    """Make ``to_table``, through every binding in qcw, and the
+    ``FiniteGroupTable`` constructor raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a |G| x |G| table was built")
+
+    for module in [m for key, m in list(sys.modules.items()) if key == "qcw" or key.startswith("qcw.")]:
+        if "to_table" in vars(module):
+            monkeypatch.setattr(module, "to_table", refuse)
+    monkeypatch.setattr(FiniteGroupTable, "__post_init__", refuse)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_cohomology_jobs_build_no_table(seed, tmp_path, monkeypatch):
+    # the cohomology command reads the generator columns of G^[3, q] alone
+    seeded = tmp_path / "seeded.grp"
+    jobs, text = load_bench_jobs().build("cohomology-h2", seed, seeded)
+    seeded.write_text(text, encoding="utf-8")
+    assert jobs and all(job.argv[0] == "cohomology" for job in jobs)
+    monkeypatch.chdir(Path(__file__).resolve().parent)
+    forbid_tables(monkeypatch)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(job.argv + ["--output", "json"]) == 0, job.id
 
 
 DEMUSHKIN3_TS = "group D { generators: t,s; relators: s t s^-1 t^-3; }"

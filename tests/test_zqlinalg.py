@@ -58,7 +58,7 @@ def span_enumerate(rows, q):
     return seen
 
 
-def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = False, carry=None) -> Diagonalization:
+def reference_diagonalize(A, q: int, want_Vinv: bool = False, carry=None) -> Diagonalization:
     """Dense per-pivot diagonalization: every pivot updates whole matrices.
 
     This is the former body of ``diagonalize``, kept as the oracle that the
@@ -71,7 +71,6 @@ def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = Fal
     m, n = A.shape
     V = np.eye(n, dtype=np.int64)
     Vinv = np.eye(n, dtype=np.int64) if want_Vinv else None
-    U = np.eye(m, dtype=np.int64) if want_U else None
     if carry is not None:
         carry = np.array(carry, dtype=np.int64) % q
         if carry.ndim == 1:
@@ -106,8 +105,6 @@ def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = Fal
         i, j = r + bi, r + bj
         if i != r:
             A[[r, i]] = A[[i, r]]
-            if U is not None:
-                U[[r, i]] = U[[i, r]]
             if carry is not None:
                 carry[[r, i]] = carry[[i, r]]
         if j != r:
@@ -117,8 +114,6 @@ def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = Fal
                 Vinv[[r, j]] = Vinv[[j, r]]
         uinv = unit_inverse(A[r, r], p, d)
         A[r] = (A[r] * uinv) % q
-        if U is not None:
-            U[r] = (U[r] * uinv) % q
         if carry is not None:
             carry[r] = (carry[r] * uinv) % q
         pe = p**e
@@ -127,8 +122,6 @@ def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = Fal
         if col.any():
             mult = col // pe
             A[r + 1 :] = (A[r + 1 :] - np.outer(mult, A[r])) % q
-            if U is not None:
-                U[r + 1 :] = (U[r + 1 :] - np.outer(mult, U[r])) % q
             if carry is not None:
                 carry[r + 1 :] = (carry[r + 1 :] - np.outer(mult, carry[r])) % q
         # clear the pivot row by column ops
@@ -141,7 +134,7 @@ def reference_diagonalize(A, q: int, want_Vinv: bool = False, want_U: bool = Fal
                 Vinv[r] = (Vinv[r] + mult @ Vinv[r + 1 :]) % q
         exps.append(e)
         r += 1
-    return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, U=U, D=A, carry=carry)
+    return Diagonalization(q=q, p=p, d=d, exps=exps, V=V, Vinv=Vinv, D=A, carry=carry)
 
 
 def test_prime_power():
@@ -202,23 +195,25 @@ def test_diagonalize_reconstructs(q):
     for A in diagonalize_cases(q, rng):
         m, n = A.shape
         B = random_matrix(rng, (m, 3), q)
-        dg = diagonalize(A, q, want_U=True, want_Vinv=True, carry=B)
+        # carry = U [I | B]: U itself, then U B
+        dg = diagonalize(A, q, want_Vinv=True, carry=np.hstack([np.eye(m, dtype=np.int64), B]))
         p, d = dg.p, dg.d
-        D = (dg.U @ A @ dg.V) % q
+        U, UB = dg.carry[:, :m], dg.carry[:, m:]
+        D = (U @ A @ dg.V) % q
         expected = np.zeros_like(D)
         for i, e in enumerate(dg.exps):
             expected[i, i] = p**e % q
         assert (D == expected).all()
         assert (dg.D == expected).all()
         assert ((dg.V @ dg.Vinv) % q == np.eye(n, dtype=int)).all()
-        assert (dg.carry == (dg.U @ B) % q).all()
+        assert (UB == (U @ B) % q).all()
         assert dg.exps == sorted(dg.exps), "pivot valuations must be non-decreasing"
         assert all(0 <= e < d for e in dg.exps)
 
 
 def assert_same_diagonalization(got: Diagonalization, want: Diagonalization) -> None:
     assert (got.q, got.p, got.d, got.exps) == (want.q, want.p, want.d, want.exps)
-    for field in ("V", "Vinv", "U", "D", "carry"):
+    for field in ("V", "Vinv", "D", "carry"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a is None) == (b is None), field
         if a is not None:
@@ -231,9 +226,10 @@ def test_diagonalize_matches_reference(q):
     rng = random.Random(1000 + q)
     for A in diagonalize_cases(q, rng):
         B = random_matrix(rng, (A.shape[0], 2), q)
-        for want_U, want_Vinv, carry in itertools.product([False, True], [False, True], [None, B]):
-            got = diagonalize(A, q, want_Vinv=want_Vinv, want_U=want_U, carry=carry)
-            want = reference_diagonalize(A, q, want_Vinv=want_Vinv, want_U=want_U, carry=carry)
+        U = np.eye(A.shape[0], dtype=np.int64)
+        for want_Vinv, carry in itertools.product([False, True], [None, B, U]):
+            got = diagonalize(A, q, want_Vinv=want_Vinv, carry=carry)
+            want = reference_diagonalize(A, q, want_Vinv=want_Vinv, carry=carry)
             assert_same_diagonalization(got, want)
 
 

@@ -5,9 +5,10 @@ process of its own, one after another, under a 120 s timeout and a 2 GiB
 address-space cap (``RLIMIT_AS``) set on that child only.  The child's
 working directory is a fresh temporary directory holding
 ``data/groups.grp`` (the test suite's presentations), ``data/long.grp``
-(long relator runs), ``data/longpower.grp`` (a relator of 800000 runs) and
-one malformed file per kind of ``ParseError`` (``MALFORMED``), so every
-argv is the same whichever checkout runs.
+(long relator runs), ``data/longpower.grp`` (a relator of 800000 runs),
+``data/inverse.grp`` (two equal generators, inverse runs) and one
+malformed file per kind of ``ParseError`` (``MALFORMED``), so every argv
+is the same whichever checkout runs.
 One line is printed per run::
 
     <argv> <TAB> exit=<code> <TAB> out=<sha256 of stdout> <TAB> err=<sha256 of stderr>
@@ -53,7 +54,12 @@ The runs:
   (|G| = 1024) and ``demushkin7 --q 3 --order-bound 2048 --h2-bound
   256`` (|G| = 81), which has a nonzero decomposable part.  The free3
   and the q = 4 run count the support of their H^2 basis classes over
-  three blocks of rows each.
+  three blocks of rows each;
+* ``cohomology`` at q in {2, 3} of <x, y | x y^-1>, whose two listed
+  generators are equal, and of <x, y | x^-3 y^-2 x y>, whose relator has
+  inverse runs;
+* ``check class2 --against free2 --q 4 --order-bound 2000``, which pins
+  the refusal of a prime power q by the principle criterion.
 """
 
 from __future__ import annotations
@@ -82,6 +88,10 @@ group longx2 { generators: x, y; relators: x^100000002, [x, y]; }
 group sq { generators: x, y; relators: x^2, [x, y]; }
 """
 LONG_POWER = "group longxy { generators: x, y; relators: (x y)^400000; }\n"
+INVERSE = """\
+group equal { generators: x, y; relators: x y^-1; }
+group invruns { generators: x, y; relators: x^-3 y^-2 x y; }
+"""
 
 # one file per kind of ParseError, each read as group G
 MALFORMED = {
@@ -158,6 +168,8 @@ def command_lines() -> list[list[str]]:
         ["cohomology", grp, "free2", "--q", "4", "--order-bound", "5000", "--h2-bound", "5000"],
         ["cohomology", grp, "demushkin7", "--q", "3", "--order-bound", "2048", "--h2-bound", "256"],
     ]
+    runs += [["cohomology", "data/inverse.grp", g, "--q", str(q)] for q in (2, 3) for g in ("equal", "invruns")]
+    runs += [["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "4", "--order-bound", "2000"]]
     return [argv + ["--output", "json"] for argv in runs]
 
 
@@ -188,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="qcw-matrix-") as workdir:
         (Path(workdir) / "data").mkdir()
         shutil.copy(GROUPS, Path(workdir) / "data" / "groups.grp")
-        files = {"long.grp": LONG, "longpower.grp": LONG_POWER, **MALFORMED}
+        files = {"long.grp": LONG, "longpower.grp": LONG_POWER, "inverse.grp": INVERSE, **MALFORMED}
         for name, text in files.items():
             (Path(workdir) / "data" / name).write_text(text, encoding="utf-8")
         for run in command_lines():
