@@ -102,10 +102,23 @@ no function here builds a |G| x |G| cochain.  Restriction is injective on
 Z^2 (a cocycle is fixed by these values), and B^2 and the cup products lie
 in Z^2, so H^2 = Z^2 / B^2 and its decomposable part are the same modules
 on restricted vectors.  The basis classes reported are restricted vectors.
-Their support size, the number of nonzero values of the bar cochains they
-extend to, is counted over blocks of rows g of ``_along_tree``, so no
-block holds more than one cell budget.  Maps induced on the decomposable
-part need no cochain either (``induced_h_maps``).
+Their support size is the number of nonzero values of the bar cochains
+they extend to, and neither count walks the tree a second time.  The H^2
+basis classes are the net's representatives rep_i, so their extensions
+are counted inside the net's own walk, one row block at a time, and
+cached with Z^2 once the net passes.  The decomposable classes need no
+walk, by the cup lemma: for a, b in Hom(G, Z/q) the values
+f(g, s) = a(g) b(s) extend to the bar cochain (a ∪ b)(g, k) = a(g) b(k)
+(Brown, V.3).  Along a tree edge k = k' s the tree equation gives
+F(g, k) = F(g, k') + a(g k') b(s) - a(k') b(s) = F(g, k') + a(g) b(s), as
+a is a homomorphism, so with F(g, 1) = 0, F(g, k) = a(g) times the sum of
+b over the letters of the tree path to k, which is a(g) b(k).  The
+extension is linear mod q, so decomposable class r = Σ_ij C[r, i, j]
+a_i ∪ a_j (C the ``transform`` of ``dec_module``) extends to
+Σ_ij C[r, i, j] a_i(g) a_j(k) mod q, counted from the H^1 basis values a
+block of rows g at a time.  No block of either count holds more than one
+cell budget.  Maps induced on the decomposable part need no cochain either
+(``induced_h_maps``).
 
 B^2 is not eliminated as the span of the |G| - 1 coboundaries d(u_x) of
 point masses: the spanning tree fixes a gauge (the Schreier-tree
@@ -144,7 +157,8 @@ homomorphism conditions f(x g) = f(x) + f(g) on the |G| - 1 values take a
 vectors' potentials span Hom(G, Z/q).
 
 ``h1_space`` reports the ``kernel_with_orders`` generators v of that
-kernel, with their orders, as the homomorphisms Σ_j v_j K_j.  On the tree
+kernel, with their orders, as the homomorphisms Σ_j v_j K_j, the
+potentials K that ``coboundary_rows`` walks kept and reused.  On the tree
 generators the basis values are the kernel vectors themselves, since
 K_j(s_i) = δ_ij.  So when the gauge rows vanish mod q, and the kernel is
 all of (Z/q)^|S| with the unit vectors as its generators, the basis is the
@@ -318,9 +332,12 @@ class GroupCohomology:
         self.width = (n - 1) * (n - 1)
         self._h1: CohomologySpace | None = None
         self._b2: np.ndarray | None = None
+        self._K: np.ndarray | None = None
         self._off: tuple[np.ndarray, np.ndarray] | None = None
         self._z2: list[tuple[np.ndarray, int]] | None = None
         self._h2_module: QuotientModule | None = None
+        self._h2_support: int | None = None
+        self._cups: np.ndarray | None = None
         self._dec_module: QuotientModule | None = None
 
     # -- degree 1 -----------------------------------------------------------
@@ -334,7 +351,8 @@ class GroupCohomology:
             b2 = self.coboundary_rows()
             kern = kernel_with_orders(b2.T, self.q)
             v = np.array([vec for vec, _ in kern], dtype=np.int64).reshape(len(kern), len(b2)).T
-            values = self._potentials(np.broadcast_to(v, (self.t.order,) + v.shape)) % self.q
+            # the potential of constant generator values v is Σ_j K_j v_j
+            values = self._K @ v % self.q
             self._h1 = CohomologySpace(
                 degree=1,
                 modulus=self.q,
@@ -353,9 +371,11 @@ class GroupCohomology:
         if self._b2 is None:
             gens = self.t.spanning_tree().gens
             ns = len(gens)
-            # f(g, s_i) = δ_ij for every g: the walk gives p = K_j and the
-            # values δ_ij + K_j(g) - K_j(g s_i) = dK_j(g, s_i)
-            self._b2 = self._tree_reduced(np.broadcast_to(np.eye(ns, dtype=np.int64), (self.t.order, ns, ns)))
+            # f(g, s_i) = δ_ij for every g: the walk gives p = K_j, kept for
+            # ``h1_space``, and the values δ_ij + K_j(g) - K_j(g s_i) = dK_j(g, s_i)
+            on_gens = np.broadcast_to(np.eye(ns, dtype=np.int64), (self.t.order, ns, ns))
+            self._K = self._potentials(on_gens)
+            self._b2 = self._tree_reduced(on_gens, self._K)
         return self._b2
 
     def gauge(self, vectors) -> np.ndarray:
@@ -363,7 +383,8 @@ class GroupCohomology:
         where u(1) = u(s) = 0 and u(k) = u(k') - v(k', s) along each tree
         edge k = k's, so that v - du vanishes on the tree edges.  v is a
         coboundary iff its gauge lies in the span of ``coboundary_rows``."""
-        return self._tree_reduced(self._on_gens(vectors))
+        on_gens = self._on_gens(vectors)
+        return self._tree_reduced(on_gens, self._potentials(on_gens))
 
     def _potentials(self, on_gens: np.ndarray) -> np.ndarray:
         """p(1) = 0 and p(k) = p(k') + f(k', s) along each tree edge k = k's,
@@ -386,11 +407,10 @@ class GroupCohomology:
             reach *= 2
         return pot
 
-    def _tree_reduced(self, on_gens: np.ndarray) -> np.ndarray:
+    def _tree_reduced(self, on_gens: np.ndarray, pot: np.ndarray) -> np.ndarray:
         """w(g, s) = f(g, s) + p(g) - p(gs) at the off-tree pairs, one row per
-        trailing index of the |G| x |S| x m values f, p the ``_potentials``."""
+        trailing index of the |G| x |S| x m values f, p their ``_potentials``."""
         columns = self.t.spanning_tree().columns
-        pot = self._potentials(on_gens)
         g, i = self._off_tree()
         return ((on_gens[g, i] + pot[g] - pot[columns[g, i]]) % self.q).T
 
@@ -437,37 +457,32 @@ class GroupCohomology:
             P[:, k] = tree.columns[gk, i]
         return F % self.q, P
 
-    def _row_blocks(self, m: int):
-        """The rows g != 1 in blocks of |G| |S| m cells a row, at most
-        ``_BLOCK_CELLS`` a block unless one row alone is larger: room for df
-        at every pair (h, s), or for m cochains along the tree and their
-        temporaries."""
-        step = max(1, _BLOCK_CELLS // max(1, self.t.order * len(self.t.spanning_tree().gens) * m))
+    def _row_blocks(self, row_cells: int):
+        """The rows g != 1 in blocks of at most ``_BLOCK_CELLS`` // ``row_cells``
+        rows, one row if a row alone is larger: ``row_cells`` is the room a row
+        g needs, |G| |S| m for df at every pair (h, s), or for m cochains
+        along the tree and their temporaries."""
+        step = max(1, _BLOCK_CELLS // max(1, row_cells))
         for start in range(0, len(self.elems), step):
             yield self.elems[start : start + step]
-
-    def _support_size(self, vectors) -> int:
-        """The number of nonzero values of the bar cochains extended from the
-        restricted ``vectors``, summed over them, counted a block of rows g
-        at a time (f(1, .) = 0)."""
-        on_gens = self._on_gens(vectors)
-        blocks = self._row_blocks(on_gens.shape[-1])
-        return sum(int(np.count_nonzero(self._along_tree(on_gens, g)[0])) for g in blocks)
 
     def _df_blocks(self, vectors, h: np.ndarray, i: np.ndarray):
         """df(g, h, s) = f(h, s) - f(gh, s) + f(g, hs) - f(g, h) for the
         cochains extended from the restricted ``vectors``, at the pairs
         (h, s) = (h[j], gens[i[j]]), in blocks of rows g != 1.
 
-        Yields block x len(h) x len(vectors) arrays mod q; a block holds at
-        most ``_BLOCK_CELLS`` entries of df unless one row g alone is larger.
+        Yields (df, F) per block: df the block x len(h) x len(vectors) values
+        mod q, F the block x |G| x len(vectors) extended cochains of
+        ``_along_tree`` in those rows.  A block holds at most ``_BLOCK_CELLS``
+        entries of df unless one row g alone is larger.
         """
         on_gens = self._on_gens(vectors)
         f_hs, hs = on_gens[h, i], self.t.spanning_tree().columns[h, i]
-        for g in self._row_blocks(on_gens.shape[-1]):
+        ns = len(self.t.spanning_tree().gens)
+        for g in self._row_blocks(self.t.order * ns * on_gens.shape[-1]):
             F, P = self._along_tree(on_gens, g)
             r = np.arange(len(g))[:, None]
-            yield (f_hs - on_gens[P[:, h], i] + F[r, hs] - F[r, h]) % self.q
+            yield (f_hs - on_gens[P[:, h], i] + F[r, hs] - F[r, h]) % self.q, F
 
     def _walk_rows(self):
         """The walk equations acc_r(g) - acc_r(1) = 0, g != 1, of the relators
@@ -561,7 +576,7 @@ class GroupCohomology:
             if self.relators is None:
                 eye = np.eye(unknowns, dtype=np.int64)
                 df = self._df_blocks(eye, *self._off_tree())
-                blocks = (rows.reshape(-1, unknowns) for rows in df)
+                blocks = (rows.reshape(-1, unknowns) for rows, _ in df)
             else:
                 blocks = self._walk_rows()
             for rows in blocks:
@@ -570,11 +585,16 @@ class GroupCohomology:
             z2 = np.array([v for v, _ in kernel], dtype=np.int64).reshape(len(kernel), unknowns)
             module = self._modulo_b2(z2)
             # the safety net on the H^2 representatives: every df(g, h, s),
-            # tree pairs included
+            # tree pairs included.  They are the basis classes of
+            # ``h2_space``, so their support is counted on the same walk
             every_pair = np.nonzero(np.ones((t.order, len(gens)), dtype=bool))
-            if any(df.any() for df in self._df_blocks(module.transform @ z2 % q, *every_pair)):
-                raise QcwError("internal error: cocycle solver produced a non-cocycle")
-            self._z2, self._h2_module = kernel, module
+            support = 0
+            for df, F in self._df_blocks(module.transform @ z2 % q, *every_pair):
+                if df.any():
+                    raise QcwError("internal error: cocycle solver produced a non-cocycle")
+                support += int(np.count_nonzero(F))
+                del df, F  # free the block before the next one is built
+            self._z2, self._h2_module, self._h2_support = kernel, module, support
         return self._z2
 
     def _modulo_b2(self, vectors) -> QuotientModule:
@@ -596,28 +616,31 @@ class GroupCohomology:
         return np.array(z2, dtype=np.int64).reshape(len(z2), len(self.elems) * len(gens))
 
     def h2_space(self) -> CohomologySpace:
-        return self._space(self.h2_module(), self._z2_vectors())
+        """H^2; the support of its basis classes is the safety net's count."""
+        mod = self.h2_module()
+        return self._space(mod, self._z2_vectors(), self._h2_support)
 
-    def _space(self, mod: QuotientModule, gens: np.ndarray) -> CohomologySpace:
+    def _space(self, mod: QuotientModule, gens: np.ndarray, support_size: int) -> CohomologySpace:
         """The basis classes of a module built by ``_modulo_b2(gens)``: each a
         combination of the given restricted generators, as restricted values."""
-        basis = (mod.transform @ gens) % self.q
         return CohomologySpace(
             degree=2,
             modulus=self.q,
             invariants=list(mod.orders),
-            basis=list(basis),
-            support_size=self._support_size(basis),
+            basis=list(mod.transform @ gens % self.q),
+            support_size=support_size,
         )
 
     # -- cup products and the decomposable part -------------------------------
 
     def cup_flats(self) -> np.ndarray:
         """Generator values (a cup b)(g, s) = a(g) b(s), all pairs of H^1 basis, one row each."""
-        basis = np.array(self.h1_space().basis, dtype=np.int64).reshape(-1, self.t.order)
-        gens = self.t.spanning_tree().gens
-        cups = basis[:, None, self.elems, None] * basis[None, :, None, gens] % self.q
-        return cups.reshape(len(basis) ** 2, len(self.elems) * len(gens))
+        if self._cups is None:
+            basis = np.array(self.h1_space().basis, dtype=np.int64).reshape(-1, self.t.order)
+            gens = self.t.spanning_tree().gens
+            cups = basis[:, None, self.elems, None] * basis[None, :, None, gens] % self.q
+            self._cups = cups.reshape(len(basis) ** 2, len(self.elems) * len(gens))
+        return self._cups
 
     def dec_module(self) -> QuotientModule:
         """Span of cup products of H^1 classes, modulo coboundaries, on
@@ -631,7 +654,26 @@ class GroupCohomology:
         return self._dec_module
 
     def dec_space(self) -> CohomologySpace:
-        return self._space(self.dec_module(), self.cup_flats())
+        mod = self.dec_module()
+        return self._space(mod, self.cup_flats(), self._cup_support(mod.transform))
+
+    def _cup_support(self, transform: np.ndarray) -> int:
+        """The nonzero values of the bar cochains Σ_ij C[r, i, j] a_i(g) a_j(k)
+        mod q that the combinations ``transform`` (rows C[r] on the cup
+        products, i m + j) of the H^1 basis a extend to, by the cup lemma of
+        the module docstring: no tree walk, a block of rows g at a time."""
+        if not len(transform):
+            return 0
+        a = np.array(self.h1_space().basis, dtype=np.int64).reshape(-1, self.t.order)
+        rank, m = len(transform), len(a)
+        # Ci[i, r m + j] = C[r, i, j]
+        Ci = transform.reshape(rank, m, m).transpose(1, 0, 2).reshape(m, rank * m)
+        support = 0
+        for g in self._row_blocks(rank * self.t.order):
+            # X[g, r m + j] = Σ_i a_i(g) C[r, i, j], then the values X[g, r] . a(k)
+            X = a[:, g].T @ Ci % self.q
+            support += int(np.count_nonzero(X.reshape(-1, m) @ a % self.q))
+        return support
 
     def pairing(self) -> PairingTensor:
         """Cup tensor of the H^1 basis in decomposable-H^2 coordinates.

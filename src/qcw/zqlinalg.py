@@ -101,14 +101,13 @@ def unit_inverse(x: int, p: int, d: int) -> int:
 
 
 def _as_matrix(rows, width: int, q: int) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        m = rows.astype(np.int64) % q
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-    elif len(rows) == 0:
-        m = np.zeros((0, width), dtype=np.int64)
-    else:
-        m = np.array(rows, dtype=np.int64) % q
+    """The rows reduced mod q as a new int64 matrix, a 1-D array as one row."""
+    if not isinstance(rows, np.ndarray) and len(rows) == 0:
+        return np.zeros((0, width), dtype=np.int64)
+    # one allocation: asarray does not copy int64 input, and % makes the result
+    m = np.asarray(rows, dtype=np.int64) % q
+    if m.ndim == 1:
+        m = m.reshape(1, -1)
     if m.shape[1] != width:
         raise ValueError(f"expected width {width}, got {m.shape[1]}")
     return m
@@ -601,11 +600,14 @@ class RowSpace:
     def add_rows(self, block) -> int:
         """Insert a block of rows; returns the number of new pivots."""
         block = _as_matrix(block, self.width, self.q)
-        block = block[block.any(axis=1)]
+        nonzero = block.any(axis=1)
+        if not nonzero.all():
+            block = block[nonzero]
         if not len(block):
             return 0
         before = self.nrows
-        stacked = np.vstack([self._rows, block])
+        # the sweep may overwrite its input: block is this call's own copy
+        stacked = np.vstack([self._rows, block]) if before else block
         self._rows, self._cols, self._exps = _howell_sweep(stacked, self.p, self.d)
         return self.nrows - before
 

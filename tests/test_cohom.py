@@ -1287,7 +1287,7 @@ def df_vanishes(ctx, vectors, generators=None):
     gens = ctx.t.spanning_tree().gens
     generators = range(len(gens)) if generators is None else generators
     h, i = (a.reshape(-1) for a in np.meshgrid(np.arange(ctx.t.order), generators, indexing="ij"))
-    return not any(df.any() for df in ctx._df_blocks(vectors, h, i))
+    return not any(df.any() for df, _ in ctx._df_blocks(vectors, h, i))
 
 
 @pytest.mark.parametrize("name,q", [("d4", 2), ("q8", 4), ("demushkin3_q2", 3), ("cyclic8", 8), ("klein4", 9)])
@@ -1643,9 +1643,11 @@ def test_support_size_matches_the_bar_cochains_on_small_tables(name, q, request)
 
 
 def test_support_count_runs_over_row_blocks_within_the_budget(monkeypatch):
-    # with a budget of a few rows, h2_space and dec_space extend their basis
-    # classes a block of rows g at a time, never all |G| rows at once, and
-    # the count over the blocks does not change
+    # with a budget of a few rows, the safety net extends the H^2
+    # representatives a block of rows g at a time and counts their support
+    # on the way, and the decomposable count evaluates its cup cochains a
+    # block of rows at a time with no tree walk: never all |G| rows at
+    # once, and the counts over the blocks do not change
     import qcw.cohom
 
     q, budget = 3, 2000
@@ -1653,29 +1655,90 @@ def test_support_count_runs_over_row_blocks_within_the_budget(monkeypatch):
     whole = GroupCohomology(t, q, h2_bound=t.order)
     want = [whole.h2_space().support_size, whole.dec_space().support_size]
     ctx = GroupCohomology(t, q, h2_bound=t.order)
-    # the Z^2 solve and its safety net run before the spy
-    ctx.h2_module()
-    ctx.dec_module()
     ns = len(t.spanning_tree().gens)
-    calls, along_tree = [], GroupCohomology._along_tree
+    walks, blocks = [], []
+    along_tree, row_blocks = GroupCohomology._along_tree, GroupCohomology._row_blocks
+
+    def spy_walk(self, on_gens, rows):
+        walks.append((len(rows), on_gens.shape[-1]))
+        return along_tree(self, on_gens, rows)
+
+    def spy_blocks(self, row_cells):
+        for g in row_blocks(self, row_cells):
+            blocks.append((len(g), row_cells))
+            yield g
+
+    monkeypatch.setattr(qcw.cohom, "_BLOCK_CELLS", budget)
+    monkeypatch.setattr(GroupCohomology, "_along_tree", spy_walk)
+    monkeypatch.setattr(GroupCohomology, "_row_blocks", spy_blocks)
+    h2 = ctx.h2_space()
+    # the off-tree equations walk the unit vectors, one row a block here;
+    # the net walks the dim H^2 representatives
+    net = [(rows, m) for rows, m in walks if m == h2.dimension]
+    assert h2.dimension and len(net) > 1
+    assert all(rows * t.order * ns * m <= budget for rows, m in net)
+    assert sum(rows for rows, _ in net) == t.order - 1
+    walks.clear()
+    blocks.clear()
+    dec = ctx.dec_space()
+    assert dec.dimension and not walks and len(blocks) > 1
+    assert all(cells == dec.dimension * t.order and rows * cells <= budget for rows, cells in blocks)
+    assert sum(rows for rows, _ in blocks) == t.order - 1
+    got = [h2.support_size, dec.support_size]
+    assert got == want and all(want)
+    monkeypatch.undo()
+    assert got == [support_size(ctx, h2), support_size(ctx, dec)]
+
+
+def test_cohomology_command_walks_the_tree_only_in_the_safety_net(monkeypatch):
+    # the H^2 support is counted on the net's own walk and the decomposable
+    # support from H^1 (the cup lemma of the module docstring): every
+    # _along_tree call of the run is one row block of the net, on the
+    # rank(H^2) representatives, and the blocks cover the rows g != 1 once
+    calls, contexts = [], []
+    along_tree, init = GroupCohomology._along_tree, GroupCohomology.__init__
 
     def spy(self, on_gens, rows):
         calls.append((len(rows), on_gens.shape[-1]))
         return along_tree(self, on_gens, rows)
 
-    monkeypatch.setattr(qcw.cohom, "_BLOCK_CELLS", budget)
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
     monkeypatch.setattr(GroupCohomology, "_along_tree", spy)
-    got = []
-    for call in (ctx.h2_space, ctx.dec_space):
-        calls.clear()
-        space = call()
-        assert space.dimension and len(calls) > 1
-        assert all(m == space.dimension and rows * t.order * ns * m <= budget for rows, m in calls)
-        assert sum(rows for rows, _ in calls) == t.order - 1
-        got.append(space.support_size)
-    assert got == want and all(want)
-    monkeypatch.undo()
-    assert got == [support_size(ctx, ctx.h2_space()), support_size(ctx, ctx.dec_space())]
+    monkeypatch.setattr(GroupCohomology, "__init__", keep)
+    argv = ["cohomology", GROUPS_GRP, "demushkin7", "--q", "3", "--order-bound", "2048", "--h2-bound", "256"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    run = list(calls)
+    (ctx,) = contexts
+    rank = ctx.h2_module().rank
+    assert rank == 3 and ctx.dec_space().dimension == 1 and ctx.dec_space().support_size
+    assert [m for _, m in run] == [rank] * len(run)
+    assert sum(rows for rows, _ in run) == ctx.t.order - 1
+    ns = len(ctx.t.spanning_tree().gens)
+    assert len(run) == len(list(ctx._row_blocks(ctx.t.order * ns * rank)))
+
+
+def test_cup_products_extend_to_the_bar_cup_cochains(request):
+    # the cup lemma: along the tree the generator values a_i(g) a_j(s)
+    # extend to a_i(g) a_j(k) on all of G x G, for every pair of H^1
+    # classes, on the groups.grp quotients and the small tables
+    cases = [(f"{n}_q{q}", to_table(third_quotient(GRP[n], SeriesParams.from_q(q), NO_BOUND), 256), q)
+             for n, q in relator_cases()]
+    cases += [(f"{n}_q{q}", small_table(n, request), q) for n in sorted(SMALL_TABLES) for q in (2, 3, 4, 5, 8, 9)]
+    nonzero = 0
+    for label, t, q in cases:
+        ctx = GroupCohomology(t, q)
+        a = np.array(ctx.h1_space().basis, dtype=np.int64).reshape(-1, t.order)
+        m = len(a)
+        walked = extend(ctx, ctx.cup_flats()).reshape(m, m, t.order, t.order)
+        closed = a[:, None, :, None] * a[None, :, None, :] % q
+        assert np.array_equal(walked, closed), label
+        nonzero += bool(closed.any())
+    # a 2-group at odd q, or a 3-group at even q, has no H^1
+    assert nonzero >= 30
 
 
 def _images(*words):

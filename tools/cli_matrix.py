@@ -48,13 +48,16 @@ The runs:
 * four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
   65536) and ``compare Qp:97 --q 32`` (|G| = 2^20), ``check class2
   --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``;
-* four ``cohomology`` runs with large bounds: ``free2 --q 3`` (|G| =
+* five ``cohomology`` runs with large bounds: ``free2 --q 3`` (|G| =
   243) and ``free3 --q 2`` (|G| = 512) at ``--order-bound 1000
   --h2-bound 1000``, ``free2 --q 4 --order-bound 5000 --h2-bound 5000``
-  (|G| = 1024) and ``demushkin7 --q 3 --order-bound 2048 --h2-bound
-  256`` (|G| = 81), which has a nonzero decomposable part.  The free3
-  and the q = 4 run count the support of their H^2 basis classes over
-  three blocks of rows each;
+  (|G| = 1024), ``demushkin7 --q 3 --order-bound 2048 --h2-bound
+  256`` (|G| = 81), which has a nonzero decomposable part, and
+  ``abelianized --q 7 --order-bound 20000 --h2-bound 2401`` (|G| =
+  2401).  The free3 and the q = 4 run count the support of their H^2
+  basis classes over three blocks of rows each; the abelianized run
+  counts its three H^2 classes over nine blocks and its decomposable
+  class over two;
 * ``cohomology`` at q in {2, 3} of <x, y | x y^-1>, whose two listed
   generators are equal, and of <x, y | x^-3 y^-2 x y>, whose relator has
   inverse runs;
@@ -167,6 +170,7 @@ def command_lines() -> list[list[str]]:
         ["cohomology", grp, "free3", "--q", "2", "--order-bound", "1000", "--h2-bound", "1000"],
         ["cohomology", grp, "free2", "--q", "4", "--order-bound", "5000", "--h2-bound", "5000"],
         ["cohomology", grp, "demushkin7", "--q", "3", "--order-bound", "2048", "--h2-bound", "256"],
+        ["cohomology", grp, "abelianized", "--q", "7", "--order-bound", "20000", "--h2-bound", "2401"],
     ]
     runs += [["cohomology", "data/inverse.grp", g, "--q", str(q)] for q in (2, 3) for g in ("equal", "invruns")]
     runs += [["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "4", "--order-bound", "2000"]]
