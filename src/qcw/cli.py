@@ -21,11 +21,12 @@ import functools
 import json
 import sys
 
-from .cohom import GroupCohomology, check_h2_bound, cohomology_record, pairings_equivalent
+from .cohom import DEFAULT_H2_BOUND, GroupCohomology, check_h2_bound, cohomology_record, pairings_equivalent
 from .errors import QcwError
 from .milnor import galois_model, parse_field, symbol_algebra
 from .presentations import parse_file
 from .qcentral import (
+    DEFAULT_ORDER_BOUND,
     SeriesParams,
     group_record,
     second_quotient_record,
@@ -285,10 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, order_bound=True, h2_bound=False):
+        """--q, --output and the bounds that the subcommand's cmd_* reads."""
         p.add_argument("--q", type=int, default=2, help="prime power modulus (default 2)")
-        p.add_argument("--order-bound", type=int, default=512)
-        p.add_argument("--h2-bound", type=int, default=64)
+        if order_bound:
+            p.add_argument("--order-bound", type=int, default=DEFAULT_ORDER_BOUND)
+        if h2_bound:
+            p.add_argument("--h2-bound", type=int, default=DEFAULT_H2_BOUND)
         p.add_argument("--output", choices=["text", "json"], default="text")
 
     p = sub.add_parser("quotient", help="compute G^[level, q] of a presented group")
@@ -301,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="H^1, H^2, decomposable H^2 of G^[3, q]")
     p.add_argument("file")
     p.add_argument("group")
-    common(p)
+    common(p, h2_bound=True)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("milnor", help="Milnor k1, k2 mod q of a field descriptor")
     p.add_argument("field")
-    common(p)
+    common(p, order_bound=False)
     p.set_defaults(func=cmd_milnor)
 
     p = sub.add_parser("compare", help="Milnor side vs cohomology side, degree <= 2")

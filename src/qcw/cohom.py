@@ -22,7 +22,7 @@ These |S| (|G|-1)^2 equations, s running over the table's listed
 generators, are not solved as they stand: a normalized cocycle is fixed by
 its |S| (|G|-1) values f(x, s) (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 7).  Take the group's BFS spanning tree
-of the right Cayley graph on S (``FiniteGroupTable.spanning_tree``); each
+of the right Cayley graph on S (``GeneratorAction.spanning_tree``); each
 walk below runs over it a layer at a time, as every parent lies in the
 layer before.  On a tree edge k = k's the equation df(g, k', s) = 0
 reads f(g, k) = f(g, k') + f(gk', s) - f(k', s), so walking the tree
@@ -176,12 +176,10 @@ coboundaries; ``GroupCohomology.dec_module`` computes it without solving
 for all of H^2 (only coboundaries are needed), keeping large groups within
 reach of the degree <= 2 comparisons.
 
-The group is read through its order, identity, listed generators and
-their |G| x |S| columns g -> g s, and the spanning tree built on them: a
-product g k of any two elements walks the tree beside the extension
-(``_along_tree``), and a relator walk carries its prefix map g -> g u.  So
-a ``FiniteGroupTable`` and a ``qcentral.GeneratorAction`` are the same
-input: ``GroupCohomology`` reads no |G| x |G| table.
+The group is a ``qcentral.GeneratorAction``, read only through its |G| x |S|
+columns g -> g s and the spanning tree on them: a product g k walks the tree
+beside the extension (``_along_tree``), and a relator walk carries its prefix
+map g -> g u.
 """
 
 from __future__ import annotations
@@ -311,16 +309,16 @@ class GroupCohomology:
 
     def __init__(
         self,
-        table: FiniteGroupTable | GeneratorAction,
+        table: GeneratorAction,
         q: int,
         h2_bound: int = DEFAULT_H2_BOUND,
         relators=None,
     ):
-        """``table`` is a multiplication table or a generator action, read
-        only at the listed generators (module docstring).  ``relators``, if
-        given, are words in the listed generators (letter i is
-        ``table.generators[i]``) that present the group; Z^2 is then solved
-        from their walks instead of the off-tree equations."""
+        """``table`` is read only at the listed generators (module
+        docstring); a ``FiniteGroupTable`` is one such action.
+        ``relators``, if given, are words in the listed generators (letter
+        i is ``table.generators[i]``) that present the group; Z^2 is then
+        solved from their walks instead of the off-tree equations."""
         prime_power(q)
         self.t = table
         self.q = q
@@ -693,12 +691,12 @@ class GroupCohomology:
 # operation-level API
 
 
-def h1(G: FiniteGroupTable, q: int) -> CohomologySpace:
+def h1(G: GeneratorAction, q: int) -> CohomologySpace:
     """H^1(G, Z/q) = Hom(G, Z/q), with representative homomorphisms."""
     return GroupCohomology(G, q).h1_space()
 
 
-def h2(G: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> CohomologySpace:
+def h2(G: GeneratorAction, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> CohomologySpace:
     """H^2(G, Z/q) by the normalized bar cocycle solve."""
     return GroupCohomology(G, q, h2_bound=h2_bound).h2_space()
 
@@ -709,7 +707,7 @@ class DecomposableH2:
     inclusion: np.ndarray  # columns: coordinates of dec basis in the H^2 basis
 
 
-def decomposable_h2(G: FiniteGroupTable, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> DecomposableH2:
+def decomposable_h2(G: GeneratorAction, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> DecomposableH2:
     """The decomposable subspace of H^2 and its inclusion matrix into H^2."""
     ctx = GroupCohomology(G, q, h2_bound=h2_bound)
     inclusion = ctx.h2_module().coords_batch(ctx.dec_module().basis).T
@@ -784,7 +782,7 @@ def _is_module_iso(matrix: np.ndarray, src_orders, tgt_orders, q: int) -> bool:
     return math.prod(_span_invariants(matrix.T, src_orders, q)) == math.prod(src_orders)
 
 
-def pairing_gram(G: FiniteGroupTable, q: int) -> PairingTensor:
+def pairing_gram(G: GeneratorAction, q: int) -> PairingTensor:
     """Cup-product tensor of an H^1 basis in decomposable-H^2 coordinates."""
     return GroupCohomology(G, q).pairing()
 

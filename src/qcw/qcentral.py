@@ -102,17 +102,19 @@ Tables are built and searched from the listed generators, on three lemmas.
   and no others; it is the same tree on anything that holds those columns.
 
 A ``GeneratorAction`` is such a holder: order, identity, the listed
-generators and their columns, which ``to_action`` collects as the n |G|
-right products g x_i, with no |G| x |G| table.  It is all that the
-degree <= 2 cohomology reads (``cohom``), so the ``cohomology`` and
-``compare`` commands build no table.
+generators, their columns and the tree built on them.  A
+``FiniteGroupTable`` is the action that also holds the |G| x |G| table
+and slices its columns from it once, at construction; ``to_action``
+collects them as the n |G| right products g x_i, with no table.  The
+action is all that the degree <= 2 cohomology reads (``cohom``), so the
+``cohomology`` and ``compare`` commands build no table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -574,32 +576,43 @@ class SpanningTree:
 
 
 @dataclass
-class FiniteGroupTable:
-    """A finite group as an order x order multiplication table."""
+class GeneratorAction:
+    """A finite group known by the right action of its listed generators:
+    ``columns[g, i]`` is the index of (element g) * generators[i], |G| x n
+    entries where a ``FiniteGroupTable`` holds |G|^2.  The spanning tree
+    and the degree <= 2 cohomology (``cohom``) read no more than that."""
 
     order: int
-    mult: np.ndarray  # mult[i, j] = index of (element i) * (element j)
     identity: int
     generators: tuple[int, ...]
+    columns: np.ndarray
 
     def __post_init__(self):
-        self.mult = np.asarray(self.mult, dtype=np.int64)
-        self._inverses: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
+        self.columns = np.asarray(self.columns, dtype=np.int64)
         self._tree: SpanningTree | None = None
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """columns[g, i] = index of (element g) * generators[i]: the table
-        at the listed generators, as a ``GeneratorAction`` holds it."""
-        return self.mult[:, np.array(self.generators, dtype=np.int64)]
 
     def spanning_tree(self) -> SpanningTree:
         """The spanning tree on the listed generators, built once; raises
-        ``QcwError`` unless they generate the table."""
+        ``QcwError`` unless they generate the group."""
         if self._tree is None:
             self._tree = _build_tree(self)
         return self._tree
+
+
+@dataclass
+class FiniteGroupTable(GeneratorAction):
+    """A finite group as an order x order multiplication table, and the
+    action of its listed generators: ``columns`` is the table at them."""
+
+    columns: np.ndarray = field(init=False)
+    mult: np.ndarray  # mult[i, j] = index of (element i) * (element j)
+
+    def __post_init__(self):
+        self.mult = np.asarray(self.mult, dtype=np.int64)
+        self.columns = self.mult[:, np.array(self.generators, dtype=np.int64)]
+        super().__post_init__()
+        self._inverses: np.ndarray | None = None
+        self._orders: np.ndarray | None = None
 
     def listed_generators(self) -> np.ndarray:
         """The listed generators as an index array, checked by the spanning
@@ -694,30 +707,7 @@ class FiniteGroupTable:
         return len(self.closure(elements)) == self.order
 
 
-@dataclass
-class GeneratorAction:
-    """A finite group known by the right action of its listed generators:
-    ``columns[g, i]`` is the index of (element g) * generators[i], |G| x n
-    entries where a ``FiniteGroupTable`` holds |G|^2.  The spanning tree
-    and the degree <= 2 cohomology (``cohom``) read no more than that."""
-
-    order: int
-    identity: int
-    generators: tuple[int, ...]
-    columns: np.ndarray
-
-    def __post_init__(self):
-        self.columns = np.asarray(self.columns, dtype=np.int64)
-        self._tree: SpanningTree | None = None
-
-    def spanning_tree(self) -> SpanningTree:
-        """As ``FiniteGroupTable.spanning_tree``, on the columns."""
-        if self._tree is None:
-            self._tree = _build_tree(self)
-        return self._tree
-
-
-def _build_tree(t: FiniteGroupTable | GeneratorAction) -> SpanningTree:
+def _build_tree(t: GeneratorAction) -> SpanningTree:
     """One layer per step: of the products frontier x gens, flattened
     parent-major, each unseen child is kept at its first occurrence.  Reads
     only the columns of the listed generators."""

@@ -503,7 +503,7 @@ def semidirect_power_table(
 
 
 def _semidirect_generators(
-    base: FiniteGroupTable, m: int, perms: list[tuple[int, ...]], pidx: dict
+    base: GeneratorAction, m: int, perms: list[tuple[int, ...]], pidx: dict
 ) -> tuple[int, tuple[int, ...]]:
     """The identity of (base)^m x| P and its listed generators: those of
     base in copy 0, then ``perms``; ``pidx`` numbers P."""
@@ -515,7 +515,7 @@ def _semidirect_generators(
 
 
 def semidirect_power_action(
-    base: FiniteGroupTable, m: int, perms: list[tuple[int, ...]]
+    base: GeneratorAction, m: int, perms: list[tuple[int, ...]]
 ) -> GeneratorAction:
     """The generator columns of ``semidirect_power_table(base, m, perms)``,
     without the table.

@@ -174,6 +174,9 @@ def diagonalize(A, q: int, want_Vinv: bool = False, carry=None) -> Diagonalizati
     only the at most r + 1 rows where V[:, r] != 0 and the columns with a
     nonzero multiplier, and Vinv[r] sums only the rows with a nonzero
     multiplier.
+
+    A and carry are copied and reduced mod q here, a 1-D A as one row and
+    a 1-D carry as one column, so callers pass them as they are.
     """
     p, d = prime_power(q)
     A = np.array(A, dtype=np.int64) % q
@@ -239,12 +242,8 @@ def kernel_with_orders(A, q: int) -> list[tuple[np.ndarray, int]]:
     The generators are independent: the kernel is the direct sum of the
     cyclic groups they span.
     """
-    A = np.array(A, dtype=np.int64) % q
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    n = A.shape[1]
     dg = diagonalize(A, q)
-    p, d = dg.p, dg.d
+    p, d, n = dg.p, dg.d, len(dg.V)
     gens: list[tuple[np.ndarray, int]] = []
     for i, e in enumerate(dg.exps):
         if e == 0:
@@ -258,17 +257,8 @@ def kernel_with_orders(A, q: int) -> list[tuple[np.ndarray, int]]:
 
 def solve_mod_many(A, B, q: int) -> list[np.ndarray | None]:
     """Solutions of A x = b for every column b of B (None where unsolvable)."""
-    A = np.array(A, dtype=np.int64) % q
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    B = np.array(B, dtype=np.int64) % q
-    single = B.ndim == 1
-    if single:
-        B = B.reshape(-1, 1)
-    m, n = A.shape
     dg = diagonalize(A, q, carry=B)
-    p = dg.p
-    C = dg.carry
+    p, n, C = dg.p, len(dg.V), dg.carry
     out: list[np.ndarray | None] = []
     for col in range(C.shape[1]):
         c = C[:, col]
@@ -347,12 +337,6 @@ class QuotientModule:
         rels = _as_matrix(rels, width, q)
         self.rels = rels
         s = gens.shape[0]
-        if s == 0:
-            self.orders: list[int] = []
-            self.transform = np.zeros((0, 0), dtype=np.int64)
-            self.basis = np.zeros((0, width), dtype=np.int64)
-            self.generator_coords = np.zeros((0, 0), dtype=np.int64)
-            return
         # the Howell form of Λ: the rows of the sweep that vanish on the first width columns
         M = np.zeros((s + len(rels), width + s), dtype=np.int64)
         M[:s, :width] = gens
@@ -395,14 +379,6 @@ class QuotientModule:
         """Coordinates of many classes at once (one diagonalization pass)."""
         vectors = _as_matrix(vectors, self.width, self.q)
         t = len(self.orders)
-        if t == 0:
-            if self.rels.shape[0] == 0:
-                inside = not vectors.any()
-            else:
-                inside = all(x is not None for x in solve_mod_many(self.rels.T, vectors.T, self.q))
-            if not inside:
-                raise ValueError("vector not in the module")
-            return np.zeros((len(vectors), 0), dtype=np.int64)
         A = np.vstack([self.basis, self.rels]).T
         sols = solve_mod_many(A, vectors.T, self.q)
         out = np.zeros((len(vectors), t), dtype=np.int64)
@@ -420,8 +396,6 @@ class QuotientModule:
         return self.coords_batch(np.asarray(v, dtype=np.int64).reshape(1, -1))[0]
 
     def contains_in_rels(self, v) -> bool:
-        if self.rels.shape[0] == 0:
-            return not np.asarray(v, dtype=np.int64).__mod__(self.q).any()
         return solve_mod(self.rels.T, v, self.q) is not None
 
 

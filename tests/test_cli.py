@@ -606,6 +606,26 @@ def test_parser_is_built_once_and_parses_alike(capsys):
     assert run_json("quotient", DATA, "free2")[1]["result"]["order"] == 32
 
 
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["quotient", DATA, "free2"], "--h2-bound"),
+        (["milnor", "Qp:3"], "--h2-bound"),
+        (["milnor", "Qp:3"], "--order-bound"),
+        (["compare", "Qp:3"], "--h2-bound"),
+        (["check", "--dim-h1", "2", "--cd", "3", "--torsion-free"], "--h2-bound"),
+    ],
+)
+def test_a_subcommand_takes_only_the_bounds_it_reads(argv, flag, capsys):
+    # the command runs without the flag, and argparse refuses it with exit 2
+    assert main(argv + ["--output", "json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, "1000"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1000" in capsys.readouterr().err
+
 # runs that the |G| x |G| tables took past any memory: compare reads only
 # the generator columns, and check decides these pairs on the reduced forms
 

@@ -47,7 +47,7 @@ from qcw.qcentral import (
     to_table,
 )
 from qcw.cli import main
-from qcw.cohom import GroupCohomology
+from qcw.cohom import GroupCohomology, cohomology_record
 from qcw.milnor import galois_model, parse_field
 from qcw.realizability import (
     AT_MOST_ONE,
@@ -716,6 +716,53 @@ def test_an_action_has_degree_2_without_a_table():
     assert all(is_coboundary(on_action, F) == is_coboundary(on_table, F) for F in cochains)
     assert is_coboundary(on_action, np.zeros((action.order, action.order), dtype=np.int64))
 
+
+
+class Unread:
+    """A stand-in for ``FiniteGroupTable.mult`` that fails on any access."""
+
+    def fail(self, *args, **kwargs):
+        raise AssertionError("the |G| x |G| table was read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __array__ = fail
+
+
+def low_degree_record(ctx: GroupCohomology) -> tuple:
+    """H^1, the off-tree Z^2, H^2, decomposable H^2 and the cup tensor."""
+    return (
+        cohomology_record(ctx.h1_space()),
+        [(v.tolist(), order) for v, order in ctx.z2_generators()],
+        cohomology_record(ctx.h2_space()),
+        cohomology_record(ctx.dec_space()),
+        ctx.pairing().to_record(),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,name,q",
+    [
+        ("quotient", "free2", 2),
+        ("quotient", "demushkin3", 3),
+        ("quotient", "demushkin7", 4),
+        ("relabelled", "q8", 4),
+        ("stand-in", "p2_m2_cyclic", 2),
+    ],
+)
+def test_a_table_is_read_only_at_its_generators(kind, name, q, request):
+    # a table is a GeneratorAction whose columns are sliced at construction,
+    # so the cohomology and the wreath columns never touch mult
+    if kind == "quotient":
+        t = to_table(action_quotient(name, q), ORACLE_BOUND)
+    else:
+        t = build_table(kind, name, request)
+    unread = FiniteGroupTable(order=t.order, mult=t.mult, identity=t.identity, generators=t.generators)
+    unread.mult = Unread()
+    want = low_degree_record(GroupCohomology(t, q, h2_bound=t.order))
+    assert low_degree_record(GroupCohomology(unread, q, h2_bound=t.order)) == want
+    perms = cyclic_action(2)
+    got, ref = semidirect_power_action(unread, 2, perms), semidirect_power_action(t, 2, perms)
+    assert (got.order, got.identity, got.generators) == (ref.order, ref.identity, ref.generators)
+    assert np.array_equal(got.columns, ref.columns)
 
 def reference_principle_check(pres1, pres2, p, order_bound=DEFAULT_ORDER_BOUND, assert_realizable=None):
     """The former ``principle_check``, verbatim: two tables and ``is_isomorphic``."""

@@ -385,6 +385,17 @@ def test_coords_of_a_zero_module_check_every_vector(q):
     assert empty.coords_batch([[0, 0], [q, 0]]).shape == (2, 0)
     with pytest.raises(ValueError, match="not in the module"):
         empty.coords_batch([[0, 0], [0, 1]])
+    assert empty.contains_in_rels([0, 0]) and empty.contains_in_rels([q, -2 * q])
+    assert not empty.contains_in_rels([0, 1])
+    # no generators, nonempty relations: the zero module, every shape empty
+    bare = QuotientModule([], rels, 3, q)
+    assert bare.orders == []
+    assert bare.transform.shape == (0, 0) and bare.generator_coords.shape == (0, 0)
+    assert bare.basis.shape == (0, 3)
+    assert bare.coords_batch(inside).shape == (4, 0)
+    assert bare.coords_batch([]).shape == (0, 0)
+    with pytest.raises(ValueError, match="not in the module"):
+        bare.coords_batch(inside + [[0, 0, 1]])
 
 
 def stacked_kernel_quotient_module(gens, rels, width, q):

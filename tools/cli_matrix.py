@@ -62,7 +62,12 @@ The runs:
   generators are equal, and of <x, y | x^-3 y^-2 x y>, whose relator has
   inverse runs;
 * ``check class2 --against free2 --q 4 --order-bound 2000``, which pins
-  the refusal of a prime power q by the principle criterion.
+  the refusal of a prime power q by the principle criterion;
+* three wreath ``check`` runs whose stand-in W = (K^[2])^m x| P is read
+  through its generator columns (``semidirect_power_action``) and reported
+  in a ``sanity`` block: K = free3, m = 3, P = C3 acting by 1,2,0 at q = 2
+  (P is not a 2-group); K = demushkin3, m = 2, the swap at q = 3; and
+  K = free2, m = 3, the cyclic action at q = 3.
 """
 
 from __future__ import annotations
@@ -174,6 +179,14 @@ def command_lines() -> list[list[str]]:
     ]
     runs += [["cohomology", "data/inverse.grp", g, "--q", str(q)] for q in (2, 3) for g in ("equal", "invruns")]
     runs += [["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "4", "--order-bound", "2000"]]
+    runs += [
+        ["check", "--file", grp, "--wreath-k", k, "--wreath-l", "free1", "--wreath-copies", m, *how, "--q", q]
+        for k, m, how, q in (
+            ("free3", "3", ["--wreath-action", "1,2,0"], "2"),
+            ("demushkin3", "2", ["--wreath-action", "swap"], "3"),
+            ("free2", "3", [], "3"),
+        )
+    ]
     return [argv + ["--output", "json"] for argv in runs]
 
 
