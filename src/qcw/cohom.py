@@ -872,13 +872,49 @@ def _value_span_invariants(T: PairingTensor) -> list[int]:
     return _span_invariants(T.values.reshape(T.m * T.m, T.target_dim), T.target_orders, T.q)
 
 
+def _target_solve(A: np.ndarray, B: np.ndarray, q: int) -> bool:
+    """Is Q A = B for an invertible Q on the free target (Z/q)^t?
+
+    A and B are t x n, one value per column.  One solve finds a Q, which is
+    then verified; when the columns of A span the target the solution is
+    unique, so its invertibility decides.
+    """
+    # row r of Q solves A.T x = B[r]; diagonalize pivots on A alone
+    rows = solve_mod_many(A.T, B.T, q)
+    if any(x is None for x in rows):
+        return False
+    Q = np.stack(rows)
+    # Q is invertible iff its rows span the target
+    t = len(Q)
+    return _span_invariants(Q, (q,) * t, q) == [q] * t and bool(((Q @ A) % q == B).all())
+
+
+def _identity_witness(T1: PairingTensor, T2: PairingTensor) -> bool:
+    """Is T2 = Q T1 for an invertible Q, with the source basis kept?
+
+    Only for a free target (every order q), where one target solve decides.
+    A True is the verified equivalence (I, Q); a False says nothing about
+    other source bases.
+    """
+    q, m, t = T1.q, T1.m, T1.target_dim
+    if any(o != q for o in T1.target_orders):
+        return False
+    if m == 0 or t == 0:
+        return True
+    return _target_solve(T1.values.reshape(m * m, t).T % q, T2.values.reshape(m * m, t).T % q, q)
+
+
 def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 2_000_000) -> bool:
     """Equality of tensors up to invertible changes of source and target bases.
 
-    Exhaustive over source bases (m <= 4 enforced).  The target transform is
-    found by a linear solve when the tensor values generate a free target
-    (the case for all tensors produced in-repo); otherwise invertible target
-    transforms are enumerated.
+    The identity source change comes first (``_identity_witness``): the
+    Kummer lemma of ``qcw.milnor.galois_model`` says why it is the natural
+    one for the Milnor and cup tensors that ``compare`` matches, so those
+    never reach the search.  Otherwise the search is exhaustive over source
+    bases (m <= 4 enforced).  The target transform is found by a linear
+    solve when the tensor values generate a free target (the case for all
+    tensors produced in-repo); otherwise invertible target transforms are
+    enumerated.
     """
     if T1.q != T2.q:
         raise DimensionMismatchError("tensors have different moduli")
@@ -888,6 +924,8 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
         return False
     if T1.m > 4:
         raise SizeLimitError("source dimension above the search bound 4")
+    if _identity_witness(T1, T2):
+        return True
     # sorted, so the same before and after _canonical_target
     span1 = _value_span_invariants(T1)
     if span1 != _value_span_invariants(T2):
@@ -898,7 +936,6 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
     if m == 0 or t == 0:
         return True
     orders = T1.target_orders
-    p, _ = prime_power(q)
     full_span = len(span1) == t
     free_target = all(o == q for o in orders)
     solve_path = free_target and full_span
@@ -915,15 +952,7 @@ def pairings_equivalent(T1: PairingTensor, T2: PairingTensor, search_cap: int = 
             S[:, :, k] %= o
         A = S.reshape(m * m, t).T % q
         if solve_path:
-            # row r of Q solves A.T x = B[r]; diagonalize pivots on A alone
-            rows = solve_mod_many(A.T, B.T, q)
-            if any(x is None for x in rows):
-                continue
-            Q = np.stack(rows)
-            # full span makes the solution unique, so invertibility decides
-            if _det_mod(Q, q) % p == 0:
-                continue
-            if ((Q @ A) % q == B % q).all():
+            if _target_solve(A, B, q):
                 return True
         else:
             for Q in autos:

@@ -28,6 +28,7 @@ quotient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,13 +127,19 @@ def _is_irreducible(modpoly, ell: int) -> bool:
 
 
 class SmallField:
-    """F_s as a discrete-log table over a chosen multiplicative generator."""
+    """F_s over a chosen multiplicative generator g, with discrete logs.
+
+    The full tables ``powers`` and ``dlog`` are built on first access.
+    ``one_minus_exp`` needs neither: it finds its logarithm by baby-step
+    giant-step, so a caller that reads a few i pays O(sqrt(s))
+    multiplications, not s.
+    """
 
     def __init__(self, s: int):
         ell, k = prime_power(s)
         self.s, self.ell, self.k = s, ell, k
         if k == 1:
-            elems = list(range(1, s))
+            elems = range(1, s)
             mul = lambda a, b: (a * b) % ell
             one = 1
         else:
@@ -147,12 +154,11 @@ class SmallField:
             if modpoly is None:
                 raise QcwError(f"no irreducible polynomial found for F_{s}")
             self.modpoly = modpoly
-            elems = [
-                t for t in itertools.product(range(ell), repeat=k) if any(t)
-            ]
+            elems = (t for t in itertools.product(range(ell), repeat=k) if any(t))
             mul = lambda a, b: _poly_mul(a, b, ell, modpoly)
             one = tuple([1] + [0] * (k - 1))
         self.one = one
+        self._mul = mul
         # generator: least element of multiplicative order s - 1
         factors = prime_factors(s - 1)
         gen = None
@@ -162,11 +168,19 @@ class SmallField:
                 break
         assert gen is not None
         self.generator = gen
-        self.powers = [one]  # powers[i] = g^i
-        for _ in range(s - 2):
-            self.powers.append(mul(self.powers[-1], gen))
-        self.dlog = {x: i for i, x in enumerate(self.powers)}
-        assert len(self.dlog) == s - 1
+
+    @functools.cached_property
+    def powers(self) -> list:
+        powers = [self.one]  # powers[i] = g^i
+        for _ in range(self.s - 2):
+            powers.append(self._mul(powers[-1], self.generator))
+        return powers
+
+    @functools.cached_property
+    def dlog(self) -> dict:
+        dlog = {x: i for i, x in enumerate(self.powers)}
+        assert len(dlog) == self.s - 1
+        return dlog
 
     @staticmethod
     def _pow_raw(base, e, mul, one):
@@ -179,16 +193,36 @@ class SmallField:
         return result
 
     def element_of_exp(self, i: int):
-        return self.powers[i % (self.s - 1)]
+        return self._pow_raw(self.generator, i % (self.s - 1), self._mul, self.one)
+
+    @functools.cached_property
+    def _baby_steps(self) -> tuple[int, dict, object]:
+        """n = ceil(sqrt(s - 1)), {g^j: j} for j < n, and the giant step g^-n."""
+        n = math.isqrt(self.s - 2) + 1
+        baby, x = {}, self.one
+        for j in range(n):
+            baby[x] = j
+            x = self._mul(x, self.generator)
+        return n, baby, self.element_of_exp(-n)
+
+    def _bsgs_dlog(self, y) -> int:
+        """The exponent e in [0, s - 1) with g^e = y: with e = k n + j, the
+        first k for which y g^(-k n) is a baby step g^j."""
+        n, baby, giant = self._baby_steps
+        for k in range(n):
+            if y in baby:
+                return k * n + baby[y]
+            y = self._mul(y, giant)
+        raise QcwError(f"{y} is not a unit of F_{self.s}")
 
     def one_minus_exp(self, i: int) -> int | None:
         """dlog(1 - g^i), or None when g^i = 1."""
         a = self.element_of_exp(i)
         if self.k == 1:
             v = (1 - a) % self.ell
-            return None if v == 0 else self.dlog[v]
+            return None if v == 0 else self._bsgs_dlog(v)
         diff = tuple((self.one[j] - a[j]) % self.ell for j in range(self.k))
-        return None if not any(diff) else self.dlog[diff]
+        return None if not any(diff) else self._bsgs_dlog(diff)
 
     def generator_name(self) -> str:
         return str(self.generator) if self.k == 1 else "g"
@@ -515,6 +549,35 @@ def galois_model(desc: FieldDescriptor, params: SeriesParams | None = None) -> P
     pro-p quotient of rank 1); Q_ell with ell != p has tame maximal pro-p
     quotient <s, t | s t s^-1 t^-ell>; the reals have Galois group of order
     2.  These are validated downstream by the K-theory comparison runs.
+
+    The generators are listed so that generator i pairs with
+    ``k1_basis[i]``: the Frobenius x with g for F_s; the Frobenius lift s
+    (chosen, as in the tame presentation, to fix every ell^(1/n)) with the
+    unit u and the inertia generator t with the uniformizer ell for Q_ell;
+    complex conjugation x with -1 for R.
+
+    Lemma (the natural source basis).  In these bases the identity is the
+    source change of the natural isomorphism, up to one target change Q.
+    Kummer theory sends a in k1 to chi_a(sigma) = sigma(a^(1/q)) / a^(1/q)
+    in mu_q = Z/q.  On the generators: chi_g(x) = g^((s-1)/q) is primitive;
+    u^(1/q) is unramified, so chi_u(t) = 1 and chi_u(s) = u^((ell-1)/q) =
+    zeta^cu (``local_data``), primitive; s fixes ell^(1/q), so
+    chi_ell(s) = 1, while t moves ell^(1/q) by a primitive q-th root; and
+    chi_-1(x) = -1.  So chi_{a_i} = c_i x_i^* with units c_i, where x_i^*
+    is the basis dual to the generators.  ``GroupCohomology.h1_space``
+    returns exactly that dual basis when the gauge rows vanish mod q, which
+    they do here: every relator has exponent sums 0 mod q (t: 1 - ell).
+    The norm-residue map {a, b} |-> chi_a cup chi_b is a target
+    isomorphism, so the Milnor values are, up to it, c_i c_j (x_i^* cup
+    x_j^*).  Graded commutativity gives x^* cup x^* = -(x^* cup x^*), so a
+    diagonal value is 0 (p odd) or q/2 times a target vector (p = 2) and
+    is fixed by every unit scalar, and the two off-diagonal values are
+    negatives of each other.  With m <= 2 and a target of rank <= 1, the
+    scalars c_i c_j therefore act as the one unit c_0 c_1 (1 when m = 1),
+    which Q absorbs.  ``cohom.pairings_equivalent`` tries this witness
+    before its GL_m search and verifies it, so its soundness does not rest
+    on this lemma; the lemma is why consistent fields never reach the
+    search.
     """
     if desc.kind == "finite":
         return Presentation(name="GF", generator_names=("x",), relators=())

@@ -66,9 +66,12 @@ def prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q = p^d, p prime; raise ValueError otherwise."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
+    # the least factor, or q itself when none is at most sqrt(q)
     p = 2
-    while q % p != 0:
+    while q % p and p * p <= q:
         p += 1
+    if q % p:
+        p = q
     d, rest = 0, q
     while rest % p == 0:
         rest //= p

@@ -19,10 +19,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcw import cohom
 from qcw.cli import main
 from qcw.cohom import (
     DEFAULT_H2_BOUND,
     GroupCohomology,
+    _det_mod,
+    _identity_witness,
     _is_module_iso,
     _module_automorphisms,
     _span_invariants,
@@ -83,6 +86,7 @@ from bar_oracle import (
     restrict,
     support_size,
 )
+from test_milnor import compare_tensors
 from test_zqlinalg import ReferenceRowSpace, assert_same_module, reference_quotient_module
 
 P2 = SeriesParams(p=2, d=1)
@@ -521,6 +525,102 @@ def test_pairings_equivalent_closed_under_transforms():
             newvals = np.einsum("st,xyt->xys", Q, newvals) % q
             T2 = PairingTensor(q=q, m=m, target_orders=(q,) * t, values=newvals)
             assert pairings_equivalent(T, T2)
+
+
+def transformed(T, P, Q=None):
+    """The tensor Q T(P x, P y) with values reduced mod q (Q = I by default)."""
+    vals = np.einsum("ix,jy,ijt->xyt", P, P, T.values) % T.q
+    if Q is not None:
+        vals = np.einsum("st,xyt->xys", Q, vals) % T.q
+    return PairingTensor(q=T.q, m=T.m, target_orders=T.target_orders, values=vals)
+
+
+def count_searches(monkeypatch) -> list:
+    """Record each run of the GL_m source search."""
+    calls, original = [], cohom._invertible_matrices
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cohom, "_invertible_matrices", spy)
+    return calls
+
+
+def former_pairings_equivalent(T1, T2, monkeypatch):
+    """The verdict of the GL_m search alone, as before the identity witness."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cohom, "_identity_witness", lambda T1, T2: False)
+        return pairings_equivalent(T1, T2)
+
+
+def test_fallback_finds_a_basis_swap(monkeypatch):
+    milnor, _ = compare_tensors("Qp:3", 2, 512)
+    swapped = transformed(milnor, np.array([[0, 1], [1, 0]]))
+    assert not _identity_witness(milnor, swapped)
+    calls = count_searches(monkeypatch)
+    assert pairings_equivalent(milnor, swapped)
+    assert calls
+
+
+def test_diagonal_source_change_at_q4(monkeypatch):
+    P = np.diag([1, 3])
+    # the Kummer lemma of galois_model: on a graded-commutative tensor with
+    # a target of rank 1, a diagonal unit change is one target scalar
+    milnor, _ = compare_tensors("Qp:5", 4, 1024)
+    assert _identity_witness(milnor, transformed(milnor, P))
+    # a unit diagonal value breaks that, and only the search finds P
+    T = PairingTensor(q=4, m=2, target_orders=(4,), values=np.array([[[1], [1]], [[3], [0]]]))
+    assert not _identity_witness(T, transformed(T, P))
+    calls = count_searches(monkeypatch)
+    assert pairings_equivalent(T, transformed(T, P))
+    assert calls
+
+
+@pytest.mark.parametrize("field,q,order_bound", [("Qp:7", 3, 512), ("Qp:13", 3, 512), ("Qp:5", 4, 1024), ("Qp:11", 5, 4000)])
+def test_transposed_milnor_value_keeps_the_former_verdict(field, q, order_bound, monkeypatch):
+    milnor, group = compare_tensors(field, q, order_bound)
+    assert milnor.values[0, 1, 0] != milnor.values[1, 0, 0]
+    swapped = milnor.values.copy()
+    swapped[0, 1], swapped[1, 0] = milnor.values[1, 0], milnor.values[0, 1]
+    symmetric = milnor.values.copy()
+    symmetric[1, 0] = milnor.values[0, 1]
+    mutants = [PairingTensor(q=q, m=2, target_orders=milnor.target_orders, values=v) for v in (swapped, symmetric)]
+    for mutant in mutants:
+        assert pairings_equivalent(mutant, group) == former_pairings_equivalent(mutant, group, monkeypatch)
+    # a symmetric tensor is not the antisymmetric cup tensor at odd q
+    if q % 2:
+        assert not pairings_equivalent(mutants[1], group)
+
+
+@st.composite
+def invertible(draw, n, q):
+    M = np.array(draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n)), dtype=np.int64)
+    M = M.reshape(n, n)
+    assume(_det_mod(M, q) % prime_power(q)[0] != 0)
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_transforms_of_a_free_tensor_are_equivalent(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    m, t = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    vals = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m * m * t, max_size=m * m * t)))
+    T = PairingTensor(q=q, m=m, target_orders=(q,) * t, values=vals.reshape(m, m, t))
+    P, Q = data.draw(invertible(m, q)), data.draw(invertible(t, q))
+    assert pairings_equivalent(T, transformed(T, P, Q))
+
+
+def test_identity_witness_answers_past_the_search_cap():
+    # q^(m^2) = 3^16 is past the search cap: the witness still decides a
+    # tensor against a target change of itself, the search refuses the rest
+    rng = np.random.default_rng(5)
+    T = PairingTensor(q=3, m=4, target_orders=(3, 3), values=rng.integers(0, 3, size=(4, 4, 2)))
+    assert pairings_equivalent(T, transformed(T, np.eye(4, dtype=np.int64), np.array([[0, 1], [1, 0]])))
+    swap = np.eye(4, dtype=np.int64)[[1, 0, 2, 3]]
+    with pytest.raises(SizeLimitError):
+        pairings_equivalent(T, transformed(T, swap))
 
 
 def former_span_invariants(vectors, orders, q):

@@ -1,8 +1,16 @@
+import contextlib
+import importlib.util
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcw import cohom
+from qcw.cli import main
+from qcw.cohom import GroupCohomology, _identity_witness, pairings_equivalent
 from qcw.errors import UnsupportedFieldError
 from qcw.milnor import (
     FieldDescriptor,
@@ -16,7 +24,7 @@ from qcw.milnor import (
     parse_field,
     symbol_algebra,
 )
-from qcw.qcentral import SeriesParams
+from qcw.qcentral import SeriesParams, third_quotient, to_action
 from qcw.zqlinalg import QuotientModule, RowSpace, prime_factors, prime_power
 
 P2 = SeriesParams(p=2, d=1)
@@ -50,6 +58,25 @@ def test_small_field_tables():
     assert len(F9.dlog) == 8
     F16 = SmallField(16)
     assert len(F16.dlog) == 15
+
+
+def table_one_minus_exp(F, i):
+    """dlog(1 - g^i) read off the full tables."""
+    a = F.powers[i]
+    if F.k == 1:
+        v = (1 - a) % F.ell
+        return None if v == 0 else F.dlog[v]
+    v = tuple((F.one[j] - a[j]) % F.ell for j in range(F.k))
+    return None if not any(v) else F.dlog[v]
+
+
+@pytest.mark.parametrize("s", [s for s in range(2, 300) if len(prime_factors(s)) == 1] + [991, 997, 1009])
+def test_one_minus_exp_by_baby_steps_matches_the_table(s):
+    F = SmallField(s)
+    got = [F.one_minus_exp(i) for i in range(s - 1)]
+    # the baby-step giant-step logarithms build neither table
+    assert "powers" not in vars(F) and "dlog" not in vars(F)
+    assert got == [table_one_minus_exp(F, i) for i in range(s - 1)]
 
 
 def reference_bilinearity_rows(q):
@@ -366,3 +393,66 @@ def test_comparison_sweep_every_supported_field():
         milnor_tensor = milnor_pairing_gram(desc)
         assert sorted(cohom_tensor.target_orders) == sorted(S.k2_invariants), desc.label()
         assert pairings_equivalent(cohom_tensor, milnor_tensor), desc.label()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(f"qcw_script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+LADDER = load_script(ROOT / "tools" / "cli_matrix.py").field_ladder()
+# Qp and Fq fields at prime-power q past the ladder's; the order bound is
+# |E(2, q)| = q^5
+BEYOND_LADDER = [
+    (f, q)
+    for q, fields in (
+        (4, ["Qp:5", "Qp:13", "Fq:5", "Fq:9", "Fq:13"]),
+        (5, ["Qp:11", "Qp:31", "Fq:11", "Fq:31"]),
+        (8, ["Qp:17", "Qp:41", "Fq:17", "Fq:25"]),
+        (9, ["Qp:19", "Qp:37", "Fq:19", "Fq:37"]),
+        (16, ["Qp:17", "Fq:17", "Fq:97"]),
+    )
+    for f in fields
+]
+
+
+def compare_tensors(field, q, order_bound):
+    """The Milnor and cup tensors that ``compare`` matches."""
+    params = SeriesParams.from_q(q)
+    desc = parse_field(field, params)
+    action = to_action(third_quotient(galois_model(desc), params, order_bound), order_bound)
+    return symbol_algebra(desc).pairing(), GroupCohomology(action, q).pairing()
+
+
+@pytest.mark.parametrize("field,q", LADDER + BEYOND_LADDER)
+def test_identity_witness_holds_on_every_compare_field(field, q):
+    # the Kummer lemma of galois_model: the natural source basis is the
+    # identity, up to one target change Q
+    milnor, group = compare_tensors(field, q, order_bound=q**5)
+    assert _identity_witness(milnor, group)
+    assert pairings_equivalent(milnor, group)
+
+
+def test_field_ladder_holds_every_compare_fields_draw():
+    jobs = load_script(ROOT / "bench" / "jobs.py")
+    drawn = set()
+    for seed in range(50):
+        for job in jobs.build("compare-fields", seed, Path("unused.grp"))[0]:
+            drawn.add((job.argv[1], int(job.argv[3])))
+    assert drawn <= set(LADDER)
+
+
+def test_compare_fields_never_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the GL_m search ran")
+
+    monkeypatch.setattr(cohom, "_invertible_matrices", refuse)
+    for field, q in LADDER:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", field, "--q", str(q), "--output", "json"]) == 0, field

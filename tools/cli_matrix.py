@@ -27,6 +27,9 @@ The runs:
   ``cohomology`` at q in {2, 3, 4, 5, 8, 9}, default bounds;
 * ``compare`` and ``milnor`` on the field ladder of the benchmark's
   compare-fields workload (bench/jobs.py), every field its bands can draw;
+* three m = 2 ``compare`` runs at q beyond the ladder's 2 and 3:
+  ``Qp:5 --q 4 --order-bound 1024``, ``Qp:11 --q 5 --order-bound 4000``
+  and ``Qp:37 --q 9 --order-bound 60000``;
 * the ``check`` runs of the benchmark's quotient-check workload and of the
   README, and ``check --against-free`` for every group at q = 2;
 * ``cohomology`` at q = 2 of long relator runs (x^100000000 and
@@ -142,6 +145,11 @@ def command_lines() -> list[list[str]]:
     for field, q in field_ladder():
         runs.append(["compare", field, "--q", str(q)])
         runs.append(["milnor", field, "--q", str(q)])
+    runs += [
+        ["compare", "Qp:5", "--q", "4", "--order-bound", "1024"],
+        ["compare", "Qp:11", "--q", "5", "--order-bound", "4000"],
+        ["compare", "Qp:37", "--q", "9", "--order-bound", "60000"],
+    ]
     runs += [
         ["check", "--file", grp, "--group", "class2", "--against-free", "--assert-realizable", "first", "--q", "2"],
         ["check", "--file", grp, "--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "4", "--q", "2"],
