@@ -31,7 +31,7 @@ tree equations, and every cocycle is the extension of its own values.  So
 Z^2 is, on the generator values, the solution module of the remaining
 (off-tree) equations, and the extension is injective on it.
 
-A presentation <S | R> of G gives a shorter system, by dimension shifting
+Z^2 is solved from a presentation <S | R> of G, by dimension shifting
 (Brown, *Cohomology of Groups*, III.5-III.6; Fox, "Free differential
 calculus I", Ann. Math. 1953).  For a word w in S and generator values f
 (with f(1, s) = 0) walk w from every g at once:
@@ -56,29 +56,33 @@ every g back to g (r = 1 in G); ``z2_generators`` raises otherwise.  It
 does not check that R presents G: fewer relators give more solutions, and
 the safety net below rejects them.
 
-The off-tree equations are the walk equations of one presentation, the
-Schreier relators path(h) s path(hs)^-1 of the tree (one per off-tree edge;
-path(k) spells the tree path to k).  Along a tree path acc_path(k)(g) -
-acc_path(k)(1) is the extension's f(g, k), by the tree equation, so for the
-Schreier relator r of (h, s)
+A table given no relators (``h2``, ``decomposable_h2``, the stand-ins)
+walks the Schreier relators path(h) s path(hs)^-1 of the tree, one per
+off-tree pair (h, s); path(k) spells the tree path to k.  By Schreier's
+lemma they freely generate the kernel of the free group on S onto G, so
+they present G (Holt, Eick and O'Brien, ch. 2).  Their walk equations are
+the off-tree equations: along a tree path acc_path(k)(g) - acc_path(k)(1)
+is the extension's f(g, k), by the tree equation, so for the Schreier
+relator r of (h, s)
 
     acc_r(g) - acc_r(1) = f(g, h) + f(gh, s) - f(h, s) - f(g, hs)
                         = -df(g, h, s).
 
-Tables with no presentation at hand (``h2``, ``decomposable_h2``, the
-stand-ins) solve these; ``cohomology`` passes the relators of G^[3, q]
-(``qcentral.third_quotient_relators``), (|S| |G| - |G| + 1)(|G| - 1) rows
-against |R| (|G| - 1).  Both solve for the same Z^2, so they cross-check.
+Free reduction of r changes no row, as w -> acc_w is a derivation, and
+nothing cancels across s: path(hs) ends in s only on the tree edge (h, s).
+``cohomology`` passes the relators of G^[3, q] instead
+(``qcentral.third_quotient_relators``), |R| (|G| - 1) rows against the
+(|S| |G| - |G| + 1)(|G| - 1) of the Schreier relators.  Both present G, so
+they solve for the same Z^2 and cross-check.
 
-One function evaluates df, on generator values that carry a trailing axis
-of m cochains.  Row g of the extension needs only row g of the tree walk,
-so df runs over blocks of rows g whose size keeps every temporary within
-one cell budget.  Fed the unit vectors (m = |S| (|G|-1)) at the off-tree
-pairs (h, s), it gives the equations; fed solutions at every pair, tree
-pairs included, it is the safety net, which by the lemma above is the full
-cocycle identity.  The net runs on either route, on the ``rank``
-representatives rep_i = ``transform @ gens`` of the H^2 module
-``QuotientModule(gauge(gens), coboundary_rows())``, not on all m solutions.
+One function evaluates df, the safety net, on generator values that carry
+a trailing axis of m cochains.  Row g of the extension needs only row g of
+the tree walk, so df runs over blocks of rows g whose size keeps every
+temporary within one cell budget.  Fed solutions at every pair, tree pairs
+included, it is by the lemma above the full cocycle identity.  The net
+runs on the ``rank`` representatives rep_i = ``transform @ gens`` of the
+H^2 module ``QuotientModule(gauge(gens), coboundary_rows())``, not on all
+m solutions.
 Net lemma: that module gives every s in span(gens) as
 gauge(s) = Σ c_i gauge(rep_i) + Σ d_j dK_j, so s - Σ c_i rep_i lies in B^2
 by the gauge lemma below.  df is linear, and it vanishes on B^2 (a
@@ -94,8 +98,9 @@ values whose solutions are Z^2, whatever presentation, tree, row order or
 blocking produced it.  ``RowSpace`` holds it in Howell form, which is
 unique for the module (Howell, "Spans in the module (Z_m)^s", 1986), and
 the generators are read off that form: one per free column when every
-pivot is a unit, else ``kernel_with_orders`` of its rows.  So the relator
-route and the off-tree route land on the same vectors, in the same order.
+pivot is a unit, else ``kernel_with_orders`` of its rows.  So the relators
+of G^[3, q] and the Schreier relators land on the same vectors, in the
+same order.
 
 Degree 2 has one coordinate system, the |S| (|G|-1) generator values, and
 no function here builds a |G| x |G| cochain.  Restriction is injective on
@@ -191,6 +196,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
+from .presentations import Word, concat, inverse
 from .qcentral import FiniteGroupTable, GeneratorAction
 from .zqlinalg import (
     QuotientModule,
@@ -276,6 +282,8 @@ class TableHom:
         self.mapping = np.asarray(self.mapping, dtype=np.int64)
         if self.mapping.shape != (self.source.order,):
             raise DimensionMismatchError("mapping length must equal the source order")
+        if ((self.mapping < 0) | (self.mapping >= self.target.order)).any():
+            raise DimensionMismatchError("mapping entries must be elements of the target")
         if self.mapping[self.source.identity] != self.target.identity:
             raise NotAHomomorphismError("mapping does not preserve the identity")
         ok = (
@@ -316,9 +324,11 @@ class GroupCohomology:
     ):
         """``table`` is read only at the listed generators (module
         docstring); a ``FiniteGroupTable`` is one such action.
-        ``relators``, if given, are words in the listed generators (letter
-        i is ``table.generators[i]``) that present the group; Z^2 is then
-        solved from their walks instead of the off-tree equations."""
+        ``relators`` are words in the listed generators (letter i is
+        ``table.generators[i]``) that present the group; Z^2 is solved from
+        their walks.  None means the Schreier relators of the spanning tree;
+        an empty list is the empty presentation, which the safety net
+        refuses on a nontrivial group."""
         prime_power(q)
         self.t = table
         self.q = q
@@ -423,6 +433,21 @@ class GroupCohomology:
             self._off = np.nonzero(off)
         return self._off
 
+    def _schreier_relators(self) -> list[Word]:
+        """The Schreier relators path(h) s path(hs)^-1 of the spanning tree,
+        one per off-tree pair (h, s) in the order of ``_off_tree``: path(k)
+        spells the tree path to k, each tree generator as its first listing
+        in ``generators``.  They present the group (module docstring)."""
+        tree = self.t.spanning_tree()
+        listed = [int(x) for x in self.t.generators]
+        letter = [Word(((listed.index(s), 1),)) for s in tree.gens.tolist()]
+        path = {self.t.identity: Word(())}
+        for parent, i, k in zip(*(a.tolist() for a in tree.edges)):
+            path[k] = concat(path[parent], letter[i])
+        h, i = self._off_tree()
+        ends = zip(h.tolist(), i.tolist(), tree.columns[h, i].tolist())
+        return [concat(path[x], letter[j], inverse(path[y])) for x, j, y in ends]
+
     # -- degree 2 -------------------------------------------------------------
 
     def _on_gens(self, vectors) -> np.ndarray:
@@ -482,12 +507,12 @@ class GroupCohomology:
             r = np.arange(len(g))[:, None]
             yield (f_hs - on_gens[P[:, h], i] + F[r, hs] - F[r, h]) % self.q, F
 
-    def _walk_rows(self):
-        """The walk equations acc_r(g) - acc_r(1) = 0, g != 1, of the relators
-        on the restricted unknowns (module docstring), in blocks of relators
-        whose dense rows hold at most ``_BLOCK_CELLS // 4`` entries unless
-        one relator alone is larger: ``RowSpace`` sweeps a block with
-        temporaries a few times its size.
+    def _walk_rows(self, relators):
+        """The walk equations acc_r(g) - acc_r(1) = 0, g != 1, of the
+        ``relators`` on the restricted unknowns (module docstring), in
+        blocks of relators whose dense rows hold at most
+        ``_BLOCK_CELLS // 4`` entries unless one relator alone is larger:
+        ``RowSpace`` sweeps a block with temporaries a few times its size.
 
         A letter at prefix u reads f(g h, s) with h = u (letter s) or
         h = u s^-1 (letter s^-1) for every g: the walk carries the map g -> g u
@@ -513,8 +538,8 @@ class GroupCohomology:
         g = np.arange(n)[:, None]
         one = t.identity
         step = max(1, _BLOCK_CELLS // 4 // max(1, n * (unknowns + 1)))
-        for start in range(0, len(self.relators), step):
-            block = self.relators[start : start + step]
+        for start in range(0, len(relators), step):
+            block = relators[start : start + step]
             acc = np.zeros((len(block), n, unknowns + 1), dtype=np.int64)
             for b, r in enumerate(block):
                 gh, i, weight = [], [], []
@@ -558,26 +583,21 @@ class GroupCohomology:
 
     def z2_generators(self) -> list[tuple[np.ndarray, int]]:
         """Independent generators (vector, order) of the cocycle module Z^2,
-        as restricted vectors: the kernel of the relators' walk equations, or
-        without relators of the off-tree equations, read off their Howell
-        form (see the module docstring).  The H^2 module is built here, once:
-        the safety net runs on its representatives (the net lemma of the
-        module docstring), and Z^2 and the module are cached together once
-        the net has passed.  A non-cocycle raises ``QcwError`` and caches
-        nothing."""
+        as restricted vectors: the kernel of the relators' walk equations,
+        the tree's Schreier relators if none were given, read off their
+        Howell form (see the module docstring).  The H^2 module is built
+        here, once: the safety net runs on its representatives (the net
+        lemma of the module docstring), and Z^2 and the module are cached
+        together once the net has passed.  A non-cocycle raises
+        ``QcwError`` and caches nothing."""
         if self._z2 is None:
             t, q = self.t, self.q
             check_h2_bound(t.order, self.h2_bound)
             gens = self.t.spanning_tree().gens
             unknowns = len(self.elems) * len(gens)
+            relators = self._schreier_relators() if self.relators is None else self.relators
             rs = RowSpace(unknowns, q)
-            if self.relators is None:
-                eye = np.eye(unknowns, dtype=np.int64)
-                df = self._df_blocks(eye, *self._off_tree())
-                blocks = (rows.reshape(-1, unknowns) for rows, _ in df)
-            else:
-                blocks = self._walk_rows()
-            for rows in blocks:
+            for rows in self._walk_rows(relators):
                 rs.add_rows(rows)
             kernel = rs.kernel()
             z2 = np.array([v for v, _ in kernel], dtype=np.int64).reshape(len(kernel), unknowns)
@@ -697,7 +717,7 @@ def h1(G: GeneratorAction, q: int) -> CohomologySpace:
 
 
 def h2(G: GeneratorAction, q: int, h2_bound: int = DEFAULT_H2_BOUND) -> CohomologySpace:
-    """H^2(G, Z/q) by the normalized bar cocycle solve."""
+    """H^2(G, Z/q) = Z^2 / B^2, Z^2 from the walks of the tree's Schreier relators."""
     return GroupCohomology(G, q, h2_bound=h2_bound).h2_space()
 
 

@@ -139,7 +139,7 @@ def test_cohomology_order243_fits_800mb():
 
 def test_cohomology_free3_q2_order512():
     # |G| = 512: Z^2 from the 21 relators of free3^[3,2], 10731 walk rows on
-    # the 1533 generator values (the off-tree route sweeps 523775 rows), in
+    # the 1533 generator values (the tree's Schreier relators give 523775), in
     # a child capped at 3 GB.  About 3.5 s on a 2-vCPU VM, most of it the
     # walk sweep; the safety net checks the 14 H^2 representatives, not the
     # 522 Z^2 generators (about 12 s when it checked all of them)

@@ -270,6 +270,16 @@ def test_compose_requires_the_same_middle_table():
     assert (proj.compose(double).mapping == [0, 0, 0, 0]).all()
 
 
+def test_a_mapping_entry_outside_the_target_is_refused():
+    # checked before the identity and the products, which would index the
+    # target table out of range (or wrap round at a negative entry)
+    t4, t2 = cyclic_table(4), cyclic_table(2)
+    for mapping in ([0, 1, 0, 5], [0, 1, 0, 2], [0, -1, 0, 1], [2, 1, 0, 1]):
+        with pytest.raises(DimensionMismatchError, match="elements of the target"):
+            TableHom(source=t4, target=t2, mapping=mapping)
+    assert TableHom(source=t4, target=t2, mapping=[0, 1, 0, 1]).is_surjective()
+
+
 def test_inflation_commutes_with_cup():
     t4, t2 = cyclic_table(4), cyclic_table(2)
     proj = TableHom(source=t4, target=t2, mapping=np.array([0, 1, 0, 1]))
@@ -857,7 +867,8 @@ def test_z2_generators_span_reference_module_without_unit_pivots(name, q, reques
 @pytest.mark.parametrize("name,q", UNIT_CASES + NON_UNIT_CASES)
 def test_z2_depends_only_on_the_module(name, q, request):
     # the full bar-width generator system, pulled back through the tree
-    # extension, spans the same equation module as the off-tree equations:
+    # extension, spans the same equation module as the walks of the tree's
+    # Schreier relators:
     # its Howell form, and so the kernel read off it, is the same
     ctx = GroupCohomology(z2_case_table(name, request), q)
     X = extension_matrix(ctx).astype(np.float64)
@@ -1470,6 +1481,9 @@ def relator_cases(bound=256):
 
 
 def assert_relators_give_the_off_tree_z2(pres, q, bound):
+    """G^[3, q]'s relators give the off-tree Z^2: that of the tree's
+    Schreier relators, one per off-tree pair, which a table given no
+    relators walks."""
     params = SeriesParams.from_q(q)
     t = to_table(third_quotient(pres, params, NO_BOUND), bound)
     want = GroupCohomology(t, q, h2_bound=bound).z2_generators()
@@ -1519,7 +1533,7 @@ def _run(x, e, by_letter):
 
 
 def _walk_rows_of(t, q, word):
-    return np.vstack(list(GroupCohomology(t, q, relators=[word])._walk_rows()))
+    return np.vstack(list(GroupCohomology(t, q)._walk_rows([word])))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -1696,7 +1710,8 @@ def test_command_quotient_modules_match_the_diagonalize_read_off(q, monkeypatch)
 
 def test_cohomology_command_solves_z2_from_the_relators(monkeypatch):
     # RowSpace gets the |R| (|G|-1) walk rows, not the (|S||G|-|G|+1)(|G|-1)
-    # off-tree rows, and df is evaluated once: the safety net on every pair
+    # rows of the Schreier relators, and df is evaluated once: the safety
+    # net on every pair
     pres, params = GRP["free2"], SeriesParams(p=2, d=1)
     order = third_quotient(pres, params).order
     rows_in, df_pairs = [], []
@@ -1716,6 +1731,60 @@ def test_cohomology_command_solves_z2_from_the_relators(monkeypatch):
         assert main(["cohomology", GROUPS_GRP, "free2", "--q", "2"]) == 0
     assert 0 < sum(rows_in) <= len(third_quotient_relators(pres, params)) * (order - 1)
     assert df_pairs == [order * pres.rank]
+
+
+def noisy_klein():
+    """Klein four listing the identity, its generators and the first one again."""
+    klein = abelian_table([2, 2])
+    gens = (klein.identity,) + tuple(klein.generators) + tuple(klein.generators[:1])
+    return FiniteGroupTable(order=4, mult=klein.mult, identity=klein.identity, generators=gens)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES) + ["klein4_noisy"])
+def test_a_table_walks_its_schreier_presentation(name, q, request, monkeypatch):
+    # given no relators, Z^2 is solved from the walks of the tree's
+    # Schreier relators, one per off-tree pair: (|S|-1)|G|+1 of them, |S|
+    # the deduplicated tree generators.  df is evaluated once, the safety
+    # net on every pair
+    t = noisy_klein() if name == "klein4_noisy" else small_table(name, request)
+    walked, df_pairs = [], []
+    walk_rows, df_blocks = GroupCohomology._walk_rows, GroupCohomology._df_blocks
+
+    def record_walk(self, relators):
+        walked.append(len(relators))
+        return walk_rows(self, relators)
+
+    def record_pairs(self, vectors, h, i):
+        df_pairs.append(len(h))
+        return df_blocks(self, vectors, h, i)
+
+    monkeypatch.setattr(GroupCohomology, "_walk_rows", record_walk)
+    monkeypatch.setattr(GroupCohomology, "_df_blocks", record_pairs)
+    ctx = GroupCohomology(t, q)
+    ctx.z2_generators()
+    n, ns = t.order, len(t.spanning_tree().gens)
+    assert walked == [(ns - 1) * n + 1]
+    assert df_pairs == [n * ns]
+    solved, full = bar_z2(ctx), kernel_with_orders(full_cocycle_matrix(t, q), q)
+    assert sorted(o for _, o in solved) == sorted(o for _, o in full)
+    assert spans_inside([v for v, _ in solved], [v for v, _ in full], q)
+    assert spans_inside([v for v, _ in full], [v for v, _ in solved], q)
+
+
+def test_no_relators_is_not_the_schreier_presentation():
+    # relators=() is an empty presentation, whose walks give no equation:
+    # every generator value solves it, and the net refuses the
+    # non-cocycles.  relators=None walks the Schreier relators of the tree,
+    # which give the Z^2 of G^[3, 2]'s own relators
+    pres = parse_presentation(DEMUSHKIN3)
+    t = to_table(third_quotient(pres, P2))
+    with pytest.raises(QcwError, match="non-cocycle"):
+        GroupCohomology(t, 2, relators=()).z2_generators()
+    got = GroupCohomology(t, 2, relators=None).z2_generators()
+    want = GroupCohomology(t, 2, relators=third_quotient_relators(pres, P2)).z2_generators()
+    assert got and [o for _, o in got] == [o for _, o in want]
+    assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(got, want))
 
 
 # -- degree 2 on the generator values against the bar-cochain oracle -------------
@@ -1772,12 +1841,12 @@ def test_support_count_runs_over_row_blocks_within_the_budget(monkeypatch):
     monkeypatch.setattr(GroupCohomology, "_along_tree", spy_walk)
     monkeypatch.setattr(GroupCohomology, "_row_blocks", spy_blocks)
     h2 = ctx.h2_space()
-    # the off-tree equations walk the unit vectors, one row a block here;
-    # the net walks the dim H^2 representatives
-    net = [(rows, m) for rows, m in walks if m == h2.dimension]
-    assert h2.dimension and len(net) > 1
-    assert all(rows * t.order * ns * m <= budget for rows, m in net)
-    assert sum(rows for rows, _ in net) == t.order - 1
+    # every walk along the tree is a block of the net, on the dim H^2
+    # representatives: the equations are relator walks
+    assert h2.dimension and len(walks) > 1
+    assert all(m == h2.dimension for _, m in walks)
+    assert all(rows * t.order * ns * m <= budget for rows, m in walks)
+    assert sum(rows for rows, _ in walks) == t.order - 1
     walks.clear()
     blocks.clear()
     dec = ctx.dec_space()

@@ -728,7 +728,7 @@ class Unread:
 
 
 def low_degree_record(ctx: GroupCohomology) -> tuple:
-    """H^1, the off-tree Z^2, H^2, decomposable H^2 and the cup tensor."""
+    """H^1, Z^2 from the Schreier relators, H^2, decomposable H^2 and the cup tensor."""
     return (
         cohomology_record(ctx.h1_space()),
         [(v.tolist(), order) for v, order in ctx.z2_generators()],
