@@ -26,6 +26,7 @@ from .cohom import (
     pairing_gram,
     pairings_equivalent,
     quadratic_hull,
+    relator_pairing,
 )
 from .errors import (
     DimensionMismatchError,

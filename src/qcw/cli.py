@@ -21,7 +21,14 @@ import functools
 import json
 import sys
 
-from .cohom import DEFAULT_H2_BOUND, GroupCohomology, check_h2_bound, cohomology_record, pairings_equivalent
+from .cohom import (
+    DEFAULT_H2_BOUND,
+    GroupCohomology,
+    check_h2_bound,
+    cohomology_record,
+    pairings_equivalent,
+    relator_pairing,
+)
 from .errors import QcwError
 from .milnor import galois_model, parse_field, symbol_algebra
 from .presentations import parse_file
@@ -154,11 +161,13 @@ def cmd_compare(args) -> int:
     desc = parse_field(args.field, params)
     milnor_side = symbol_algebra(desc).pairing()
     pres = galois_model(desc)
-    action = to_action(third_quotient(pres, params, args.order_bound), args.order_bound)
-    # the decomposable part only needs coboundaries, so the comparison works
-    # above the full-H^2 bound (e.g. the order-81 tame quotient at q = 3),
-    # and reads only the generator columns, so it needs no table
-    group_side = GroupCohomology(action, args.q).pairing()
+    # third_quotient refuses |E| over the order bound (|G| <= |E|, so the
+    # order check of to_action could never refuse after it) and gives |G|;
+    # every relator of a Galois model lies in F^(2, q), so the cup tensor of
+    # G is read off the relators (the relator lemma at relator_pairing), with
+    # no element or cochain of G
+    order = third_quotient(pres, params, args.order_bound).order
+    group_side = relator_pairing(pres, args.q)
     dims_match = (
         milnor_side.m == group_side.m
         and sorted(milnor_side.target_orders) == sorted(group_side.target_orders)
@@ -176,7 +185,7 @@ def cmd_compare(args) -> int:
             "mult": milnor_side.values.tolist(),
         },
         "cohomology": {
-            "quotient_order": action.order,
+            "quotient_order": order,
             "dim1": group_side.m,
             "dec_invariants": list(group_side.target_orders),
             "mult": group_side.values.tolist(),

@@ -196,7 +196,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
-from .presentations import Word, concat, inverse
+from .presentations import Presentation, Word, concat, inverse, magnus_terms
 from .qcentral import FiniteGroupTable, GeneratorAction
 from .zqlinalg import (
     QuotientModule,
@@ -221,6 +221,7 @@ __all__ = [
     "inflation",
     "induced_h_maps",
     "pairing_gram",
+    "relator_pairing",
     "pairings_equivalent",
     "quadratic_hull",
     "cohomology_record",
@@ -732,6 +733,94 @@ def decomposable_h2(G: GeneratorAction, q: int, h2_bound: int = DEFAULT_H2_BOUND
     ctx = GroupCohomology(G, q, h2_bound=h2_bound)
     inclusion = ctx.h2_module().coords_batch(ctx.dec_module().basis).T
     return DecomposableH2(space=ctx.dec_space(), inclusion=inclusion)
+
+
+def relator_pairing(pres: Presentation, q: int) -> PairingTensor:
+    """The cup tensor of G^[3, q], G = <S | R>, read off the relators.
+
+    Every relator r_k must lie in F^(2, q) = F^q [F, F], F free on the
+    generators x_1, ..., x_n: its degree-1 Magnus terms d1 (``magnus_terms``)
+    are all 0 mod q, else ``QcwError``.  Then H^1 has the basis χ_i dual to
+    the generators, m = n, and the tensor of that basis is read in
+    QuotientModule(V, [], r, q) with
+
+        V[i m + j, k] = -d2[i, j](r_k) mod q,
+
+    the cup χ_i ∪ χ_j being generator i m + j.  The cost is that of the
+    Magnus terms, O(n^2) a run; no element of the group is listed.
+
+    Lemma (the relator route).  Write ε_ij(w) = d2[i, j](w) mod q, and
+    N = R F^(3, q), R the normal closure of the relators and F^(3, q) the
+    third q-central term, so G^[3, q] = F / N; N ⊆ F^(2, q).  Then a
+    combination f = Σ λ_ij χ_i ∪ χ_j, the cocycle
+    (g, h) -> Σ λ_ij χ_i(g) χ_j(h), is a coboundary iff
+    Σ λ_ij ε_ij(r_k) = 0 mod q for every k.  (Neukirch, Schmidt and
+    Wingberg, *Cohomology of Number Fields*, III §9; Labute,
+    "Classification of Demushkin groups", 1967.)
+
+    (a) Fix i, j and let ρ : F -> U_3(Z/q), the unitriangular 3 x 3
+    matrices, send x_l to 1 + δ_il E_12 + δ_jl E_23.  It is the Magnus map
+    x_l -> 1 + X_l followed by the ring map X_l -> δ_il E_12 + δ_jl E_23,
+    which kills every monomial of degree >= 3 and sends X_a X_b to
+    δ_ia δ_jb E_13 (for i = j, X_i -> E_12 + E_23 and X_i^2 -> E_13), so
+    ρ(w) = 1 + d1[i](w) E_12 + d1[j](w) E_23 + ε_ij(w) E_13.  d1 is a
+    homomorphism to Z^n and vanishes mod q on F^(2, q), so ρ maps F^(2, q)
+    into the centre 1 + Z/q E_13: on F^(2, q), ε_ij is a homomorphism,
+    invariant under conjugation by F, and it vanishes on
+    F^(2, q)^q [F^(2, q), F] = F^(3, q).
+
+    (b) E_f = Z/q x G with (a, g)(b, h) = (a + b + f(g, h), gh) is a group
+    by the cocycle identity, and (a, 1) is central.  Let L : F -> E_f send
+    x_l to (0, x_l).  The Z/q part of L(w) is a sum over the letters of w of
+    values of f, the walk acc_w(1) of the module docstring, so it is linear
+    in f.  For f = χ_i ∪ χ_j, (a, g) -> 1 + χ_i(g) E_12 + χ_j(g) E_23
+    + a E_13 is a homomorphism E_f -> U_3(Z/q) that takes L(x_l) to ρ(x_l),
+    so the Z/q part of L(w) is ε_ij(w).  Hence for every f above and r in
+    N, L(r) = (c_f(r), 1) with c_f(r) = Σ λ_ij ε_ij(r).
+
+    (c) f ∈ B^2 iff c_f vanishes on N.  If f = du, then s(g) = (-u(g), g)
+    is a homomorphism G -> E_f, as du(g, h) = u(g) - u(gh) + u(h), and
+    L(x_l) = (u(x_l), 1) s(x_l), so L(w) = (ψ(w), 1) s(w) with ψ in
+    Hom(F, Z/q), which kills N ⊆ F^(2, q).  Conversely, if c_f kills N,
+    L factors through a homomorphism σ : G -> E_f lifting the identity,
+    σ(g) = (-u(g), g) with u(1) = 0, and σ(g) σ(h) = σ(gh) reads f = du.
+
+    (d) c_f is a homomorphism on N (its values are central) and invariant
+    under conjugation by F, so it vanishes on N iff it vanishes on the
+    relators and on F^(3, q), and by (a) it does on F^(3, q).
+
+    So the relation module Λ = {λ : Σ λ_ij χ_i ∪ χ_j ∈ B^2} is
+    {λ : λ·V = 0}, the Λ of QuotientModule(V, [], r, q), whichever sign V
+    carries.  ``GroupCohomology(to_action(third_quotient(pres)), q).pairing()``
+    reads the same Λ off ``dec_module`` (the gauge lemma of the module
+    docstring), and in the same basis: as N ⊆ F^(2, q), Hom(G, Z/q) =
+    Hom(F, Z/q), the potential K_j counts the letters x_j on a tree path,
+    which is χ_j mod q, so the gauge rows vanish and ``h1_space`` returns the
+    dual basis χ_i.  ``QuotientModule`` reads its orders and
+    ``generator_coords`` off the Howell form of Λ alone, so the two tensors
+    are equal, value for value.
+
+    Sign.  Read as the transgression that sends a homomorphism on N to the
+    class of the extension it pushes F / [N, F] N^q out to, (b) gives the
+    preimage of χ_i ∪ χ_j as +ε_ij.  V is fixed to carry -ε_ij, the sign
+    in which the formula of Labute and of Neukirch, Schmidt and Wingberg
+    is stated, (χ_i ∪ χ_j)(r) = -a_ij for i < j when
+    r = Π x_i^(q a_i) Π_(i<j) [x_i, x_j]^(a_ij) modulo F^(3, q): for
+    r = [x_i, x_j], i < j, d2[i, j] = 1 and V[i m + j] = -1 mod q.  No value, order or basis depends on the
+    choice, since Λ is the same for V and -V.
+    """
+    prime_power(q)
+    m, r = pres.rank, len(pres.relators)
+    V = np.zeros((m * m, r), dtype=np.int64)
+    for k, w in enumerate(pres.relators):
+        d1, d2, _ = magnus_terms(w, m)
+        if any(a % q for a in d1):
+            raise QcwError(
+                f"relator {k + 1} of {pres.name} is not in F^(2, {q}): an exponent sum is not 0 mod {q}"
+            )
+        V[:, k] = (-d2.reshape(-1) % q).astype(np.int64)
+    mod = QuotientModule(V, [], r, q)
+    return PairingTensor(q=q, m=m, target_orders=tuple(mod.orders), values=mod.generator_coords.reshape(m, m, mod.rank))
 
 
 def inflation(pi: TableHom, cls: np.ndarray) -> np.ndarray:

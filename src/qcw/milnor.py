@@ -130,9 +130,11 @@ class SmallField:
     """F_s over a chosen multiplicative generator g, with discrete logs.
 
     The full tables ``powers`` and ``dlog`` are built on first access.
-    ``one_minus_exp`` needs neither: it finds its logarithm by baby-step
-    giant-step, so a caller that reads a few i pays O(sqrt(s))
-    multiplications, not s.
+    ``one_minus`` needs neither: it finds its logarithm by baby-step
+    giant-step, so a caller that reads a few elements pays O(sqrt(s))
+    multiplications, not s.  A caller that walks g^1, g^2, ... in order
+    steps them with ``iter_powers``, one multiplication each, where
+    ``element_of_exp`` powers each from scratch.
     """
 
     def __init__(self, s: int):
@@ -169,12 +171,16 @@ class SmallField:
         assert gen is not None
         self.generator = gen
 
+    def iter_powers(self):
+        """g^0, g^1, ..., g^(s-2), one multiplication each, made lazily."""
+        x = self.one
+        for _ in range(self.s - 1):
+            yield x
+            x = self._mul(x, self.generator)
+
     @functools.cached_property
     def powers(self) -> list:
-        powers = [self.one]  # powers[i] = g^i
-        for _ in range(self.s - 2):
-            powers.append(self._mul(powers[-1], self.generator))
-        return powers
+        return list(self.iter_powers())  # powers[i] = g^i
 
     @functools.cached_property
     def dlog(self) -> dict:
@@ -215,9 +221,8 @@ class SmallField:
             y = self._mul(y, giant)
         raise QcwError(f"{y} is not a unit of F_{self.s}")
 
-    def one_minus_exp(self, i: int) -> int | None:
-        """dlog(1 - g^i), or None when g^i = 1."""
-        a = self.element_of_exp(i)
+    def one_minus(self, a) -> int | None:
+        """dlog(1 - a), or None when a = 1."""
         if self.k == 1:
             v = (1 - a) % self.ell
             return None if v == 0 else self._bsgs_dlog(v)
@@ -377,8 +382,10 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     q = desc.params.q
     F = SmallField(desc.size)
     d = q
-    for i in range(1, desc.size - 1):
-        d = math.gcd(d, i * F.one_minus_exp(i))
+    powers = F.iter_powers()
+    next(powers)  # g^0 = 1 has no Steinberg symbol
+    for i, a in enumerate(powers, start=1):
+        d = math.gcd(d, i * F.one_minus(a))
         if d == 1:
             break
     invariants = [d] if d > 1 else []
@@ -567,6 +574,10 @@ def galois_model(desc: FieldDescriptor, params: SeriesParams | None = None) -> P
     is the basis dual to the generators.  ``GroupCohomology.h1_space``
     returns exactly that dual basis when the gauge rows vanish mod q, which
     they do here: every relator has exponent sums 0 mod q (t: 1 - ell).
+    So every relator lies in F^(2, q), and the relator lemma at
+    ``cohom.relator_pairing`` reads the cup tensor in that same dual basis
+    off the degree-2 Magnus terms of the relators, which is how ``compare``
+    gets its group side.
     The norm-residue map {a, b} |-> chi_a cup chi_b is a target
     isomorphism, so the Milnor values are, up to it, c_i c_j (x_i^* cup
     x_j^*).  Graded commutativity gives x^* cup x^* = -(x^* cup x^*), so a

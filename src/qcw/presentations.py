@@ -1,4 +1,4 @@
-"""Group presentation DSL: parsing, words, free reduction.
+"""Group presentation DSL: parsing, words, free reduction, Magnus terms.
 
 The textual format, bit-exact:
 
@@ -46,6 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParseError
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "inverse",
     "power",
     "commutator",
+    "magnus_terms",
     "free_presentation",
 ]
 
@@ -207,6 +210,52 @@ def power(w: Word, k: int) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a^-1 b^-1 a b, freely reduced."""
     return concat(inverse(a), inverse(b), a, b)
+
+
+# ---------------------------------------------------------------------------
+# the truncated Magnus expansion
+#
+# x_i -> 1 + X_i embeds the free group in the units of the power series
+# ring Z<<X_1, ..., X_n>>, and w lies in gamma_k exactly when its terms of
+# degree 1 .. k-1 vanish (Magnus, Karrass and Solitar, *Combinatorial Group
+# Theory*, 5.5-5.7).  The degree-2 term of any w is its class-2 image:
+# d2[j, i] is the exponent c_ij of u_ij = [x_j, x_i] (i < j), and d1 the
+# generator exponents a.
+
+
+def magnus_terms(w: Word, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of degree 1, 2 and 3 of the Magnus expansion of a word, over Z.
+
+    Returns object arrays of Python integers d1 (n), d2 (n x n) and
+    d3 (n x n x n) with w = 1 + d1[i] X_i + d2[i, j] X_i X_j
+    + d3[i, j, k] X_i X_j X_k + (degree >= 4), summed over the indices.  A
+    run x_g^e is the factor (1 + X_g)^e = 1 + e X_g + C(e, 2) X_g^2
+    + C(e, 3) X_g^3 for every integer e, and right multiplication by it
+    only adds to entries whose last index is g.  The terms are kept in
+    nested lists of Python integers, exact for every exponent, and turned
+    into arrays once, at the end.
+    """
+    d1 = [0] * n
+    d2 = [[0] * n for _ in range(n)]
+    d3 = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for g, e in w.letters:
+        g, e = int(g), int(e)
+        b2, b3 = e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6
+        # degree 3 reads the degree-1 and degree-2 terms before this run
+        for i in range(n):
+            row, plane = d2[i], d3[i]
+            for j in range(n):
+                plane[j][g] += e * row[j]
+            plane[g][g] += b2 * d1[i]
+            row[g] += e * d1[i]
+        d3[g][g][g] += b3
+        d2[g][g] += b2
+        d1[g] += e
+    return (
+        np.array(d1, dtype=object).reshape(n),
+        np.array(d2, dtype=object).reshape(n, n),
+        np.array(d3, dtype=object).reshape(n, n, n),
+    )
 
 
 # ---------------------------------------------------------------------------

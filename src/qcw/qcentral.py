@@ -107,7 +107,9 @@ generators, their columns and the tree built on them.  A
 and slices its columns from it once, at construction; ``to_action``
 collects them as the n |G| right products g x_i, with no table.  The
 action is all that the degree <= 2 cohomology reads (``cohom``), so the
-``cohomology`` and ``compare`` commands build no table.
+``cohomology`` command builds no table; ``compare`` builds no action
+either, as it reads the cup tensor off the relators
+(``cohom.relator_pairing``).
 """
 
 from __future__ import annotations

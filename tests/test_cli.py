@@ -351,9 +351,13 @@ def test_compare_qp29_q7_order2401():
 
 def test_compare_qp17_q8_order4096_solves_h1_on_the_tree(monkeypatch):
     # |G| = 4096, |S| = 2: H^1 is the kernel of the 2-column gauge system, not
-    # a dense elimination of the 8192 x 4095 homomorphism conditions
+    # a dense elimination of the 8192 x 4095 homomorphism conditions.
+    # compare reads its cup tensor off the relators and solves no H^1, so the
+    # spy watches the coset-action cohomology of the same G^[3, 8]
     import qcw.cohom
     import qcw.zqlinalg
+    from qcw.milnor import galois_model, parse_field
+    from qcw.qcentral import SeriesParams, third_quotient, to_action
 
     inside, widths = [], []
     real_h1 = qcw.cohom.GroupCohomology.h1_space
@@ -377,11 +381,15 @@ def test_compare_qp17_q8_order4096_solves_h1_on_the_tree(monkeypatch):
     monkeypatch.setattr(qcw.cohom.GroupCohomology, "h1_space", h1_space)
     monkeypatch.setattr(qcw.cohom, "kernel_with_orders", spy(real_kernel))
     monkeypatch.setattr(qcw.zqlinalg, "diagonalize", spy(real_diagonalize))
+    params = SeriesParams.from_q(8)
+    G = third_quotient(galois_model(parse_field("Qp:17", params)), params, 100000)
+    assert G.order == 4096
+    qcw.cohom.GroupCohomology(to_action(G, 100000), 8).h1_space()
+    assert widths and all(width <= gens for gens, width in widths), widths
     code, rep = run_json("compare", "Qp:17", "--q", "8", "--order-bound", "100000")
     assert code == 0
     assert rep["verdict"] == "COMPARISON-CONSISTENT"
     assert rep["cohomology"]["quotient_order"] == 4096
-    assert all(width <= gens for gens, width in widths), widths
 
 
 def test_milnor_fq97_q32_fits_800mb():

@@ -38,11 +38,12 @@ from qcw.cohom import (
     pairing_gram,
     pairings_equivalent,
     PairingTensor,
+    relator_pairing,
     cohomology_record,
 )
 from qcw.errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from qcw.milnor import galois_model, parse_field
-from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
+from qcw.presentations import Presentation, Word, concat, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     FiniteGroupTable,
     SeriesParams,
@@ -1525,6 +1526,46 @@ def _small_presentations(draw):
 @given(_small_presentations())
 def test_relator_walks_give_the_off_tree_z2_on_random_presentations(case):
     assert_relators_give_the_off_tree_z2(*case, 64)
+
+
+@st.composite
+def _presentations_in_f2q(draw):
+    # relators in F^(2, q): products of q-th powers and commutators
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    n = draw(st.integers(1, 3))
+    gen = st.integers(0, n - 1)
+    exponent = st.sampled_from([1, -1, 2, -2, 3])
+    power = st.tuples(gen, exponent).map(lambda ge: Word(((ge[0], q * ge[1]),)))
+    commutator = st.tuples(gen, exponent, gen, exponent).map(
+        lambda c: Word(((c[0], -c[1]), (c[2], -c[3]), (c[0], c[1]), (c[2], c[3])))
+    )
+    factor = st.one_of(power, commutator)
+    relator = st.lists(factor, min_size=1, max_size=3).map(lambda ws: concat(*ws))
+    relators = tuple(draw(st.lists(relator, min_size=n, max_size=n + 2)))
+    pres = Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=relators)
+    assume(third_quotient(pres, SeriesParams.from_q(q), NO_BOUND).order <= 3000)
+    return pres, q
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_presentations_in_f2q())
+def test_relator_pairing_is_the_cup_tensor_of_the_coset_action(case):
+    # the relator lemma of relator_pairing: the tensor read off the Magnus
+    # terms is the one GroupCohomology reads off the coset action, value
+    # for value, in the same H^1 basis
+    pres, q = case
+    got = relator_pairing(pres, q)
+    want = GroupCohomology(to_action(third_quotient(pres, SeriesParams.from_q(q), NO_BOUND), NO_BOUND), q).pairing()
+    assert (got.q, got.m, got.target_orders) == (want.q, want.m, want.target_orders)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_relator_pairing_refuses_a_relator_outside_f2q():
+    # x^2 is not in F^(2, 4) = F^4 [F, F]: its exponent sum is 2 mod 4
+    pres = parse_presentation("group C2 { generators: x; relators: x^2; }")
+    with pytest.raises(QcwError, match="F\\^\\(2, 4\\)"):
+        relator_pairing(pres, 4)
+    assert relator_pairing(pres, 2).target_orders == (2,)
 
 
 def _run(x, e, by_letter):

@@ -10,7 +10,7 @@ import pytest
 
 from qcw import cohom
 from qcw.cli import main
-from qcw.cohom import GroupCohomology, _identity_witness, pairings_equivalent
+from qcw.cohom import GroupCohomology, _identity_witness, pairings_equivalent, relator_pairing
 from qcw.errors import UnsupportedFieldError
 from qcw.milnor import (
     FieldDescriptor,
@@ -53,7 +53,7 @@ def test_descriptor_validation():
 def test_small_field_tables():
     F = SmallField(5)
     assert F.generator == 2
-    assert F.one_minus_exp(0) is None
+    assert F.one_minus(F.one) is None
     F9 = SmallField(9)
     assert len(F9.dlog) == 8
     F16 = SmallField(16)
@@ -70,10 +70,17 @@ def table_one_minus_exp(F, i):
     return None if not any(v) else F.dlog[v]
 
 
+@pytest.mark.parametrize("s", [9, 25, 27, 49, 121, 125, 243] + [s for s in range(2, 300) if prime_factors(s) == [s]])
+def test_stepped_powers_match_element_of_exp(s):
+    # the gcd pass of _finite_symbol_algebra steps g^i by one multiplication
+    F = SmallField(s)
+    assert list(F.iter_powers()) == [F.element_of_exp(i) for i in range(s - 1)]
+
+
 @pytest.mark.parametrize("s", [s for s in range(2, 300) if len(prime_factors(s)) == 1] + [991, 997, 1009])
 def test_one_minus_exp_by_baby_steps_matches_the_table(s):
     F = SmallField(s)
-    got = [F.one_minus_exp(i) for i in range(s - 1)]
+    got = [F.one_minus(F.element_of_exp(i)) for i in range(s - 1)]
     # the baby-step giant-step logarithms build neither table
     assert "powers" not in vars(F) and "dlog" not in vars(F)
     assert got == [table_one_minus_exp(F, i) for i in range(s - 1)]
@@ -108,7 +115,7 @@ def reference_finite_relations(F, q):
     for i in range(1, F.s - 1):
         assert F.element_of_exp(i) == F._pow_raw(F.generator, i, mul, F.one)
         row = np.zeros(q * q, dtype=np.int64)
-        row[(i % q) * q + F.one_minus_exp(i) % q] = 1
+        row[(i % q) * q + F.one_minus(F.element_of_exp(i)) % q] = 1
         rows.append(row)
     return rows
 
@@ -165,7 +172,7 @@ def test_finite_k2_closed_form_for_every_divisor(q, monkeypatch):
     p, e = prime_power(q)
     size = next(s for s in range(3, 300) if s % q == 1 and len(prime_factors(s)) == 1)
     for d in (p**k for k in range(e + 1)):
-        monkeypatch.setattr(SmallField, "one_minus_exp", lambda self, i, d=d: d)
+        monkeypatch.setattr(SmallField, "one_minus", lambda self, a, d=d: d)
         S = symbol_algebra(FieldDescriptor(kind="finite", params=SeriesParams(p=p, d=e), size=size))
         got = (S.k2_invariants, S.k2_values.tolist(), S.k2_relations.tolist())
         assert got == former_module_k2(d, q), d
@@ -437,6 +444,38 @@ def test_identity_witness_holds_on_every_compare_field(field, q):
     milnor, group = compare_tensors(field, q, order_bound=q**5)
     assert _identity_witness(milnor, group)
     assert pairings_equivalent(milnor, group)
+
+
+# the three m = 2 compare runs of the CLI matrix past the ladder's q
+MATRIX_FIELDS = [("Qp:5", 4, 1024), ("Qp:11", 5, 4000), ("Qp:37", 9, 60000)]
+
+
+@pytest.mark.parametrize(
+    "field,q,order_bound", [(f, q, q**5) for f, q in LADDER + BEYOND_LADDER] + MATRIX_FIELDS
+)
+def test_relator_pairing_is_the_compare_group_side(field, q, order_bound):
+    # the relator lemma of cohom.relator_pairing: the same tensor, value
+    # for value, as the cup tensor of the coset action of G^[3, q]
+    _, group = compare_tensors(field, q, order_bound)
+    got = relator_pairing(galois_model(parse_field(field, SeriesParams.from_q(q))), q)
+    assert (got.q, got.m, got.target_orders) == (group.q, group.m, group.target_orders)
+    assert got.values.shape == group.values.shape
+    assert np.array_equal(got.values, group.values)
+
+
+def test_compare_builds_no_coset_action(monkeypatch):
+    import qcw.cli
+    import qcw.qcentral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare enumerated G")
+
+    monkeypatch.setattr(qcw.qcentral, "to_action", refuse)
+    monkeypatch.setattr(qcw.cli, "to_action", refuse)
+    monkeypatch.setattr(GroupCohomology, "__init__", refuse)
+    for field, q in LADDER:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", field, "--q", str(q), "--output", "json"]) == 0, field
 
 
 def test_field_ladder_holds_every_compare_fields_draw():

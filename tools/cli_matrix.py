@@ -48,9 +48,11 @@ The runs:
   --q 16 --order-bound 20000000`` (|G| = 2^20) and ``free3 --q 16
   --order-bound 100000000000`` (|G| = 2^36, which no array of its
   elements fits);
-* four runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
-  65536) and ``compare Qp:97 --q 32`` (|G| = 2^20), ``check class2
-  --against free2 --q 7`` and ``check demushkin3 --against free3 --q 3``;
+* five runs past the |G| x |G| tables: ``compare Qp:17 --q 16`` (|G| =
+  65536), ``compare Qp:97 --q 32`` (|G| = 2^20) and ``compare Qp:193
+  --q 64 --order-bound 2000000000`` (|G| = 2^24, whose cup tensor is read
+  off the relators), ``check class2 --against free2 --q 7`` and ``check
+  demushkin3 --against free3 --q 3``;
 * five ``cohomology`` runs with large bounds: ``free2 --q 3`` (|G| =
   243) and ``free3 --q 2`` (|G| = 512) at ``--order-bound 1000
   --h2-bound 1000``, ``free2 --q 4 --order-bound 5000 --h2-bound 5000``
@@ -175,6 +177,7 @@ def command_lines() -> list[list[str]]:
     runs += [
         ["compare", "Qp:17", "--q", "16", "--order-bound", "10000000"],
         ["compare", "Qp:97", "--q", "32", "--order-bound", "100000000"],
+        ["compare", "Qp:193", "--q", "64", "--order-bound", "2000000000"],
         ["check", "--file", grp, "--group", "class2", "--against", "free2", "--q", "7", "--order-bound", "20000"],
         ["check", "--file", grp, "--group", "demushkin3", "--against", "free3", "--q", "3", "--order-bound", "20000"],
     ]
