@@ -80,12 +80,18 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _group_loader(path: str):
-    """Name -> presentation in the file at ``path``, parsed once, at the first lookup."""
+def _group_loader(path: str | None):
+    """Name -> presentation in the file at ``path``, parsed once, at the first lookup.
+
+    A lookup with no file (``check`` without ``--file``) raises a QcwError
+    that names the option that asked for the group.
+    """
     groups = None
 
-    def load(name: str):
+    def load(name: str, option: str = "--group"):
         nonlocal groups
+        if path is None:
+            raise QcwError(f"{option} needs --file")
         if groups is None:
             with open(path, "r", encoding="utf-8") as handle:
                 groups = parse_file(handle.read())
@@ -220,7 +226,7 @@ def cmd_check(args) -> int:
         else:
             action = [tuple(int(x) for x in args.wreath_action.split(","))]
         spec = WreathSpec(
-            k_pres=load(args.wreath_k),
+            k_pres=load(args.wreath_k, "--wreath-k"),
             k_cd=CdDescriptor(value=args.cd_k, provenance="user-supplied")
             if args.cd_k is not None
             else CdDescriptor.free(),

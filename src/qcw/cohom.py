@@ -196,8 +196,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
-from .presentations import Presentation, Word, concat, inverse, magnus_terms
-from .qcentral import FiniteGroupTable, GeneratorAction
+from .presentations import Presentation, Word, concat, inverse
+from .qcentral import FiniteGroupTable, GeneratorAction, _pairs
 from .zqlinalg import (
     QuotientModule,
     RowSpace,
@@ -739,15 +739,20 @@ def relator_pairing(pres: Presentation, q: int) -> PairingTensor:
     """The cup tensor of G^[3, q], G = <S | R>, read off the relators.
 
     Every relator r_k must lie in F^(2, q) = F^q [F, F], F free on the
-    generators x_1, ..., x_n: its degree-1 Magnus terms d1 (``magnus_terms``)
-    are all 0 mod q, else ``QcwError``.  Then H^1 has the basis χ_i dual to
-    the generators, m = n, and the tensor of that basis is read in
+    generators x_1, ..., x_n: the a-part of its class-2 image (a, c)
+    (``Presentation.class2_images``), which is its degree-1 Magnus term d1,
+    is 0 mod q, else ``QcwError``.  Then H^1 has the basis χ_i dual to the
+    generators, m = n, and the tensor of that basis is read in
     QuotientModule(V, [], r, q) with
 
         V[i m + j, k] = -d2[i, j](r_k) mod q,
 
-    the cup χ_i ∪ χ_j being generator i m + j.  The cost is that of the
-    Magnus terms, O(n^2) a run; no element of the group is listed.
+    the cup χ_i ∪ χ_j being generator i m + j.  The degree-2 Magnus term
+    d2 is read off the image: d2[j, i] = c_ij and d2[i, j] = a_i a_j - c_ij
+    for i < j, and d2[i, i] = C(a_i, 2) (the identities at
+    ``presentations._class2_image``).  So ε_ij below is read off the image
+    too, and the cost is the walk of each relator, O(n) a run, once per
+    presentation whatever q is; no element of the group is listed.
 
     Lemma (the relator route).  Write ε_ij(w) = d2[i, j](w) mod q, and
     N = R F^(3, q), R the normal closure of the relators and F^(3, q) the
@@ -812,13 +817,16 @@ def relator_pairing(pres: Presentation, q: int) -> PairingTensor:
     prime_power(q)
     m, r = pres.rank, len(pres.relators)
     V = np.zeros((m * m, r), dtype=np.int64)
-    for k, w in enumerate(pres.relators):
-        d1, d2, _ = magnus_terms(w, m)
-        if any(a % q for a in d1):
+    for k, (a, c) in enumerate(pres.class2_images):
+        if any(x % q for x in a):
             raise QcwError(
                 f"relator {k + 1} of {pres.name} is not in F^(2, {q}): an exponent sum is not 0 mod {q}"
             )
-        V[:, k] = (-d2.reshape(-1) % q).astype(np.int64)
+        # d2 read off the class-2 image (the docstring's identities)
+        d2 = [[a[i] * a[j] if i != j else a[i] * (a[i] - 1) // 2 for j in range(m)] for i in range(m)]
+        for (i, j), cij in zip(_pairs(m), c):
+            d2[i][j], d2[j][i] = d2[i][j] - cij, cij
+        V[:, k] = [-x % q for row in d2 for x in row]
     mod = QuotientModule(V, [], r, q)
     return PairingTensor(q=q, m=m, target_orders=tuple(mod.orders), values=mod.generator_coords.reshape(m, m, mod.rank))
 

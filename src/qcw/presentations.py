@@ -1,4 +1,4 @@
-"""Group presentation DSL: parsing, words, free reduction, Magnus terms.
+"""Group presentation DSL: parsing, words, free reduction, class-2 images, Magnus terms.
 
 The textual format, bit-exact:
 
@@ -39,12 +39,21 @@ The commutator bracket is left-normed and means
 
 which is used consistently by every module downstream (in particular by the
 collection rule of the class-2 normal form).
+
+A presentation contributes to its level-3 quotient, its H^1 and its cup
+tensor only through the image (a, c) of each relator in the free class-2
+group F/gamma_3.  One walk computes it (``_class2_image``, O(n) a run), and
+a ``Presentation`` keeps the images of its relators
+(``Presentation.class2_images``), each relator walked once, at the first
+read, whatever q is.  A ``Presentation`` refuses a relator whose generator
+index lies outside [0, rank).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +89,6 @@ class Word:
     def runs(self) -> int:
         return len(self.letters)
 
-    def max_generator(self) -> int:
-        return max((g for g, _ in self.letters), default=-1)
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -94,11 +100,18 @@ class Presentation:
     def rank(self) -> int:
         return len(self.generator_names)
 
+    @cached_property
+    def class2_images(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The image (a, c) over Z of each relator in F/gamma_3 (``_class2_image``),
+        each relator walked once, at the first read."""
+        return tuple(_class2_image(w, self.rank) for w in self.relators)
+
     def __post_init__(self):
         if len(set(self.generator_names)) != len(self.generator_names):
             raise ValueError("generator names must be distinct")
         for w in self.relators:
-            if w.max_generator() >= len(self.generator_names):
+            # one pass over the runs, into the set of indices they use
+            if {g for g, _ in w.letters}.difference(range(self.rank)):
                 raise ValueError("relator references an undeclared generator")
 
 
@@ -213,14 +226,39 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# the truncated Magnus expansion
+# the class-2 image and the truncated Magnus expansion
 #
 # x_i -> 1 + X_i embeds the free group in the units of the power series
 # ring Z<<X_1, ..., X_n>>, and w lies in gamma_k exactly when its terms of
 # degree 1 .. k-1 vanish (Magnus, Karrass and Solitar, *Combinatorial Group
-# Theory*, 5.5-5.7).  The degree-2 term of any w is its class-2 image:
-# d2[j, i] is the exponent c_ij of u_ij = [x_j, x_i] (i < j), and d1 the
-# generator exponents a.
+# Theory*, 5.5-5.7).  The terms of degree <= 2 are the class-2 image (a, c)
+# of w (``_class2_image``): d1 = a, d2[j, i] = c_ij for i < j, and the
+# rest follows from the identities d1_i d1_j = d2[i, j] + d2[j, i] (i != j)
+# and d1_i^2 = 2 d2[i, i] + d1_i of the Magnus terms of a word (Chen, Fox
+# and Lyndon, Ann. Math. 1958): d2[i, j] = a_i a_j - c_ij and
+# d2[i, i] = C(a_i, 2).  So the class-2 image is the one walk that every
+# degree <= 2 question reads, and ``magnus_terms`` is needed only for the
+# degree-3 term of a word in gamma_3.
+
+
+def _class2_image(w: Word, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The image (a, c) of w in the free class-2 group F/gamma_3, over Z.
+
+    It is the normal form x_1^(a_1) ... x_n^(a_n) prod_{i<j} u_ij^(c_ij),
+    u_ij = [x_j, x_i], with c in the pair order (0, 1), (0, 2), ..., (1, 2),
+    ....  Collecting a run x_g^e onto a prefix (a, c) moves x_g^e left past
+    x_j^(a_j) for each j > g, and the swap x_j^A x_g^B = x_g^B x_j^A u_gj^(A B)
+    adds e a_j to c_gj: O(n) Python-integer operations a run, exact for
+    every exponent.
+    """
+    a = [0] * n
+    c = [[0] * n for _ in range(n)]
+    for g, e in w.letters:
+        row = c[g]
+        for j in range(g + 1, n):
+            row[j] += e * a[j]
+        a[g] += e
+    return tuple(a), tuple(c[i][j] for i in range(n) for j in range(i + 1, n))
 
 
 def magnus_terms(w: Word, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

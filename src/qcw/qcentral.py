@@ -28,15 +28,24 @@ valid for every k in Z, negative included.
 Two closed forms follow from these rules; the front end of every quotient
 (relator images, commutators) uses them instead of chains of products.
 
-* Word images.  For u = (A, C) and a prefix (a, c),
+* Word images.  E has class 2, so a homomorphism F -> E, x_i -> u_i, from
+  the free group F factors through the free class-2 group F/gamma_3, and
+  sends w to the image of its normal form x^a prod_{i<j} [x_j, x_i]^(c_ij)
+  there:
 
-      (a, c) u^e = (a + e A,  c + e C + C(e, 2) corr(A, A) + e corr(a, A)),
+      w -> u_1^(a_1) ... u_n^(a_n) prod_{i<j} [u_j, u_i]^(c_ij).
 
-  corr(a, A)_ij = a_j A_i: the power rule gives u^e = (e A, e C +
-  C(e, 2) corr(A, A)), and collecting it onto (a, c) adds corr(a, e A) =
-  e corr(a, A).  So ``evaluate_word`` makes one pass over a word's runs,
-  summing plain integers: the c-terms read a only mod q, so a may be
-  reduced mod q^2 and c mod q once, at the end.
+  The pair (a, c) over Z is one O(n)-per-run walk of the word
+  (``presentations._class2_image``), and a presentation walks each relator
+  once and keeps the pairs (``Presentation.class2_images``).  At the
+  standard images u_i = x_i the image is (a mod q^2, c mod q) itself: the
+  seeds of ``third_quotient``; a relator lies in the third series iff its
+  pair is 0 mod (q^2, q); and the rows of G^[2, q] are a mod q.  The same
+  pair is the Magnus expansion truncated at degree 2: d1 = a,
+  d2[j, i] = c_ij and d2[i, j] = a_i a_j - c_ij for i < j, and
+  d2[i, i] = C(a_i, 2) (Magnus, Karrass and Solitar, *Combinatorial Group
+  Theory*, 5.7; Chen, Fox and Lyndon, Ann. Math. 1958), from which
+  ``cohom.relator_pairing`` reads the cup tensor.
 * Commutators.  [u, v] = u^-1 v^-1 u v = (v u)^-1 (u v).  The products u v
   and v u share the a-part a_u + a_v, and their c-parts differ by
   corr(a_u, a_v) - corr(a_v, a_u).  For X, Y with one a-part a, X^-1 =
@@ -122,7 +131,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
-from .presentations import Presentation, Word, commutator, power
+from .presentations import Presentation, Word, _class2_image, commutator, power
 from .zqlinalg import _howell_sweep, cokernel_invariants, is_prime, prime_factors, prime_power, sorted_unique
 
 DEFAULT_ORDER_BOUND = 512
@@ -246,6 +255,10 @@ class ClassTwoGroup:
 
     def generators(self) -> list[ClassTwoElement]:
         return [self.generator(i) for i in range(self.n)]
+
+    def element(self, a, c) -> ClassTwoElement:
+        """The element with integer digits a mod q^2 and c mod q."""
+        return ClassTwoElement(a=tuple(x % self.q2 for x in a), c=tuple(x % self.q for x in c))
 
     # -- group operations on normal forms -----------------------------------
 
@@ -399,47 +412,28 @@ def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_OR
 
 
 def evaluate_word(w: Word, images: list[ClassTwoElement], group: ClassTwoGroup) -> ClassTwoElement:
-    """Image of a word under generator -> images, in one pass over its runs.
+    """Image of a word under generator -> images, read off its class-2 image.
 
-    A run (g, e) with image u = (A, C) adds e A to a and, for each pair ij,
-    e C_ij + C(e, 2) A_j A_i + e A_i a_j to c_ij, where a is the sum before
-    the run (module docstring: this is collecting u^e onto the prefix).
-    Each image is checked once, at its first run, and contributes only the
-    pairs where one of C_ij, A_j A_i, A_i is nonzero mod q.
+    The generators are checked first, in the order of their first runs:
+    each must have an image, and that image is checked.  The word's class-2
+    image (a, c) then gives prod u_i^(a_i) prod_{i<j} [u_j, u_i]^(c_ij)
+    (module docstring); an image that no run uses has a_i = 0 and no
+    c_ij != 0, so it is never read.
     """
-    q, q2 = group.q, group.q2
-    a = [0] * group.n
-    c = [0] * len(group.pairs)
-    forms: list = [None] * len(images)
-    for g, e in w.letters:
-        if g >= len(images):
+    for g in dict.fromkeys(g for g, _ in w.letters):
+        if not 0 <= g < len(images):
             raise DimensionMismatchError(
                 f"word uses generator {g}, only {len(images)} images given"
             )
-        form = forms[g]
-        if form is None:
-            form = forms[g] = _run_form(group, images[g])
-        a_terms, c_terms = form
-        binom = e * (e - 1) // 2
-        for t, ct, corr, ai, j in c_terms:
-            c[t] += e * (ct + ai * a[j]) + binom * corr
-        for i, ai in a_terms:
-            a[i] += e * ai
-    return ClassTwoElement(a=tuple(x % q2 for x in a), c=tuple(x % q for x in c))
-
-
-def _run_form(group: ClassTwoGroup, u: ClassTwoElement) -> tuple[list, list]:
-    """The nonzero terms of ``evaluate_word``'s step for image u: (i, A_i)
-    for a, and (pair index, C_ij, A_j A_i, A_i, j) for c, all reduced."""
-    group._check(u)
-    q, q2 = group.q, group.q2
-    a_terms = [(i, x % q2) for i, x in enumerate(u.a) if x % q2]
-    c_terms = []
-    for t, (i, j) in enumerate(group.pairs):
-        term = (t, u.c[t] % q, u.a[j] * u.a[i] % q, u.a[i] % q, j)
-        if any(term[1:4]):
-            c_terms.append(term)
-    return a_terms, c_terms
+        group._check(images[g])
+    a, c = _class2_image(w, len(images))
+    pairs = zip(_pairs(len(images)), c)
+    factors = list(zip(images, a)) + [(group.commutator(images[j], images[i]), k) for (i, j), k in pairs if k]
+    out = group.identity()
+    for u, k in factors:
+        if k:
+            out = group.mul(out, group.power(u, k))
+    return out
 
 
 def _saturate_with_commutators(group: ClassTwoGroup, seeds: list[ClassTwoElement]) -> list[ClassTwoElement]:
@@ -458,8 +452,7 @@ def _saturate_with_commutators(group: ClassTwoGroup, seeds: list[ClassTwoElement
 def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> ClassTwoGroup:
     """G^[3, q] of the presented group, realized as E(n, q) / N."""
     E = universal_class2(pres.rank, params, order_bound=order_bound)
-    images = E.generators()
-    seeds = [evaluate_word(r, images, E) for r in pres.relators]
+    seeds = [E.element(a, c) for a, c in pres.class2_images]
     saturated = _saturate_with_commutators(E, seeds)
     # prune to a small deterministic generating list.  The reduced form of a
     # trial describes the normal closure of its basis, and that is the
@@ -515,12 +508,7 @@ def _second_quotient_invariants(
     Raises SizeLimitError when the order exceeds ``order_bound`` (None: no bound).
     """
     q = params.q
-    rows = []
-    for w in pres.relators:
-        row = [0] * pres.rank
-        for g, e in w.letters:
-            row[g] = (row[g] + e) % q
-        rows.append(row)
+    rows = [[x % q for x in a] for a, _ in pres.class2_images]
     invariants = cokernel_invariants(rows, pres.rank, q)
     order = math.prod(invariants) if invariants else 1
     if order_bound is not None and order > order_bound:

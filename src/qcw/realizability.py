@@ -16,11 +16,15 @@ throughout.  Implemented criteria:
 cd values are never computed from scratch: they are user-supplied or
 produced by the recorded formulas, with provenance attached.  dim H^2 is
 counted on two families only: free presentations, and presentations of
-S / [S, [S, S]], recognised from the relators' weight-3 Lie values, which
-are read off the truncated Magnus expansion (``magnus_terms``).  dim H^1
-is the number of cyclic factors of G^[2, p], found with no table; the
-wreath construction builds its stand-in only when its order,
-p^(m dim H^1(K)) |P|, is within the sanity bound.
+S / [S, [S, S]], recognised from the relators' weight-3 Lie values.  A
+relator lies in gamma_3 iff its class-2 image (a, c)
+(``Presentation.class2_images``) is 0, and only then is its truncated
+Magnus expansion (``magnus_terms``) computed, for the degree-3 term.
+Every criterion reads a relator through that image: it lies in the third
+series term iff (a, c) is 0 mod (p^2, p), and dim H^1 is the number of
+cyclic factors of G^[2, p], the cokernel of the rows a mod p, found with
+no table.  The wreath construction builds its stand-in only when its
+order, p^(m dim H^1(K)) |P|, is within the sanity bound.
 
 The stand-in W = (K^[2])^m x| P is built as its generator columns
 (``semidirect_power_action``), and its dim H^1 is that of
@@ -68,14 +72,13 @@ import numpy as np
 from .cohom import GroupCohomology
 from .errors import QcwError
 from .lie import hall_basis, witt_rank
-from .presentations import Presentation, Word, is_trivial_in_free, magnus_terms
+from .presentations import Presentation, Word, _class2_image, is_trivial_in_free, magnus_terms
 from .qcentral import (
     DEFAULT_ORDER_BOUND,
     FiniteGroupTable,
     GeneratorAction,
     SeriesParams,
     _second_quotient_invariants,
-    evaluate_word,
     is_isomorphic,
     second_quotient,
     series_step_oracle,
@@ -177,12 +180,16 @@ def _hall_matrix(n: int) -> np.ndarray:
     return H.reshape(n**3, len(basis))
 
 
-def _weight3_term(w: Word, n: int, p: int) -> np.ndarray | None:
-    """The degree-3 Magnus term mod p, flattened, or None if w is not in gamma_3."""
-    d1, d2, d3 = magnus_terms(w, n)
-    if any(d1) or any(d2.flat):
+def _weight3_term(w: Word, image, n: int, p: int) -> np.ndarray | None:
+    """The degree-3 Magnus term mod p, flattened, or None if w is not in gamma_3.
+
+    w lies in gamma_3 iff its class-2 image ``image`` = (a, c) is 0, so the
+    Magnus terms are expanded only for a word in gamma_3, for their d3.
+    """
+    a, c = image
+    if any(a) or any(c):
         return None
-    return (d3.reshape(-1) % p).astype(np.int64)
+    return (magnus_terms(w, n)[2].reshape(-1) % p).astype(np.int64)
 
 
 def weight3_lie_vector(w: Word, n: int, p: int) -> np.ndarray | None:
@@ -194,7 +201,7 @@ def weight3_lie_vector(w: Word, n: int, p: int) -> np.ndarray | None:
     is unique because the free Lie ring embeds in the tensor algebra also
     mod p.
     """
-    term = _weight3_term(w, n, p)
+    term = _weight3_term(w, _class2_image(w, n), n, p)
     if term is None:
         return None
     coords = solve_mod(_hall_matrix(n), term, p)
@@ -215,8 +222,8 @@ def _free_class2_family_rank(pres: Presentation, p: int) -> int | None:
     if not pres.relators:
         return None
     terms = []
-    for r in pres.relators:
-        term = _weight3_term(r, n, p)
+    for r, image in zip(pres.relators, pres.class2_images):
+        term = _weight3_term(r, image, n, p)
         if term is None:
             return None
         terms.append(term)
@@ -310,8 +317,7 @@ def relators_in_third_series(
 ) -> Verdict:
     """S/R is not realizable when 1 != R <= S^(3,q) (R normal, S free)."""
     E = universal_class2(pres.rank, params, order_bound)
-    images = E.generators()
-    in_third = [evaluate_word(r, images, E).is_identity() for r in pres.relators]
+    in_third = [E.element(a, c).is_identity() for a, c in pres.class2_images]
     nontrivial = [not is_trivial_in_free(r) for r in pres.relators]
     if pres.relators and all(in_third) and any(nontrivial):
         return Verdict(
@@ -340,6 +346,8 @@ def relators_in_third_series(
 
 def h1_vs_cd_check(dim_h1: int, cd: CdDescriptor, p: int, torsion_free: bool) -> Verdict:
     """dim H^1(G) < cd(G) excludes G; for p = 2 torsion-freeness is required."""
+    if dim_h1 < 0:
+        raise ValueError(f"dim H^1 must be nonnegative, not {dim_h1}")
     inequality = (not cd.is_finite) or dim_h1 < cd.value
     applies = inequality and (p != 2 or torsion_free)
     witness = {

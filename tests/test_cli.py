@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qcw
+import qcw.presentations
 from qcw.cli import main
 from qcw.presentations import MAX_RUNS
 from qcw.qcentral import ClassTwoGroup
@@ -308,6 +309,61 @@ def test_check_wreath_single_copy():
         "--wreath-copies", "1", "--q", "2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--group", "free2"], "--group needs --file"),
+        (["--group", "free2", "--against", "free3"], "--group needs --file"),
+        (["--against", "free3", "--criterion", "principle"], "--group needs --file"),
+        (["--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "2"], "--wreath-k needs --file"),
+        (["--dim-h1", "-1", "--cd", "2", "--torsion-free"], "dim H^1 must be nonnegative, not -1"),
+    ],
+)
+def test_check_refuses_a_missing_file_or_a_negative_dimension(argv, message, capsys):
+    code, out = run_cli("check", *argv, "--q", "2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _walk_spy(monkeypatch):
+    """The words that presentations._class2_image walks, in order."""
+    walked = []
+    walk = qcw.presentations._class2_image
+
+    def spy(w, n):
+        walked.append(w)
+        return walk(w, n)
+
+    monkeypatch.setattr(qcw.presentations, "_class2_image", spy)
+    return walked
+
+
+GROUP_NAMES = ["free2", "class2", "demushkin3", "demushkin7", "involution", "trivialg", "abelianized"]
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+@pytest.mark.parametrize("a", GROUP_NAMES)
+def test_check_walks_each_relator_once(monkeypatch, a, q):
+    # third series, the quotients, dim H^1 and the H^2 count all read the
+    # class-2 images that each presentation keeps
+    with open(DATA, encoding="utf-8") as handle:
+        groups = {pres.name: pres for pres in qcw.parse_file(handle.read())}
+    walked = _walk_spy(monkeypatch)
+    for b in GROUP_NAMES:
+        walked.clear()
+        run_cli("check", "--file", DATA, "--group", a, "--against", b, "--q", q)
+        names = [a] if a == b else [a, b]
+        assert walked == [r for name in names for r in groups[name].relators], (a, b)
+
+
+@pytest.mark.parametrize("field,q", [("R", "2"), ("Qp:3", "2"), ("Qp:5", "4"), ("Qp:7", "3"), ("Qp:13", "3")])
+def test_compare_walks_each_relator_once(monkeypatch, field, q):
+    walked = _walk_spy(monkeypatch)
+    assert run_cli("compare", field, "--q", q, "--order-bound", "1024")[0] == 0
+    model = qcw.galois_model(qcw.parse_field(field, qcw.SeriesParams.from_q(int(q))))
+    assert walked == list(model.relators)
 
 
 def test_check_dimension_test_direct():

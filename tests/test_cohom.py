@@ -1568,6 +1568,26 @@ def test_relator_pairing_refuses_a_relator_outside_f2q():
     assert relator_pairing(pres, 2).target_orders == (2,)
 
 
+@pytest.mark.parametrize("field", ["R", "Qp:3", "Qp:7", "Qp:11", "Qp:19", "Qp:5", "Qp:13"])
+def test_relator_pairing_reads_the_diagonal_term_at_q2(field):
+    # at q = 2 the relator x^2 of R, and x y x^-1 y^-ell of Qp:ell with
+    # ell = 3 mod 4, have d2[i, i] = C(a_i, 2) odd: the one term that the
+    # class-2 image gives only through the identity d1_i^2 = 2 d2[i, i] + d1_i
+    from qcw.presentations import magnus_terms
+
+    pres = galois_model(parse_field(field, SeriesParams.from_q(2)))
+    got = relator_pairing(pres, 2)
+    m = pres.rank
+    V = np.array([[-int(v) % 2 for v in magnus_terms(r, m)[1].flat] for r in pres.relators]).T
+    mod = QuotientModule(V.reshape(m * m, -1), [], len(pres.relators), 2)
+    assert got.target_orders == tuple(mod.orders)
+    assert np.array_equal(got.values, mod.generator_coords.reshape(m, m, mod.rank))
+    want = GroupCohomology(to_action(third_quotient(pres, SeriesParams.from_q(2), NO_BOUND), NO_BOUND), 2).pairing()
+    assert (got.target_orders, got.values.tolist()) == (want.target_orders, want.values.tolist())
+    diagonal = [int(magnus_terms(r, m)[1][i, i]) % 2 for r in pres.relators for i in range(m)]
+    assert any(diagonal) == (field == "R" or int(field[3:]) % 4 == 3)
+
+
 def _run(x, e, by_letter):
     """x^e as |e| one-letter runs, or as one run."""
     return ((x, 1 if e > 0 else -1),) * abs(e) if by_letter else ((x, e),)

@@ -552,3 +552,62 @@ def test_token_texts_and_errors_match_the_former_tokenizer(text):
 @given(text=mutated_files())
 def test_mutated_files_parse_as_with_the_former_tokenizer(text):
     assert_same_front_end(text)
+
+
+# -- relator indices and the class-2 image ----------------------------------------
+
+
+@pytest.mark.parametrize("letters", [((-1, 2),), ((0, 1), (2, 1)), ((1, 3), (-2, 1), (0, 1))])
+def test_presentation_refuses_an_index_outside_the_rank(letters):
+    # a negative index was once accepted and read as generator rank - 1:
+    # the level-3 quotient of <x, y | x_{-1}^2> came out as order 16
+    with pytest.raises(ValueError, match="undeclared generator"):
+        Presentation("bad", ("x", "y"), (Word(letters),))
+
+
+IMAGE_QS = (2, 3, 4, 5, 8, 9)
+HUGE = 10**9 + 7
+
+
+@st.composite
+def _words_and_moduli(draw):
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from(IMAGE_QS))
+    exponent = st.integers(-9, 9) | st.sampled_from([q, -q, q * q, HUGE, -HUGE]) | st.integers(-(2**70), 2**70)
+    runs = st.lists(st.tuples(st.integers(0, n - 1), exponent), max_size=10)
+    return Word(tuple(draw(runs))), n, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(_words_and_moduli())
+def test_class2_image_is_the_run_by_run_image_and_the_degree2_magnus_term(case):
+    from qcw.qcentral import ClassTwoGroup, SeriesParams
+
+    w, n, q = case
+    a, c = qcw.presentations._class2_image(w, n)
+    E = ClassTwoGroup(SeriesParams.from_q(q), n)  # never enumerated
+    assert E.element(a, c) == front_oracle.evaluate_word(w, E.generators(), E)
+    # over Z: d1 = a, d2[j, i] = c_ij, d2[i, j] = a_i a_j - c_ij, d2[i, i] = C(a_i, 2)
+    d1, d2, _ = front_oracle.magnus_terms(w, n)
+    assert list(a) == d1.tolist()
+    want = [[a[i] * (a[i] - 1) // 2 if i == j else None for j in range(n)] for i in range(n)]
+    for (i, j), cij in zip(E.pairs, c):
+        want[j][i], want[i][j] = cij, a[i] * a[j] - cij
+    assert want == d2.tolist()
+
+
+def test_class2_images_are_walked_once_per_presentation(monkeypatch):
+    pres = parse_presentation("group G { generators: x, y, z; relators: [x, y]^3 z^4, (x z)^5, y; }")
+    walked = []
+    walk = qcw.presentations._class2_image
+
+    def spy(w, n):
+        walked.append(w)
+        return walk(w, n)
+
+    monkeypatch.setattr(qcw.presentations, "_class2_image", spy)
+    first = pres.class2_images
+    assert pres.class2_images is first
+    assert walked == list(pres.relators)
+    # [x, y] = [y, x]^-1 = u_01^-1, and (x z)^5 = x^5 z^5 u_02^C(5, 2)
+    assert first == (((0, 0, 4), (-3, 0, 0)), ((5, 0, 5), (0, 10, 0)), ((0, 1, 0), (0, 0, 0)))

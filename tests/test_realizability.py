@@ -221,6 +221,12 @@ def test_h1_vs_cd_cases():
     )
 
 
+def test_h1_vs_cd_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="dim H\\^1 must be nonnegative, not -1"):
+        h1_vs_cd_check(-1, CdDescriptor(value=2, provenance="user-supplied"), 2, True)
+    assert h1_vs_cd_check(0, CdDescriptor(value=2, provenance="user-supplied"), 2, True).verdict == NOT_REALIZABLE
+
+
 # -- wreath construction ---------------------------------------------------------
 
 

@@ -72,7 +72,10 @@ The runs:
   through its generator columns (``semidirect_power_action``) and reported
   in a ``sanity`` block: K = free3, m = 3, P = C3 acting by 1,2,0 at q = 2
   (P is not a 2-group); K = demushkin3, m = 2, the swap at q = 3; and
-  K = free2, m = 3, the cyclic action at q = 3.
+  K = free2, m = 3, the cyclic action at q = 3;
+* four ``check`` runs that exit 1 with one ``error:`` line: ``--group``,
+  ``--group --against`` and ``--wreath-k`` with no ``--file``, and
+  ``--dim-h1 -1``, a negative dim H^1.
 """
 
 from __future__ import annotations
@@ -197,6 +200,12 @@ def command_lines() -> list[list[str]]:
             ("demushkin3", "2", ["--wreath-action", "swap"], "3"),
             ("free2", "3", [], "3"),
         )
+    ]
+    runs += [
+        ["check", "--group", "free2"],
+        ["check", "--group", "free2", "--against", "free3"],
+        ["check", "--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "2"],
+        ["check", "--dim-h1", "-1", "--cd", "2", "--torsion-free"],
     ]
     return [argv + ["--output", "json"] for argv in runs]
 
