@@ -65,6 +65,7 @@ from .qcentral import (
     evaluate_word,
     induced_quotient_map,
     is_isomorphic,
+    relator_order,
     second_quotient,
     series_step_oracle,
     third_quotient,

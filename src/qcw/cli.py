@@ -36,6 +36,7 @@ from .qcentral import (
     DEFAULT_ORDER_BOUND,
     SeriesParams,
     group_record,
+    relator_order,
     second_quotient_record,
     third_quotient,
     third_quotient_relators,
@@ -83,15 +84,18 @@ def _text_lines(report: dict, prefix: str = "") -> list[str]:
 def _group_loader(path: str | None):
     """Name -> presentation in the file at ``path``, parsed once, at the first lookup.
 
-    A lookup with no file (``check`` without ``--file``) raises a QcwError
-    that names the option that asked for the group.
+    A lookup with no file (``check`` without ``--file``) or with no name
+    (``check --file`` without ``--group``, or without ``--wreath-l``) raises
+    a QcwError that names the option that asked for the group.
     """
     groups = None
 
-    def load(name: str, option: str = "--group"):
+    def load(name: str | None, option: str = "--group"):
         nonlocal groups
         if path is None:
             raise QcwError(f"{option} needs --file")
+        if name is None:
+            raise QcwError(f"{option} is missing")
         if groups is None:
             with open(path, "r", encoding="utf-8") as handle:
                 groups = parse_file(handle.read())
@@ -167,12 +171,12 @@ def cmd_compare(args) -> int:
     desc = parse_field(args.field, params)
     milnor_side = symbol_algebra(desc).pairing()
     pres = galois_model(desc)
-    # third_quotient refuses |E| over the order bound (|G| <= |E|, so the
-    # order check of to_action could never refuse after it) and gives |G|;
-    # every relator of a Galois model lies in F^(2, q), so the cup tensor of
-    # G is read off the relators (the relator lemma at relator_pairing), with
-    # no element or cochain of G
-    order = third_quotient(pres, params, args.order_bound).order
+    # every relator of a Galois model lies in F^(2, q), so G^[3, q] is read
+    # off the relators' class-2 images: its order by one elimination over
+    # Z/q (relator_order, which also refuses |E| over the order bound) and
+    # its cup tensor by another (the relator lemma at relator_pairing), with
+    # no ClassTwoGroup and no element or cochain of G
+    order = relator_order(pres, params, args.order_bound)
     group_side = relator_pairing(pres, args.q)
     dims_match = (
         milnor_side.m == group_side.m
@@ -231,7 +235,7 @@ def cmd_check(args) -> int:
             if args.cd_k is not None
             else CdDescriptor.free(),
             k_top_cohomology_finite=True,
-            l_pres=load(args.wreath_l),
+            l_pres=load(args.wreath_l, "--wreath-l"),
             l_cd=CdDescriptor(value=args.cd_l, provenance="user-supplied")
             if args.cd_l is not None
             else CdDescriptor.free(),

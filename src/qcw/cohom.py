@@ -197,7 +197,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from .presentations import Presentation, Word, concat, inverse
-from .qcentral import FiniteGroupTable, GeneratorAction, _pairs
+from .qcentral import FiniteGroupTable, GeneratorAction, _f2q_images, _pairs
 from .zqlinalg import (
     QuotientModule,
     RowSpace,
@@ -741,8 +741,9 @@ def relator_pairing(pres: Presentation, q: int) -> PairingTensor:
     Every relator r_k must lie in F^(2, q) = F^q [F, F], F free on the
     generators x_1, ..., x_n: the a-part of its class-2 image (a, c)
     (``Presentation.class2_images``), which is its degree-1 Magnus term d1,
-    is 0 mod q, else ``QcwError``.  Then H^1 has the basis χ_i dual to the
-    generators, m = n, and the tensor of that basis is read in
+    is 0 mod q, else ``QcwError`` (``qcentral._f2q_images``, the check
+    that ``qcentral.relator_order`` makes too).  Then H^1 has the basis χ_i
+    dual to the generators, m = n, and the tensor of that basis is read in
     QuotientModule(V, [], r, q) with
 
         V[i m + j, k] = -d2[i, j](r_k) mod q,
@@ -817,11 +818,7 @@ def relator_pairing(pres: Presentation, q: int) -> PairingTensor:
     prime_power(q)
     m, r = pres.rank, len(pres.relators)
     V = np.zeros((m * m, r), dtype=np.int64)
-    for k, (a, c) in enumerate(pres.class2_images):
-        if any(x % q for x in a):
-            raise QcwError(
-                f"relator {k + 1} of {pres.name} is not in F^(2, {q}): an exponent sum is not 0 mod {q}"
-            )
+    for k, (a, c) in enumerate(_f2q_images(pres, q)):
         # d2 read off the class-2 image (the docstring's identities)
         d2 = [[a[i] * a[j] if i != j else a[i] * (a[i] - 1) // 2 for j in range(m)] for i in range(m)]
         for (i, j), cij in zip(_pairs(m), c):

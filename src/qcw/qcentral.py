@@ -116,9 +116,10 @@ generators, their columns and the tree built on them.  A
 and slices its columns from it once, at construction; ``to_action``
 collects them as the n |G| right products g x_i, with no table.  The
 action is all that the degree <= 2 cohomology reads (``cohom``), so the
-``cohomology`` command builds no table; ``compare`` builds no action
-either, as it reads the cup tensor off the relators
-(``cohom.relator_pairing``).
+``cohomology`` command builds no table.  ``compare`` builds no group at
+all: for relators in F^(2, q) it reads |G^[3, q]| off their class-2
+images (``relator_order``) and the cup tensor off their Magnus terms
+(``cohom.relator_pairing``), one elimination over Z/q each.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ __all__ = [
     "universal_class2",
     "evaluate_word",
     "third_quotient",
+    "relator_order",
     "third_quotient_relators",
     "second_quotient",
     "second_quotient_record",
@@ -400,14 +402,18 @@ class _KernelForm:
         )
 
 
+def _refuse_universal_order(n: int, q: int, order_bound: int) -> None:
+    """SizeLimitError when |E(n, q)| = q^(2n + C(n, 2)) exceeds the order bound."""
+    order = q ** (2 * n + n * (n - 1) // 2)
+    if order > order_bound:
+        raise SizeLimitError(f"|E({n},{q})| = {order} exceeds the order bound {order_bound}")
+
+
 def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> ClassTwoGroup:
     """E(n, q): the third q-central quotient of the free group of rank n."""
     if n < 0:
         raise ValueError("generator count must be >= 0")
-    q = params.q
-    order = (q * q) ** n * q ** (n * (n - 1) // 2)
-    if order > order_bound:
-        raise SizeLimitError(f"|E({n},{q})| = {order} exceeds the order bound {order_bound}")
+    _refuse_universal_order(n, params.q, order_bound)
     return ClassTwoGroup(params=params, n=n, kernel_basis=())
 
 
@@ -469,6 +475,71 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
         if not trial.contains_in_kernel(g):
             trial = ClassTwoGroup(params=params, n=pres.rank, kernel_basis=trial.kernel_basis + (g,))
     return trial
+
+
+def _f2q_images(pres: Presentation, q: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The class-2 images (a, c) of the relators, each checked to lie in
+    F^(2, q) = F^q [F, F]: its a-part, the exponent sums, is 0 mod q, else
+    ``QcwError``."""
+    images = pres.class2_images
+    for k, (a, _) in enumerate(images):
+        if any(x % q for x in a):
+            raise QcwError(
+                f"relator {k + 1} of {pres.name} is not in F^(2, {q}): an exponent sum is not 0 mod {q}"
+            )
+    return images
+
+
+def relator_order(pres: Presentation, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
+    """|G^[3, q]|, G = <S | R> with every relator in F^(2, q), read off the
+    relators' class-2 images.
+
+    |E(n, q)| over the bound raises ``SizeLimitError`` and a relator
+    outside F^(2, q) raises ``QcwError``, with the texts of
+    ``universal_class2`` and ``cohom.relator_pairing``.  Then
+
+        |G^[3, q]| = q^n prod cokernel_invariants(rows, n + C(n, 2), q),
+
+    one row (a_k / q mod q, c_k mod q) per relator r_k, (a_k, c_k) its
+    class-2 image (``Presentation.class2_images``).  It costs one
+    elimination of an r x (n + C(n, 2)) matrix over Z/q; no
+    ``ClassTwoGroup`` and no element of G is built.
+
+    Lemma (the order from the relator images).  Let F be free on x_1, ...,
+    x_n, N the normal closure of the relators, and F^(i, q) the q-central
+    series of F, so G^[3, q] = F / N F^(3, q).
+
+    (a) N ⊆ F^(2, q), so G / G^(2, q) = F / N F^(2, q) = F / F^(2, q) =
+    (Z/q)^n, and |G^[3, q]| = q^n |F^(2, q) / N F^(3, q)|.
+
+    (b) F / F^(3, q) = E(n, q) in the normal form (a, c) of the module
+    docstring, and F^(2, q) / F^(3, q) is its subgroup {a = 0 mod q}: the
+    image of F^q [F, F] has a-parts 0 mod q, and it holds the
+    x_i^q = (q e_i, 0) and the u_ij = (0, e_ij), which generate that
+    subgroup.  On it, (a, c) -> (a / q, c) mod q is an isomorphism onto
+    (Z/q)^(n + C(n, 2)): it is bijective, and additive because the
+    collection term a_j a'_i of (a, c) (a', c') is 0 mod q^2, so 0 mod q,
+    when both a-parts are 0 mod q.
+
+    (c) N F^(3, q) / F^(3, q) is the normal closure in E of the relator
+    images, and the image of r_k is (a_k mod q^2, c_k mod q) (word images,
+    module docstring).  For r in F^(2, q) and x in F, [r, x] lies in
+    [F^(2, q), F] ⊆ F^(3, q), so each image is central in E and the normal
+    closure is the subgroup they generate, which (b) maps onto the row span
+    of the rows above.  So F^(2, q) / N F^(3, q) is the cokernel of the
+    rows over Z/q, and the formula follows.
+
+    ``third_quotient(pres, params, order_bound).order`` is the same number
+    from the reduced forms of E / N, and the tests' oracle for it.  No care
+    with the squares x_i^2 is needed at q = 2: that care concerns the
+    diagonal of d2, d2[i, i] = C(a_i, 2), the one degree-2 term that is not
+    a / q or c, which ``cohom.relator_pairing`` reads and this count never
+    does.
+    """
+    n, q = pres.rank, params.q
+    _refuse_universal_order(n, q, order_bound)
+    rows = [[x // q % q for x in a] + [x % q for x in c] for a, c in _f2q_images(pres, q)]
+    return q**n * math.prod(cokernel_invariants(rows, n + n * (n - 1) // 2, q))
 
 
 def third_quotient_relators(pres: Presentation, params: SeriesParams) -> tuple[Word, ...]:
@@ -1234,8 +1305,7 @@ def group_record(g: ClassTwoGroup, order_bound: int = DEFAULT_ORDER_BOUND) -> di
     whatever |G| is.  The bound still applies to |E(n, q)|, as in
     ``third_quotient``.
     """
-    if g.full_order > order_bound:
-        raise SizeLimitError(f"|E({g.n},{g.q})| = {g.full_order} exceeds the order bound {order_bound}")
+    _refuse_universal_order(g.n, g.q, order_bound)
     order = g.order
     cls = 0 if order == 1 else 1 if all(r == 1 for r in g.radices[g.n:]) else 2
     invariants = cokernel_invariants([list(k.a) for k in g.kernel_basis], g.n, g.q2)

@@ -327,6 +327,34 @@ def test_check_refuses_a_missing_file_or_a_negative_dimension(argv, message, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "--group is missing"),
+        (["--against", "free3"], "--group is missing"),
+        (["--wreath-k", "free2", "--wreath-copies", "2"], "--wreath-l is missing"),
+    ],
+)
+def test_check_names_the_missing_group_option(argv, message, capsys):
+    # a file but no group name: the option is named, not the name None
+    code, out = run_cli("check", "--file", DATA, *argv, "--q", "2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["Qp:5", "--q", "4"], "|E(2,4)| = 1024 exceeds the order bound 512"),
+        (["Qp:3", "--q", "2", "--order-bound", "31"], "|E(2,2)| = 32 exceeds the order bound 31"),
+    ],
+)
+def test_compare_refuses_e_over_the_order_bound(argv, message, capsys):
+    code, out = run_cli("compare", *argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _walk_spy(monkeypatch):
     """The words that presentations._class2_image walks, in order."""
     walked = []

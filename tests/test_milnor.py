@@ -24,7 +24,7 @@ from qcw.milnor import (
     parse_field,
     symbol_algebra,
 )
-from qcw.qcentral import SeriesParams, third_quotient, to_action
+from qcw.qcentral import SeriesParams, _KernelForm, relator_order, third_quotient, to_action
 from qcw.zqlinalg import QuotientModule, RowSpace, prime_factors, prime_power
 
 P2 = SeriesParams(p=2, d=1)
@@ -485,6 +485,37 @@ def test_field_ladder_holds_every_compare_fields_draw():
         for job in jobs.build("compare-fields", seed, Path("unused.grp"))[0]:
             drawn.add((job.argv[1], int(job.argv[3])))
     assert drawn <= set(LADDER)
+
+
+# compare runs of the CLI matrix at q past the ladder's, the last two past
+# any |G| x |G| table
+WIDE_FIELDS = [("Qp:5", 4), ("Qp:17", 16), ("Qp:97", 32)]
+
+
+@pytest.mark.parametrize("field,q", LADDER + WIDE_FIELDS)
+def test_relator_order_is_the_third_quotient_order_on_galois_models(field, q):
+    # the order lemma of relator_order: the quotient_order that compare
+    # prints is the order of the reduced forms of E / N
+    params = SeriesParams.from_q(q)
+    pres = galois_model(parse_field(field, params))
+    assert relator_order(pres, params, 10**40) == third_quotient(pres, params, 10**40).order
+
+
+def test_compare_builds_no_kernel_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare built the reduced forms of E / N")
+
+    monkeypatch.setattr(_KernelForm, "build", refuse)
+    golden = 0
+    for field, q in LADDER:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", field, "--q", str(q), "--output", "json"]) == 0, field
+        path = ROOT / "tests" / "golden" / f"compare_{field.replace(':', '').lower()}_q{q}.json"
+        if path.exists():
+            assert out.getvalue() == path.read_text(encoding="utf-8"), field
+            golden += 1
+    assert golden == 4
 
 
 def test_compare_fields_never_search(monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcw import qcentral
-from qcw.errors import DimensionMismatchError, NotAHomomorphismError, SizeLimitError
+from qcw.cohom import relator_pairing
+from qcw.errors import DimensionMismatchError, NotAHomomorphismError, QcwError, SizeLimitError
 from qcw.presentations import Presentation, Word, free_presentation, parse_file, parse_presentation
 from qcw.qcentral import (
     ClassTwoElement,
@@ -28,10 +29,12 @@ from qcw.qcentral import (
     induced_quotient_map,
     is_isomorphic,
     quotient_table,
+    relator_order,
     second_quotient,
     second_quotient_record,
     series_step_oracle,
     third_quotient,
+    third_quotient_relators,
     to_table,
     trivial_table,
     universal_class2,
@@ -966,3 +969,61 @@ def test_third_quotient_builds_one_kernel_form_per_kept_element(monkeypatch, nam
     g = third_quotient(SPY_GROUPS[name], SeriesParams.from_q(q), 10**40)
     g.order, g.contains_in_kernel(g.identity())  # the returned group's form
     assert len(built) <= max(1, len(g.kernel_basis))
+
+
+def _into_f2q(letters, n, q):
+    """The word of the runs, then one run per generator that brings its
+    exponent sum to 0 mod q: a word of F^(2, q)."""
+    sums = [0] * n
+    for g, e in letters:
+        sums[g] += e
+    return Word(tuple(letters) + tuple((g, -(s % q)) for g, s in enumerate(sums) if s % q))
+
+
+@st.composite
+def _presentations_forced_into_f2q(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    n = draw(st.integers(1, 3))
+    params = SeriesParams.from_q(q)
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1, 2, -3, q, -q, q * q + 1]))
+    forced = st.lists(letter, min_size=1, max_size=6).map(lambda ls: _into_f2q(ls, n, q))
+    # words of F^(3, q), where a relator adds nothing to N F^(3, q)
+    third = st.sampled_from(third_quotient_relators(free_presentation(n), params))
+    relators = tuple(draw(st.lists(st.one_of(forced, third), max_size=3)))
+    return Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=relators), params
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_presentations_forced_into_f2q())
+def test_relator_order_is_the_third_quotient_order(case):
+    # the order lemma of relator_order against the reduced forms of E / N
+    pres, params = case
+    assert relator_order(pres, params, 10**40) == third_quotient(pres, params, 10**40).order
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relator_order_of_relators_in_f3q_is_the_order_of_e(n, q):
+    params = SeriesParams.from_q(q)
+    extra = third_quotient_relators(free_presentation(n), params)
+    pres = Presentation(name="H", generator_names=tuple("xyz"[:n]), relators=extra)
+    assert relator_order(pres, params, 10**40) == q ** (2 * n + n * (n - 1) // 2)
+    assert relator_order(free_presentation(n), params, 10**40) == q ** (2 * n + n * (n - 1) // 2)
+
+
+def test_relator_order_refuses_with_the_texts_of_e_and_relator_pairing():
+    with pytest.raises(SizeLimitError) as got:
+        relator_order(free_presentation(2), P2, 31)
+    with pytest.raises(SizeLimitError) as want:
+        universal_class2(2, P2, 31)
+    assert str(got.value) == str(want.value) == "|E(2,2)| = 32 exceeds the order bound 31"
+    # x^2 is not in F^(2, 4); the order bound is read first
+    pres = parse_presentation("group C2 { generators: x; relators: x^4, x^2; }")
+    with pytest.raises(QcwError) as got:
+        relator_order(pres, SeriesParams.from_q(4), 16)
+    with pytest.raises(QcwError) as want:
+        relator_pairing(pres, 4)
+    assert str(got.value) == str(want.value) == "relator 2 of C2 is not in F^(2, 4): an exponent sum is not 0 mod 4"
+    with pytest.raises(SizeLimitError):
+        relator_order(pres, SeriesParams.from_q(4), 15)
+    assert relator_order(pres, P2) == third_quotient(pres, P2).order == 2

@@ -75,7 +75,12 @@ The runs:
   K = free2, m = 3, the cyclic action at q = 3;
 * four ``check`` runs that exit 1 with one ``error:`` line: ``--group``,
   ``--group --against`` and ``--wreath-k`` with no ``--file``, and
-  ``--dim-h1 -1``, a negative dim H^1.
+  ``--dim-h1 -1``, a negative dim H^1;
+* two ``compare`` refusals of |E(n, q)| over the order bound (exit 1):
+  ``Qp:5 --q 4`` at the default bound (|E(2, 4)| = 1024 > 512) and
+  ``Qp:3 --q 2 --order-bound 31`` (|E(2, 2)| = 32);
+* two ``check`` runs with ``--file`` that exit 1 naming a missing option:
+  no ``--group``, and ``--wreath-k`` with no ``--wreath-l``.
 """
 
 from __future__ import annotations
@@ -206,6 +211,12 @@ def command_lines() -> list[list[str]]:
         ["check", "--group", "free2", "--against", "free3"],
         ["check", "--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "2"],
         ["check", "--dim-h1", "-1", "--cd", "2", "--torsion-free"],
+    ]
+    runs += [
+        ["compare", "Qp:5", "--q", "4"],
+        ["compare", "Qp:3", "--q", "2", "--order-bound", "31"],
+        ["check", "--file", grp],
+        ["check", "--file", grp, "--wreath-k", "free2", "--wreath-copies", "2"],
     ]
     return [argv + ["--output", "json"] for argv in runs]
 
