@@ -14,16 +14,24 @@ Supported field descriptors (all must contain the q-th roots of unity):
 
       {a, b} |-> ((-1)^{v(a) v(b)} a^{v(b)} / b^{v(a)})^((ell-1)/q)  in mu_q,
 
-  which for q = 2 is the classical Hilbert symbol of Q_ell.
+  which for q = 2 is the classical Hilbert symbol of Q_ell.  The residue
+  field F_ell is a ``SmallField``, whose generator g0 is the least
+  primitive root, and u = g0^cu.  The symbol is then the bilinear form
+
+      {u^alpha ell^v, u^beta ell^w} = v w (ell - 1)/2 + cu (alpha w - beta v) mod q
+
+  (``_LocalData.tame_exponent`` proves it), with the values 0, cu and
+  (ell - 1)/2 mod q on (u, u), (u, ell) and (ell, ell).  Only cu and the
+  k1 class of an integer need a logarithm in F_ell, by baby-step
+  giant-step, so no step is linear in ell.
 * the real field (q = 2 only): k1 = {+-1}, k2 = Z/2 generated by {-1,-1}
   (a sum of two negatives is never zero, so the Steinberg relation never
   kills it).
 
-The identification mu_q = Z/q is fixed per field as zeta = g^((ell-1)/q)
-|-> 1, where g is the least primitive root (local case), and -1 |-> 1 for
-the reals.  Unit classes are named by least representatives: -1 when q = 2
-and ell = 3 (mod 4), otherwise the least integer generating the residue
-quotient.
+The identification mu_q = Z/q is fixed per field as zeta = g0^((ell-1)/q)
+|-> 1 (local case), and -1 |-> 1 for the reals.  Unit classes are named by
+least representatives: -1 when q = 2 and ell = 3 (mod 4), otherwise the
+least integer generating the residue quotient.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# small finite fields with discrete-log tables
+# small finite fields with discrete logarithms
 
 
 def _poly_mul(a, b, ell, modpoly):
@@ -74,16 +82,14 @@ def _poly_mul(a, b, ell, modpoly):
     return tuple(out)
 
 
-def _poly_pow_x(e: int, ell: int, modpoly) -> tuple:
-    """x^e mod (modpoly, ell)."""
-    k = len(modpoly) - 1
-    result = tuple([1] + [0] * (k - 1))
-    base = tuple(([0, 1] + [0] * (k - 2))[:k]) if k > 1 else (0,)
+def _pow(base, e: int, mul, one):
+    """base^e under mul by square-and-multiply, for e >= 0."""
+    result = one
     while e:
         if e & 1:
-            result = _poly_mul(result, base, ell, modpoly)
+            result = mul(result, base)
         e >>= 1
-        base = _poly_mul(base, base, ell, modpoly)
+        base = mul(base, base)
     return result
 
 
@@ -115,10 +121,12 @@ def _is_irreducible(modpoly, ell: int) -> bool:
     # gcd(f, x^(ell^(k/r)) - x) = 1 for every prime r | k
     k = len(modpoly) - 1
     x = tuple(([0, 1] + [0] * (k - 2))[:k]) if k > 1 else (0,)
-    if _poly_pow_x(ell**k, ell, modpoly) != x:
+    one = tuple([1] + [0] * (k - 1))
+    mul = lambda a, b: _poly_mul(a, b, ell, modpoly)
+    if _pow(x, ell**k, mul, one) != x:
         return False
     for r in sorted(prime_factors(k)):
-        xe = list(_poly_pow_x(ell ** (k // r), ell, modpoly))
+        xe = list(_pow(x, ell ** (k // r), mul, one))
         xe[1] = (xe[1] - 1) % ell  # subtract x
         g = _poly_gcd(modpoly, xe, ell)
         if len(g) != 1:
@@ -129,12 +137,15 @@ def _is_irreducible(modpoly, ell: int) -> bool:
 class SmallField:
     """F_s over a chosen multiplicative generator g, with discrete logs.
 
+    g is the least element of multiplicative order s - 1, so for prime s it
+    is the least primitive root.
+
     The full tables ``powers`` and ``dlog`` are built on first access.
-    ``one_minus`` needs neither: it finds its logarithm by baby-step
-    giant-step, so a caller that reads a few elements pays O(sqrt(s))
-    multiplications, not s.  A caller that walks g^1, g^2, ... in order
-    steps them with ``iter_powers``, one multiplication each, where
-    ``element_of_exp`` powers each from scratch.
+    ``log`` and ``one_minus`` need neither: they find logarithms by
+    baby-step giant-step, so a caller that reads a few elements pays
+    O(sqrt(s)) multiplications, not s.  A caller that walks g^1, g^2, ...
+    in order steps them with ``iter_powers``, one multiplication each,
+    where ``element_of_exp`` powers each from scratch.
     """
 
     def __init__(self, s: int):
@@ -165,7 +176,7 @@ class SmallField:
         factors = prime_factors(s - 1)
         gen = None
         for cand in elems:
-            if all(self._pow_raw(cand, (s - 1) // r, mul, one) != one for r in factors):
+            if all(_pow(cand, (s - 1) // r, mul, one) != one for r in factors):
                 gen = cand
                 break
         assert gen is not None
@@ -188,18 +199,8 @@ class SmallField:
         assert len(dlog) == self.s - 1
         return dlog
 
-    @staticmethod
-    def _pow_raw(base, e, mul, one):
-        result = one
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            base = mul(base, base)
-        return result
-
     def element_of_exp(self, i: int):
-        return self._pow_raw(self.generator, i % (self.s - 1), self._mul, self.one)
+        return _pow(self.generator, i % (self.s - 1), self._mul, self.one)
 
     @functools.cached_property
     def _baby_steps(self) -> tuple[int, dict, object]:
@@ -211,9 +212,10 @@ class SmallField:
             x = self._mul(x, self.generator)
         return n, baby, self.element_of_exp(-n)
 
-    def _bsgs_dlog(self, y) -> int:
-        """The exponent e in [0, s - 1) with g^e = y: with e = k n + j, the
-        first k for which y g^(-k n) is a baby step g^j."""
+    def log(self, y) -> int:
+        """The exponent e in [0, s - 1) with g^e = y, by baby-step
+        giant-step: with e = k n + j, the first k for which y g^(-k n) is a
+        baby step g^j."""
         n, baby, giant = self._baby_steps
         for k in range(n):
             if y in baby:
@@ -225,9 +227,9 @@ class SmallField:
         """dlog(1 - a), or None when a = 1."""
         if self.k == 1:
             v = (1 - a) % self.ell
-            return None if v == 0 else self._bsgs_dlog(v)
+            return None if v == 0 else self.log(v)
         diff = tuple((self.one[j] - a[j]) % self.ell for j in range(self.k))
-        return None if not any(diff) else self._bsgs_dlog(diff)
+        return None if not any(diff) else self.log(diff)
 
     def generator_name(self) -> str:
         return str(self.generator) if self.k == 1 else "g"
@@ -312,37 +314,32 @@ class SymbolAlgebra:
     def q(self) -> int:
         return self.field.params.q
 
+    def _symbol_tensor(self) -> np.ndarray:
+        """{e_i, e_j} in k2 coordinates for every pair of k1 basis vectors:
+        the listed pair values, {e_j, e_i} = -{e_i, e_j} for the others,
+        reduced mod the k2 orders."""
+        m = len(self.k1_basis)
+        vals = np.zeros((m, m, len(self.k2_invariants)), dtype=np.int64)
+        for (i, j), v in zip(self.k2_pairs, self.k2_values):
+            vals[j, i] = -v
+            vals[i, j] = v
+        return vals % np.asarray(self.k2_invariants, dtype=np.int64)
+
     def symbol(self, a, b) -> np.ndarray:
         """{a, b} for k1 coordinate vectors a, b, in k2 coordinates."""
         a = np.asarray(a, dtype=np.int64) % self.q
         b = np.asarray(b, dtype=np.int64) % self.q
-        m = len(self.k1_basis)
-        out = np.zeros(len(self.k2_invariants), dtype=np.int64)
-        pair_index = {pr: k for k, pr in enumerate(self.k2_pairs)}
-        for i in range(m):
-            for j in range(m):
-                if a[i] == 0 or b[j] == 0:
-                    continue
-                if (i, j) in pair_index:
-                    val = self.k2_values[pair_index[(i, j)]]
-                else:
-                    val = -self.k2_values[pair_index[(j, i)]]
-                out = out + a[i] * b[j] * val
-        for t, o in enumerate(self.k2_invariants):
-            out[t] %= o
-        return out
+        out = np.einsum("i,j,ijk->k", a, b, self._symbol_tensor())
+        return out % np.asarray(self.k2_invariants, dtype=np.int64)
 
     def pairing(self) -> PairingTensor:
         """The k1 x k1 -> k2 symbol tensor in the k1 basis."""
         m = len(self.k1_basis)
         if m > 4:
             raise QcwError("k1 rank above the pairing bound")
-        eye = np.eye(m, dtype=np.int64)
-        vals = np.zeros((m, m, len(self.k2_invariants)), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                vals[i, j] = self.symbol(eye[i], eye[j])
-        return PairingTensor(q=self.q, m=m, target_orders=tuple(self.k2_invariants), values=vals)
+        return PairingTensor(
+            q=self.q, m=m, target_orders=tuple(self.k2_invariants), values=self._symbol_tensor()
+        )
 
     def to_record(self) -> dict:
         return {
@@ -400,44 +397,30 @@ def _finite_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     )
 
 
-def _least_primitive_root(ell: int) -> int:
-    factors = prime_factors(ell - 1)
-    for g in range(2, ell):
-        if all(pow(g, (ell - 1) // r, ell) != 1 for r in factors):
-            return g
-    raise QcwError(f"no primitive root mod {ell}")
-
-
 @dataclass
 class _LocalData:
     ell: int
     q: int
-    g0: int  # least primitive root
-    unit_rep: int  # integer representative of the unit class u
-    unit_name: str
-    cu: int  # dlog_{g0}(u) mod q (a unit mod p)
-
-    def zeta(self) -> int:
-        return pow(self.g0, (self.ell - 1) // self.q, self.ell)
-
-    def dlog_mu(self, t: int) -> int:
-        """Exponent e with zeta^e = t, for t in mu_q."""
-        z = self.zeta()
-        acc = 1
-        for e in range(self.q):
-            if acc == t % self.ell:
-                return e
-            acc = (acc * z) % self.ell
-        raise QcwError("value not in mu_q")
+    field: SmallField  # the residue field F_ell; its generator g0 is the least primitive root
+    unit_rep: int  # least integer representative of the unit class u
+    cu: int  # log_{g0}(u) mod q (a unit mod p)
 
     def tame_exponent(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        """Tame symbol of a = u^alpha ell^v, b likewise, as a mu_q exponent."""
-        (aa, va), (ab, vb) = a, b
-        residue = pow(-1, (va * vb) % 2, self.ell) * pow(
-            self.unit_rep % self.ell, (aa * vb - ab * va) % (self.ell - 1), self.ell
-        )
-        t = pow(residue % self.ell, (self.ell - 1) // self.q, self.ell)
-        return self.dlog_mu(t)
+        """Tame symbol of a = u^alpha ell^v and b = u^beta ell^w as a mu_q
+        exponent: e = v w (ell - 1)/2 + cu (alpha w - beta v) mod q.
+
+        Proof.  The symbol is the residue (-1)^(v w) a^w / b^v, raised to
+        the power (ell - 1)/q.  The powers of ell cancel in a^w / b^v, so
+        the residue is (-1)^(v w) u^(alpha w - beta v).  With u = g0^U
+        (U = cu mod q) and -1 = g0^((ell - 1)/2) it is g0^E with
+        E = v w (ell - 1)/2 + U (alpha w - beta v), and x |-> x^((ell-1)/q)
+        sends g0^E to zeta^E, where zeta = g0^((ell - 1)/q) has order q.
+        So the exponent is E mod q, which needs U only mod q.  On the basis
+        the values are {u, u} = 0, {u, ell} = cu and {ell, ell} =
+        (ell - 1)/2 mod q.
+        """
+        (alpha, v), (beta, w) = a, b
+        return (v * w * ((self.ell - 1) // 2) + self.cu * (alpha * w - beta * v)) % self.q
 
     def class_of_integer(self, m: int) -> tuple[int, int]:
         """k1 coordinates (unit exponent, valuation) of a nonzero integer."""
@@ -447,63 +430,40 @@ class _LocalData:
         while m % self.ell == 0:
             m //= self.ell
             v += 1
-        res = m % self.ell
-        e = _dlog_mod(res, self.g0, self.ell)
-        alpha = (e * pow(self.cu, -1, self.q)) % self.q
+        alpha = (self.field.log(m % self.ell) * pow(self.cu, -1, self.q)) % self.q
         return alpha, v % self.q
-
-
-def _dlog_mod(x: int, g: int, ell: int) -> int:
-    acc = 1
-    for e in range(ell - 1):
-        if acc == x % ell:
-            return e
-        acc = (acc * g) % ell
-    raise QcwError("dlog failure")
 
 
 def local_data(desc: FieldDescriptor) -> _LocalData:
     q, ell = desc.params.q, desc.ell
     p = desc.params.p
-    g0 = _least_primitive_root(ell)
+    F = SmallField(ell)
     if q == 2 and ell % 4 == 3:
-        unit_rep, unit_name = -1, "-1"
-    else:
-        unit_rep = None
-        for c in range(2, ell):
-            if pow(c, (ell - 1) // p, ell) != 1:
-                unit_rep, unit_name = c, str(c)
-                break
-        assert unit_rep is not None
-    cu = _dlog_mod(unit_rep % ell, g0, ell) % q
+        unit_rep = -1
+    else:  # the least integer that is not a p-th power mod ell
+        unit_rep = next(c for c in range(2, ell) if pow(c, (ell - 1) // p, ell) != 1)
+    cu = F.log(unit_rep % ell) % q
     assert cu % p != 0
-    return _LocalData(ell=ell, q=q, g0=g0, unit_rep=unit_rep, unit_name=unit_name, cu=cu)
+    return _LocalData(ell=ell, q=q, field=F, unit_rep=unit_rep, cu=cu)
 
 
 def _local_symbol_algebra(desc: FieldDescriptor) -> SymbolAlgebra:
     q = desc.params.q
     L = local_data(desc)
-    basis_coords = [(1, 0), (0, 1)]  # u, ell
+    basis = [(1, 0), (0, 1)]  # u, ell
     pairs = [(0, 0), (0, 1), (1, 1)]
-    values = np.array(
-        [[L.tame_exponent(basis_coords[i], basis_coords[j])] for i, j in pairs],
-        dtype=np.int64,
-    )
-    # k2 = Z/q: {u, ell} maps to a primitive root of unity, so it generates
-    rels = kernel_with_orders(values.T, q)
-    relation_rows = (
-        np.array([r for r, _ in rels], dtype=np.int64)
-        if rels
-        else np.zeros((0, len(pairs)), dtype=np.int64)
-    )
+    values = np.array([[L.tame_exponent(basis[i], basis[j])] for i, j in pairs], dtype=np.int64)
+    # k2 = Z/q: {u, ell} maps to a primitive root of unity, so it generates;
+    # the relations are the kernel of (Z/q)^3 -> Z/q, never 0
+    relation_rows = np.array([r for r, _ in kernel_with_orders(values.T, q)], dtype=np.int64)
     return SymbolAlgebra(
         field=desc,
-        k1_basis=[L.unit_name, str(desc.ell)],
+        k1_basis=[str(L.unit_rep), str(desc.ell)],
         k1_orders=[q, q],
         k2_pairs=pairs,
         k2_relations=relation_rows,
         k2_invariants=[q],
-        k2_values=values % q,
+        k2_values=values,
     )
 
 
@@ -549,7 +509,7 @@ def milnor_pairing_gram(desc: FieldDescriptor) -> PairingTensor:
     return symbol_algebra(desc).pairing()
 
 
-def galois_model(desc: FieldDescriptor, params: SeriesParams | None = None) -> Presentation:
+def galois_model(desc: FieldDescriptor) -> Presentation:
     """Standard presentation of the maximal pro-p Galois group of the field.
 
     Imported facts: finite fields have procyclic absolute Galois group (free

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -11,11 +12,13 @@ import pytest
 from qcw import cohom
 from qcw.cli import main
 from qcw.cohom import GroupCohomology, _identity_witness, pairings_equivalent, relator_pairing
-from qcw.errors import UnsupportedFieldError
+from qcw.errors import QcwError, UnsupportedFieldError
 from qcw.milnor import (
     FieldDescriptor,
     SmallField,
+    SymbolAlgebra,
     _poly_mul,
+    _pow,
     galois_model,
     k1,
     k2,
@@ -25,7 +28,7 @@ from qcw.milnor import (
     symbol_algebra,
 )
 from qcw.qcentral import SeriesParams, _KernelForm, relator_order, third_quotient, to_action
-from qcw.zqlinalg import QuotientModule, RowSpace, prime_factors, prime_power
+from qcw.zqlinalg import QuotientModule, RowSpace, is_prime, kernel_with_orders, prime_factors, prime_power
 
 P2 = SeriesParams(p=2, d=1)
 P3 = SeriesParams(p=3, d=1)
@@ -113,7 +116,7 @@ def reference_finite_relations(F, q):
         mul = lambda x, y: _poly_mul(x, y, F.ell, F.modpoly)
     rows = reference_bilinearity_rows(q)
     for i in range(1, F.s - 1):
-        assert F.element_of_exp(i) == F._pow_raw(F.generator, i, mul, F.one)
+        assert F.element_of_exp(i) == _pow(F.generator, i, mul, F.one)
         row = np.zeros(q * q, dtype=np.int64)
         row[(i % q) * q + F.one_minus(F.element_of_exp(i)) % q] = 1
         rows.append(row)
@@ -348,6 +351,76 @@ def test_steinberg_units_local():
             assert L.tame_exponent(ca, cb) == 0
 
 
+def former_symbol(S, a, b):
+    """The former ``SymbolAlgebra.symbol``: one pair lookup per (i, j)."""
+    a = np.asarray(a, dtype=np.int64) % S.q
+    b = np.asarray(b, dtype=np.int64) % S.q
+    out = np.zeros(len(S.k2_invariants), dtype=np.int64)
+    pair_index = {pr: k for k, pr in enumerate(S.k2_pairs)}
+    for i in range(len(S.k1_basis)):
+        for j in range(len(S.k1_basis)):
+            if a[i] and b[j]:
+                if (i, j) in pair_index:
+                    out = out + a[i] * b[j] * S.k2_values[pair_index[(i, j)]]
+                else:
+                    out = out - a[i] * b[j] * S.k2_values[pair_index[(j, i)]]
+    for t, o in enumerate(S.k2_invariants):
+        out[t] %= o
+    return out
+
+
+def synthetic_algebra(m, q, invariants, seed):
+    """A symbol algebra over Z/q (q | 16) on k1 of rank m, with random
+    values on every pair i <= j, listed in a shuffled order."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    rng.shuffle(pairs)
+    values = np.array([[rng.randrange(-2 * q, 2 * q) for _ in invariants] for _ in pairs], dtype=np.int64)
+    return SymbolAlgebra(
+        field=FieldDescriptor(kind="local", params=SeriesParams.from_q(q), ell=17),
+        k1_basis=[f"e{i}" for i in range(m)],
+        k1_orders=[q] * m,
+        k2_pairs=pairs,
+        k2_relations=np.zeros((0, len(pairs)), dtype=np.int64),
+        k2_invariants=list(invariants),
+        k2_values=values.reshape(len(pairs), len(invariants)),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7])
+def test_symbol_tensor_matches_the_former_loops(m):
+    # symbol contracts the tensor that pairing returns; any m for symbol,
+    # m <= 4 for pairing
+    q = 8
+    rng = random.Random(m)
+    for seed, invariants in enumerate([(8,), (8, 4), (8, 2, 2), ()]):
+        S = synthetic_algebra(m, q, invariants, seed)
+        eye = np.eye(m, dtype=np.int64)
+        want = [[former_symbol(S, eye[i], eye[j]).tolist() for j in range(m)] for i in range(m)]
+        if m <= 4:
+            assert S.pairing().values.tolist() == want
+        else:
+            with pytest.raises(QcwError):
+                S.pairing()
+        for _ in range(10):
+            a = [rng.randrange(-q, 2 * q) for _ in range(m)]
+            b = [rng.randrange(-q, 2 * q) for _ in range(m)]
+            assert S.symbol(a, b).tolist() == former_symbol(S, a, b).tolist()
+
+
+@pytest.mark.parametrize("spec,q", [("Fq:5", 2), ("Fq:13", 4), ("Qp:3", 2), ("Qp:13", 4), ("Qp:37", 9), ("R", 2)])
+def test_field_symbols_match_the_former_loops(spec, q):
+    S = symbol_algebra(parse_field(spec, SeriesParams.from_q(q)))
+    m = len(S.k1_basis)
+    eye = np.eye(m, dtype=np.int64)
+    want = [[former_symbol(S, eye[i], eye[j]).tolist() for j in range(m)] for i in range(m)]
+    assert S.pairing().values.tolist() == want
+    rng = random.Random(spec)
+    for _ in range(20):
+        a, b = [rng.randrange(q) for _ in range(m)], [rng.randrange(q) for _ in range(m)]
+        assert S.symbol(a, b).tolist() == former_symbol(S, a, b).tolist()
+
+
 def test_local_pairing_nondegenerate_all_odd_ell():
     for ell in (3, 5, 7, 11, 13, 17, 19):
         desc = FieldDescriptor(kind="local", params=P2, ell=ell)
@@ -526,3 +599,130 @@ def test_compare_fields_never_search(monkeypatch):
     for field, q in LADDER:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["compare", field, "--q", str(q), "--output", "json"]) == 0, field
+
+
+# ---------------------------------------------------------------------------
+# the former local route, kept as the oracle of the closed tame form
+
+
+def former_least_primitive_root(ell):
+    factors = prime_factors(ell - 1)
+    for g in range(2, ell):
+        if all(pow(g, (ell - 1) // r, ell) != 1 for r in factors):
+            return g
+    raise AssertionError(f"no primitive root mod {ell}")
+
+
+def former_dlog(x, g, ell):
+    """The exponent of x to the base g by a linear scan of g^0, g^1, ..."""
+    acc = 1
+    for e in range(ell - 1):
+        if acc == x % ell:
+            return e
+        acc = acc * g % ell
+    raise AssertionError("dlog failure")
+
+
+class FormerLocal:
+    """The former ``_LocalData``: the tame symbol by exponentiation in
+    F_ell, read back in mu_q by a scan of the powers of zeta."""
+
+    def __init__(self, desc):
+        q, ell, p = desc.params.q, desc.ell, desc.params.p
+        self.q, self.ell = q, ell
+        self.g0 = former_least_primitive_root(ell)
+        if q == 2 and ell % 4 == 3:
+            self.unit_rep = -1
+        else:
+            self.unit_rep = next(c for c in range(2, ell) if pow(c, (ell - 1) // p, ell) != 1)
+        self.cu = former_dlog(self.unit_rep % ell, self.g0, ell) % q
+
+    def dlog_mu(self, t):
+        z = pow(self.g0, (self.ell - 1) // self.q, self.ell)
+        acc = 1
+        for e in range(self.q):
+            if acc == t % self.ell:
+                return e
+            acc = acc * z % self.ell
+        raise AssertionError("value not in mu_q")
+
+    def tame_exponent(self, a, b):
+        (aa, va), (ab, vb) = a, b
+        ell = self.ell
+        residue = pow(-1, (va * vb) % 2, ell) * pow(self.unit_rep % ell, (aa * vb - ab * va) % (ell - 1), ell)
+        return self.dlog_mu(pow(residue % ell, (ell - 1) // self.q, ell))
+
+    def class_of_integer(self, m):
+        v = 0
+        while m % self.ell == 0:
+            m //= self.ell
+            v += 1
+        e = former_dlog(m % self.ell, self.g0, self.ell)
+        return e * pow(self.cu, -1, self.q) % self.q, v % self.q
+
+    def record(self, desc, unit_name):
+        pairs = [(0, 0), (0, 1), (1, 1)]
+        basis = [(1, 0), (0, 1)]
+        values = np.array([[self.tame_exponent(basis[i], basis[j])] for i, j in pairs], dtype=np.int64)
+        rels = kernel_with_orders(values.T, self.q)
+        rows = np.array([r for r, _ in rels], dtype=np.int64) if rels else np.zeros((0, 3), dtype=np.int64)
+        return {
+            "field": desc.label(),
+            "q": self.q,
+            "k1_basis": [unit_name, str(self.ell)],
+            "k1_orders": [self.q, self.q],
+            "k2_pairs": [list(p) for p in pairs],
+            "k2_relations": rows.tolist(),
+            "k2_invariants": [self.q],
+            "k2_values": (values % self.q).tolist(),
+        }
+
+
+ORACLE_MODULI = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64)
+ORACLE_PRIMES = [ell for ell in range(3, 4000) if is_prime(ell)]
+
+
+def oracle_fields(q):
+    params = SeriesParams.from_q(q)
+    return [
+        FieldDescriptor(kind="local", params=params, ell=ell)
+        for ell in ORACLE_PRIMES
+        if (ell - 1) % q == 0 and ell != params.p
+    ]
+
+
+def test_oracle_covers_1704_local_fields():
+    assert sum(len(oracle_fields(q)) for q in ORACLE_MODULI) == 1704
+
+
+@pytest.mark.parametrize("q", ORACLE_MODULI)
+def test_closed_tame_form_matches_the_former_route(q):
+    # every prime ell < 4000 with q | ell - 1: the record, the tame
+    # exponent on random coordinates and the class of random integers
+    rng = random.Random(q)
+    for desc in oracle_fields(q):
+        ell = desc.ell
+        L, F = local_data(desc), FormerLocal(desc)
+        assert (L.field.generator, L.unit_rep, L.cu) == (F.g0, F.unit_rep, F.cu), ell
+        assert symbol_algebra(desc).to_record() == F.record(desc, str(L.unit_rep)), ell
+        for _ in range(6):
+            a = (rng.randrange(-3 * q, 3 * q), rng.randrange(-3 * q, 3 * q))
+            b = (rng.randrange(-3 * q, 3 * q), rng.randrange(-3 * q, 3 * q))
+            assert L.tame_exponent(a, b) == F.tame_exponent(a, b), (ell, a, b)
+        for m in (-1, 2, rng.randrange(1, ell), -rng.randrange(1, ell), ell * rng.randrange(1, ell), -(ell**2)):
+            assert L.class_of_integer(m) == F.class_of_integer(m), (ell, m)
+
+
+@pytest.mark.parametrize("ell,q", [(1000000007, 2), (100000039, 3)])
+def test_tame_form_at_a_large_residue_prime(ell, q):
+    # no step is linear in ell: cu is a baby-step giant-step logarithm
+    desc = FieldDescriptor(kind="local", params=SeriesParams.from_q(q), ell=ell)
+    L = local_data(desc)
+    g0 = L.field.generator
+    assert all(pow(g0, (ell - 1) // r, ell) != 1 for r in prime_factors(ell - 1))
+    zeta = pow(g0, (ell - 1) // q, ell)
+    assert pow(L.unit_rep % ell, (ell - 1) // q, ell) == pow(zeta, L.cu, ell)
+    S = symbol_algebra(desc)
+    gram = {pair: int(v[0]) for pair, v in zip(S.k2_pairs, S.k2_values)}
+    assert gram == {(0, 0): 0, (0, 1): L.cu, (1, 1): (ell - 1) // 2 % q}
+    assert L.cu % desc.params.p != 0

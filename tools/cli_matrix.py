@@ -80,7 +80,11 @@ The runs:
   ``Qp:5 --q 4`` at the default bound (|E(2, 4)| = 1024 > 512) and
   ``Qp:3 --q 2 --order-bound 31`` (|E(2, 2)| = 32);
 * two ``check`` runs with ``--file`` that exit 1 naming a missing option:
-  no ``--group``, and ``--wreath-k`` with no ``--wreath-l``.
+  no ``--group``, and ``--wreath-k`` with no ``--wreath-l``;
+* three runs at a residue prime past a linear scan of F_ell, whose tame
+  symbol is read through baby-step giant-step logarithms: ``milnor
+  Qp:100000007 --q 2``, ``compare Qp:100000039 --q 3`` and ``milnor
+  Qp:100000081 --q 9``.
 """
 
 from __future__ import annotations
@@ -217,6 +221,11 @@ def command_lines() -> list[list[str]]:
         ["compare", "Qp:3", "--q", "2", "--order-bound", "31"],
         ["check", "--file", grp],
         ["check", "--file", grp, "--wreath-k", "free2", "--wreath-copies", "2"],
+    ]
+    runs += [
+        ["milnor", "Qp:100000007", "--q", "2"],
+        ["compare", "Qp:100000039", "--q", "3"],
+        ["milnor", "Qp:100000081", "--q", "9"],
     ]
     return [argv + ["--output", "json"] for argv in runs]
 
