@@ -31,7 +31,7 @@ from .cohom import (
 )
 from .errors import QcwError
 from .milnor import galois_model, parse_field, symbol_algebra
-from .presentations import parse_file
+from .presentations import free_presentation, parse_file
 from .qcentral import (
     DEFAULT_ORDER_BOUND,
     SeriesParams,
@@ -219,7 +219,6 @@ def cmd_check(args) -> int:
     verdicts = []
     if args.wreath_copies is not None:
         _require_prime(params, "wreath")
-        action = []
         if args.wreath_action == "cyclic":
             m = args.wreath_copies
             action = [tuple(range(1, m)) + (0,)] if m > 1 else [(0,)]
@@ -228,7 +227,12 @@ def cmd_check(args) -> int:
                 raise QcwError("swap action needs exactly 2 copies")
             action = [(1, 0)]
         else:
-            action = [tuple(int(x) for x in args.wreath_action.split(","))]
+            try:
+                action = [tuple(int(x) for x in args.wreath_action.split(","))]
+            except ValueError:
+                raise QcwError(
+                    f"--wreath-action takes cyclic, swap or a permutation like 1,2,0, not {args.wreath_action!r}"
+                ) from None
         spec = WreathSpec(
             k_pres=load(args.wreath_k, "--wreath-k"),
             k_cd=CdDescriptor(value=args.cd_k, provenance="user-supplied")
@@ -252,39 +256,23 @@ def cmd_check(args) -> int:
         cd = CdDescriptor(value=args.cd, provenance="user-supplied")
         verdicts.append(h1_vs_cd_check(args.dim_h1, cd, params.p, args.torsion_free))
     else:
+        if args.against and args.against_free:
+            raise QcwError("--against and --against-free exclude each other")
         which = args.criterion
-        if which in ("all", "principle") and (args.against or args.against_free):
+        principle = which in ("all", "principle") and (args.against or args.against_free)
+        if principle:
             _require_prime(params, "principle")
         pres = load(args.group)
         if which in ("all", "third-series"):
             verdicts.append(relators_in_third_series(pres, params, args.order_bound))
-        if which in ("all", "principle"):
-            if args.against:
-                other = load(args.against)
-                verdicts.append(
-                    principle_check(
-                        pres,
-                        other,
-                        params.p,
-                        args.order_bound,
-                        assert_realizable=args.assert_realizable,
-                    )
-                )
-            elif args.against_free:
-                from .presentations import free_presentation
-
-                free = free_presentation(pres.rank)
-                verdicts.append(
-                    principle_check(
-                        free,
-                        pres,
-                        params.p,
-                        args.order_bound,
-                        assert_realizable=args.assert_realizable,
-                    )
-                )
-    if not verdicts:
-        raise QcwError("no criterion selected")
+        elif not principle:
+            raise QcwError("--criterion principle needs --against or --against-free")
+        if principle:
+            # --against-free puts the free group of pres's rank first, and pres second
+            first, second = (pres, load(args.against)) if args.against else (free_presentation(pres.rank), pres)
+            verdicts.append(
+                principle_check(first, second, params.p, args.order_bound, assert_realizable=args.assert_realizable)
+            )
     report = {
         "command": "check",
         "q": args.q,

@@ -109,6 +109,9 @@ Tables are built and searched from the listed generators, on three lemmas.
   Each layer's children are the entries k' s of its parents' rows in the
   columns g -> g s, s in S, so the tree reads |G| |S| entries of the table
   and no others; it is the same tree on anything that holds those columns.
+  A map φ is verified on those columns too (``_is_hom``): it is a
+  homomorphism iff φ(1) = 1 and φ(g s) = φ(g) φ(s) for every g and every
+  s in S, |G| |S| entries where the table has |G|^2.
 
 A ``GeneratorAction`` is such a holder: order, identity, the listed
 generators, their columns and the tree built on them.  A
@@ -136,6 +139,7 @@ from .presentations import Presentation, Word, _class2_image, commutator, power
 from .zqlinalg import _howell_sweep, cokernel_invariants, is_prime, prime_factors, prime_power, sorted_unique
 
 DEFAULT_ORDER_BOUND = 512
+_INT64_MAX = 2**63 - 1
 # ``to_table`` gathers rows in chunks of this many cells, so that the
 # temporaries stay in cache: on a 2-vCPU VM, unchunked gathers of up to half
 # the table made an order-2401 fill about 40% slower
@@ -409,11 +413,25 @@ def _refuse_universal_order(n: int, q: int, order_bound: int) -> None:
         raise SizeLimitError(f"|E({n},{q})| = {order} exceeds the order bound {order_bound}")
 
 
+def _refuse_inexact(q: int, modulus: int, terms: int = 1) -> None:
+    """SizeLimitError when a sum of ``terms`` products of two residues mod
+    ``modulus`` can pass 2^63 - 1, past which int64 arithmetic wraps."""
+    if terms * modulus * modulus > _INT64_MAX:
+        what = f"{modulus}^2" if terms == 1 else f"{terms} x {modulus}^2"
+        raise SizeLimitError(f"q = {q} is past exact int64 arithmetic: {what} > 2^63 - 1")
+
+
 def universal_class2(n: int, params: SeriesParams, order_bound: int = DEFAULT_ORDER_BOUND) -> ClassTwoGroup:
-    """E(n, q): the third q-central quotient of the free group of rank n."""
+    """E(n, q): the third q-central quotient of the free group of rank n.
+
+    Collection and the Howell forms over Z/q^2 multiply residues mod q^2,
+    so q^4 > 2^63 - 1 (q > 55108) raises ``SizeLimitError``, after the
+    order bound.
+    """
     if n < 0:
         raise ValueError("generator count must be >= 0")
     _refuse_universal_order(n, params.q, order_bound)
+    _refuse_inexact(params.q, params.q**2)
     return ClassTwoGroup(params=params, n=n, kernel_basis=())
 
 
@@ -480,7 +498,14 @@ def third_quotient(pres: Presentation, params: SeriesParams, order_bound: int = 
 def _f2q_images(pres: Presentation, q: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The class-2 images (a, c) of the relators, each checked to lie in
     F^(2, q) = F^q [F, F]: its a-part, the exponent sums, is 0 mod q, else
-    ``QcwError``."""
+    ``QcwError``.
+
+    Both readers eliminate over Z/q with sums of at most n^2 products of
+    residues mod q: ``cohom.relator_pairing`` over its n^2 cup generators,
+    ``relator_order`` at the row width n + C(n, 2) <= n^2.  So n^2 q^2 >
+    2^63 - 1 raises ``SizeLimitError`` first.
+    """
+    _refuse_inexact(q, q, pres.rank**2)
     images = pres.class2_images
     for k, (a, _) in enumerate(images):
         if any(x % q for x in a):
@@ -576,9 +601,12 @@ def _second_quotient_invariants(
 ) -> list[int]:
     """Cyclic orders of G^[2, q], the cokernel of the relator exponent matrix over Z/q.
 
-    Raises SizeLimitError when the order exceeds ``order_bound`` (None: no bound).
+    Raises SizeLimitError when the order exceeds ``order_bound`` (None: no
+    bound), and when q^2 > 2^63 - 1, as the elimination multiplies residues
+    mod q.
     """
     q = params.q
+    _refuse_inexact(q, q)
     rows = [[x % q for x in a] for a, _ in pres.class2_images]
     invariants = cokernel_invariants(rows, pres.rank, q)
     order = math.prod(invariants) if invariants else 1
@@ -714,9 +742,6 @@ class FiniteGroupTable(GeneratorAction):
 
     def center_size(self) -> int:
         return int((self.mult == self.mult.T).all(axis=1).sum())
-
-    def centralizer_size(self, x: int) -> int:
-        return int((self.mult[x, :] == self.mult[:, x]).sum())
 
     def closure(self, elements) -> set[int]:
         """Subgroup generated by the given element indices."""
@@ -1123,16 +1148,35 @@ def _invariant_fingerprint(t: FiniteGroupTable):
     )
 
 
+def _is_hom(t1: GeneratorAction, t2: FiniteGroupTable, phi: np.ndarray) -> bool:
+    """Is the map ``phi`` (element of t1 -> element of t2) a homomorphism?
+
+    It checks phi(1) = 1 and phi(g s) = phi(g) phi(s) for every g and every
+    tree generator s, on t1's generator columns: |G| |S| entries.
+
+    Lemma.  These suffice.  By induction on k, phi(g s_1 ... s_k) =
+    phi(g s_1 ... s_(k-1)) phi(s_k) = phi(g) phi(s_1) ... phi(s_k); at
+    g = 1 this reads phi(s_1 ... s_k) = phi(s_1) ... phi(s_k).  The tree
+    spans, so S generates the finite group G, and as a monoid, since
+    s^-1 = s^(ord(s) - 1): every h is such a positive word, and
+    phi(g h) = phi(g) phi(h).  The converse is clear.
+    """
+    tree = t1.spanning_tree()
+    if phi[t1.identity] != t2.identity:
+        return False
+    return bool((phi[tree.columns] == t2.mult[phi[:, None], phi[tree.gens]]).all())
+
+
 def _build_hom(t1: FiniteGroupTable, t2: FiniteGroupTable, images: np.ndarray) -> np.ndarray | None:
     """The homomorphism t1 -> t2 taking the tree generators to ``images``,
-    or None if there is none (module docstring)."""
+    or None if there is none.  It is built along the tree (module
+    docstring), whose first layer sets phi(s) = images[i], and verified by
+    ``_is_hom``."""
     phi = np.empty(t1.order, dtype=np.int64)
     phi[t1.identity] = t2.identity
     for parent, i, child in t1.spanning_tree().layers:
         phi[child] = t2.mult[phi[parent], images[i]]
-    if not (phi[t1.mult] == t2.mult[np.ix_(phi, phi)]).all():
-        return None
-    return phi
+    return phi if _is_hom(t1, t2, phi) else None
 
 
 def is_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> tuple[bool, list[int] | None]:
@@ -1141,6 +1185,11 @@ def is_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> tuple[bool, lis
     Prunes by order, exponent, element-order census, center order, and
     abelianization; then searches images of t1's generators in table index
     order and returns the first witness (images of t1.generators in t2).
+    A generator's candidates are the elements with its order and
+    centralizer size, and a candidate for the k-th generator must keep the
+    orders of its products and commutators with the images already chosen;
+    the orders on t1's side are read once.  Each leaf is checked by
+    ``_build_hom`` on |G| |S| entries.
     """
     if (
         t1.order == t2.order
@@ -1153,52 +1202,37 @@ def is_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> tuple[bool, lis
         return False, None
     if t1.order == 1:
         return True, []
-    gens = list(t1.generators)
-    if not gens:
+    if not t1.generators:
         raise QcwError("source table lists no generators")
+    gens = np.array(t1.generators, dtype=np.int64)
     # a repeated generator's image is read at its first listing
-    listing = [gens.index(int(s)) for s in t1.spanning_tree().gens]
-    orders1 = t1.element_orders()
-    orders2 = t2.element_orders()
-    cent2 = [t2.centralizer_size(x) for x in range(t2.order)]
-    cent1 = [t1.centralizer_size(int(g)) for g in gens]
-    candidates = [
-        [
-            y
-            for y in range(t2.order)
-            if orders2[y] == orders1[int(g)] and cent2[y] == cent1[k]
-        ]
-        for k, g in enumerate(gens)
-    ]
+    listing = [t1.generators.index(int(s)) for s in t1.spanning_tree().gens]
+    orders1, orders2 = t1.element_orders(), t2.element_orders()
+    # the centralizer of x is the row x of mult == mult.T
+    cent1 = (t1.mult[gens] == t1.mult[:, gens].T).sum(axis=1)
+    cent2 = (t2.mult == t2.mult.T).sum(axis=1)
+    candidates = [np.flatnonzero((orders2 == orders1[g]) & (cent2 == c)) for g, c in zip(gens, cent1)]
+    products1 = orders1[t1.mult[gens[:, None], gens[None, :]]]
+    commutators1 = orders1[t1.commutators(gens, gens)]
+    mult2, inv2 = t2.mult, t2.inverses()
 
-    def backtrack(k: int, chosen: list[int]):
+    def backtrack(chosen: list[int]) -> list[int] | None:
+        k = len(chosen)
         if k == len(gens):
             phi = _build_hom(t1, t2, np.array(chosen, dtype=np.int64)[listing])
-            if phi is not None and len(set(map(int, phi))) == t1.order:
-                return [int(x) for x in chosen]
-            return None
-        for y in candidates[k]:
+            return chosen if phi is not None and len(sorted_unique(phi)) == t1.order else None
+        ys = candidates[k]
+        for kk, pa in enumerate(chosen):
             # local consistency: pairwise products and commutators keep orders
-            ok = True
-            for kk in range(k):
-                a, b = int(gens[kk]), int(gens[k])
-                pa, pb = chosen[kk], y
-                if orders1[t1.mult[a, b]] != orders2[t2.mult[pa, pb]]:
-                    ok = False
-                    break
-                c1 = t1.mult[t1.mult[t1.mult[t1.inverses()[a], t1.inverses()[b]], a], b]
-                c2 = t2.mult[t2.mult[t2.mult[t2.inverses()[pa], t2.inverses()[pb]], pa], pb]
-                if orders1[c1] != orders2[c2]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            res = backtrack(k + 1, chosen + [y])
-            if res is not None:
-                return res
+            commutators2 = mult2[mult2[mult2[inv2[pa], inv2[ys]], pa], ys]
+            ys = ys[(orders2[mult2[pa, ys]] == products1[kk, k]) & (orders2[commutators2] == commutators1[kk, k])]
+        for y in ys.tolist():
+            witness = backtrack(chosen + [y])
+            if witness is not None:
+                return witness
         return None
 
-    witness = backtrack(0, [])
+    witness = backtrack([])
     return (witness is not None), witness
 
 
@@ -1249,7 +1283,7 @@ def induced_quotient_map(
     IA, IC = _product_batch(BA, BC, np.hstack(qs.elements()), Et.q, Et.pairs)
     mapping = qt.encode(IA, IC)
     # sanity: must be a homomorphism of tables
-    if not (mapping[ts.mult] == tt.mult[np.ix_(mapping, mapping)]).all():
+    if not _is_hom(ts, tt, mapping):
         raise QcwError("internal error: induced map is not multiplicative")
     image_size = len(set(map(int, mapping)))
     inj = image_size == ts.order

@@ -57,6 +57,14 @@ order, and it refuses |E(n, p)| over the order bound.  |G| <= |E|, so
 ``to_table``'s own bound cannot fire after it, and both routes raise the
 same ``SizeLimitError``.
 
+Once the third quotients are isomorphic, the principle can tell the two
+groups apart only on dim H^2.  Lemma: G^[3, p] determines dim H^1(G).
+G^(2, p) / G^(3, p) is the second term of the p-central series of
+G^[3, p], a verbal subgroup, so an isomorphism of the third quotients
+maps it onto its counterpart and induces an isomorphism of the quotients
+by it, the G^[2, p].  And dim H^1(G) = log_p |G^[2, p]| (``dim_h1_mod_p``).
+So dim H^1 is read only for the witness of an inconclusive verdict.
+
 Verdict records are {criterion, verdict, witness} with verdict one of
 "not-realizable", "at-most-one-realizable", "criterion-not-applicable",
 "inconclusive".
@@ -210,35 +218,31 @@ def weight3_lie_vector(w: Word, n: int, p: int) -> np.ndarray | None:
     return coords
 
 
-def _free_class2_family_rank(pres: Presentation, p: int) -> int | None:
-    """witt_rank(n, 3) when the relators normally generate [S, [S, S]].
+def _h2_count(pres: Presentation, p: int) -> int | None:
+    """dim H^2 of the presented pro-p group, on the countable families.
 
-    Recognition: every relator lies in gamma_3 and the weight-3 Lie values
-    span the full weight-3 component mod p.  The Lie embedding is injective
-    mod p, so the span is measured on the degree-3 Magnus terms directly.
-    Returns None otherwise (H^2 is then not counted for this presentation).
+    0 for a free presentation (every relator trivial in the free group S),
+    and witt_rank(n, 3) when the relators normally generate [S, [S, S]]:
+    every relator lies in gamma_3 and the weight-3 Lie values span the full
+    weight-3 component mod p.  The Lie embedding is injective mod p, so the
+    span is measured on the degree-3 Magnus terms directly.  None otherwise
+    (H^2 is then not counted for this presentation).
+
+    A presentation that reaches the span has a relator, and has rank n >= 2,
+    so witt_rank(n, 3) = (n^3 - n) / 3 > 0: at rank 0 every word is trivial,
+    and at rank 1 a relator nontrivial in S = <x> is x^k with k != 0, whose
+    exponent sum is nonzero, so it lies outside gamma_3.
     """
-    n = pres.rank
-    if not pres.relators:
-        return None
+    if all(is_trivial_in_free(r) for r in pres.relators):
+        return 0
     terms = []
     for r, image in zip(pres.relators, pres.class2_images):
-        term = _weight3_term(r, image, n, p)
+        term = _weight3_term(r, image, pres.rank, p)
         if term is None:
             return None
         terms.append(term)
-    target = witt_rank(n, 3)
-    if target == 0:
-        return None
-    span = QuotientModule(terms, [], n**3, p)
-    return target if span.rank == target else None
-
-
-def _h2_count(pres: Presentation, p: int) -> int | None:
-    """dim H^2 of the presented pro-p group, on the countable families."""
-    if not pres.relators or all(is_trivial_in_free(r) for r in pres.relators):
-        return 0  # free presentation
-    return _free_class2_family_rank(pres, p)
+    target = witt_rank(pres.rank, 3)
+    return target if QuotientModule(terms, [], pres.rank**3, p).rank == target else None
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +261,11 @@ def principle_check(
 
     The third quotients are compared on their reduced forms when the
     orders differ or the kernels agree, and by ``is_isomorphic`` on their
-    tables otherwise (module docstring).  H^2 enters only on families
-    where the relation rank is countable (free presentations; the
-    free-class-2 family via the Witt numbers); otherwise only H^1 is
-    compared.  ``assert_realizable`` in {"first", "second"}
+    tables otherwise (module docstring).  Isomorphic third quotients have
+    equal dim H^1 (module docstring), so the groups are told apart on
+    dim H^2 alone, counted only on families where the relation rank is
+    countable (free presentations; the free-class-2 family via the Witt
+    numbers).  ``assert_realizable`` in {"first", "second"}
     declares one side realizable, and the verdict then names the other.
     """
     params = SeriesParams(p=p, d=1)
@@ -284,27 +289,22 @@ def principle_check(
                 "orders": [g1.order, g2.order],
             },
         )
-    h1_1, h1_2 = dim_h1_mod_p(pres1, p), dim_h1_mod_p(pres2, p)
     h2_1, h2_2 = _h2_count(pres1, p), _h2_count(pres2, p)
-    distinguishing = None
-    if h1_1 != h1_2:
-        distinguishing = {"invariant": "dim_h1", "values": [h1_1, h1_2]}
-    elif h2_1 is not None and h2_2 is not None and h2_1 != h2_2:
-        distinguishing = {"invariant": "dim_h2", "values": [h2_1, h2_2]}
-    if distinguishing is None:
+    if h2_1 is None or h2_2 is None or h2_1 == h2_2:
         return Verdict(
             criterion="principle",
             verdict=INCONCLUSIVE,
             witness={
                 "reason": "no distinguishing cohomology invariant found",
-                "dim_h1": [h1_1, h1_2],
+                "dim_h1": [dim_h1_mod_p(pres1, p), dim_h1_mod_p(pres2, p)],
                 "dim_h2": [h2_1, h2_2],
             },
         )
     witness = {
         "quotient_order": g1.order,
         "generator_images": witness_map,
-        **distinguishing,
+        "invariant": "dim_h2",
+        "values": [h2_1, h2_2],
     }
     if assert_realizable in ("first", "second"):
         witness["asserted_realizable"] = assert_realizable
@@ -513,6 +513,17 @@ def semidirect_power_action(
     )
 
 
+def _threshold_copies(h: int, cd_k: int, cd_l: int) -> int | None:
+    """The least m >= 1 with h < m cd_k + cd_l, or None if there is none.
+
+    For cd_k > 0 it is the least m >= 1 above (h - cd_l) / cd_k; for
+    cd_k = 0 the inequality does not depend on m.
+    """
+    if cd_k:
+        return max(1, (h - cd_l) // cd_k + 1)
+    return 1 if h < cd_l else None
+
+
 def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verdict:
     """Evaluate the construction and run the dimension test.
 
@@ -539,17 +550,12 @@ def wreath_construct(spec: WreathSpec, p: int, sanity_bound: int = 4096) -> Verd
     h = h_k + h_l
     cd_g = CdDescriptor(value=m * spec.k_cd.value + spec.l_cd.value, provenance="wreath-formula")
     torsion_free = spec.k_torsion_free and spec.l_torsion_free
-    threshold = None
-    for mm in range(1, 10 * (h + 2)):
-        if h < mm * spec.k_cd.value + spec.l_cd.value:
-            threshold = mm
-            break
     inner = h1_vs_cd_check(h, cd_g, p, torsion_free)
     witness = {
         "dim_h1": h,
         "dim_h1_parts": [h_k, h_l],
         "cd": cd_g.to_record(),
-        "threshold_copies": threshold,
+        "threshold_copies": _threshold_copies(h, spec.k_cd.value, spec.l_cd.value),
         "copies": m,
         "torsion_free": torsion_free,
         "second_quotient_model_order": p**h,

@@ -345,6 +345,42 @@ def test_check_names_the_missing_group_option(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
+        (["--group", "free2", "--criterion", "principle"], "--criterion principle needs --against or --against-free"),
+        (["--group", "class2", "--against", "free2", "--against-free"], "--against and --against-free exclude each other"),
+        (
+            ["--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "3", "--wreath-action", "1,x,0"],
+            "--wreath-action takes cyclic, swap or a permutation like 1,2,0, not '1,x,0'",
+        ),
+        (
+            ["--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "3", "--wreath-action", "swap"],
+            "swap action needs exactly 2 copies",
+        ),
+    ],
+)
+def test_check_refuses_an_unusable_option(argv, message, monkeypatch, capsys):
+    # each is refused before any criterion runs
+    refuse_criteria(monkeypatch)
+    code, out = run_cli("check", "--file", DATA, *argv, "--q", "2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_wreath_reads_an_explicit_permutation():
+    # K = L = free1, three copies permuted by the 3-cycle 1,2,0: dim H^1 = 2
+    # against cd = 3 + 1, and the stand-in (Z/2)^3 x| C3 has order 24
+    code, rep = run_json(
+        "check", "--file", DATA, "--wreath-k", "free1", "--wreath-l", "free1",
+        "--wreath-copies", "3", "--wreath-action", "1,2,0", "--q", "2",
+    )
+    assert code == 0
+    w = rep["verdicts"][0]["witness"]
+    assert (w["dim_h1"], w["cd"]["value"], w["threshold_copies"]) == (2, 4, 2)
+    assert w["sanity"]["model_order"] == 24
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
         (["Qp:5", "--q", "4"], "|E(2,4)| = 1024 exceeds the order bound 512"),
         (["Qp:3", "--q", "2", "--order-bound", "31"], "|E(2,2)| = 32 exceeds the order bound 31"),
     ],

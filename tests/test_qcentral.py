@@ -1027,3 +1027,100 @@ def test_relator_order_refuses_with_the_texts_of_e_and_relator_pairing():
     with pytest.raises(SizeLimitError):
         relator_order(pres, SeriesParams.from_q(4), 15)
     assert relator_order(pres, P2) == third_quotient(pres, P2).order == 2
+
+
+# -- homomorphisms checked on the generator columns --------------------------
+
+EQUAL_GENERATORS = "group equal { generators: x, y; relators: x y^-1; }"
+
+
+def _hom_tables(q):
+    """The G^[3, q] tables of groups.grp and of <x, y | x y^-1>, whose two
+    listed generators are equal, that fit the order bound 1024."""
+    tables = []
+    for pres in [*DATA_GROUPS.values(), parse_presentation(EQUAL_GENERATORS)]:
+        try:
+            tables.append(to_table(third_quotient(pres, SeriesParams.from_q(q), 1024), 1024))
+        except SizeLimitError:
+            continue
+    return tables
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_is_hom_on_the_generator_columns_is_the_full_table_check(q):
+    # the former |G|^2 predicate is the oracle, on maps built along the tree
+    # from random images of the tree generators
+    rng = np.random.default_rng(q)
+    tables = _hom_tables(q)
+    verdicts = []
+    for t1 in tables:
+        tree = t1.spanning_tree()
+        for t2 in tables:
+            for _ in range(10):
+                images = rng.integers(0, t2.order, size=len(tree.gens))
+                phi = np.empty(t1.order, dtype=np.int64)
+                phi[t1.identity] = t2.identity
+                for parent, i, child in tree.layers:
+                    phi[child] = t2.mult[phi[parent], images[i]]
+                want = bool((phi[t1.mult] == t2.mult[np.ix_(phi, phi)]).all())
+                assert qcentral._is_hom(t1, t2, phi) == want
+                assert (_build_hom(t1, t2, images) is not None) == want
+                verdicts.append(want)
+            # a map that moves the identity is never a homomorphism
+            moved = np.full(t1.order, t2.identity, dtype=np.int64)
+            moved[t1.identity] = (t2.identity + 1) % t2.order
+            assert qcentral._is_hom(t1, t2, moved) == (t2.order == 1)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+# -- int64 exactness guards ---------------------------------------------------
+
+BIG = "group G { generators: x, y; relators: x^1062882 [x, y], y^531441 [y, x]^2 x^531441; }"
+
+
+@pytest.mark.parametrize("q,exact", [(55103, True), (55109, False), (2**15, True), (2**16, False)])
+def test_the_class_two_engine_refuses_q_past_exact_int64(q, exact):
+    # q^4 > 2^63 - 1 exactly when q > 55108; nothing is allocated either way
+    params = SeriesParams.from_q(q)
+    if exact:
+        assert universal_class2(1, params, q**4).order == q**2
+        return
+    with pytest.raises(SizeLimitError, match=rf"q = {q} is past exact int64 arithmetic: {q * q}\^2 > 2\^63 - 1"):
+        universal_class2(1, params, q**4)
+
+
+def test_third_quotient_of_large_exponents_is_refused_where_relator_order_is_exact():
+    # the class-2 engine gave q^2 here, by wrapped int64 products; the
+    # elimination over Z/q, and a Smith form over Z, give q^3
+    pres, q = parse_presentation(BIG), 531441
+    params = SeriesParams.from_q(q)
+    assert relator_order(pres, params, 10**50) == q**3
+    with pytest.raises(SizeLimitError, match="q = 531441 is past exact int64 arithmetic"):
+        third_quotient(pres, params, 10**50)
+
+
+@pytest.mark.parametrize(
+    "n,q,exact",
+    [(2, 1518500213, True), (2, 1518500279, False), (1, 3037000493, True), (1, 3037000507, False)],
+)
+def test_relator_images_refuse_q_past_exact_int64(n, q, exact):
+    # the eliminations sum n^2 products of residues mod q: n^2 q^2 <= 2^63 - 1
+    pres = free_presentation(n)
+    params = SeriesParams.from_q(q)
+    if exact:
+        assert relator_order(pres, params, 10**60) == q ** (2 * n + n * (n - 1) // 2)
+        assert relator_pairing(pres, q).m == n
+        return
+    for call in (lambda: relator_order(pres, params, 10**60), lambda: relator_pairing(pres, q)):
+        with pytest.raises(SizeLimitError, match=rf"q = {q} is past exact int64 arithmetic"):
+            call()
+
+
+@pytest.mark.parametrize("q,exact", [(3037000493, True), (3037000507, False)])
+def test_second_quotient_refuses_q_past_exact_int64(q, exact):
+    params = SeriesParams.from_q(q)
+    if exact:
+        assert second_quotient_record(free_presentation(1), params, q)["order"] == q
+        return
+    with pytest.raises(SizeLimitError, match=rf"q = {q} is past exact int64 arithmetic: {q}\^2"):
+        second_quotient_record(free_presentation(1), params, q)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -35,6 +36,7 @@ from qcw.realizability import (
     NOT_REALIZABLE,
     CdDescriptor,
     WreathSpec,
+    _threshold_copies,
     dim_h1_mod_p,
     h1_vs_cd_check,
     magnus_terms,
@@ -281,6 +283,19 @@ def test_wreath_rank2_base_needs_four_copies():
     assert v4.witness["dim_h1"] == 3
     assert v4.witness["cd"]["value"] == 5
     assert v4.witness["threshold_copies"] == 3
+
+
+def former_threshold(h, cd_k, cd_l):
+    """The former search for the least copy count that trips the dimension test."""
+    for mm in range(1, 10 * (h + 2)):
+        if h < mm * cd_k + cd_l:
+            return mm
+    return None
+
+
+def test_threshold_copies_closed_form_matches_the_former_loop():
+    for h, cd_k, cd_l in itertools.product(range(13), repeat=3):
+        assert _threshold_copies(h, cd_k, cd_l) == former_threshold(h, cd_k, cd_l), (h, cd_k, cd_l)
 
 
 def test_wreath_monotone_in_copies():

@@ -914,3 +914,23 @@ def test_equal_orders_with_different_kernels_take_the_table_route(q, monkeypatch
     calls = spy_on(monkeypatch, TABLE_ROUTE)
     assert principle_check(first, second, q).to_record() == want
     assert calls == ["to_table", "to_table", "is_isomorphic"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_isomorphic_third_quotients_have_equal_dim_h1(p):
+    # G^[2, p] is a characteristic quotient of G^[3, p], so the principle
+    # never needs dim H^1 to tell two groups apart.  The bound 3125 admits
+    # E(2, 5), so every rank-2 pair is compared at p = 5 too
+    isomorphic = 0
+    for first in DATA_GROUPS.values():
+        for second in DATA_GROUPS.values():
+            try:
+                verdict = principle_check(first, second, p, 3125)
+            except SizeLimitError:
+                continue
+            if verdict.witness.get("reason") == "third quotients are not isomorphic":
+                continue
+            isomorphic += 1
+            assert dim_h1_mod_p(first, p) == dim_h1_mod_p(second, p), (first.name, second.name)
+            assert verdict.verdict == INCONCLUSIVE or verdict.witness["invariant"] == "dim_h2"
+    assert isomorphic > len(DATA_GROUPS)

@@ -6,9 +6,10 @@ address-space cap (``RLIMIT_AS``) set on that child only.  The child's
 working directory is a fresh temporary directory holding
 ``data/groups.grp`` (the test suite's presentations), ``data/long.grp``
 (long relator runs), ``data/longpower.grp`` (a relator of 800000 runs),
-``data/inverse.grp`` (two equal generators, inverse runs) and one
-malformed file per kind of ``ParseError`` (``MALFORMED``), so every argv
-is the same whichever checkout runs.
+``data/inverse.grp`` (two equal generators, inverse runs),
+``data/big.grp`` (relator exponents near 3^12) and one malformed file per
+kind of ``ParseError`` (``MALFORMED``), so every argv is the same
+whichever checkout runs.
 One line is printed per run::
 
     <argv> <TAB> exit=<code> <TAB> out=<sha256 of stdout> <TAB> err=<sha256 of stderr>
@@ -84,7 +85,14 @@ The runs:
 * three runs at a residue prime past a linear scan of F_ell, whose tame
   symbol is read through baby-step giant-step logarithms: ``milnor
   Qp:100000007 --q 2``, ``compare Qp:100000039 --q 3`` and ``milnor
-  Qp:100000081 --q 9``.
+  Qp:100000081 --q 9``;
+* two ``quotient`` runs of ``data/big.grp`` at q = 3^12 = 531441 and
+  q = 3^20 = 3486784401 under an order bound of 10^50, where products of
+  residues mod q^2 pass 2^63 - 1: each exits 1 with a ``SizeLimitError``
+  before the class-2 engine multiplies;
+* three ``check`` runs that exit 1 with one ``error:`` line:
+  ``--criterion principle`` with no second side, ``--against`` together
+  with ``--against-free``, and ``--wreath-action 1,x,0``.
 """
 
 from __future__ import annotations
@@ -113,6 +121,7 @@ group longx2 { generators: x, y; relators: x^100000002, [x, y]; }
 group sq { generators: x, y; relators: x^2, [x, y]; }
 """
 LONG_POWER = "group longxy { generators: x, y; relators: (x y)^400000; }\n"
+BIG = "group G { generators: x, y; relators: x^1062882 [x, y], y^531441 [y, x]^2 x^531441; }\n"
 INVERSE = """\
 group equal { generators: x, y; relators: x y^-1; }
 group invruns { generators: x, y; relators: x^-3 y^-2 x y; }
@@ -227,6 +236,13 @@ def command_lines() -> list[list[str]]:
         ["compare", "Qp:100000039", "--q", "3"],
         ["milnor", "Qp:100000081", "--q", "9"],
     ]
+    runs += [["quotient", "data/big.grp", "G", "--q", q, "--order-bound", str(10**50)] for q in ("531441", "3486784401")]
+    runs += [
+        ["check", "--file", grp, "--group", "free2", "--criterion", "principle"],
+        ["check", "--file", grp, "--group", "class2", "--against", "free2", "--against-free"],
+        ["check", "--file", grp, "--wreath-k", "free2", "--wreath-l", "free1", "--wreath-copies", "3",
+         "--wreath-action", "1,x,0"],
+    ]
     return [argv + ["--output", "json"] for argv in runs]
 
 
@@ -257,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="qcw-matrix-") as workdir:
         (Path(workdir) / "data").mkdir()
         shutil.copy(GROUPS, Path(workdir) / "data" / "groups.grp")
-        files = {"long.grp": LONG, "longpower.grp": LONG_POWER, "inverse.grp": INVERSE, **MALFORMED}
+        files = {"long.grp": LONG, "longpower.grp": LONG_POWER, "inverse.grp": INVERSE, "big.grp": BIG, **MALFORMED}
         for name, text in files.items():
             (Path(workdir) / "data" / name).write_text(text, encoding="utf-8")
         for run in command_lines():
